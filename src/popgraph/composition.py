@@ -20,9 +20,10 @@ single-vertex layers.
 
 from __future__ import annotations
 
-from .core import DirectedMultigraph, Edge, ProgressiveGraph, validate_progressive
+from .core import (DirectedMultigraph, Edge, ProgressiveGraph, _fresh,
+                   _induces_vertex_bijection, validate_progressive)
 from .errors import ArityMismatch, NoInternalVertex
-from .order import POPGraph, validate_planar_order
+from .order import POPGraph, interval_partition, validate_planar_order
 
 
 def is_elementary(g: ProgressiveGraph) -> bool:
@@ -50,13 +51,6 @@ def is_elementary(g: ProgressiveGraph) -> bool:
         if count[r] > 1:
             return False
     return True
-
-
-def _fresh(name: str, taken: set[str]) -> str:
-    while name in taken:
-        name += "'"
-    taken.add(name)
-    return name
 
 
 def compose(first: POPGraph, second: POPGraph) -> POPGraph:
@@ -96,34 +90,14 @@ def compose(first: POPGraph, second: POPGraph) -> POPGraph:
     for e in survivors2:
         edges.append(Edge(emap2[e.id], vmap2[e.src], vmap2[e.dst]))
 
-    # Shuffle the two orders around the fused edges.
-    seq1, seq2 = first.order.sequence, second.order.sequence
-    out_pos = {o: k for k, o in enumerate(outs)}
-    in_pos = {i: k for k, i in enumerate(ins)}
-    n = len(outs)
-    q_blocks: list[list[str]] = [[] for _ in range(n)]
-    k = 0
-    for e in seq1:
-        if e in out_pos:
-            assert out_pos[e] == k, "outputs out of order"
-            k += 1
-        else:
-            q_blocks[k].append(e)
-    assert k == n, "non-output edges after the last output"
-    p_blocks: list[list[str]] = [[] for _ in range(n)]
-    k = -1
-    for e in seq2:
-        if e in in_pos:
-            k = in_pos[e]
-            assert k >= 0
-        else:
-            assert k >= 0, "non-input edge before the first input"
-            p_blocks[k].append(emap2[e])
+    # Shuffle the two orders around the fused edges: Q_k f_k P_k.
+    q_blocks = interval_partition(first)[1]
+    p_blocks = interval_partition(second)[0]
     order: list[str] = []
-    for k in range(n):
-        order.extend(q_blocks[k])
-        order.append(fused_id[outs[k]])
-        order.extend(p_blocks[k])
+    for o, i in zip(outs, ins):
+        order.extend(q_blocks[o])
+        order.append(fused_id[o])
+        order.extend(emap2[e] for e in p_blocks[i])
 
     graph = validate_progressive(DirectedMultigraph(edges))
     return validate_planar_order(graph, order)
@@ -146,14 +120,8 @@ def pop_isomorphic(a: POPGraph, b: POPGraph) -> bool:
         return False
     if len(a.graph.vertices) != len(b.graph.vertices):
         return False
-    fwd: dict[str, str] = {}
-    rev: dict[str, str] = {}
-    for ea_id, eb_id in zip(a.order, b.order):
-        ea, eb = a.graph.edge(ea_id), b.graph.edge(eb_id)
-        for va, vb in ((ea.src, eb.src), (ea.dst, eb.dst)):
-            if fwd.setdefault(va, vb) != vb or rev.setdefault(vb, va) != va:
-                return False
-    return True
+    return _induces_vertex_bijection(
+        (a.graph.edge(x), b.graph.edge(y)) for x, y in zip(a.order, b.order))
 
 
 def _split_vertex(pop: POPGraph, v: str) -> tuple[POPGraph, POPGraph]:

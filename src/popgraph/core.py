@@ -40,9 +40,11 @@ class DirectedMultigraph:
 
     Vertices are inferred from edge endpoints; ``extra_vertices`` may declare
     vertices with no incident edges (progressive validation rejects those).
-    Edge ids must be unique.  Declaration order of edges is preserved and is
-    part of the value: two graphs are equal when they have the same vertex set
-    and the same edge tuple.
+    Edge ids must be unique.  Declaration order of edges is preserved for
+    presentation (``edges``, ``in_edges``, ``out_edges``) but is not part of
+    the value: two graphs are equal when they have the same vertex set and
+    the same set of edges.  The incoming and outgoing edges of every vertex
+    are indexed once, at construction.
     """
 
     def __init__(self, edges: Iterable[Edge | tuple[str, str, str]],
@@ -64,6 +66,13 @@ class DirectedMultigraph:
             verts.setdefault(v)
         self.vertices: tuple[str, ...] = tuple(verts)
         self._by_id = {e.id: e for e in self.edges}
+        ins: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        outs: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            outs[e.src].append(e)
+            ins[e.dst].append(e)
+        self._in: dict[str, tuple[Edge, ...]] = {v: tuple(es) for v, es in ins.items()}
+        self._out: dict[str, tuple[Edge, ...]] = {v: tuple(es) for v, es in outs.items()}
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -79,14 +88,16 @@ class DirectedMultigraph:
         return tuple(e.id for e in self.edges)
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        if v not in self.vertices:
-            raise UnknownVertex(v)
-        return tuple(e for e in self.edges if e.dst == v)
+        try:
+            return self._in[v]
+        except KeyError:
+            raise UnknownVertex(v) from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        if v not in self.vertices:
-            raise UnknownVertex(v)
-        return tuple(e for e in self.edges if e.src == v)
+        try:
+            return self._out[v]
+        except KeyError:
+            raise UnknownVertex(v) from None
 
     def __eq__(self, other) -> bool:
         # declaration order is presentation, not identity
@@ -102,22 +113,24 @@ class DirectedMultigraph:
         return f"DirectedMultigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+def _degrees(g: DirectedMultigraph) -> tuple[dict[str, int], dict[str, int]]:
+    """In-degree and out-degree of every vertex, read off the incidence index."""
+    return ({v: len(es) for v, es in g._in.items()},
+            {v: len(es) for v, es in g._out.items()})
+
+
 def _toposort(g: DirectedMultigraph) -> list[str]:
     """Vertices in a topological order; raises CycleDetected with a witness."""
-    indeg = {v: 0 for v in g.vertices}
-    succs: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        indeg[e.dst] += 1
-        succs[e.src].append(e.dst)
+    indeg, _ = _degrees(g)
     ready = [v for v in g.vertices if indeg[v] == 0]
     order: list[str] = []
     while ready:
         v = ready.pop()
         order.append(v)
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
+        for e in g._out[v]:
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                ready.append(e.dst)
     if len(order) == len(g.vertices):
         return order
     # Walk predecessors inside the leftover set until a vertex repeats; every
@@ -148,11 +161,7 @@ class ProgressiveGraph:
     """
 
     def __init__(self, graph: DirectedMultigraph):
-        indeg: dict[str, int] = {v: 0 for v in graph.vertices}
-        outdeg: dict[str, int] = {v: 0 for v in graph.vertices}
-        for e in graph.edges:
-            outdeg[e.src] += 1
-            indeg[e.dst] += 1
+        indeg, outdeg = _degrees(graph)
         for v in graph.vertices:
             if indeg[v] == 0 and outdeg[v] == 0:
                 raise IsolatedVertex(v)
@@ -171,30 +180,20 @@ class ProgressiveGraph:
         self.outputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.dst not in self.internal_vertices)
 
-        # Vertex closure, reflexive, as bitsets over the vertex index.
+        # Vertex closure, reflexive, as bitsets over the vertex index, and
+        # src_union[v] = all edges whose tail is any vertex reachable from v
+        # (reflexively), as bitsets over the edge index.
         vix = {v: i for i, v in enumerate(graph.vertices)}
-        vreach = [1 << i for i in range(len(graph.vertices))]
-        out_by_vertex: dict[str, list[Edge]] = {v: [] for v in graph.vertices}
-        for e in graph.edges:
-            out_by_vertex[e.src].append(e)
-        for v in reversed(topo):
-            acc = vreach[vix[v]]
-            for e in out_by_vertex[v]:
-                acc |= vreach[vix[e.dst]]
-            vreach[vix[v]] = acc
-
-        # edges_from[v] = bitset of edges whose tail is v; src_union[v] = all
-        # edges whose tail is any vertex reachable from v (reflexively).
         eix = {e.id: i for i, e in enumerate(graph.edges)}
-        edges_from = {v: 0 for v in graph.vertices}
-        for e in graph.edges:
-            edges_from[e.src] |= 1 << eix[e.id]
-        src_union = {v: 0 for v in graph.vertices}
+        vreach = [1 << i for i in range(len(graph.vertices))]
+        src_union: dict[str, int] = {}
         for v in reversed(topo):
-            acc = edges_from[v]
-            for e in out_by_vertex[v]:
-                acc |= src_union[e.dst]
-            src_union[v] = acc
+            vacc, eacc = vreach[vix[v]], 0
+            for e in graph._out[v]:
+                vacc |= vreach[vix[e.dst]]
+                eacc |= 1 << eix[e.id] | src_union[e.dst]
+            vreach[vix[v]] = vacc
+            src_union[v] = eacc
 
         self._vix = vix
         self._eix = eix
@@ -240,13 +239,6 @@ class ProgressiveGraph:
             if e not in self._eix:
                 raise UnknownEdge(e)
         return bool(self._ereach[self._eix[e1]] >> self._eix[e2] & 1)
-
-    def reach_set(self, e1: str) -> frozenset[str]:
-        """Ids of all edges strictly reachable from e1."""
-        if e1 not in self._eix:
-            raise UnknownEdge(e1)
-        bits = self._ereach[self._eix[e1]]
-        return frozenset(e.id for e in self.graph.edges if bits >> self._eix[e.id] & 1)
 
     def reach_bits(self, e1: str) -> int:
         """Strict reachability row as a bitset over edge declaration indexes."""
@@ -304,11 +296,7 @@ class StGraph:
         if sink not in graph.vertices:
             raise UnknownVertex(sink)
         _toposort(graph)
-        indeg = {v: 0 for v in graph.vertices}
-        outdeg = {v: 0 for v in graph.vertices}
-        for e in graph.edges:
-            outdeg[e.src] += 1
-            indeg[e.dst] += 1
+        indeg, outdeg = _degrees(graph)
         for v in graph.vertices:
             if indeg[v] == 0 and outdeg[v] == 0:
                 raise IsolatedVertex(v)
@@ -387,10 +375,15 @@ def isomorphic_by_edges(a, b) -> bool:
         return False
     if len(ga.vertices) != len(gb.vertices):
         return False
+    return _induces_vertex_bijection((ea, gb.edge(ea.id)) for ea in ga.edges)
+
+
+def _induces_vertex_bijection(pairs: Iterable[tuple[Edge, Edge]]) -> bool:
+    """True when mapping each edge's endpoints onto its partner's endpoints
+    (tail to tail, head to head) is a well-defined bijection of vertices."""
     fwd: dict[str, str] = {}
     rev: dict[str, str] = {}
-    for ea in ga.edges:
-        eb = gb.edge(ea.id)
+    for ea, eb in pairs:
         for va, vb in ((ea.src, eb.src), (ea.dst, eb.dst)):
             if fwd.setdefault(va, vb) != vb or rev.setdefault(vb, va) != va:
                 return False

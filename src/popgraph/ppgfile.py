@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from .core import DirectedMultigraph, ProgressiveGraph, StGraph, validate_progressive
 from .errors import ParseError, PpgError
-from .order import PlanarOrder, POPGraph, validate_planar_order
-from .synthesis import Anchor, PAGraph, VertexOrder, _expect_permutation, synthesize_order
+from .order import PlanarOrder, POPGraph, _expect_permutation, validate_planar_order
+from .synthesis import Anchor, PAGraph, VertexOrder, extract_pa, synthesize_order
 
 
 class PpgDocument:
@@ -83,8 +83,7 @@ class PpgDocument:
         vertex orders and anchors."""
         if self._pop is not None:
             return self._pop
-        order = synthesize_order(self.pa())
-        return validate_planar_order(self.graph, order.sequence)
+        return POPGraph(self.graph, synthesize_order(self.pa()))
 
     def __eq__(self, other):
         if not isinstance(other, PpgDocument):
@@ -200,8 +199,6 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
     A POPGraph is written in full form (anchors and vertex orders derived
     from the order); a PpgDocument is written exactly as it stands.
     """
-    from .synthesis import extract_pa
-
     if isinstance(doc, POPGraph):
         pa = extract_pa(doc)
         doc = PpgDocument(doc.graph, pa.vertex_orders, pa.anchor, doc.order)

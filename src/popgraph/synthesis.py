@@ -33,11 +33,11 @@ deliberately simple.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph
-from .errors import NoConsistentOrder, NotAPermutation, PpgError, TooLarge, UnknownVertex
-from .order import PlanarOrder, POPGraph, validate_planar_order
+from .errors import NoConsistentOrder, PpgError, TooLarge, UnknownVertex
+from .order import PlanarOrder, POPGraph, _expect_permutation, validate_planar_order
 
 
 class VertexOrder(NamedTuple):
@@ -86,16 +86,6 @@ class PAGraph:
 
     def __repr__(self):
         return f"PAGraph({len(self.graph.edges)} edges)"
-
-
-def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> None:
-    seq = tuple(seq)
-    want = set(universe)
-    have = set(seq)
-    if have != want or len(have) != len(seq):
-        dups = tuple(sorted({e for e in seq if seq.count(e) > 1}))
-        raise NotAPermutation(tuple(sorted(want - have)),
-                              tuple(sorted(have - want)), dups)
 
 
 class Comparison(enum.Enum):

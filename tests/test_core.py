@@ -57,6 +57,26 @@ class TestValidation:
         assert g.inputs == frozenset() and not g.internal_vertices
 
 
+class TestAdjacency:
+    def test_incidence_in_declaration_order(self):
+        g = graph(("b", "u", "v"), ("a", "u", "v"), ("c", "v", "w"),
+                  ("d", "u", "w"), ("e", "x", "v"))
+        assert [e.id for e in g.in_edges("v")] == ["b", "a", "e"]
+        assert [e.id for e in g.out_edges("u")] == ["b", "a", "d"]
+        assert [e.id for e in g.in_edges("w")] == ["c", "d"]
+        assert g.in_edges("u") == () and g.out_edges("w") == ()
+
+    def test_unknown_vertex(self):
+        g = graph(("a", "u", "v"), ("b", "u", "v"))
+        for lookup in (g.in_edges, g.out_edges):
+            with pytest.raises(pg.UnknownVertex):
+                lookup("nowhere")
+
+    def test_extra_vertex_has_no_edges(self):
+        g = graph(("a", "u", "v"), ("b", "u", "v"), extra=["lonely"])
+        assert g.in_edges("lonely") == () and g.out_edges("lonely") == ()
+
+
 class TestReachability:
     def test_reflexive_convention(self, canonical):
         g = canonical.graph
