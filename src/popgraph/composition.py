@@ -15,10 +15,13 @@ Decomposition is the inverse: splitting off an order-maximal internal vertex
 leaves a remainder and an elementary factor (one internal vertex plus
 pass-through bare edges) whose composition restores the original, and
 repeating until no internal vertex is left writes the graph as a chain of
-single-vertex layers.
+single-vertex layers.  That is one walk over the order which builds and
+validates only the factors; every remainder is valid by the theory.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, _fresh,
                    _induces_vertex_bijection, validate_progressive)
@@ -76,8 +79,8 @@ def compose(first: POPGraph, second: POPGraph) -> POPGraph:
         if v not in sources2:
             vmap2[v] = _fresh(v, taken)
 
-    survivors1 = [e for e in g1.edges if e.id not in set(outs)]
-    survivors2 = [e for e in g2.edges if e.id not in set(ins)]
+    survivors1 = [e for e in g1.edges if e.id not in g1.outputs]
+    survivors2 = [e for e in g2.edges if e.id not in g2.inputs]
     used = {e.id for e in survivors1}
     fused_id: dict[str, str] = {}
     for o, i in zip(outs, ins):
@@ -124,49 +127,58 @@ def pop_isomorphic(a: POPGraph, b: POPGraph) -> bool:
         (a.graph.edge(x), b.graph.edge(y)) for x, y in zip(a.order, b.order))
 
 
-def _split_vertex(pop: POPGraph, v: str) -> tuple[POPGraph, POPGraph]:
-    """Split internal vertex v (which must be order-maximal among internal
-    vertices, i.e. all its out-edges are outputs) into an elementary factor,
-    leaving the remainder."""
+def _peel(pop: POPGraph):
+    """Split off one maximal internal vertex per step, building no remainder.
+
+    Each step takes the maximal internal vertex whose first out-edge comes
+    earliest in the order.  The walk keeps the current head of every edge,
+    the current outputs (the line), the dropped edges and the vertex names
+    the remainder would have, and yields ``(factor, head, dropped)`` per
+    step; the next step updates ``head`` and ``dropped`` in place.
+    """
     g = pop.graph
-    spider_out = [e.id for e in g.out_edges(v)]
-    spider_in = [e.id for e in g.in_edges(v)]
-    assert all(o in g.outputs for o in spider_out), "vertex is not maximal"
+    internal = g.internal_vertices
+    head = {e.id: e.dst for e in g.edges}
+    line = set(g.outputs)
+    dropped: set[str] = set()
+    names = set(g.vertices)
+    # out-edges of each internal vertex not yet on the line
+    pending = {v: sum(e.dst in internal for e in g.out_edges(v)) for v in internal}
+    first_out = {v: min(pop.rank(e.id) for e in g.out_edges(v)) for v in internal}
+    ready = [(first_out[v], v) for v in internal if not pending[v]]
+    heapq.heapify(ready)
+    while ready:
+        _, v = heapq.heappop(ready)
+        spider_in = [e.id for e in g.in_edges(v)]
+        spider_out = [e.id for e in g.out_edges(v)]
 
-    taken = set(g.vertices)
-    remainder_edges = []
-    for e in g.edges:
-        if e.id in set(spider_out):
-            continue
-        if e.dst == v:
-            remainder_edges.append(Edge(e.id, e.src, _fresh(f"t@{e.id}", taken)))
-        else:
-            remainder_edges.append(e)
-    remainder_graph = validate_progressive(DirectedMultigraph(remainder_edges))
-    remainder_order = [e for e in pop.order if not (e in set(spider_out))]
-    remainder = validate_planar_order(remainder_graph, remainder_order)
+        ids = line.union(spider_in)
+        taken = {v} | {head[e] for e in line} | {g.edge(e).src for e in ids & g.inputs}
+        edges = []
+        for e in sorted(ids, key=g.edge_index):
+            # input tails are degree-one sources already; keeping them lets
+            # recomposition restore the original graph vertex for vertex
+            src = g.edge(e).src
+            if src != v and e not in g.inputs:
+                src = _fresh(f"s@{e}", taken)
+            edges.append(Edge(e, src, head[e]))
+        factor = validate_planar_order(validate_progressive(DirectedMultigraph(edges)),
+                                       sorted(ids, key=pop.rank))
 
-    factor_ids = set(pop.outputs_ordered) | set(spider_in)
-    taken = {v} | {g.edge(o).dst for o in pop.outputs_ordered}
-    taken |= {e.src for e in g.edges if e.id in factor_ids and e.id in g.inputs}
-    factor_edges = []
-    for e in g.edges:
-        if e.id not in factor_ids:
-            continue
-        if e.id in set(spider_out):
-            factor_edges.append(Edge(e.id, v, e.dst))
-        elif e.id in g.inputs:
-            # tail is already a degree-one boundary source; bring it along,
-            # so recomposing restores the original graph vertex for vertex
-            factor_edges.append(e)
-        elif e.id in set(spider_in):
-            factor_edges.append(Edge(e.id, _fresh(f"s@{e.id}", taken), v))
-        else:
-            factor_edges.append(Edge(e.id, _fresh(f"s@{e.id}", taken), e.dst))
-    factor_graph = validate_progressive(DirectedMultigraph(factor_edges))
-    factor_order = [e for e in pop.order if e in factor_ids]
-    factor = validate_planar_order(factor_graph, factor_order)
-    return remainder, factor
+        # fresh heads avoid every name of the graph the step started from,
+        # the vertex and its output heads included
+        for e in spider_in:
+            head[e] = _fresh(f"t@{e}", names)
+        names.difference_update([v, *(head[e] for e in spider_out)])
+        line.difference_update(spider_out)
+        line.update(spider_in)
+        dropped.update(spider_out)
+        for e in g.in_edges(v):
+            if e.src in internal:
+                pending[e.src] -= 1
+                if not pending[e.src]:
+                    heapq.heappush(ready, (first_out[e.src], e.src))
+        yield factor, head, dropped
 
 
 def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
@@ -175,19 +187,18 @@ def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
 
     Among the maximal internal vertices (those whose out-edges are all
     outputs) the one whose first out-edge in the order comes earliest is
-    chosen, which makes repeated decomposition deterministic.
+    chosen, which makes repeated decomposition deterministic.  This is the
+    first step of :func:`elementary_decomposition`; unlike it, the remainder
+    is built and validated.
     """
-    g = pop.graph
-    maximal = []
-    for v in sorted(g.internal_vertices):
-        if all(e.id in g.outputs for e in g.out_edges(v)):
-            maximal.append(v)
-    if not maximal:
-        if not g.internal_vertices:
-            raise NoInternalVertex()
-        raise AssertionError("acyclic graph must have a maximal internal vertex")
-    v = min(maximal, key=lambda u: min(pop.rank(e.id) for e in g.out_edges(u)))
-    return _split_vertex(pop, v)
+    if not pop.graph.internal_vertices:
+        raise NoInternalVertex()
+    factor, head, dropped = next(_peel(pop))
+    remainder_graph = validate_progressive(DirectedMultigraph(
+        Edge(e.id, e.src, head[e.id]) for e in pop.graph.edges if e.id not in dropped))
+    remainder = validate_planar_order(
+        remainder_graph, [e for e in pop.order if e not in dropped])
+    return remainder, factor
 
 
 class ElementaryDecomposition:
@@ -222,11 +233,7 @@ def elementary_decomposition(pop: POPGraph) -> ElementaryDecomposition:
     """
     if not pop.graph.internal_vertices:
         return ElementaryDecomposition([pop])
-    factors: list[POPGraph] = []
-    current = pop
-    while current.graph.internal_vertices:
-        current, factor = decompose_step(current)
-        factors.append(factor)
+    factors = [factor for factor, _, _ in _peel(pop)]
     factors.reverse()
     return ElementaryDecomposition(factors)
 

@@ -80,9 +80,6 @@ class DirectedMultigraph:
         except KeyError:
             raise UnknownEdge(edge_id) from None
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
-
     @property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
@@ -254,14 +251,6 @@ class ProgressiveGraph:
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return self.graph.out_edges(v)
-
-    def is_input(self, e: str) -> bool:
-        self.graph.edge(e)
-        return e in self.inputs
-
-    def is_output(self, e: str) -> bool:
-        self.graph.edge(e)
-        return e in self.outputs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProgressiveGraph):

@@ -22,6 +22,7 @@ synthesis.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from .core import ProgressiveGraph
@@ -237,18 +238,17 @@ def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     """Rebuild the planar order whose conjugate is ``rel``.
 
     The union of strict reachability and ``rel`` linearly orders the edges;
-    sorting by predecessor count recovers the sequence.
+    an edge's rank is one more than its number of predecessors, the edges
+    that strictly reach it plus the pairs of ``rel`` that end at it.
     """
     report = check_conjugacy(g, rel)
     if not report:
         raise NotConjugate(report.problems)
     rel = set(rel)
-
-    def count_before(e: str) -> int:
-        return sum(1 for f in g.edge_ids
-                   if f != e and (g.strictly_reaches(f, e) or (f, e) in rel))
-
-    seq = sorted(g.edge_ids, key=count_before)
+    ids = g.edge_ids
+    preds = Counter(b for a in ids for b in ids
+                    if g.strictly_reaches(a, b) or (a, b) in rel)
+    seq = sorted(ids, key=preds.__getitem__)
     return validate_planar_order(g, seq).order
 
 

@@ -197,27 +197,29 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
     """Canonical text for a document, ordered graph, or annotated graph.
 
     A POPGraph is written in full form (anchors and vertex orders derived
-    from the order); a PpgDocument is written exactly as it stands.
+    from the order); nothing is validated again.
     """
     if isinstance(doc, POPGraph):
         pa = extract_pa(doc)
-        doc = PpgDocument(doc.graph, pa.vertex_orders, pa.anchor, doc.order)
+        graph, vertex_orders, anchor, order = doc.graph, pa.vertex_orders, pa.anchor, doc.order
     elif isinstance(doc, PAGraph):
-        doc = PpgDocument(doc.graph, doc.vertex_orders, doc.anchor)
+        graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, None
     elif isinstance(doc, ProgressiveGraph):
-        doc = PpgDocument(doc)
+        graph, vertex_orders, anchor, order = doc, None, None, None
+    else:
+        graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, doc.order
 
     out = ["ppg 1"]
-    for e in doc.graph.edges:
+    for e in graph.edges:
         out.append(f"edge {e.id} {e.src} {e.dst}")
-    if doc.anchor is not None:
-        out.append("inputs " + " ".join(doc.anchor.inputs))
-        out.append("outputs " + " ".join(doc.anchor.outputs))
-    for v in sorted(doc.vertex_orders or {}):
-        out.append(f"in {v} " + " ".join(doc.vertex_orders[v].incoming))
-        out.append(f"out {v} " + " ".join(doc.vertex_orders[v].outgoing))
-    if doc.order is not None:
-        out.append("order " + " ".join(doc.order.sequence))
+    if anchor is not None:
+        out.append("inputs " + " ".join(anchor.inputs))
+        out.append("outputs " + " ".join(anchor.outputs))
+    for v in sorted(vertex_orders or {}):
+        out.append(f"in {v} " + " ".join(vertex_orders[v].incoming))
+        out.append(f"out {v} " + " ".join(vertex_orders[v].outgoing))
+    if order is not None:
+        out.append("order " + " ".join(order.sequence))
     return "\n".join(out) + "\n"
 
 

@@ -151,6 +151,36 @@ class TestDecompose:
             back = pg.recompose(d)
             assert back.graph == pop.graph and back.order == pop.order, i
 
+    def test_steps_match_the_walk(self, canonical):
+        # decompose_step builds and validates every remainder, which the walk
+        # in elementary_decomposition skips; both must peel the same factors
+        rng = random.Random(5)
+        pops = [canonical] + [pg.random_pop(rng, tag=f"r{i}.") for i in range(200)]
+        for i, pop in enumerate(pops):
+            stepped = []
+            current = pop
+            while current.graph.internal_vertices:
+                remainder, factor = pg.decompose_step(current)
+                glued = pg.compose(remainder, factor)
+                assert glued.graph == current.graph and glued.order == current.order, i
+                stepped.append(factor)
+                current = remainder
+            walked = pg.elementary_decomposition(pop).factors
+            assert ([(f.graph.edges, f.order) for f in walked]
+                    == [(f.graph.edges, f.order) for f in reversed(stepped)]), i
+
+    def test_long_path(self):
+        edges = [pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1200)]
+        pop = pg.validate_planar_order(
+            pg.validate_progressive(pg.DirectedMultigraph(edges)), [e.id for e in edges])
+        d = pg.elementary_decomposition(pop)
+        assert len(d.factors) == 1199
+        for f in d.factors:
+            assert pg.is_elementary(f.graph)
+            assert len(f.graph.internal_vertices) == 1
+        for pairs in d.interfaces:
+            assert [o for o, _ in pairs] == [i for _, i in pairs]
+
 
 class TestCancellation:
     def test_distinct_graphs_stay_distinct(self):

@@ -1,13 +1,15 @@
 """Golden `ppg` transcripts: exit code, stdout and stderr, byte for byte.
 
-Every input (the ``tests/fixtures`` files plus a seeded layered corpus under
-``tests/golden/inputs``, each corpus graph with and without its order line) is run
-through ``popgraph.cli.main`` in-process with a fixed list of subcommands,
-and the transcript must equal the committed ``tests/golden/<input>.txt``.
+Every input (the ``tests/fixtures`` files plus, under ``tests/golden/inputs``,
+a seeded layered corpus, each graph with and without its order line, and the
+hand-written ``fresh_names.ppg``, whose vertex names collide with the ``s@``/``t@``
+names decomposition generates) is run through ``popgraph.cli.main`` in-process
+with a fixed list of subcommands, and the transcript must equal the committed
+``tests/golden/<input>.txt``.
 A refactor that is meant to keep behaviour keeps these files unchanged; one
 that changes output on purpose regenerates them and says so in CHANGES.md.
 
-Regenerate the corpus and the transcripts with
+Regenerate the corpus and the transcripts (``fresh_names.ppg`` is kept) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
