@@ -16,7 +16,8 @@ leaves a remainder and an elementary factor (one internal vertex plus
 pass-through bare edges) whose composition restores the original, and
 repeating until no internal vertex is left writes the graph as a chain of
 single-vertex layers.  That is one walk over the order which builds and
-validates only the factors; every remainder is valid by the theory.
+validates only the factors; every remainder is valid by the theory.  The
+layout reads the same peel order for its bands and builds no factor.
 """
 
 from __future__ import annotations
@@ -127,28 +128,45 @@ def pop_isomorphic(a: POPGraph, b: POPGraph) -> bool:
         (a.graph.edge(x), b.graph.edge(y)) for x, y in zip(a.order, b.order))
 
 
-def _peel(pop: POPGraph):
-    """Split off one maximal internal vertex per step, building no remainder.
+def _peel_order(pop: POPGraph):
+    """Internal vertices in peel order, downstream first.
 
-    Each step takes the maximal internal vertex whose first out-edge comes
-    earliest in the order.  The walk keeps the current head of every edge,
-    the current outputs (the line), the dropped edges and the vertex names
-    the remainder would have, and yields ``(factor, head, dropped)`` per
-    step; the next step updates ``head`` and ``dropped`` in place.
+    Each step takes the maximal internal vertex (every out-edge on the line
+    of current outputs) whose first out-edge comes earliest in the order.  A
+    vertex becomes maximal once its last internal successor has been peeled.
     """
     g = pop.graph
     internal = g.internal_vertices
-    head = {e.id: e.dst for e in g.edges}
-    line = set(g.outputs)
-    dropped: set[str] = set()
-    names = set(g.vertices)
-    # out-edges of each internal vertex not yet on the line
+    # out-edges of each internal vertex whose head is not yet peeled
     pending = {v: sum(e.dst in internal for e in g.out_edges(v)) for v in internal}
     first_out = {v: min(pop.rank(e.id) for e in g.out_edges(v)) for v in internal}
     ready = [(first_out[v], v) for v in internal if not pending[v]]
     heapq.heapify(ready)
     while ready:
         _, v = heapq.heappop(ready)
+        yield v
+        for e in g.in_edges(v):
+            if e.src in internal:
+                pending[e.src] -= 1
+                if not pending[e.src]:
+                    heapq.heappush(ready, (first_out[e.src], e.src))
+
+
+def _peel(pop: POPGraph):
+    """Split off one maximal internal vertex per step, building no remainder.
+
+    The vertices come from :func:`_peel_order`.  The walk keeps the current
+    head of every edge, the current outputs (the line), the dropped edges
+    and the vertex names the remainder would have, and yields
+    ``(factor, head, dropped)`` per step; the next step updates ``head`` and
+    ``dropped`` in place.
+    """
+    g = pop.graph
+    head = {e.id: e.dst for e in g.edges}
+    line = set(g.outputs)
+    dropped: set[str] = set()
+    names = set(g.vertices)
+    for v in _peel_order(pop):
         spider_in = [e.id for e in g.in_edges(v)]
         spider_out = [e.id for e in g.out_edges(v)]
 
@@ -173,11 +191,6 @@ def _peel(pop: POPGraph):
         line.difference_update(spider_out)
         line.update(spider_in)
         dropped.update(spider_out)
-        for e in g.in_edges(v):
-            if e.src in internal:
-                pending[e.src] -= 1
-                if not pending[e.src]:
-                    heapq.heappush(ready, (first_out[e.src], e.src))
         yield factor, head, dropped
 
 

@@ -1,13 +1,16 @@
 """Layered upward drawings of planarly ordered graphs.
 
-The layout slices a graph into its elementary factors and stacks them as
-horizontal bands, flow running down the page (or up, when flipped).  At
-every band boundary the edges crossing it sit at integer x positions given
-by their rank in the planar order restricted to that boundary; because each
-factor's spider legs form a contiguous block of its order, routing the legs
-to a vertex centroid and everything else straight across keeps the drawing
-planar.  All coordinates are exact rationals so the crossing checker can be
-exact too.
+The layout stacks the elementary layers of a graph as horizontal bands,
+flow running down the page (or up, when flipped).  The bands are read from
+the peel order of the elementary decomposition, one band per internal
+vertex, without building the factors: an edge crosses every band boundary
+from the band of its tail to the band before its head's.  At each boundary
+the edges crossing it sit at integer x positions given by their rank in
+the planar order restricted to that boundary; because each layer's spider
+legs form a contiguous block of its order, routing the legs to a vertex
+centroid and everything else straight across keeps the drawing planar.
+All coordinates are exact rationals so the crossing checker can be exact
+too.
 
 ``check_drawing`` verifies monotonicity, boundary attachment, and pairwise
 non-crossing of every segment pair; ``read_back`` recovers the vertex
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .composition import elementary_decomposition
+from .composition import _peel_order
 from .core import ProgressiveGraph
-from .errors import ReservedVertexName
+from .errors import PpgError, ReservedVertexName
 from .order import POPGraph
 from .synthesis import Anchor, PAGraph, VertexOrder
 
@@ -59,38 +62,43 @@ class Drawing:
 
 
 def layout(pop: POPGraph, up: bool = False) -> Drawing:
-    """Layered drawing of a planarly ordered graph, one band per factor."""
-    factors = elementary_decomposition(pop).factors
-    k_bands = len(factors)
+    """Layered drawing of a planarly ordered graph, one band per internal
+    vertex (one band in all when there is none).
 
-    # Crossing lines y=0..K: line k carries the outputs of factor k (equally
-    # the inputs of factor k+1), positioned by rank within that line.
-    lines: list[tuple[str, ...]] = [factors[0].inputs_ordered]
-    lines += [f.outputs_ordered for f in factors]
+    Bands follow the peel order of the elementary decomposition: the j-th
+    vertex peeled (0-based, most downstream first) sits in band K - j.
+    """
+    g = pop.graph
+    peeled = list(_peel_order(pop))
+    k_bands = max(len(peeled), 1)
+    band_of = {v: k_bands - j for j, v in enumerate(peeled)}
+
+    # Crossing lines y=0..K: line k carries the outputs of layer k (equally
+    # the inputs of layer k+1), positioned by rank within that line.
+    crossed: dict[str, range] = {}
+    lines: list[list[str]] = [[] for _ in range(k_bands + 1)]
+    for eid in pop.order.sequence:
+        edge = g.edge(eid)
+        crossed[eid] = range(band_of.get(edge.src, 0), band_of.get(edge.dst, k_bands + 1))
+        for k in crossed[eid]:
+            lines[k].append(eid)
     pos = [{e: Fraction(i + 1) for i, e in enumerate(line)} for line in lines]
     width = Fraction(max(len(line) for line in lines) + 1)
 
-    band_of: dict[str, int] = {}
-    for k, f in enumerate(factors, 1):
-        for v in f.graph.internal_vertices:
-            band_of[v] = k
-
     vertices: dict[str, Point] = {}
-    for k, f in enumerate(factors, 1):
-        for v in sorted(f.graph.internal_vertices):
-            xs = [pos[k - 1][e.id] for e in f.graph.in_edges(v)]
-            xs += [pos[k][e.id] for e in f.graph.out_edges(v)]
-            vertices[v] = (Fraction(sum(xs), len(xs)), Fraction(2 * k - 1, 2))
+    for v in reversed(peeled):
+        k = band_of[v]
+        xs = [pos[k - 1][e.id] for e in g.in_edges(v)]
+        xs += [pos[k][e.id] for e in g.out_edges(v)]
+        vertices[v] = (Fraction(sum(xs), len(xs)), Fraction(2 * k - 1, 2))
 
     routes: dict[str, tuple[Point, ...]] = {}
     for eid in pop.order.sequence:
-        edge = pop.graph.edge(eid)
-        first = 0 if edge.src not in band_of else band_of[edge.src]
-        last = k_bands if edge.dst not in band_of else band_of[edge.dst] - 1
+        edge = g.edge(eid)
         pts: list[Point] = []
         if edge.src in band_of:
             pts.append(vertices[edge.src])
-        pts += [(pos[k][eid], Fraction(k)) for k in range(first, last + 1)]
+        pts += [(pos[k][eid], Fraction(k)) for k in crossed[eid]]
         if edge.dst in band_of:
             pts.append(vertices[edge.dst])
         routes[eid] = tuple(pts)
@@ -250,7 +258,8 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     """Recover vertex orders and anchors from coordinates alone.
 
     Only point positions are consulted (never the planar order), so agreement
-    with the order the drawing came from is evidence, not tautology.
+    with the order the drawing came from is evidence, not tautology.  A
+    boundary edge whose route does not meet its boundary raises PpgError.
     """
     down = d.flow == "down"
     y_in = d.box[1] if down else d.box[3]
@@ -261,7 +270,8 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
         if d.st:
             pts = pts[1:] if start else pts[:-1]
         p = pts[0] if start else pts[-1]
-        assert p[1] == y, f"edge {e} is not attached to the boundary"
+        if p[1] != y:
+            raise PpgError(f"edge {e} is not attached to the boundary")
         return p[0]
 
     anchor = Anchor(

@@ -36,8 +36,7 @@ class PlanarOrder:
         self.sequence: tuple[str, ...] = tuple(sequence)
         self.ranks: dict[str, int] = {e: i + 1 for i, e in enumerate(self.sequence)}
         if len(self.ranks) != len(self.sequence):
-            dups = sorted({e for e in self.sequence if self.sequence.count(e) > 1})
-            raise NotAPermutation((), (), tuple(dups))
+            raise NotAPermutation((), (), _duplicates(self.sequence))
 
     def rank(self, e: str) -> int:
         try:
@@ -93,14 +92,18 @@ class POPGraph:
         return f"POPGraph({len(self.order)} edges)"
 
 
+def _duplicates(seq: tuple[str, ...]) -> tuple[str, ...]:
+    """The ids listed more than once in ``seq``, sorted."""
+    return tuple(sorted(e for e, n in Counter(seq).items() if n > 1))
+
+
 def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> None:
     seq = tuple(seq)
     want = set(universe)
     have = set(seq)
     if have != want or len(have) != len(seq):
-        dups = tuple(sorted({e for e in seq if seq.count(e) > 1}))
         raise NotAPermutation(tuple(sorted(want - have)),
-                              tuple(sorted(have - want)), dups)
+                              tuple(sorted(have - want)), _duplicates(seq))
 
 
 def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
@@ -227,10 +230,17 @@ def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
             if hits != 1:
                 problems.append(
                     f"pair ({a}, {b}) is related {hits} times, expected exactly once")
+    # after[a]: the edges c with (a, c) in rel, as bits over edge indexes
+    after = dict.fromkeys(seq, 0)
+    for a, b in rel:
+        after[a] |= 1 << g.edge_index(b)
     for a, b in sorted(rel):
-        for c in seq:
-            if (b, c) in rel and (a, c) not in rel:
-                problems.append(f"({a}, {b}) and ({b}, {c}) without ({a}, {c})")
+        missing = after[b] & ~after[a]
+        while missing:
+            low = missing & -missing
+            c = seq[low.bit_length() - 1]
+            problems.append(f"({a}, {b}) and ({b}, {c}) without ({a}, {c})")
+            missing ^= low
     return ConjugacyReport(problems)
 
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +50,55 @@ class TestLayout:
             want = pg.extract_pa(pop)
             for d in all_variants(pop):
                 assert pg.read_back(d, pop.graph) == want, name
+
+    def test_lines_and_bands_match_the_decomposition(self, canonical, suite):
+        rng = random.Random(7)
+        pops = [canonical, pg.bare_edges(3)] + [pop for _, pop in suite]
+        pops += [pg.random_pop(rng, tag=f"o{i}.") for i in range(40)]
+        for i, pop in enumerate(pops):
+            factors = pg.elementary_decomposition(pop).factors
+            d = pg.layout(pop)
+            assert len(d.bands) == len(factors)
+            for k in range(len(factors) + 1):
+                at_k = sorted((x, e) for e, pts in d.routes.items()
+                              for x, y in pts if y == k)
+                want = factors[k - 1].outputs_ordered if k else factors[0].inputs_ordered
+                assert tuple(e for _, e in at_k) == want, (i, k)
+            for k, f in enumerate(factors, 1):
+                in_band = {v for v, (_, y) in d.vertices.items() if k - 1 < y < k}
+                assert in_band == set(f.graph.internal_vertices), (i, k)
+
+    def test_read_back_refuses_a_detached_boundary(self, canonical):
+        d = pg.layout(canonical)
+        (x, y), *rest = d.routes["1"]
+        routes = dict(d.routes, **{"1": ((x, y + F(1, 7)), *rest)})
+        with pytest.raises(pg.PpgError, match="not attached"):
+            pg.read_back(dataclasses.replace(d, routes=routes), canonical.graph)
+
+    def test_read_back_refuses_a_detached_boundary_under_O(self):
+        script = textwrap.dedent("""\
+            import dataclasses
+            from fractions import Fraction
+            import popgraph as pg
+            pop = pg.spider(2, 1)
+            d = pg.layout(pop)
+            e = d.inputs[0]
+            (x, y), *rest = d.routes[e]
+            routes = dict(d.routes, **{e: ((x, y + Fraction(1, 7)), *rest)})
+            print(__debug__)
+            try:
+                pg.read_back(dataclasses.replace(d, routes=routes), pop.graph)
+            except pg.PpgError as exc:
+                print(exc)
+            """)
+        src = str(Path(pg.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False", "edge i1 is not attached to the boundary"]
 
     def test_one_band_per_internal_vertex(self, canonical):
         d = pg.layout(canonical)

@@ -95,6 +95,15 @@ class TestConjugate:
         assert not pg.check_conjugacy(g, rel | {("5", "13")})  # 5 reaches 13
         assert not pg.check_conjugacy(g, frozenset({("5", "5")}))
 
+    def test_transitivity_witnesses(self):
+        rel = {("w1", "w2"), ("w2", "w3"), ("w3", "w1")}
+        report = pg.check_conjugacy(pg.bare_edges(3).graph, rel)
+        assert report.problems == (
+            "(w1, w2) and (w2, w3) without (w1, w3)",
+            "(w2, w3) and (w3, w1) without (w2, w1)",
+            "(w3, w1) and (w1, w2) without (w3, w2)",
+        )
+
     def test_round_trip_canonical(self, canonical):
         rel = pg.conjugate_order(canonical)
         assert pg.order_from_conjugate(canonical.graph, rel) == canonical.order

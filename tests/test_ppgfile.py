@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import popgraph as pg
@@ -150,6 +152,16 @@ class TestSemanticErrors:
     def test_duplicate_order_ids(self):
         with pytest.raises(pg.NotAPermutation):
             pg.parse_ppg("ppg 1\nedge 1 p q\nedge 2 r s\norder 1 1\n")
+
+    @pytest.mark.parametrize("lines", ["order" + " e" * 100_000,
+                                       "inputs" + " e" * 100_000 + "\noutputs f"],
+                             ids=["order", "inputs"])
+    def test_long_duplicate_lines_are_refused_quickly(self, lines):
+        start = time.perf_counter()
+        with pytest.raises(pg.NotAPermutation) as exc:
+            pg.parse_ppg(f"ppg 1\nedge e p v\nedge f v q\n{lines}\n")
+        assert exc.value.duplicated == ("e",)
+        assert time.perf_counter() - start < 1.0
 
     def test_invalid_planar_order(self, canonical):
         text = (FIXTURES / "canonical19.ppg").read_text()
