@@ -8,8 +8,9 @@ composite order shuffles the two orders around the fused edges:
 
 where Q_k collects the first factor's non-output edges before its k-th
 output and P_k the second factor's non-input edges after its k-th input.
-The result is re-validated; a failure there would be a bug, not bad input,
-since planar orders are closed under this composition.
+Planar orders are closed under this composition, so the result is not
+re-validated (the test suite validates thousands of composites); only the
+glued graph goes through validate_progressive, which builds its closure.
 
 Decomposition is the inverse: splitting off an order-maximal internal vertex
 leaves a remainder and an elementary factor (one internal vertex plus
@@ -27,7 +28,7 @@ import heapq
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, _fresh,
                    _induces_vertex_bijection, validate_progressive)
 from .errors import ArityMismatch, NoInternalVertex
-from .order import POPGraph, interval_partition, validate_planar_order
+from .order import PlanarOrder, POPGraph, interval_partition, validate_planar_order
 
 
 def is_elementary(g: ProgressiveGraph) -> bool:
@@ -104,7 +105,7 @@ def compose(first: POPGraph, second: POPGraph) -> POPGraph:
         order.extend(emap2[e] for e in p_blocks[i])
 
     graph = validate_progressive(DirectedMultigraph(edges))
-    return validate_planar_order(graph, order)
+    return POPGraph(graph, PlanarOrder(order))
 
 
 def glue_table(first: POPGraph, second: POPGraph) -> tuple[tuple[str, str], ...]:

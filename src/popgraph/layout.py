@@ -171,9 +171,10 @@ def check_drawing(d: Drawing) -> DrawingReport:
     y_in = d.box[1] if down else d.box[3]
     y_out = d.box[3] if down else d.box[1]
     allowed = set(d.vertices.values())
+    short = {e for e, pts in d.routes.items() if len(pts) < 2}
 
     for e, pts in d.routes.items():
-        if len(pts) < 2:
+        if e in short:
             problems.append(f"route {e}: fewer than two points")
             continue
         for a, b in zip(pts, pts[1:]):
@@ -182,20 +183,24 @@ def check_drawing(d: Drawing) -> DrawingReport:
                 break
 
     for e in d.inputs:
+        if e in short:
+            continue
         pts = d.routes[e]
         if d.st:
             if pts[0] != d.vertices[d.source]:
                 problems.append(f"input {e}: does not start at the source apex")
-            elif len(pts) < 2 or pts[1][1] != y_in:
+            elif pts[1][1] != y_in:
                 problems.append(f"input {e}: does not meet the input boundary")
         elif pts[0][1] != y_in:
             problems.append(f"input {e}: does not start on the input boundary")
     for e in d.outputs:
+        if e in short:
+            continue
         pts = d.routes[e]
         if d.st:
             if pts[-1] != d.vertices[d.sink]:
                 problems.append(f"output {e}: does not end at the sink apex")
-            elif len(pts) < 2 or pts[-2][1] != y_out:
+            elif pts[-2][1] != y_out:
                 problems.append(f"output {e}: does not meet the output boundary")
         elif pts[-1][1] != y_out:
             problems.append(f"output {e}: does not end on the output boundary")
@@ -259,8 +264,12 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
 
     Only point positions are consulted (never the planar order), so agreement
     with the order the drawing came from is evidence, not tautology.  A
-    boundary edge whose route does not meet its boundary raises PpgError.
+    route with fewer than two points, or a boundary edge whose route does not
+    meet its boundary, raises PpgError.
     """
+    for e, pts in d.routes.items():
+        if len(pts) < 2:
+            raise PpgError(f"route of edge {e} has fewer than two points")
     down = d.flow == "down"
     y_in = d.box[1] if down else d.box[3]
     y_out = d.box[3] if down else d.box[1]

@@ -7,9 +7,10 @@ A planar order is a total order on the edge set satisfying two axioms:
    b must relate to one of them (a reaches b, or b reaches c).
 
 The betweenness axiom is equivalent to transitivity of the conjugate
-relation (a <* b  iff  a < b and a does not reach b), which gives an
-O(m^2)-word validation path; the definitional triple scan is kept as the
-diagnostic path and the two are asserted to agree in the test suite.
+relation (a <* b  iff  a < b and a does not reach b).  Validation builds
+each edge's conjugate row as a bitset and reads both kinds of violation off
+those rows, in O(m^2) words plus one step per violation listed; the test
+suite checks the lists against the definitional triple scan.
 The conjugate relation together with strict reachability covers every
 unordered edge pair exactly once, and the planar order can be rebuilt from
 it, so the two presentations are interchangeable.
@@ -26,7 +27,8 @@ from collections import Counter
 from typing import Iterable
 
 from .core import ProgressiveGraph
-from .errors import InvalidPlanarOrder, NotAPermutation, NotConjugate, UnknownEdge
+from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
+                     UnknownEdge)
 
 
 class PlanarOrder:
@@ -106,70 +108,69 @@ def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> None:
                               tuple(sorted(have - want)), _duplicates(seq))
 
 
+def _members(bits: int):
+    """The indexes of the set bits, low to high."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _conjugate_rows(g: ProgressiveGraph, seq: tuple[str, ...]) -> tuple[list[int], list[int]]:
+    """Per edge index i: the edges placed before edge i in ``seq``, and the
+    conjugate row of edge i, the later edges it does not reach; both are
+    bitsets over edge declaration indexes."""
+    full = (1 << len(seq)) - 1
+    before, conj = [0] * len(seq), [0] * len(seq)
+    placed = 0
+    for e in seq:
+        i = g.edge_index(e)
+        before[i] = placed
+        placed |= 1 << i
+        conj[i] = full & ~(placed | g.reach_bits(e))
+    return before, conj
+
+
 def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
     """Enumerate every violation of the two planar-order axioms.
 
     Returns (extension pairs, betweenness triples); the sequence must be a
     permutation of the edge set.  Pairs are (a, b) with a reaching b but
-    ranked later; triples (a, b, c) are listed in sequence order.  This is
-    the O(m^3) definitional scan, used for diagnostics.
+    ranked later; triples (a, b, c) have b in the conjugate row of a and c
+    in that of b but not in that of a, i.e. a reaches c and b relates to
+    neither.  Both are listed in sequence order.
     """
     seq = tuple(sequence)
-    _expect_permutation(seq, g.edge_ids)
-    m = len(seq)
-    pos = {e: i for i, e in enumerate(seq)}
-    pairs = []
-    for a in seq:
-        for b in seq:
-            if g.strictly_reaches(a, b) and pos[a] > pos[b]:
-                pairs.append((a, b))
-    triples = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if g.strictly_reaches(seq[i], seq[j]):
-                continue
-            for k in range(j + 1, m):
-                if g.strictly_reaches(seq[i], seq[k]) and not g.strictly_reaches(seq[j], seq[k]):
-                    triples.append((seq[i], seq[j], seq[k]))
-    return pairs, triples
-
-
-def _fast_valid(g: ProgressiveGraph, seq: tuple[str, ...]) -> bool:
-    """Bitset check: extension axiom plus transitivity of the conjugate."""
-    m = len(seq)
-    full = (1 << m) - 1
-    before = {}
-    acc = 0
-    for e in seq:
-        before[e] = acc
-        acc |= 1 << g.edge_index(e)
-    conj = [0] * m
-    for e in seq:
-        i = g.edge_index(e)
-        reach = g.reach_bits(e)
-        if reach & before[e]:
-            return False
-        after = full & ~before[e] & ~(1 << i)
-        conj[i] = after & ~reach
-    for i in range(m):
-        row = conj[i]
-        union = 0
-        rest = row
+    ids = g.edge_ids
+    _expect_permutation(seq, ids)
+    before, conj = _conjugate_rows(g, seq)
+    pairs, triples = [], []
+    for i, row in enumerate(conj):
+        late = g.reach_bits(ids[i]) & before[i]
+        # union of the rows of this row's members, inline: a generator here
+        # would slow the valid path
+        union, rest = 0, row
         while rest:
             low = rest & -rest
             union |= conj[low.bit_length() - 1]
             rest ^= low
-        if union & ~row:
-            return False
-    return True
+        if late or union & ~row:
+            a = ids[i]
+            pairs.extend((a, ids[j]) for j in _members(late))
+            triples.extend((a, ids[j], ids[k])
+                           for j in _members(row) for k in _members(conj[j] & ~row))
+    if pairs or triples:
+        rank = {e: k for k, e in enumerate(seq)}.__getitem__
+        pairs.sort(key=lambda t: tuple(map(rank, t)))
+        triples.sort(key=lambda t: tuple(map(rank, t)))
+    return pairs, triples
 
 
 def validate_planar_order(g: ProgressiveGraph, sequence) -> POPGraph:
     """Check both axioms; on failure raise with every violation listed."""
     seq = tuple(sequence)
-    _expect_permutation(seq, g.edge_ids)
-    if not _fast_valid(g, seq):
-        pairs, triples = order_violations(g, seq)
+    pairs, triples = order_violations(g, seq)
+    if pairs or triples:
         raise InvalidPlanarOrder(pairs, triples)
     return POPGraph(g, PlanarOrder(seq))
 
@@ -180,14 +181,9 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
     Transitive by the betweenness axiom; together with strict reachability it
     covers each unordered pair exactly once.
     """
-    seq = pop.order.sequence
-    g = pop.graph
-    out = set()
-    for i, a in enumerate(seq):
-        for b in seq[i + 1:]:
-            if not g.strictly_reaches(a, b):
-                out.add((a, b))
-    return frozenset(out)
+    ids = pop.graph.edge_ids
+    _, conj = _conjugate_rows(pop.graph, pop.order.sequence)
+    return frozenset((ids[i], ids[j]) for i, row in enumerate(conj) for j in _members(row))
 
 
 class ConjugacyReport:
@@ -235,12 +231,8 @@ def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
     for a, b in rel:
         after[a] |= 1 << g.edge_index(b)
     for a, b in sorted(rel):
-        missing = after[b] & ~after[a]
-        while missing:
-            low = missing & -missing
-            c = seq[low.bit_length() - 1]
-            problems.append(f"({a}, {b}) and ({b}, {c}) without ({a}, {c})")
-            missing ^= low
+        problems.extend(f"({a}, {b}) and ({b}, {seq[k]}) without ({a}, {seq[k]})"
+                        for k in _members(after[b] & ~after[a]))
     return ConjugacyReport(problems)
 
 
@@ -293,7 +285,8 @@ def interval_partition(pop: POPGraph):
     the non-input edges between input i and the next input (or the end);
     ``before_output[o]`` lists the non-output edges between the previous
     output and o.  Every non-input edge lands after the first input and every
-    non-output edge before the last output, so these are genuine partitions.
+    non-output edge before the last output, so these are genuine partitions;
+    an order that breaks this (it is not planar) raises PpgError.
     They agree with the windows: an edge in ``after_input[i]`` has i as the
     last input of its input window, and an edge in ``before_output[o]`` has o
     as the first output of its output window (the test suite checks this).
@@ -305,8 +298,9 @@ def interval_partition(pop: POPGraph):
     for e in seq:
         if e in g.inputs:
             current = e
+        elif current is None:
+            raise PpgError(f"non-input edge {e} comes before every input")
         else:
-            assert current is not None, "non-input edge before the first input"
             after_input[current].append(e)
     before_output: dict[str, list[str]] = {o: [] for o in pop.outputs_ordered}
     pending: list[str] = []
@@ -316,6 +310,7 @@ def interval_partition(pop: POPGraph):
             pending = []
         else:
             pending.append(e)
-    assert not pending, "non-output edges after the last output"
+    if pending:
+        raise PpgError(f"non-output edge {pending[0]} comes after every output")
     return ({i: tuple(b) for i, b in after_input.items()},
             {o: tuple(b) for o, b in before_output.items()})

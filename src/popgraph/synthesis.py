@@ -231,7 +231,7 @@ class EnumerationResult(NamedTuple):
 DEFAULT_EDGE_BOUND = 10
 
 
-def _search(g: ProgressiveGraph, limit: int | None):
+def _search(g: ProgressiveGraph):
     """Generate planar orders as index tuples, lexicographic by declaration.
 
     Linear-extension backtracking over strict reachability, with the
@@ -239,7 +239,8 @@ def _search(g: ProgressiveGraph, limit: int | None):
     some already-placed pair (a before b) has a reaching e but b unrelated
     to both.  Any full sequence emitted is therefore a planar order, and no
     planar order is missed because pruning only removes sequences whose
-    violation is already frozen in the prefix.
+    violation is already frozen in the prefix.  The prefix is the explicit
+    stack, so depth is bounded by memory, not by the recursion limit.
     """
     m = len(g.edges)
     ids = g.edge_ids
@@ -249,7 +250,6 @@ def _search(g: ProgressiveGraph, limit: int | None):
         for j in range(m):
             if reach[i] >> j & 1:
                 reachers[j] |= 1 << i
-    emitted = 0
     prefix: list[int] = []
     used = 0
 
@@ -263,24 +263,23 @@ def _search(g: ProgressiveGraph, limit: int | None):
             before |= 1 << b
         return True
 
-    def walk():
-        nonlocal used, emitted
+    start = 0  # the first candidate to try at depth len(prefix)
+    while True:
         if len(prefix) == m:
-            emitted += 1
             yield tuple(prefix)
-            return
-        for e in range(m):
-            if used >> e & 1 or not ok_to_append(e):
-                continue
-            prefix.append(e)
-            used |= 1 << e
-            yield from walk()
-            used &= ~(1 << e)
-            prefix.pop()
-            if limit is not None and emitted > limit:
+            start = m
+        for e in range(start, m):
+            if not used >> e & 1 and ok_to_append(e):
+                prefix.append(e)
+                used |= 1 << e
+                start = 0
+                break
+        else:  # no candidate left at this depth: backtrack
+            if not prefix:
                 return
-
-    return walk()
+            last = prefix.pop()
+            used &= ~(1 << last)
+            start = last + 1
 
 
 def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
@@ -295,7 +294,7 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
         raise TooLarge(len(g.edges), max_edges)
     ids = g.edge_ids
     out = []
-    for perm in _search(g, limit):
+    for perm in _search(g):
         out.append(PlanarOrder(ids[i] for i in perm))
         if limit is not None and len(out) > limit:
             return EnumerationResult(tuple(out[:limit]), True)
@@ -308,4 +307,4 @@ def count_planar_orders(g: ProgressiveGraph, *,
     """Number of planar orders of g, without materializing them."""
     if len(g.edges) > max_edges and not force:
         raise TooLarge(len(g.edges), max_edges)
-    return sum(1 for _ in _search(g, None))
+    return sum(1 for _ in _search(g))

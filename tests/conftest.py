@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import popgraph as pg
+from popgraph.order import _expect_permutation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,6 +33,15 @@ def layers() -> tuple[pg.POPGraph, pg.POPGraph, pg.POPGraph]:
 @pytest.fixture(scope="session")
 def suite() -> list[tuple[str, pg.POPGraph]]:
     return pg.generator_suite()
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` under ``python -O`` (asserts stripped) on this package."""
+    src = str(Path(pg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 # Independent oracles.  These re-derive the definitions with none of the
@@ -69,6 +82,46 @@ def slow_planar(g: pg.ProgressiveGraph, seq) -> bool:
                     if not slow_reaches(g, a, b) and not slow_reaches(g, b, c):
                         return False
     return True
+
+
+def order_violations_scan(g: pg.ProgressiveGraph, sequence) -> tuple[list, list]:
+    """Enumerate every violation of the two planar-order axioms.
+
+    Returns (extension pairs, betweenness triples); the sequence must be a
+    permutation of the edge set.  Pairs are (a, b) with a reaching b but
+    ranked later; triples (a, b, c) are listed in sequence order.  This is
+    the O(m^3) definitional scan, the oracle for ``order.order_violations``.
+    """
+    seq = tuple(sequence)
+    _expect_permutation(seq, g.edge_ids)
+    m = len(seq)
+    pos = {e: i for i, e in enumerate(seq)}
+    pairs = []
+    for a in seq:
+        for b in seq:
+            if g.strictly_reaches(a, b) and pos[a] > pos[b]:
+                pairs.append((a, b))
+    triples = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if g.strictly_reaches(seq[i], seq[j]):
+                continue
+            for k in range(j + 1, m):
+                if g.strictly_reaches(seq[i], seq[k]) and not g.strictly_reaches(seq[j], seq[k]):
+                    triples.append((seq[i], seq[j], seq[k]))
+    return pairs, triples
+
+
+def conjugate_pairs_scan(pop: pg.POPGraph) -> frozenset[tuple[str, str]]:
+    """The conjugate order straight from its definition, pair by pair."""
+    seq = pop.order.sequence
+    g = pop.graph
+    out = set()
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            if not g.strictly_reaches(a, b):
+                out.add((a, b))
+    return frozenset(out)
 
 
 def brute_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:

@@ -102,6 +102,8 @@ def test_criterion_04_associativity_and_cancellation(announce):
             c = pg.random_pop(rng, tag=f"z{i}.", n_inputs=len(b.graph.outputs))
             left = pg.compose(pg.compose(a, b), c)
             right = pg.compose(a, pg.compose(b, c))
+            for z in (left, right):
+                pg.validate_planar_order(z.graph, z.order.sequence)
             assert pg.pop_isomorphic(left, right), i
 
         done = tries = 0

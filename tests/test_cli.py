@@ -178,6 +178,14 @@ class TestExitCodes:
         assert code == 3
         assert "cannot glue 8 outputs onto 7 inputs" in err
 
+    def test_forced_count_on_a_long_path(self, capsys, tmp_path):
+        edges = [pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1200)]
+        pop = pg.validate_planar_order(
+            pg.validate_progressive(pg.DirectedMultigraph(edges)), [e.id for e in edges])
+        path = tmp_path / "path1200.ppg"
+        path.write_text(pg.emit_ppg(pop), encoding="utf-8")
+        assert run(capsys, "enumerate", str(path), "--count", "--force") == (0, "1\n", "")
+
     def test_size_guard_is_3(self, capsys):
         code, _, err = run(capsys, "enumerate", CANON)
         assert code == 3 and "19" in err

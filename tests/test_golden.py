@@ -1,15 +1,18 @@
 """Golden `ppg` transcripts: exit code, stdout and stderr, byte for byte.
 
 Every input (the ``tests/fixtures`` files plus, under ``tests/golden/inputs``,
-a seeded layered corpus, each graph with and without its order line, and the
+a seeded layered corpus, each graph with and without its order line, the
 hand-written ``fresh_names.ppg``, whose vertex names collide with the ``s@``/``t@``
-names decomposition generates) is run through ``popgraph.cli.main`` in-process
+names decomposition generates, and three hand-written inputs whose order lines
+are not planar: ``canonical19_reversed.ppg`` (extension violations only),
+``canonical19_swap89.ppg`` (betweenness violations only) and
+``layer_top_shuffled.ppg`` (both)) is run through ``popgraph.cli.main`` in-process
 with a fixed list of subcommands, and the transcript must equal the committed
 ``tests/golden/<input>.txt``.
 A refactor that is meant to keep behaviour keeps these files unchanged; one
 that changes output on purpose regenerates them and says so in CHANGES.md.
 
-Regenerate the corpus and the transcripts (``fresh_names.ppg`` is kept) with
+Regenerate the corpus and the transcripts (the hand-written inputs are kept) with
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -1,18 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import popgraph as pg
 from popgraph.layout import _flip, _segment_meet
+from conftest import run_optimized
 
 
 F = Fraction
@@ -91,14 +88,43 @@ class TestLayout:
             except pg.PpgError as exc:
                 print(exc)
             """)
-        src = str(Path(pg.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_optimized(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "False", "edge i1 is not attached to the boundary"]
+
+    @pytest.mark.parametrize("keep", [0, 1], ids=["empty", "first_point"])
+    @pytest.mark.parametrize("draw", [pg.layout, pg.layout_st], ids=["plain", "st"])
+    def test_short_route_is_reported(self, draw, keep):
+        pop = pg.spider(2, 1)
+        d = draw(pop)
+        short = dataclasses.replace(d, routes=dict(d.routes, i1=d.routes["i1"][:keep]))
+        assert pg.check_drawing(short).problems == ("route i1: fewer than two points",)
+        with pytest.raises(pg.PpgError, match="^route of edge i1 has fewer than two points$"):
+            pg.read_back(short, pop.graph)
+
+    def test_short_route_is_reported_under_O(self):
+        script = textwrap.dedent("""\
+            import dataclasses
+            import popgraph as pg
+            pop = pg.spider(2, 1)
+            print(__debug__)
+            for draw in (pg.layout, pg.layout_st):
+                d = draw(pop)
+                for keep in (0, 1):
+                    routes = dict(d.routes, i1=d.routes["i1"][:keep])
+                    short = dataclasses.replace(d, routes=routes)
+                    print(pg.check_drawing(short).problems)
+                    try:
+                        pg.read_back(short, pop.graph)
+                    except pg.PpgError as exc:
+                        print(exc)
+            """)
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False"] + 4 * [
+            "('route i1: fewer than two points',)",
+            "route of edge i1 has fewer than two points"]
 
     def test_one_band_per_internal_vertex(self, canonical):
         d = pg.layout(canonical)

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgraph as pg
-from popgraph.order import _fast_valid
-from conftest import slow_planar
+from conftest import conjugate_pairs_scan, order_violations_scan, run_optimized, slow_planar
 
 
 class TestValidate:
@@ -44,7 +44,8 @@ class TestValidate:
             pg.validate_planar_order(g, seq[:-1] + ["ghost"])
 
     def test_fast_agrees_with_definitional(self, canonical):
-        # the bitset path and the O(m^3) scan must never disagree
+        # the lists read off the conjugate rows equal the O(m^3) scan's,
+        # element for element and in order
         g = canonical.graph
         rng = random.Random(5)
         seq = list(g.edge_ids)
@@ -52,10 +53,25 @@ class TestValidate:
         for _ in range(120):
             rng.shuffle(seq)
             ext, bet = pg.order_violations(g, seq)
-            assert _fast_valid(g, tuple(seq)) == (not ext and not bet)
+            assert (ext, bet) == order_violations_scan(g, seq)
             agree += not ext and not bet
         # shuffled sequences of a graph this constrained are basically never valid
         assert agree <= 2
+
+    def test_violations_match_the_scan_on_random_graphs(self):
+        rng = random.Random(17)
+        invalid = 0
+        for k in range(200):
+            pop = pg.random_pop(random.Random(k))
+            g, seq = pop.graph, list(pop.order.sequence)
+            i = rng.randrange(len(seq) - 1)
+            swapped = seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:]
+            shuffled = rng.sample(seq, len(seq))
+            for cand in (seq, seq[::-1], swapped, shuffled):
+                got = pg.order_violations(g, cand)
+                assert got == order_violations_scan(g, cand), (k, cand)
+                invalid += bool(got[0] or got[1])
+        assert invalid > 400
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
@@ -69,6 +85,12 @@ class TestConjugate:
         rel = pg.conjugate_order(canonical)
         assert ("5", "6") in rel
         assert ("8", "13") not in rel  # 8 reaches 13, so the pair is not conjugate
+
+    def test_pairs_match_the_scan(self, suite):
+        rng = random.Random(23)
+        pops = suite + [(f"random{k}", pg.random_pop(rng)) for k in range(200)]
+        for name, pop in pops:
+            assert pg.conjugate_order(pop) == conjugate_pairs_scan(pop), name
 
     def test_exactly_once_coverage(self, canonical):
         g = canonical.graph
@@ -156,6 +178,31 @@ class TestWindows:
             for o, block in before_out.items():
                 for e in block:
                     assert pg.output_window(pop, e)[0] == o, (name, o, e)
+
+    @pytest.mark.parametrize("graph, seq, message", [
+        (pg.spider(1, 1).graph, ("o1", "i1"), "non-input edge o1 comes before every input"),
+        (pg.spider(2, 1).graph, ("i1", "o1", "i2"), "non-output edge i2 comes after every output"),
+    ], ids=["input_first", "output_last"])
+    def test_partition_refuses_a_non_planar_order(self, graph, seq, message):
+        with pytest.raises(pg.PpgError, match=f"^{message}$"):
+            pg.interval_partition(pg.POPGraph(graph, pg.PlanarOrder(seq)))
+
+    def test_partition_refuses_a_non_planar_order_under_O(self):
+        script = textwrap.dedent("""\
+            import popgraph as pg
+            print(__debug__)
+            for graph, seq in ((pg.spider(1, 1).graph, ["o1", "i1"]),
+                               (pg.spider(2, 1).graph, ["i1", "o1", "i2"])):
+                try:
+                    pg.interval_partition(pg.POPGraph(graph, pg.PlanarOrder(seq)))
+                except pg.PpgError as exc:
+                    print(exc)
+            """)
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False", "non-input edge o1 comes before every input",
+            "non-output edge i2 comes after every output"]
 
     def test_partition_covers_all_edges(self, canonical):
         after_in, before_out = pg.interval_partition(canonical)

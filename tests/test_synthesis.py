@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,8 +176,26 @@ class TestEnumerate:
         assert len(res.orders) == 3 and res.truncated
         assert pg.enumerate_planar_orders(g, limit=3, max_edges=12).truncated
 
+    def test_limits_cut_the_full_enumeration(self, suite):
+        for name, pop in suite:
+            if len(pop.graph.edges) > 10:  # the default size guard
+                continue
+            full = pg.enumerate_planar_orders(pop.graph)
+            assert not full.truncated, name
+            for limit in (1, 5):
+                res = pg.enumerate_planar_orders(pop.graph, limit)
+                assert res.orders == full.orders[:limit], (name, limit)
+                assert res.truncated == (len(full.orders) > limit), (name, limit)
+
     def test_count(self):
         assert pg.count_planar_orders(pg.spider(2, 2).graph) == 4
+
+    def test_long_path_counts_without_recursion(self):
+        g = pg.validate_progressive(pg.DirectedMultigraph(
+            pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1200)))
+        t0 = time.perf_counter()
+        assert pg.count_planar_orders(g, force=True) == 1
+        assert time.perf_counter() - t0 < 5.0
 
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=9, deadline=None)
