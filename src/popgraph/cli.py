@@ -22,7 +22,8 @@ from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
 from .order import conjugate_order
 from .ppgfile import emit_ppg, emit_stg, parse_ppg, parse_stg
-from .synthesis import count_planar_orders, enumerate_planar_orders, synthesize_order
+from .synthesis import (DEFAULT_EDGE_BOUND, count_planar_orders, enumerate_planar_orders,
+                        synthesize_order)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +61,8 @@ def _build_parser() -> _Parser:
     c.add_argument("file")
     c.add_argument("--limit", type=int, help="stop after this many orders")
     c.add_argument("--count", action="store_true", help="print only the count")
-    c.add_argument("--max-edges", type=int, default=10,
-                   help="size guard for the brute-force search (default 10)")
+    c.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_BOUND,
+                   help="size guard for the brute-force search (default %(default)s)")
     c.add_argument("--force", action="store_true", help="ignore the size guard")
 
     c = cmd("conjugate", "print the conjugate order as one pair per line")

@@ -67,14 +67,11 @@ def compose(first: POPGraph, second: POPGraph) -> POPGraph:
     appended on collision.  Vertex ids from the second factor are suffixed
     the same way when they clash with the first's.
     """
-    outs = first.outputs_ordered
-    ins = second.inputs_ordered
-    if len(outs) != len(ins):
-        raise ArityMismatch(len(outs), len(ins))
+    pairs = glue_table(first, second)
     g1, g2 = first.graph, second.graph
 
-    sinks1 = {g1.edge(o).dst for o in outs}
-    sources2 = {g2.edge(i).src for i in ins}
+    sinks1 = {g1.edge(o).dst for o, _ in pairs}
+    sources2 = {g2.edge(i).src for _, i in pairs}
     vmap2: dict[str, str] = {}
     taken = {v for v in g1.vertices if v not in sinks1}
     for v in g2.vertices:
@@ -85,12 +82,12 @@ def compose(first: POPGraph, second: POPGraph) -> POPGraph:
     survivors2 = [e for e in g2.edges if e.id not in g2.inputs]
     used = {e.id for e in survivors1}
     fused_id: dict[str, str] = {}
-    for o, i in zip(outs, ins):
+    for o, i in pairs:
         fused_id[o] = _fresh(o if o == i else f"{o}~{i}", used)
     emap2 = {e.id: _fresh(e.id, used) for e in survivors2}
 
     edges = list(survivors1)
-    for o, i in zip(outs, ins):
+    for o, i in pairs:
         edges.append(Edge(fused_id[o], g1.edge(o).src, vmap2[g2.edge(i).dst]))
     for e in survivors2:
         edges.append(Edge(emap2[e.id], vmap2[e.src], vmap2[e.dst]))
@@ -99,7 +96,7 @@ def compose(first: POPGraph, second: POPGraph) -> POPGraph:
     q_blocks = interval_partition(first)[1]
     p_blocks = interval_partition(second)[0]
     order: list[str] = []
-    for o, i in zip(outs, ins):
+    for o, i in pairs:
         order.extend(q_blocks[o])
         order.append(fused_id[o])
         order.extend(emap2[e] for e in p_blocks[i])

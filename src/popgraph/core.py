@@ -265,6 +265,17 @@ class ProgressiveGraph:
                 f"{len(self.edges)} edges, {len(self.internal_vertices)} internal)")
 
 
+def _reachers(g: ProgressiveGraph) -> list[int]:
+    """Per edge index, the edges that strictly reach it: the transpose of
+    :meth:`ProgressiveGraph.reach_bits`, in one upstream-first pass."""
+    head_union: dict[str, int] = {}  # edges whose head reaches v, reflexively
+    for v in _toposort(g.graph):
+        head_union[v] = 0
+        for e in g.graph._in[v]:
+            head_union[v] |= 1 << g._eix[e.id] | head_union[e.src]
+    return [head_union[e.src] for e in g.edges]
+
+
 def validate_progressive(graph: DirectedMultigraph) -> ProgressiveGraph:
     """Check acyclicity and boundary degrees; reject isolated vertices."""
     return ProgressiveGraph(graph)

@@ -287,18 +287,18 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
         tuple(sorted(d.inputs, key=lambda e: boundary_x(e, True, y_in))),
         tuple(sorted(d.outputs, key=lambda e: boundary_x(e, False, y_out))))
 
+    ends, starts = {}, {}  # (x next to the point, edge) per route endpoint
+    for e, pts in d.routes.items():
+        ends.setdefault(pts[-1], []).append((pts[-2][0], e))
+        starts.setdefault(pts[0], []).append((pts[1][0], e))
     vertex_orders: dict[str, VertexOrder] = {}
     apexes = {d.source, d.sink}
     for v, p in d.vertices.items():
         if v in apexes:
             continue
-        incoming = [(d.routes[e][-2][0], e) for e in d.routes
-                    if d.routes[e][-1] == p]
-        outgoing = [(d.routes[e][1][0], e) for e in d.routes
-                    if d.routes[e][0] == p]
         vertex_orders[v] = VertexOrder(
-            tuple(e for _, e in sorted(incoming)),
-            tuple(e for _, e in sorted(outgoing)))
+            tuple(e for _, e in sorted(ends.get(p, ()))),
+            tuple(e for _, e in sorted(starts.get(p, ()))))
     return PAGraph(g, vertex_orders, anchor)
 
 

@@ -7,18 +7,20 @@ A planar order is a total order on the edge set satisfying two axioms:
    b must relate to one of them (a reaches b, or b reaches c).
 
 The betweenness axiom is equivalent to transitivity of the conjugate
-relation (a <* b  iff  a < b and a does not reach b).  Validation builds
-each edge's conjugate row as a bitset and reads both kinds of violation off
-those rows, in O(m^2) words plus one step per violation listed; the test
-suite checks the lists against the definitional triple scan.
-The conjugate relation together with strict reachability covers every
-unordered edge pair exactly once, and the planar order can be rebuilt from
-it, so the two presentations are interchangeable.
+relation (a <* b  iff  a < b and a does not reach b).  Relations are held as
+bit rows, one per edge, and one helper lists the intransitive triples of
+such rows: validation takes its betweenness violations from the conjugate
+rows, and the conjugacy check its transitivity witnesses from the given
+relation, in O(m^2) words plus one step per witness.  The conjugate together
+with strict reachability covers every unordered edge pair exactly once, which
+the check reads off four rows per edge; their union is then the planar
+order, so the two presentations are interchangeable.  The test suite checks
+all of this against definitional pair and triple scans.
 
 Input and output windows locate an edge relative to the ordered boundary:
 the window of a non-input edge e is the span, in the order restricted to
-inputs, of the inputs that reach e.  Windows drive both composition and
-synthesis.
+inputs, of the inputs that reach e.  The interval partition that composition
+shuffles by agrees with the windows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .core import ProgressiveGraph
+from .core import ProgressiveGraph, _reachers
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
                      UnknownEdge)
 
@@ -117,18 +119,34 @@ def _members(bits: int):
 
 
 def _conjugate_rows(g: ProgressiveGraph, seq: tuple[str, ...]) -> tuple[list[int], list[int]]:
-    """Per edge index i: the edges placed before edge i in ``seq``, and the
-    conjugate row of edge i, the later edges it does not reach; both are
-    bitsets over edge declaration indexes."""
+    """Per edge index i: the earlier edges in ``seq`` that edge i reaches (its
+    extension violations), and the conjugate row of edge i, the later edges
+    it does not reach; both are bitsets over edge declaration indexes."""
     full = (1 << len(seq)) - 1
-    before, conj = [0] * len(seq), [0] * len(seq)
+    late, conj = [0] * len(seq), [0] * len(seq)
     placed = 0
     for e in seq:
-        i = g.edge_index(e)
-        before[i] = placed
+        i, reach = g.edge_index(e), g.reach_bits(e)
+        late[i] = reach & placed
         placed |= 1 << i
-        conj[i] = full & ~(placed | g.reach_bits(e))
-    return before, conj
+        conj[i] = full & ~(placed | reach)
+    return late, conj
+
+
+def _intransitive(rows: list[int]) -> list[tuple[int, int, int]]:
+    """The triples (i, j, k) with j in row i, k in row j and k not in row i;
+    only rows whose members' union escapes the row are expanded."""
+    triples = []
+    for i, row in enumerate(rows):
+        # the union inline: a generator here would slow the valid path
+        union, rest = 0, row
+        while rest:
+            low = rest & -rest
+            union |= rows[low.bit_length() - 1]
+            rest ^= low
+        if union & ~row:
+            triples.extend((i, j, k) for j in _members(row) for k in _members(rows[j] & ~row))
+    return triples
 
 
 def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
@@ -136,29 +154,16 @@ def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
 
     Returns (extension pairs, betweenness triples); the sequence must be a
     permutation of the edge set.  Pairs are (a, b) with a reaching b but
-    ranked later; triples (a, b, c) have b in the conjugate row of a and c
-    in that of b but not in that of a, i.e. a reaches c and b relates to
-    neither.  Both are listed in sequence order.
+    ranked later; triples (a, b, c) are the intransitive triples of the
+    conjugate rows: a reaches c and b relates to neither.  Both are listed
+    in sequence order.
     """
     seq = tuple(sequence)
     ids = g.edge_ids
     _expect_permutation(seq, ids)
-    before, conj = _conjugate_rows(g, seq)
-    pairs, triples = [], []
-    for i, row in enumerate(conj):
-        late = g.reach_bits(ids[i]) & before[i]
-        # union of the rows of this row's members, inline: a generator here
-        # would slow the valid path
-        union, rest = 0, row
-        while rest:
-            low = rest & -rest
-            union |= conj[low.bit_length() - 1]
-            rest ^= low
-        if late or union & ~row:
-            a = ids[i]
-            pairs.extend((a, ids[j]) for j in _members(late))
-            triples.extend((a, ids[j], ids[k])
-                           for j in _members(row) for k in _members(conj[j] & ~row))
+    late, conj = _conjugate_rows(g, seq)
+    pairs = [(ids[i], ids[j]) for i, row in enumerate(late) if row for j in _members(row)]
+    triples = [(ids[i], ids[j], ids[k]) for i, j, k in _intransitive(conj)]
     if pairs or triples:
         rank = {e: k for k, e in enumerate(seq)}.__getitem__
         pairs.sort(key=lambda t: tuple(map(rank, t)))
@@ -201,6 +206,35 @@ class ConjugacyReport:
         return f"ConjugacyReport(ok={self.ok}, problems={list(self.problems)})"
 
 
+def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], list[int]]:
+    """:func:`check_conjugacy`'s problems, and ``rel``'s rows over edge indexes."""
+    rel = set(rel)
+    problems = []
+    ids = g.edge_ids
+    ix = {e: i for i, e in enumerate(ids)}
+    for a, b in sorted(rel):
+        if a not in ix or b not in ix:
+            problems.append(f"({a}, {b}) names an unknown edge")
+        elif a == b:
+            problems.append(f"({a}, {a}) is reflexive")
+    if problems:
+        return problems, []
+    out, into = [0] * len(ids), [0] * len(ids)
+    for a, b in rel:
+        out[ix[a]] |= 1 << ix[b]
+        into[ix[b]] |= 1 << ix[a]
+    for i, (r, rt, c, ct) in enumerate(zip(map(g.reach_bits, ids), _reachers(g), out, into)):
+        # bit j > i: reach, reached-by, rel-out and rel-in must hold exactly once
+        bad = (~((r | c) ^ (rt | ct)) | r & c | rt & ct) & ((1 << len(ids)) - (2 << i))
+        problems.extend(f"pair ({ids[i]}, {ids[j]}) is related "
+                        f"{sum(x >> j & 1 for x in (r, rt, c, ct))} times, expected exactly once"
+                        for j in _members(bad))
+    witnesses = sorted(_intransitive(out), key=lambda t: (ids[t[0]], ids[t[1]]))
+    problems.extend(f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
+                    for i, j, k in witnesses)
+    return problems, out
+
+
 def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
     """Is ``rel`` a conjugate order for g?
 
@@ -208,50 +242,21 @@ def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
     it relates every unordered pair of distinct edges exactly once.  Reports
     every witness rather than stopping at the first.
     """
-    rel = set(rel)
-    problems = []
-    ids = set(g.edge_ids)
-    for a, b in sorted(rel):
-        if a not in ids or b not in ids:
-            problems.append(f"({a}, {b}) names an unknown edge")
-        elif a == b:
-            problems.append(f"({a}, {a}) is reflexive")
-    if problems:
-        return ConjugacyReport(problems)
-    seq = g.edge_ids
-    for i, a in enumerate(seq):
-        for b in seq[i + 1:]:
-            hits = (g.strictly_reaches(a, b) + g.strictly_reaches(b, a)
-                    + ((a, b) in rel) + ((b, a) in rel))
-            if hits != 1:
-                problems.append(
-                    f"pair ({a}, {b}) is related {hits} times, expected exactly once")
-    # after[a]: the edges c with (a, c) in rel, as bits over edge indexes
-    after = dict.fromkeys(seq, 0)
-    for a, b in rel:
-        after[a] |= 1 << g.edge_index(b)
-    for a, b in sorted(rel):
-        problems.extend(f"({a}, {b}) and ({b}, {seq[k]}) without ({a}, {seq[k]})"
-                        for k in _members(after[b] & ~after[a]))
-    return ConjugacyReport(problems)
+    return ConjugacyReport(_conjugacy_problems(g, rel)[0])
 
 
 def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     """Rebuild the planar order whose conjugate is ``rel``.
 
-    The union of strict reachability and ``rel`` linearly orders the edges;
-    an edge's rank is one more than its number of predecessors, the edges
-    that strictly reach it plus the pairs of ``rel`` that end at it.
+    Once ``rel`` passes :func:`check_conjugacy`, its union with strict
+    reachability is a planar order (betweenness is the transitivity just
+    checked), in which the edge with the most successors comes first.
     """
-    report = check_conjugacy(g, rel)
-    if not report:
-        raise NotConjugate(report.problems)
-    rel = set(rel)
-    ids = g.edge_ids
-    preds = Counter(b for a in ids for b in ids
-                    if g.strictly_reaches(a, b) or (a, b) in rel)
-    seq = sorted(ids, key=preds.__getitem__)
-    return validate_planar_order(g, seq).order
+    problems, out = _conjugacy_problems(g, rel)
+    if problems:
+        raise NotConjugate(tuple(problems))
+    later = [(g.reach_bits(e) | row).bit_count() for e, row in zip(g.edge_ids, out)]
+    return PlanarOrder(e for _, e in sorted(zip(later, g.edge_ids), reverse=True))
 
 
 def input_window(pop: POPGraph, e: str) -> tuple[str, str]:

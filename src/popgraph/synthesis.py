@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping, NamedTuple
 
-from .core import ProgressiveGraph
+from .core import ProgressiveGraph, _reachers
 from .errors import NoConsistentOrder, PpgError, TooLarge, UnknownVertex
 from .order import PlanarOrder, POPGraph, _expect_permutation, validate_planar_order
 
@@ -243,13 +243,8 @@ def _search(g: ProgressiveGraph):
     stack, so depth is bounded by memory, not by the recursion limit.
     """
     m = len(g.edges)
-    ids = g.edge_ids
-    reach = [g.reach_bits(e) for e in ids]
-    reachers = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if reach[i] >> j & 1:
-                reachers[j] |= 1 << i
+    reach = [g.reach_bits(e) for e in g.edge_ids]
+    reachers = _reachers(g)
     prefix: list[int] = []
     used = 0
 

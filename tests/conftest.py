@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import popgraph as pg
-from popgraph.order import _expect_permutation
+from popgraph.order import _expect_permutation, _members
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,6 +123,70 @@ def conjugate_pairs_scan(pop: pg.POPGraph) -> frozenset[tuple[str, str]]:
             if not g.strictly_reaches(a, b):
                 out.add((a, b))
     return frozenset(out)
+
+
+def check_conjugacy_scan(g: pg.ProgressiveGraph, rel) -> pg.ConjugacyReport:
+    """Is ``rel`` a conjugate order for g?  Pair by pair, the oracle for
+    ``order.check_conjugacy``.
+
+    Required: irreflexive; transitive; and together with strict reachability
+    it relates every unordered pair of distinct edges exactly once.  Reports
+    every witness rather than stopping at the first.
+    """
+    rel = set(rel)
+    problems = []
+    ids = set(g.edge_ids)
+    for a, b in sorted(rel):
+        if a not in ids or b not in ids:
+            problems.append(f"({a}, {b}) names an unknown edge")
+        elif a == b:
+            problems.append(f"({a}, {a}) is reflexive")
+    if problems:
+        return pg.ConjugacyReport(problems)
+    seq = g.edge_ids
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            hits = (g.strictly_reaches(a, b) + g.strictly_reaches(b, a)
+                    + ((a, b) in rel) + ((b, a) in rel))
+            if hits != 1:
+                problems.append(
+                    f"pair ({a}, {b}) is related {hits} times, expected exactly once")
+    # after[a]: the edges c with (a, c) in rel, as bits over edge indexes
+    after = dict.fromkeys(seq, 0)
+    for a, b in rel:
+        after[a] |= 1 << g.edge_index(b)
+    for a, b in sorted(rel):
+        problems.extend(f"({a}, {b}) and ({b}, {seq[k]}) without ({a}, {seq[k]})"
+                        for k in _members(after[b] & ~after[a]))
+    return pg.ConjugacyReport(problems)
+
+
+def order_from_conjugate_scan(g: pg.ProgressiveGraph, rel) -> pg.PlanarOrder:
+    """``order.order_from_conjugate`` by counting predecessors pair by pair
+    and validating the result, on top of :func:`check_conjugacy_scan`."""
+    report = check_conjugacy_scan(g, rel)
+    if not report:
+        raise pg.NotConjugate(report.problems)
+    rel = set(rel)
+    ids = g.edge_ids
+    preds = Counter(b for a in ids for b in ids
+                    if g.strictly_reaches(a, b) or (a, b) in rel)
+    seq = sorted(ids, key=preds.__getitem__)
+    return pg.validate_planar_order(g, seq).order
+
+
+def conjugate_pop(pop: pg.POPGraph) -> pg.POPGraph:
+    """The paper's conjugate as an ordered graph: every edge reversed, and e
+    before f when f reaches e, or e comes first and does not reach f.  Not
+    validated here; the tests check that it is a planar order."""
+    g = pop.graph
+    rank = pop.order.rank
+    opposite = pg.ProgressiveGraph(pg.DirectedMultigraph(
+        pg.Edge(e.id, e.dst, e.src) for e in g.edges))
+    preds = {e: sum(g.strictly_reaches(e, f)
+                    or (rank(f) < rank(e) and not g.strictly_reaches(f, e))
+                    for f in g.edge_ids) for e in g.edge_ids}
+    return pg.POPGraph(opposite, pg.PlanarOrder(sorted(g.edge_ids, key=preds.__getitem__)))
 
 
 def brute_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:

@@ -8,7 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgraph as pg
-from conftest import conjugate_pairs_scan, order_violations_scan, run_optimized, slow_planar
+from conftest import (check_conjugacy_scan, conjugate_pairs_scan, conjugate_pop,
+                      order_from_conjugate_scan, order_violations_scan, run_optimized,
+                      slow_planar)
+
+
+def tampered(pop: pg.POPGraph, rng: random.Random):
+    """The conjugate of ``pop`` intact and tampered six ways, as (name, rel)."""
+    rel = pg.conjugate_order(pop)
+    ids = pop.graph.edge_ids
+    a, b = rng.sample(ids, 2)
+    if (a, b) in rel:
+        a, b = b, a  # so that adding (a, b) changes the relation
+    out = [("intact", rel), ("add", rel | {(a, b)}), ("both", rel | {(a, b), (b, a)}),
+           ("unknown", rel | {(a, "ghost")}), ("reflexive", rel | {(a, a)})]
+    if rel:
+        some = rng.choice(sorted(rel))
+        out += [("drop", rel - {some}), ("reverse", rel - {some} | {some[::-1]})]
+    return out
+
+
+def outcome(build, g, rel):
+    """What ``build(g, rel)`` returns, or the type, message and problems it raises."""
+    try:
+        order = build(g, rel)
+    except pg.PpgError as exc:
+        return type(exc), str(exc), exc.problems
+    pg.validate_planar_order(g, order.sequence)
+    return order
 
 
 class TestValidate:
@@ -143,11 +170,61 @@ class TestConjugate:
         rel = pg.conjugate_order(pop)
         assert pg.order_from_conjugate(pop.graph, rel) == pop.order
 
+    def test_agrees_with_the_scan_oracle(self):
+        # 500 graphs, each relation intact and tampered six ways: the row check
+        # reports the scan's problems, in its order, and order_from_conjugate
+        # has the outcome of the pair-counting rebuild.  Every other graph
+        # declares its edges in shuffled order, so that an edge can reach an
+        # edge declared before it.
+        rng = random.Random(31)
+        kinds = dict.fromkeys(("intact", "add", "both", "unknown", "reflexive",
+                               "drop", "reverse"), 0)
+        rejected = 0
+        for k in range(500):
+            pop = pg.random_pop(random.Random(k))
+            if k % 2:
+                g = pg.ProgressiveGraph(pg.DirectedMultigraph(
+                    rng.sample(pop.graph.edges, len(pop.graph.edges))))
+                pop = pg.validate_planar_order(g, pop.order.sequence)
+            g = pop.graph
+            for kind, rel in tampered(pop, rng):
+                report = pg.check_conjugacy(g, rel)
+                assert report.problems == check_conjugacy_scan(g, rel).problems, (k, kind)
+                got = outcome(pg.order_from_conjugate, g, rel)
+                assert got == outcome(order_from_conjugate_scan, g, rel), (k, kind)
+                assert isinstance(got, pg.PlanarOrder) == report.ok, (k, kind)
+                assert kind != "intact" or got == pop.order, k
+                kinds[kind] += 1
+                rejected += not report.ok
+        assert min(kinds.values()) > 450, kinds
+        assert rejected > 2500
+
     def test_not_conjugate_raises(self, canonical):
         rel = pg.conjugate_order(canonical)
         some = next(iter(rel))
         with pytest.raises(pg.NotConjugate):
             pg.order_from_conjugate(canonical.graph, rel - {some})
+
+
+class TestConjugatePop:
+    """The paper's conjugate as an ordered graph on the opposite edges, built
+    by the ``conftest.conjugate_pop`` oracle."""
+
+    def test_is_an_involution_to_a_planar_order(self, suite):
+        pops = suite + [(f"random{k}", pg.random_pop(random.Random(k))) for k in range(300)]
+        for name, pop in pops:
+            conj = conjugate_pop(pop)
+            assert pg.validate_planar_order(conj.graph, conj.order.sequence) == conj, name
+            assert conjugate_pop(conj) == pop, name
+            assert pg.conjugate_order(conj) == pg.conjugate_order(pop), name
+
+    def test_reverses_composition(self):
+        rng = random.Random(41)
+        for k in range(200):
+            a = pg.random_elementary_layer(rng, f"a{k}.")
+            b = pg.random_elementary_layer(rng, f"b{k}.", n_inputs=len(a.graph.outputs))
+            assert pg.pop_isomorphic(conjugate_pop(pg.compose(a, b)),
+                                     pg.compose(conjugate_pop(b), conjugate_pop(a))), k
 
 
 class TestWindows:
