@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .composition import compose, elementary_decomposition
+from .composition import elementary_decomposition, recompose
 from .core import circ, hat
 from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
@@ -132,10 +132,7 @@ def _cmd_compose(args) -> int:
     if len(args.files) < 2:
         raise UsageError("compose takes at least two files")
     pops = [parse_ppg(_read(f)).pop() for f in args.files]
-    result = pops[0]
-    for nxt in pops[1:]:
-        result = compose(result, nxt)
-    _write(emit_ppg(result), args.output)
+    _write(emit_ppg(recompose(pops)), args.output)
     return 0
 
 

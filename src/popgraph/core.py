@@ -9,13 +9,16 @@ a bare edge (boundary at both ends) is both.  Connectivity is not required.
 Reachability here is between *edges*: edge a reaches edge b when a directed
 path starts with a and ends with b.  The reflexive convention reaches(e, e) is
 true; the strict part (a != b) is the precedence order that planar orders must
-extend.  Both the vertex-level and edge-level transitive closures are computed
-once at validation time and stored as integer bitsets, so later queries are
-O(1) and the objects can be treated as immutable values.
+extend.  It is kept in one form, integer bitsets over edge declaration
+indexes: the rows of the edges each edge reaches, computed once at validation
+time, and their transpose, the rows of the edges reaching each edge, built on
+first use.  Queries are O(1) and the objects can be treated as immutable
+values.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -58,6 +61,7 @@ class DirectedMultigraph:
             seen.add(e.id)
             out.append(e)
         self.edges: tuple[Edge, ...] = tuple(out)
+        self.edge_ids: tuple[str, ...] = tuple(e.id for e in out)
         verts: dict[str, None] = {}  # insertion-ordered set
         for e in self.edges:
             verts.setdefault(e.src)
@@ -79,10 +83,6 @@ class DirectedMultigraph:
             return self._by_id[edge_id]
         except KeyError:
             raise UnknownEdge(edge_id) from None
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         try:
@@ -151,7 +151,7 @@ def _toposort(g: DirectedMultigraph) -> list[str]:
 
 
 class ProgressiveGraph:
-    """A validated progressive graph with precomputed reachability closures.
+    """A validated progressive graph with its edge reachability rows.
 
     Build via :func:`validate_progressive`; the constructor itself performs
     the checks, so every instance is valid.  Treat instances as immutable.
@@ -177,27 +177,32 @@ class ProgressiveGraph:
         self.outputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.dst not in self.internal_vertices)
 
-        # Vertex closure, reflexive, as bitsets over the vertex index, and
-        # src_union[v] = all edges whose tail is any vertex reachable from v
+        # src_union[v] = all edges whose tail is a vertex reachable from v
         # (reflexively), as bitsets over the edge index.
-        vix = {v: i for i, v in enumerate(graph.vertices)}
-        eix = {e.id: i for i, e in enumerate(graph.edges)}
-        vreach = [1 << i for i in range(len(graph.vertices))]
+        eix = {e: i for i, e in enumerate(graph.edge_ids)}
         src_union: dict[str, int] = {}
         for v in reversed(topo):
-            vacc, eacc = vreach[vix[v]], 0
+            acc = 0
             for e in graph._out[v]:
-                vacc |= vreach[vix[e.dst]]
-                eacc |= 1 << eix[e.id] | src_union[e.dst]
-            vreach[vix[v]] = vacc
-            src_union[v] = eacc
+                acc |= 1 << eix[e.id] | src_union[e.dst]
+            src_union[v] = acc
 
-        self._vix = vix
         self._eix = eix
-        self._vreach = tuple(vreach)
         # Strict edge reachability: e reaches f (e != f) iff f's tail is a
         # vertex reachable from e's head.  Acyclicity rules out e itself.
         self._ereach = tuple(src_union[e.dst] for e in graph.edges)
+
+    @cached_property
+    def _ereachers(self) -> tuple[int, ...]:
+        """The transpose of the reach rows, in one upstream-first pass; built
+        on first use, since validation alone never needs it."""
+        head_union: dict[str, int] = {}  # edges whose head reaches v, reflexively
+        for v in _toposort(self.graph):
+            acc = 0
+            for e in self.graph._in[v]:
+                acc |= 1 << self._eix[e.id] | head_union[e.src]
+            head_union[v] = acc
+        return tuple(head_union[e.src] for e in self.edges)
 
     # -- queries ----------------------------------------------------------
 
@@ -216,35 +221,31 @@ class ProgressiveGraph:
     def edge(self, edge_id: str) -> Edge:
         return self.graph.edge(edge_id)
 
-    def vertex_reaches(self, v1: str, v2: str) -> bool:
-        """True when a directed path (possibly empty) runs from v1 to v2."""
-        for v in (v1, v2):
-            if v not in self._vix:
-                raise UnknownVertex(v)
-        return bool(self._vreach[self._vix[v1]] >> self._vix[v2] & 1)
-
     def reaches(self, e1: str, e2: str) -> bool:
         """True when a directed path starts with edge e1 and ends with e2.
 
         Reflexive by convention; use :meth:`strictly_reaches` for the strict
         precedence relation.
         """
-        return e1 == e2 or self.strictly_reaches(e1, e2)
+        return self.strictly_reaches(e1, e2) or e1 == e2
 
     def strictly_reaches(self, e1: str, e2: str) -> bool:
-        for e in (e1, e2):
-            if e not in self._eix:
-                raise UnknownEdge(e)
-        return bool(self._ereach[self._eix[e1]] >> self._eix[e2] & 1)
+        return bool(self.reach_bits(e1) >> self.edge_index(e2) & 1)
 
     def reach_bits(self, e1: str) -> int:
         """Strict reachability row as a bitset over edge declaration indexes."""
-        return self._ereach[self._eix[e1]]
+        return self._ereach[self.edge_index(e1)]
+
+    def reacher_bits(self, e2: str) -> int:
+        """The edges that strictly reach e2, as a bitset over edge declaration
+        indexes: the transpose of :meth:`reach_bits`."""
+        return self._ereachers[self.edge_index(e2)]
 
     def edge_index(self, e: str) -> int:
-        if e not in self._eix:
-            raise UnknownEdge(e)
-        return self._eix[e]
+        try:
+            return self._eix[e]
+        except KeyError:
+            raise UnknownEdge(e) from None
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         return self.graph.in_edges(v)
@@ -263,17 +264,6 @@ class ProgressiveGraph:
     def __repr__(self):
         return (f"ProgressiveGraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, {len(self.internal_vertices)} internal)")
-
-
-def _reachers(g: ProgressiveGraph) -> list[int]:
-    """Per edge index, the edges that strictly reach it: the transpose of
-    :meth:`ProgressiveGraph.reach_bits`, in one upstream-first pass."""
-    head_union: dict[str, int] = {}  # edges whose head reaches v, reflexively
-    for v in _toposort(g.graph):
-        head_union[v] = 0
-        for e in g.graph._in[v]:
-            head_union[v] |= 1 << g._eix[e.id] | head_union[e.src]
-    return [head_union[e.src] for e in g.edges]
 
 
 def validate_progressive(graph: DirectedMultigraph) -> ProgressiveGraph:

@@ -7,6 +7,21 @@ else escaping the public API is a bug.  The CLI maps these onto exit codes
 
 from __future__ import annotations
 
+from itertools import chain, islice
+from typing import Iterable
+
+SHOWN = 20  # witnesses a message lists before it counts the rest
+
+
+def _capped(items: Iterable[str], total: int) -> str:
+    """The first SHOWN of ``total`` items joined by "; ", then a count of
+    the rest, so that a message stays short however many witnesses there
+    are; the exceptions keep every witness in their attributes."""
+    text = "; ".join(islice(items, SHOWN))
+    if total > SHOWN:
+        text += f"; ... and {total - SHOWN} more ({total} in all)"
+    return text
+
 
 class PpgError(Exception):
     """Base class for all deliberate failures raised by this package."""
@@ -89,23 +104,28 @@ class InvalidPlanarOrder(PpgError):
     ``betweenness_violations`` lists triples (a, b, c), increasing in the
     order, where a reaches c but b is reachability-unrelated to both, i.e.
     an unrelated edge sits between the endpoints of a precedence pair.
-    All violations are enumerated, not just the first.
+    All violations are enumerated, not just the first; the message shows
+    the first SHOWN of them and a count.
     """
 
     def __init__(self, extension_violations, betweenness_violations):
         self.extension_violations = tuple(extension_violations)
         self.betweenness_violations = tuple(betweenness_violations)
-        bits = []
-        for a, b in self.extension_violations:
-            bits.append(f"{b} precedes {a} although {a} reaches {b}")
-        for a, b, c in self.betweenness_violations:
-            bits.append(f"{b} sits between {a} and {c} but relates to neither")
-        super().__init__("not a planar order: " + "; ".join(bits))
+        bits = chain(
+            (f"{b} precedes {a} although {a} reaches {b}"
+             for a, b in self.extension_violations),
+            (f"{b} sits between {a} and {c} but relates to neither"
+             for a, b, c in self.betweenness_violations))
+        total = len(self.extension_violations) + len(self.betweenness_violations)
+        super().__init__("not a planar order: " + _capped(bits, total))
 
 
 class NotConjugate(PpgError):
+    """A relation is not the conjugate order of any planar order.
+    ``problems`` lists every witness; the message shows the first SHOWN."""
+
     def __init__(self, problems: tuple[str, ...]):
-        super().__init__("not a conjugate order: " + "; ".join(problems))
+        super().__init__("not a conjugate order: " + _capped(problems, len(problems)))
         self.problems = problems
 
 
@@ -126,10 +146,11 @@ class NoInternalVertex(PpgError):
 
 class NoConsistentOrder(PpgError):
     """Synthesis failed: no planar order realizes the given vertex orders and
-    boundary anchors.  ``witnesses`` are human-readable conflict reports."""
+    boundary anchors.  ``witnesses`` are human-readable conflict reports, all
+    of them; the message shows the first SHOWN."""
 
     def __init__(self, witnesses: tuple[str, ...]):
-        super().__init__("no consistent planar order: " + "; ".join(witnesses))
+        super().__init__("no consistent planar order: " + _capped(witnesses, len(witnesses)))
         self.witnesses = witnesses
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .core import ProgressiveGraph, _reachers
+from .core import ProgressiveGraph
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
                      UnknownEdge)
 
@@ -223,7 +223,8 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], list[int]]
     for a, b in rel:
         out[ix[a]] |= 1 << ix[b]
         into[ix[b]] |= 1 << ix[a]
-    for i, (r, rt, c, ct) in enumerate(zip(map(g.reach_bits, ids), _reachers(g), out, into)):
+    rows = zip(map(g.reach_bits, ids), map(g.reacher_bits, ids), out, into)
+    for i, (r, rt, c, ct) in enumerate(rows):
         # bit j > i: reach, reached-by, rel-out and rel-in must hold exactly once
         bad = (~((r | c) ^ (rt | ct)) | r & c | rt & ct) & ((1 << len(ids)) - (2 << i))
         problems.extend(f"pair ({ids[i]}, {ids[j]}) is related "

@@ -18,6 +18,11 @@ disjoint cases:
 3. some vertex reaches both tails: a maximal such vertex sees the two edges
    through distinct outgoing legs, and its vertex order decides.
 
+Each case is read off two bit rows per edge, the edges it reaches and the
+edges reaching it: a vertex reaches an edge's tail exactly when one of its
+legs reaches that edge, so ancestors, descendants and windows are
+intersections of rows.
+
 Materializing the full pairwise relation (never sorting with a comparator)
 keeps failures observable: the relation is checked to be a strict total
 order, validated against both planar-order axioms, and finally re-extracted
@@ -33,11 +38,13 @@ deliberately simple.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .core import ProgressiveGraph, _reachers
+from .core import ProgressiveGraph
 from .errors import NoConsistentOrder, PpgError, TooLarge, UnknownVertex
-from .order import PlanarOrder, POPGraph, _expect_permutation, validate_planar_order
+from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
+                    validate_planar_order)
 
 
 class VertexOrder(NamedTuple):
@@ -74,8 +81,13 @@ class PAGraph:
             _expect_permutation(vo.outgoing, [e.id for e in graph.out_edges(v)])
         _expect_permutation(self.anchor.inputs, graph.inputs)
         _expect_permutation(self.anchor.outputs, graph.outputs)
-        self._in_pos = {e: i for i, e in enumerate(self.anchor.inputs)}
-        self._out_pos = {e: i for i, e in enumerate(self.anchor.outputs)}
+
+    @cached_property
+    def _anchor_rows(self) -> tuple[tuple[dict[int, int], int], ...]:
+        """Per anchor side: position by edge index, and the side as a bitset;
+        only the comparator reads them, so its first call builds them."""
+        sides = [{self.graph.edge_index(e): k for k, e in enumerate(side)} for side in self.anchor]
+        return tuple((pos, sum(1 << i for i in pos)) for pos in sides)
 
     def __eq__(self, other):
         if isinstance(other, PAGraph):
@@ -94,36 +106,14 @@ class Comparison(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-def _common_tail_ancestors(g: ProgressiveGraph, e1: str, e2: str) -> list[str]:
-    """Vertices from which directed paths lead to the tails of both edges."""
-    s1, s2 = g.edge(e1).src, g.edge(e2).src
-    return [v for v in g.vertices
-            if g.vertex_reaches(v, s1) and g.vertex_reaches(v, s2)]
-
-
-def _has_common_head_descendant(g: ProgressiveGraph, e1: str, e2: str) -> bool:
-    d1, d2 = g.edge(e1).dst, g.edge(e2).dst
-    return any(g.vertex_reaches(d1, v) and g.vertex_reaches(d2, v)
-               for v in g.vertices)
-
-
-def _window(g: ProgressiveGraph, pos: dict[str, int], boundary: frozenset[str],
-            e: str, forward: bool) -> tuple[int, int]:
-    """Anchor-position window of e over the inputs (forward) or outputs."""
-    if e in boundary:
-        return (pos[e], pos[e])
-    if forward:
-        hits = [pos[i] for i in boundary if g.strictly_reaches(i, e)]
-    else:
-        hits = [pos[o] for o in boundary if g.strictly_reaches(e, o)]
-    assert hits, f"edge {e} is not connected to the boundary"
-    return (min(hits), max(hits))
-
-
-def _window_verdict(w1: tuple[int, int], w2: tuple[int, int]) -> Comparison:
-    if w1[1] < w2[0]:
+def _window_verdict(side: tuple[dict[int, int], int], x1: int, x2: int) -> Comparison:
+    """Compare the windows of two edges: the anchor spans of the anchored
+    edges in their rows ``x1`` and ``x2``, on one side of the anchor."""
+    pos, mask = side
+    w1, w2 = ([pos[i] for i in _members(x & mask)] for x in (x1, x2))
+    if max(w1) < min(w2):
         return Comparison.LESS
-    if w2[1] < w1[0]:
+    if max(w2) < min(w1):
         return Comparison.GREATER
     return Comparison.INCONSISTENT
 
@@ -137,35 +127,37 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
     g = pa.graph
     if e1 == e2:
         raise PpgError("compare_edges requires two distinct edges")
-    if g.strictly_reaches(e1, e2):
+    b1, b2 = 1 << g.edge_index(e1), 1 << g.edge_index(e2)
+    # r: the edges e reaches, t: the edges reaching e, both reflexive
+    r1, r2 = g.reach_bits(e1) | b1, g.reach_bits(e2) | b2
+    if r1 & b2:
         return Comparison.LESS
-    if g.strictly_reaches(e2, e1):
+    if r2 & b1:
         return Comparison.GREATER
 
-    ancestors = _common_tail_ancestors(g, e1, e2)
-    if not ancestors:
-        verdict = _window_verdict(
-            _window(g, pa._in_pos, g.inputs, e1, True),
-            _window(g, pa._in_pos, g.inputs, e2, True))
-        if not _has_common_head_descendant(g, e1, e2):
-            dual = _window_verdict(
-                _window(g, pa._out_pos, g.outputs, e1, False),
-                _window(g, pa._out_pos, g.outputs, e2, False))
-            if dual != verdict:
-                return Comparison.INCONSISTENT
+    # A vertex reaches e's tail iff it has a leg in t, so t1 & t2 holds the
+    # legs of the vertices reaching both tails.  It is empty only if no such
+    # vertex exists: a tail with two legs is internal and has in-edges.
+    t1, t2 = g.reacher_bits(e1) | b1, g.reacher_bits(e2) | b2
+    both = t1 & t2
+    if not both:
+        ins, outs = pa._anchor_rows
+        verdict = _window_verdict(ins, t1, t2)
+        if not r1 & r2 and _window_verdict(outs, r1, r2) != verdict:
+            return Comparison.INCONSISTENT
         return verdict
 
-    # A maximal common ancestor sees e1 and e2 through outgoing legs; take
-    # the lexicographically least maximal one so the choice is deterministic.
-    maximal = [v for v in ancestors
-               if not any(w != v and g.vertex_reaches(v, w) for w in ancestors)]
-    v = min(maximal)
-    legs = pa.vertex_orders[v].outgoing
-    h1 = next(h for h in legs if g.reaches(h, e1))
-    h2 = next(h for h in legs if g.reaches(h, e2))
-    if h1 == h2:
-        return Comparison.INCONSISTENT
-    return Comparison.LESS if legs.index(h1) < legs.index(h2) else Comparison.GREATER
+    # A maximal common ancestor has legs into t1 and t2 and none into both
+    # (its head would be a lower common ancestor), so it is the tail of an
+    # edge in t1 ^ t2; the least by name decides, through its first leg.
+    edges = g.edges
+    tails = ({edges[i].src for i in _members(t1 & ~t2)}
+             & {edges[i].src for i in _members(t2 & ~t1)})
+    v = min(v for v in tails
+            if not any(both >> g.edge_index(h) & 1 for h in pa.vertex_orders[v].outgoing))
+    first = next(i for i in map(g.edge_index, pa.vertex_orders[v].outgoing)
+                 if (t1 | t2) >> i & 1)
+    return Comparison.LESS if t1 >> first & 1 else Comparison.GREATER
 
 
 def synthesize_order(pa: PAGraph) -> PlanarOrder:
@@ -244,7 +236,7 @@ def _search(g: ProgressiveGraph):
     """
     m = len(g.edges)
     reach = [g.reach_bits(e) for e in g.edge_ids]
-    reachers = _reachers(g)
+    reachers = [g.reacher_bits(e) for e in g.edge_ids]
     prefix: list[int] = []
     used = 0
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
@@ -187,6 +188,90 @@ def conjugate_pop(pop: pg.POPGraph) -> pg.POPGraph:
                     or (rank(f) < rank(e) and not g.strictly_reaches(f, e))
                     for f in g.edge_ids) for e in g.edge_ids}
     return pg.POPGraph(opposite, pg.PlanarOrder(sorted(g.edge_ids, key=preds.__getitem__)))
+
+
+@lru_cache(maxsize=4)
+def vertex_reach_dfs(g: pg.ProgressiveGraph) -> dict[str, frozenset[str]]:
+    """Per vertex, the vertices a directed path (possibly empty) leads to, by
+    one DFS from each vertex."""
+    out = {}
+    for v in g.vertices:
+        seen, stack = set(), [v]
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(e.dst for e in g.out_edges(w))
+        out[v] = frozenset(seen)
+    return out
+
+
+def _scan_window(g, below, pos: dict[str, int], boundary, e: str,
+                 forward: bool) -> tuple[int, int]:
+    """Anchor-position window of e over the inputs (forward) or outputs."""
+    if e in boundary:
+        return (pos[e], pos[e])
+    if forward:
+        tail = g.edge(e).src
+        hits = [pos[i] for i in boundary if tail in below[g.edge(i).dst]]
+    else:
+        after = below[g.edge(e).dst]
+        hits = [pos[o] for o in boundary if g.edge(o).src in after]
+    assert hits, f"edge {e} is not connected to the boundary"
+    return (min(hits), max(hits))
+
+
+def _scan_window_verdict(w1, w2) -> pg.Comparison:
+    if w1[1] < w2[0]:
+        return pg.Comparison.LESS
+    if w2[1] < w1[0]:
+        return pg.Comparison.GREATER
+    return pg.Comparison.INCONSISTENT
+
+
+def compare_edges_scan(pa: pg.PAGraph, e1: str, e2: str) -> pg.Comparison:
+    """``synthesis.compare_edges`` by scanning vertices, with vertex
+    reachability found by DFS: the oracle for the bit-row comparator.
+
+    Reachability decides related edges.  Otherwise, when no vertex reaches
+    both tails, the input windows decide, and when also no vertex is reached
+    from both heads the output windows must agree.  Otherwise a maximal
+    common ancestor of the tails (the least by name) decides by the order of
+    its legs towards e1 and e2; one leg towards both is INCONSISTENT.
+    """
+    g = pa.graph
+    below = vertex_reach_dfs(g)
+    if e1 == e2:
+        raise pg.PpgError("compare_edges requires two distinct edges")
+    (s1, d1), (s2, d2) = g.edge(e1)[1:], g.edge(e2)[1:]
+    if s2 in below[d1]:
+        return pg.Comparison.LESS
+    if s1 in below[d2]:
+        return pg.Comparison.GREATER
+
+    ancestors = [v for v in g.vertices if s1 in below[v] and s2 in below[v]]
+    if not ancestors:
+        in_pos = {e: k for k, e in enumerate(pa.anchor.inputs)}
+        verdict = _scan_window_verdict(
+            _scan_window(g, below, in_pos, g.inputs, e1, True),
+            _scan_window(g, below, in_pos, g.inputs, e2, True))
+        if not below[d1] & below[d2]:
+            out_pos = {e: k for k, e in enumerate(pa.anchor.outputs)}
+            dual = _scan_window_verdict(
+                _scan_window(g, below, out_pos, g.outputs, e1, False),
+                _scan_window(g, below, out_pos, g.outputs, e2, False))
+            if dual != verdict:
+                return pg.Comparison.INCONSISTENT
+        return verdict
+
+    maximal = [v for v in ancestors
+               if not any(w != v and w in below[v] for w in ancestors)]
+    legs = pa.vertex_orders[min(maximal)].outgoing
+    h1 = next(h for h in legs if s1 in below[g.edge(h).dst] or h == e1)
+    h2 = next(h for h in legs if s2 in below[g.edge(h).dst] or h == e2)
+    if h1 == h2:
+        return pg.Comparison.INCONSISTENT
+    return pg.Comparison.LESS if legs.index(h1) < legs.index(h2) else pg.Comparison.GREATER
 
 
 def brute_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:

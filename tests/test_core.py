@@ -93,6 +93,7 @@ class TestReachability:
         for a in g.edge_ids:
             for b in g.edge_ids:
                 assert g.strictly_reaches(a, b) == slow_reaches(g, a, b), (a, b)
+                assert (g.reacher_bits(b) >> g.edge_index(a) & 1) == slow_reaches(g, a, b)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
@@ -105,8 +106,13 @@ class TestReachability:
             assert g.strictly_reaches(a, b) == slow_reaches(g, a, b), (a, b)
 
     def test_unknown_edge(self, canonical):
-        with pytest.raises(pg.UnknownEdge):
-            canonical.graph.reaches("5", "nope")
+        g = canonical.graph
+        for a, b in (("5", "nope"), ("nope", "nope")):
+            with pytest.raises(pg.UnknownEdge):
+                g.reaches(a, b)
+        for row in (g.reach_bits, g.reacher_bits):
+            with pytest.raises(pg.UnknownEdge):
+                row("nope")
 
 
 class TestHatCirc:

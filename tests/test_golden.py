@@ -3,10 +3,11 @@
 Every input (the ``tests/fixtures`` files plus, under ``tests/golden/inputs``,
 a seeded layered corpus, each graph with and without its order line, the
 hand-written ``fresh_names.ppg``, whose vertex names collide with the ``s@``/``t@``
-names decomposition generates, and three hand-written inputs whose order lines
+names decomposition generates, three hand-written inputs whose order lines
 are not planar: ``canonical19_reversed.ppg`` (extension violations only),
 ``canonical19_swap89.ppg`` (betweenness violations only) and
-``layer_top_shuffled.ppg`` (both)) is run through ``popgraph.cli.main`` in-process
+``layer_top_shuffled.ppg`` (both), and ``canonical19_conflict.ppg``, whose
+anchor swaps two outputs so that ``ppg order`` finds no consistent order) is run through ``popgraph.cli.main`` in-process
 with a fixed list of subcommands, and the transcript must equal the committed
 ``tests/golden/<input>.txt``.
 A refactor that is meant to keep behaviour keeps these files unchanged; one

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgraph as pg
+from popgraph.errors import SHOWN
 from conftest import (check_conjugacy_scan, conjugate_pairs_scan, conjugate_pop,
                       order_from_conjugate_scan, order_violations_scan, run_optimized,
                       slow_planar)
@@ -225,6 +226,46 @@ class TestConjugatePop:
             b = pg.random_elementary_layer(rng, f"b{k}.", n_inputs=len(a.graph.outputs))
             assert pg.pop_isomorphic(conjugate_pop(pg.compose(a, b)),
                                      pg.compose(conjugate_pop(b), conjugate_pop(a))), k
+
+
+class TestBoundedMessages:
+    """Messages list the first ``SHOWN`` witnesses and count the rest; the
+    exception attributes keep every witness."""
+
+    @staticmethod
+    def assert_capped(message: str, total: int):
+        assert message.count("; ") == SHOWN
+        assert message.endswith(f"; ... and {total - SHOWN} more ({total} in all)")
+
+    def test_invalid_planar_order(self):
+        pop = pg.spider(8, 8)
+        with pytest.raises(pg.InvalidPlanarOrder) as exc:
+            pg.validate_planar_order(pop.graph, pop.order.sequence[::-1])
+        assert len(exc.value.extension_violations) == 64
+        self.assert_capped(str(exc.value), 64)
+
+    def test_not_conjugate(self):
+        # the 28 input pairs and 28 output pairs of the spider are unrelated
+        pop = pg.spider(8, 8)
+        with pytest.raises(pg.NotConjugate) as exc:
+            pg.order_from_conjugate(pop.graph, set())
+        assert len(exc.value.problems) == 56
+        self.assert_capped(str(exc.value), 56)
+
+    def test_no_consistent_order(self):
+        # bare edges whose outputs are anchored in reverse: every pair conflicts
+        g = pg.bare_edges(12).graph
+        ids = g.edge_ids
+        with pytest.raises(pg.NoConsistentOrder) as exc:
+            pg.synthesize_order(pg.PAGraph(g, {}, (ids, ids[::-1])))
+        assert len(exc.value.witnesses) == 66
+        self.assert_capped(str(exc.value), 66)
+
+    def test_a_short_list_is_shown_whole(self):
+        for n in (SHOWN, SHOWN + 1):
+            message = str(pg.NoConsistentOrder(tuple(f"w{k}" for k in range(n))))
+            assert ("w19; ... and 1 more (21 in all)" in message) == (n > SHOWN)
+            assert message.endswith("w19") == (n == SHOWN)
 
 
 class TestWindows:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popgraph as pg
-from conftest import brute_orders
+from conftest import brute_orders, compare_edges_scan
 
 
 def graph(*triples):
@@ -45,6 +45,21 @@ class TestPAGraph:
             pg.PAGraph(g, {"v": (("1",), ("2",))}, (("1",), ("ghost",)))
         assert exc.value.missing == ("2",)
         assert exc.value.extra == ("ghost",)
+
+
+def tampered_pas(pop: pg.POPGraph, rng: random.Random):
+    """The local data of ``pop``, intact, with every vertex's outgoing legs
+    shuffled, and with the input and with the output anchor shuffled."""
+    pa = pg.extract_pa(pop)
+    yield "intact", pa
+    legs = {v: pg.VertexOrder(vo.incoming, tuple(rng.sample(vo.outgoing, len(vo.outgoing))))
+            for v, vo in pa.vertex_orders.items()}
+    yield "legs", pg.PAGraph(pa.graph, legs, pa.anchor)
+    ins, outs = pa.anchor
+    yield "inputs", pg.PAGraph(pa.graph, pa.vertex_orders,
+                               (rng.sample(ins, len(ins)), outs))
+    yield "outputs", pg.PAGraph(pa.graph, pa.vertex_orders,
+                                (ins, rng.sample(outs, len(outs))))
 
 
 class TestCompareEdges:
@@ -92,6 +107,33 @@ class TestCompareEdges:
                 want = pg.Comparison.LESS if pop.rank(a) < pop.rank(b) \
                     else pg.Comparison.GREATER
                 assert pg.compare_edges(pa, a, b) is want, (i, a, b)
+
+    def test_agrees_with_the_scan_oracle(self, suite):
+        # the suite and 400 random graphs, every other one with its edges
+        # declared in shuffled order, each with intact and tampered local
+        # data: every pair, both ways round, gets the scan's verdict.  Four
+        # layers give some pairs a common ancestor above the maximal one,
+        # which the comparator must pass over.
+        rng = random.Random(41)
+        pops = [pop for _, pop in suite]
+        for k in range(400):
+            pop = pg.random_pop(random.Random(k))
+            if k % 2:
+                g = pg.ProgressiveGraph(pg.DirectedMultigraph(
+                    rng.sample(pop.graph.edges, len(pop.graph.edges))))
+                pop = pg.validate_planar_order(g, pop.order.sequence)
+            pops.append(pop)
+        verdicts = dict.fromkeys(pg.Comparison, 0)
+        for k, pop in enumerate(pops):
+            ids = pop.graph.edge_ids
+            for kind, pa in tampered_pas(pop, rng):
+                for i, a in enumerate(ids):
+                    for b in ids[i + 1:]:
+                        for x, y in ((a, b), (b, a)):
+                            got = pg.compare_edges(pa, x, y)
+                            assert got is compare_edges_scan(pa, x, y), (k, kind, x, y)
+                            verdicts[got] += 1
+        assert min(verdicts.values()) > 1000, verdicts
 
 
 class TestSynthesize:
