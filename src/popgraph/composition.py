@@ -16,9 +16,11 @@ Decomposition is the inverse: splitting off an order-maximal internal vertex
 leaves a remainder and an elementary factor (one internal vertex plus
 pass-through bare edges) whose composition restores the original, and
 repeating until no internal vertex is left writes the graph as a chain of
-single-vertex layers.  That is one walk over the order which builds and
-validates only the factors; every remainder is valid by the theory.  The
-layout reads the same peel order for its bands and builds no factor.
+single-vertex layers.  That is one walk over the order which builds only the
+factors, each ordered by restricting the planar order; the restriction and
+every remainder are planar by the theory, so only the factor graphs go
+through validate_progressive.  The layout reads the same peel order for its
+bands and builds no factor.
 """
 
 from __future__ import annotations
@@ -178,8 +180,8 @@ def _peel(pop: POPGraph):
             if src != v and e not in g.inputs:
                 src = _fresh(f"s@{e}", taken)
             edges.append(Edge(e, src, head[e]))
-        factor = validate_planar_order(validate_progressive(DirectedMultigraph(edges)),
-                                       sorted(ids, key=pop.rank))
+        factor = POPGraph(validate_progressive(DirectedMultigraph(edges)),
+                          PlanarOrder(sorted(ids, key=pop.rank)))
 
         # fresh heads avoid every name of the graph the step started from,
         # the vertex and its output heads included

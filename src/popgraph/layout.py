@@ -182,28 +182,22 @@ def check_drawing(d: Drawing) -> DrawingReport:
                 problems.append(f"route {e}: not monotone in the flow direction")
                 break
 
-    for e in d.inputs:
-        if e in short:
-            continue
-        pts = d.routes[e]
-        if d.st:
-            if pts[0] != d.vertices[d.source]:
-                problems.append(f"input {e}: does not start at the source apex")
-            elif pts[1][1] != y_in:
-                problems.append(f"input {e}: does not meet the input boundary")
-        elif pts[0][1] != y_in:
-            problems.append(f"input {e}: does not start on the input boundary")
-    for e in d.outputs:
-        if e in short:
-            continue
-        pts = d.routes[e]
-        if d.st:
-            if pts[-1] != d.vertices[d.sink]:
-                problems.append(f"output {e}: does not end at the sink apex")
-            elif pts[-2][1] != y_out:
-                problems.append(f"output {e}: does not meet the output boundary")
-        elif pts[-1][1] != y_out:
-            problems.append(f"output {e}: does not end on the output boundary")
+    if d.st:
+        problems += [f"apex {v}: not among the vertices"
+                     for v in (d.source, d.sink) if v not in d.vertices]
+    for start, side, edges, y in ((True, "input", d.inputs, y_in),
+                                  (False, "output", d.outputs, y_out)):
+        verb, kind, apex = ("start", "source", d.source) if start else ("end", "sink", d.sink)
+        for e in edges:
+            if e not in d.routes:
+                problems.append(f"{side} {e}: has no route")
+            elif e in short:
+                continue
+            elif d.st and d.routes[e][0 if start else -1] != d.vertices.get(apex):
+                problems.append(f"{side} {e}: does not {verb} at the {kind} apex")
+            elif _attachment(d, e, start)[1] != y:
+                problems.append(f"{side} {e}: does not "
+                                f"{'meet' if d.st else verb + ' on'} the {side} boundary")
 
     ids = list(d.routes)
     for i, e1 in enumerate(ids):
@@ -259,26 +253,38 @@ def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
     return None
 
 
+def _require_routes(d: Drawing) -> None:
+    for e, pts in d.routes.items():
+        if len(pts) < 2:
+            raise PpgError(f"route of edge {e} has fewer than two points")
+
+
+def _attachment(d: Drawing, e: str, start: bool) -> Point:
+    """Where boundary edge e meets its boundary line: the first (``start``)
+    or last point of its route, or in an st drawing the one next to the apex.
+    Raises PpgError when e has no route; a route has at least two points."""
+    pts = d.routes.get(e)
+    if pts is None:
+        raise PpgError(f"edge {e} has no route")
+    skip = 1 if d.st else 0
+    return pts[skip] if start else pts[-1 - skip]
+
+
 def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     """Recover vertex orders and anchors from coordinates alone.
 
     Only point positions are consulted (never the planar order), so agreement
     with the order the drawing came from is evidence, not tautology.  A
-    route with fewer than two points, or a boundary edge whose route does not
-    meet its boundary, raises PpgError.
+    route with fewer than two points, or a boundary edge with no route or one
+    that does not meet its boundary, raises PpgError.
     """
-    for e, pts in d.routes.items():
-        if len(pts) < 2:
-            raise PpgError(f"route of edge {e} has fewer than two points")
+    _require_routes(d)
     down = d.flow == "down"
     y_in = d.box[1] if down else d.box[3]
     y_out = d.box[3] if down else d.box[1]
 
     def boundary_x(e: str, start: bool, y: Fraction) -> Fraction:
-        pts = d.routes[e]
-        if d.st:
-            pts = pts[1:] if start else pts[:-1]
-        p = pts[0] if start else pts[-1]
+        p = _attachment(d, e, start)
         if p[1] != y:
             raise PpgError(f"edge {e} is not attached to the boundary")
         return p[0]
@@ -309,6 +315,7 @@ def _fmt(x: Fraction, scale: float = 1.0, off: float = 0.0) -> str:
 def render_svg(d: Drawing) -> str:
     """Self-contained SVG: one path per edge, arrowheads at route midpoints,
     filled circles for vertices, a dashed frame around the banded region."""
+    _require_routes(d)
     s = 48.0
     pad = 30.0
     ys = [p[1] for pts in d.routes.values() for p in pts]
@@ -357,6 +364,7 @@ def _svg_arrow(pts: tuple[Point, ...], px) -> str:
 
 def render_tikz(d: Drawing) -> str:
     """TikZ picture with the same content; y is mirrored for TikZ's up axis."""
+    _require_routes(d)
     out = [r"\begin{tikzpicture}[x=1.1cm,y=1.1cm,yscale=-1]"]
     out.append(rf"\draw[densely dashed, gray] ({_fmt(d.box[0])},{_fmt(d.box[1])}) "
                rf"rectangle ({_fmt(d.box[2])},{_fmt(d.box[3])});")

@@ -15,13 +15,19 @@ and a .stg file replaces the anchors with ``source <v>`` / ``sink <v>``
 lines (mandatory) and allows ``in``/``out`` rotation lines at any vertex,
 which are carried through untouched.
 
+One scanner reads both formats: edge lines first, then the rest in one pass.
+Each format passes a reader per single-use directive; the in/out lines of
+both fill one per-vertex table (in edges, out edges, first line), read as
+vertex orders by ``parse_ppg`` and as rotations by ``parse_stg``.
+
 Grammar violations (bad header, malformed lines, references to undeclared
 ids, duplicated sections, vertex-order lines at boundary vertices) raise
 ParseError with the line number.  Everything the grammar cannot see is
 checked semantically after parsing: the graph must be progressive, anchors
 and vertex orders must be permutations of the actual boundary and incident
-edges, and an ``order`` line must be a valid planar order; those failures
-raise the corresponding validation errors, which carry no line numbers.
+edges (the one check :class:`PAGraph` runs, applied to partial data too),
+and an ``order`` line must be a valid planar order; those failures raise the
+corresponding validation errors, which carry no line numbers.
 
 Emission is canonical and deterministic: header, edges in declaration
 order, anchors, vertex orders sorted by vertex id, order line; emitting a
@@ -32,8 +38,9 @@ from __future__ import annotations
 
 from .core import DirectedMultigraph, ProgressiveGraph, StGraph, validate_progressive
 from .errors import ParseError, PpgError
-from .order import PlanarOrder, POPGraph, _expect_permutation, validate_planar_order
-from .synthesis import Anchor, PAGraph, VertexOrder, extract_pa, synthesize_order
+from .order import PlanarOrder, POPGraph, validate_planar_order
+from .synthesis import (Anchor, PAGraph, VertexOrder, _check_local_data, _local_data,
+                        synthesize_order)
 
 
 class PpgDocument:
@@ -50,20 +57,12 @@ class PpgDocument:
         self.vertex_orders = dict(vertex_orders) if vertex_orders else None
         self.anchor = anchor
         self.order = order
-        self._pop: POPGraph | None = None
+        self._pop = validate_planar_order(graph, order.sequence) if order is not None else None
         self._pa: PAGraph | None = None
-
-        if order is not None:
-            self._pop = validate_planar_order(graph, order.sequence)
-        if anchor is not None:
-            _expect_permutation(anchor.inputs, graph.inputs)
-            _expect_permutation(anchor.outputs, graph.outputs)
-        if vertex_orders:
-            for v, vo in vertex_orders.items():
-                _expect_permutation(vo.incoming, (e.id for e in graph.in_edges(v)))
-                _expect_permutation(vo.outgoing, (e.id for e in graph.out_edges(v)))
         if anchor is not None and set(vertex_orders or ()) == set(graph.internal_vertices):
             self._pa = PAGraph(graph, vertex_orders or {}, anchor)
+        else:
+            _check_local_data(graph, vertex_orders or {}, anchor)
 
     def has_pa(self) -> bool:
         return self._pa is not None
@@ -88,10 +87,8 @@ class PpgDocument:
     def __eq__(self, other):
         if not isinstance(other, PpgDocument):
             return NotImplemented
-        return ((self.graph, self.vertex_orders, self.anchor) ==
-                (other.graph, other.vertex_orders, other.anchor)
-                and (self.order is None) == (other.order is None)
-                and (self.order is None or self.order == other.order))
+        return ((self.graph, self.vertex_orders, self.anchor, self.order) ==
+                (other.graph, other.vertex_orders, other.anchor, other.order))
 
     def __repr__(self):
         return f"PpgDocument({len(self.graph.edges)} edges)"
@@ -107,8 +104,10 @@ def _lines(text: str):
             yield no, tokens
 
 
-def _parse_common(text: str, kind: str):
-    """Shared scanner: header, edge lines, and per-directive token lists."""
+def _parse_common(text: str, kind: str, directives: dict):
+    """Header and edge lines, then every other line.  ``directives`` maps
+    each single-use directive to ``read(no, tokens, ids)``; those found map to
+    (line, value).  In/out lines fill vertex -> [ins, outs, first line, key]."""
     rows = list(_lines(text))
     if not rows:
         raise ParseError(1, f"empty file, expected a '{kind} 1' header")
@@ -117,7 +116,6 @@ def _parse_common(text: str, kind: str):
         raise ParseError(no, f"expected header '{kind} 1'")
     edges: list[tuple[str, str, str]] = []
     ids: set[str] = set()
-    rest: list[tuple[int, list[str]]] = []
     for no, tokens in rows[1:]:
         if tokens[0] == "edge":
             if len(tokens) != 4:
@@ -127,9 +125,29 @@ def _parse_common(text: str, kind: str):
                 raise ParseError(no, f"duplicate edge id {eid!r}")
             ids.add(eid)
             edges.append((eid, src, dst))
+
+    found: dict[str, tuple[int, object]] = {}
+    legs: dict[str, list] = {}
+    for no, tokens in rows[1:]:
+        key = tokens[0]
+        if key == "edge":
+            continue
+        if key in directives:
+            if key in found:
+                raise ParseError(no, f"duplicate {key} line")
+            found[key] = (no, directives[key](no, tokens, ids))
+        elif key in ("in", "out"):
+            if len(tokens) < 2:
+                raise ParseError(no, f"{key} lines take: {key} <vertex> <edge> ...")
+            v = tokens[1]
+            entry = legs.setdefault(v, [None, None, no, key])
+            slot = 0 if key == "in" else 1
+            if entry[slot] is not None:
+                raise ParseError(no, f"duplicate {key} line for vertex {v!r}")
+            entry[slot] = _edge_list(no, tokens[2:], ids)
         else:
-            rest.append((no, tokens))
-    return edges, ids, rest
+            raise ParseError(no, f"unknown directive {key!r}")
+    return edges, found, legs
 
 
 def _edge_list(no: int, tokens: list[str], ids: set[str]) -> tuple[str, ...]:
@@ -139,58 +157,33 @@ def _edge_list(no: int, tokens: list[str], ids: set[str]) -> tuple[str, ...]:
     return tuple(tokens)
 
 
+def _one_vertex(no: int, tokens: list[str], ids: set[str]) -> str:
+    if len(tokens) != 2:
+        raise ParseError(no, f"{tokens[0]} lines take exactly one vertex")
+    return tokens[1]
+
+
 def parse_ppg(text: str) -> PpgDocument:
-    edges, ids, rest = _parse_common(text, "ppg")
-    inputs = outputs = order = None
-    ins: dict[str, tuple[str, ...]] = {}
-    outs: dict[str, tuple[str, ...]] = {}
-    for no, tokens in rest:
-        key = tokens[0]
-        if key in ("inputs", "outputs", "order"):
-            seen = {"inputs": inputs, "outputs": outputs, "order": order}[key]
-            if seen is not None:
-                raise ParseError(no, f"duplicate {key} line")
-            val = _edge_list(no, tokens[1:], ids)
-            if key == "inputs":
-                inputs = val
-            elif key == "outputs":
-                outputs = val
-            else:
-                order = val
-        elif key in ("in", "out"):
-            if len(tokens) < 2:
-                raise ParseError(no, f"{key} lines take: {key} <vertex> <edge> ...")
-            v = tokens[1]
-            table = ins if key == "in" else outs
-            if v in table:
-                raise ParseError(no, f"duplicate {key} line for vertex {v!r}")
-            table[v] = _edge_list(no, tokens[2:], ids)
-        else:
-            raise ParseError(no, f"unknown directive {key!r}")
-
+    edges, found, legs = _parse_common(text, "ppg", dict.fromkeys(
+        ("inputs", "outputs", "order"), lambda no, tokens, ids: _edge_list(no, tokens[1:], ids)))
     graph = validate_progressive(DirectedMultigraph(edges))
-    for no, tokens in rest:
-        if tokens[0] in ("in", "out"):
-            v = tokens[1]
-            if v not in graph.vertices:
-                raise ParseError(no, f"unknown vertex {v!r}")
-            if v not in graph.internal_vertices:
-                raise ParseError(no, f"vertex {v!r} is on the boundary and takes no "
-                                     f"{tokens[0]} line")
+    for v, (_, _, no, key) in legs.items():
+        if v not in graph.vertices:
+            raise ParseError(no, f"unknown vertex {v!r}")
+        if v not in graph.internal_vertices:
+            raise ParseError(no, f"vertex {v!r} is on the boundary and takes no {key} line")
 
-    if (inputs is None) != (outputs is None):
-        no = next(n for n, t in rest if t[0] in ("inputs", "outputs"))
-        raise ParseError(no, "inputs and outputs lines must appear together")
-    anchor = Anchor(inputs, outputs) if inputs is not None else None
-    vertex_orders = None
-    if ins or outs:
-        if set(ins) != set(outs):
-            lone = sorted(set(ins) ^ set(outs))[0]
-            no = next(n for n, t in rest if t[0] in ("in", "out") and t[1] == lone)
-            raise ParseError(no, f"vertex {lone!r} needs both an in and an out line")
-        vertex_orders = {v: VertexOrder(ins[v], outs[v]) for v in sorted(ins)}
+    if ("inputs" in found) != ("outputs" in found):
+        raise ParseError((found.get("inputs") or found["outputs"])[0],
+                         "inputs and outputs lines must appear together")
+    anchor = Anchor(found["inputs"][1], found["outputs"][1]) if "inputs" in found else None
+    lone = sorted(v for v, (i, o, _, _) in legs.items() if i is None or o is None)
+    if lone:
+        raise ParseError(legs[lone[0]][2], f"vertex {lone[0]!r} needs both an in and an out line")
+    vertex_orders = {v: VertexOrder(*legs[v][:2]) for v in sorted(legs)}
+    order = found.get("order")
     return PpgDocument(graph, vertex_orders, anchor,
-                       PlanarOrder(order) if order is not None else None)
+                       PlanarOrder(order[1]) if order is not None else None)
 
 
 def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
@@ -200,8 +193,7 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
     from the order); nothing is validated again.
     """
     if isinstance(doc, POPGraph):
-        pa = extract_pa(doc)
-        graph, vertex_orders, anchor, order = doc.graph, pa.vertex_orders, pa.anchor, doc.order
+        (vertex_orders, anchor), graph, order = _local_data(doc), doc.graph, doc.order
     elif isinstance(doc, PAGraph):
         graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, None
     elif isinstance(doc, ProgressiveGraph):
@@ -224,41 +216,16 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
 
 
 def parse_stg(text: str) -> StGraph:
-    edges, ids, rest = _parse_common(text, "stg")
-    source = sink = None
-    rotation: dict[str, list[tuple[str, ...] | None]] = {}
-    for no, tokens in rest:
-        key = tokens[0]
-        if key in ("source", "sink"):
-            if len(tokens) != 2:
-                raise ParseError(no, f"{key} lines take exactly one vertex")
-            if (source if key == "source" else sink) is not None:
-                raise ParseError(no, f"duplicate {key} line")
-            if key == "source":
-                source = tokens[1]
-            else:
-                sink = tokens[1]
-        elif key in ("in", "out"):
-            if len(tokens) < 2:
-                raise ParseError(no, f"{key} lines take: {key} <vertex> <edge> ...")
-            v = tokens[1]
-            slot = 0 if key == "in" else 1
-            entry = rotation.setdefault(v, [None, None])
-            if entry[slot] is not None:
-                raise ParseError(no, f"duplicate {key} line for vertex {v!r}")
-            entry[slot] = _edge_list(no, tokens[2:], ids)
-        else:
-            raise ParseError(no, f"unknown directive {key!r}")
-    if source is None or sink is None:
+    edges, found, legs = _parse_common(text, "stg", dict.fromkeys(("source", "sink"), _one_vertex))
+    if "source" not in found or "sink" not in found:
         raise ParseError(len(text.splitlines()) or 1,
                          "stg files need source and sink lines")
     graph = DirectedMultigraph(edges)
-    rot = {v: (pair[0] or (), pair[1] or ()) for v, pair in rotation.items()}
-    for v in rot:
+    for v, (_, _, no, _) in legs.items():
         if v not in graph.vertices:
-            no = next(n for n, t in rest if t[0] in ("in", "out") and t[1] == v)
             raise ParseError(no, f"unknown vertex {v!r}")
-    return StGraph(graph, source, sink, rot or None)
+    rotation = {v: (i or (), o or ()) for v, (i, o, _, _) in legs.items()}
+    return StGraph(graph, found["source"][1], found["sink"][1], rotation or None)
 
 
 def emit_stg(st: StGraph) -> str:

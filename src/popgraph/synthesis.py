@@ -29,6 +29,9 @@ order, validated against both planar-order axioms, and finally re-extracted
 and compared with the given data, so every inconsistency surfaces as
 NoConsistentOrder with witnesses.
 
+Local data has one check, which takes partial data too (:class:`PAGraph`
+adds completeness), and one read, a walk over the order (unchecked).
+
 The enumerator generates every planar order by extending prefixes of linear
 extensions with a betweenness pruning step, in lexicographic order of edge
 declaration; it is the oracle the rest of the test suite leans on, so it is
@@ -59,6 +62,20 @@ class Anchor(NamedTuple):
     outputs: tuple[str, ...]
 
 
+def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, VertexOrder | tuple],
+                      anchor: Anchor | tuple | None) -> None:
+    """Check whatever local data is given (no anchor, partial vertex orders):
+    each side is a permutation of its boundary or of an internal vertex's legs."""
+    if anchor is not None:
+        _expect_permutation(anchor[0], graph.inputs)
+        _expect_permutation(anchor[1], graph.outputs)
+    for v, vo in vertex_orders.items():
+        if v not in graph.internal_vertices:
+            raise UnknownVertex(v)
+        _expect_permutation(vo[0], (e.id for e in graph.in_edges(v)))
+        _expect_permutation(vo[1], (e.id for e in graph.out_edges(v)))
+
+
 class PAGraph:
     """A progressive graph with vertex orders at every internal vertex and
     anchors on the boundary; the combinatorial shadow of a plane drawing."""
@@ -70,17 +87,10 @@ class PAGraph:
         self.vertex_orders: dict[str, VertexOrder] = {
             v: VertexOrder(tuple(vo[0]), tuple(vo[1])) for v, vo in vertex_orders.items()}
         self.anchor = Anchor(tuple(anchor[0]), tuple(anchor[1]))
-        for v in self.vertex_orders:
-            if v not in graph.internal_vertices:
-                raise UnknownVertex(v)
-        for v in sorted(graph.internal_vertices):
-            if v not in self.vertex_orders:
-                raise PpgError(f"missing vertex order for internal vertex {v!r}")
-            vo = self.vertex_orders[v]
-            _expect_permutation(vo.incoming, [e.id for e in graph.in_edges(v)])
-            _expect_permutation(vo.outgoing, [e.id for e in graph.out_edges(v)])
-        _expect_permutation(self.anchor.inputs, graph.inputs)
-        _expect_permutation(self.anchor.outputs, graph.outputs)
+        _check_local_data(graph, self.vertex_orders, self.anchor)
+        missing = graph.internal_vertices.difference(self.vertex_orders)
+        if missing:
+            raise PpgError(f"missing vertex order for internal vertex {min(missing)!r}")
 
     @cached_property
     def _anchor_rows(self) -> tuple[tuple[dict[int, int], int], ...]:
@@ -196,23 +206,29 @@ def synthesize_order(pa: PAGraph) -> PlanarOrder:
         pop = validate_planar_order(g, seq)
     except PpgError as err:
         raise NoConsistentOrder((f"synthesized order is not planar: {err}",)) from err
-    if extract_pa(pop) != pa:
+    if _local_data(pop) != (pa.vertex_orders, pa.anchor):
         raise NoConsistentOrder(
             ("synthesized order does not reproduce the given vertex orders/anchors",))
     return pop.order
 
 
-def extract_pa(pop: POPGraph) -> PAGraph:
-    """Read the vertex orders and anchors off a planar order."""
+def _local_data(pop: POPGraph) -> tuple[dict[str, VertexOrder], Anchor]:
+    """The vertex orders and anchors of a planar order, unchecked, in one walk
+    that appends each edge to the legs of its tail and of its head."""
     g = pop.graph
-    rank = pop.order.rank
-    vertex_orders = {}
-    for v in sorted(g.internal_vertices):
-        vertex_orders[v] = VertexOrder(
-            tuple(sorted((e.id for e in g.in_edges(v)), key=rank)),
-            tuple(sorted((e.id for e in g.out_edges(v)), key=rank)))
-    anchor = Anchor(pop.inputs_ordered, pop.outputs_ordered)
-    return PAGraph(g, vertex_orders, anchor)
+    legs = {v: ([], []) for v in sorted(g.internal_vertices)}
+    boundary = ([], [])  # one vertex for the rest: outputs come in, inputs go out
+    for eid in pop.order.sequence:
+        e = g.edge(eid)
+        legs.get(e.src, boundary)[1].append(eid)
+        legs.get(e.dst, boundary)[0].append(eid)
+    vertex_orders = {v: VertexOrder(tuple(a), tuple(b)) for v, (a, b) in legs.items()}
+    return vertex_orders, Anchor(tuple(boundary[1]), tuple(boundary[0]))
+
+
+def extract_pa(pop: POPGraph) -> PAGraph:
+    """Read the vertex orders and anchors off a planar order, checked."""
+    return PAGraph(pop.graph, *_local_data(pop))
 
 
 class EnumerationResult(NamedTuple):

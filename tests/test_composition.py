@@ -119,6 +119,7 @@ class TestDecompose:
         for f in d.factors:
             assert pg.is_elementary(f.graph)
             assert len(f.graph.internal_vertices) == 1
+            pg.validate_planar_order(f.graph, f.order.sequence)
 
     def test_peel_order_frozen(self, canonical):
         d = pg.elementary_decomposition(canonical)
@@ -178,6 +179,7 @@ class TestDecompose:
         for f in d.factors:
             assert pg.is_elementary(f.graph)
             assert len(f.graph.internal_vertices) == 1
+            pg.validate_planar_order(f.graph, f.order.sequence)
         for pairs in d.interfaces:
             assert [o for o, _ in pairs] == [i for _, i in pairs]
 

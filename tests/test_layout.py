@@ -100,8 +100,10 @@ class TestLayout:
         d = draw(pop)
         short = dataclasses.replace(d, routes=dict(d.routes, i1=d.routes["i1"][:keep]))
         assert pg.check_drawing(short).problems == ("route i1: fewer than two points",)
-        with pytest.raises(pg.PpgError, match="^route of edge i1 has fewer than two points$"):
-            pg.read_back(short, pop.graph)
+        for refuse in (lambda: pg.read_back(short, pop.graph),
+                       lambda: pg.render_svg(short), lambda: pg.render_tikz(short)):
+            with pytest.raises(pg.PpgError, match="^route of edge i1 has fewer than two points$"):
+                refuse()
 
     def test_short_route_is_reported_under_O(self):
         script = textwrap.dedent("""\
@@ -273,3 +275,34 @@ class TestRender:
     def test_up_flow_renders(self, canonical):
         svg = pg.render_svg(pg.layout(canonical, up=True))
         assert svg.count("<path ") == 19
+
+
+def without(d: pg.Drawing, *, route: str | None = None, vertex: str | None = None):
+    """``d`` with one route or one vertex deleted."""
+    routes = {e: pts for e, pts in d.routes.items() if e != route}
+    vertices = {v: p for v, p in d.vertices.items() if v != vertex}
+    return dataclasses.replace(d, routes=routes, vertices=vertices)
+
+
+class TestMalformedDrawings:
+    """Missing parts are reported by the checker and refused with PpgError
+    by read_back, never raised as KeyError."""
+
+    @pytest.mark.parametrize("draw", [pg.layout, pg.layout_st], ids=["plain", "st"])
+    @pytest.mark.parametrize("edge,side", [("i1", "input"), ("o1", "output")])
+    def test_boundary_edge_without_route(self, draw, edge, side):
+        pop = pg.spider(2, 1)
+        bad = without(draw(pop), route=edge)
+        assert pg.check_drawing(bad).problems == (f"{side} {edge}: has no route",)
+        with pytest.raises(pg.PpgError, match=f"^edge {edge} has no route$"):
+            pg.read_back(bad, pop.graph)
+
+    @pytest.mark.parametrize("apex,want", [
+        ("s", ["input i1: does not start at the source apex",
+               "input i2: does not start at the source apex"]),
+        ("t", ["output o1: does not end at the sink apex",
+               "output o2: does not end at the sink apex"])])
+    def test_st_drawing_without_apex_is_reported(self, apex, want):
+        bad = without(pg.layout_st(pg.spider(2, 2)), vertex=apex)
+        problems = pg.check_drawing(bad).problems
+        assert list(problems[:3]) == [f"apex {apex}: not among the vertices"] + want
