@@ -10,6 +10,9 @@ are not planar: ``canonical19_reversed.ppg`` (extension violations only),
 anchor swaps two outputs so that ``ppg order`` finds no consistent order) is run through ``popgraph.cli.main`` in-process
 with a fixed list of subcommands, and the transcript must equal the committed
 ``tests/golden/<input>.txt``.
+``ppg enumerate`` (a listing capped at 20 orders, and the count) has its own
+transcripts under ``tests/golden/enumerate``, on the fixtures, ``fresh_names``
+and three small layered graphs with and without their order lines.
 A refactor that is meant to keep behaviour keeps these files unchanged; one
 that changes output on purpose regenerates them and says so in CHANGES.md.
 
@@ -38,6 +41,8 @@ INPUTS = GOLDEN / "inputs"
 # (layers, input width) of the seeded corpus; every graph has at most 40 edges
 CORPUS_SHAPES = ((2, 3), (2, 6), (2, 9), (3, 4), (3, 7), (4, 4), (5, 3), (6, 2))
 LAYER_FIXTURES = ("layer_top.ppg", "layer_mid.ppg", "layer_bot.ppg")
+ENUMERATED = ("fresh_names", "layered_2x3", "layered_2x3_noorder", "layered_2x6",
+              "layered_2x6_noorder", "layered_6x2", "layered_6x2_noorder")
 
 COMMANDS = (
     ("validate",),
@@ -99,6 +104,15 @@ def transcript(path: Path) -> str:
     return "".join(parts)
 
 
+def enumerate_inputs() -> list[Path]:
+    return sorted(FIXTURES.glob("*.ppg")) + [INPUTS / f"{stem}.ppg" for stem in ENUMERATED]
+
+
+def enumerate_transcript(path: Path) -> str:
+    return "".join(_run([*cmd, str(path)], [*cmd, path.name]) for cmd in (
+        ("enumerate", "--limit", "20", "--max-edges", "20"), ("enumerate", "--count")))
+
+
 def compose_transcript() -> str:
     paths = [FIXTURES / n for n in LAYER_FIXTURES]
     return _run(["compose", *map(str, paths)], ["compose", *LAYER_FIXTURES])
@@ -108,6 +122,10 @@ def write_golden() -> None:
     for path in input_files():
         (GOLDEN / f"{path.stem}.txt").write_text(transcript(path), encoding="utf-8")
     (GOLDEN / "compose_layers.txt").write_text(compose_transcript(), encoding="utf-8")
+    (GOLDEN / "enumerate").mkdir(exist_ok=True)
+    for path in enumerate_inputs():
+        (GOLDEN / "enumerate" / f"{path.stem}.txt").write_text(
+            enumerate_transcript(path), encoding="utf-8")
 
 
 def _expected(name: str) -> bytes:
@@ -117,6 +135,11 @@ def _expected(name: str) -> bytes:
 @pytest.mark.parametrize("path", input_files(), ids=lambda p: p.name)
 def test_transcript(path):
     assert transcript(path).encode("utf-8") == _expected(f"{path.stem}.txt")
+
+
+@pytest.mark.parametrize("path", enumerate_inputs(), ids=lambda p: p.name)
+def test_enumerate_transcript(path):
+    assert enumerate_transcript(path).encode("utf-8") == _expected(f"enumerate/{path.stem}.txt")
 
 
 def test_compose_layers_transcript():
