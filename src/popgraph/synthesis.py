@@ -23,19 +23,19 @@ edges reaching it: a vertex reaches an edge's tail exactly when one of its
 legs reaches that edge, so ancestors, descendants and windows are
 intersections of rows.
 
-Materializing the full pairwise relation (never sorting with a comparator)
-keeps failures observable: the relation is checked to be a strict total
-order, validated against both planar-order axioms, and finally re-extracted
-and compared with the given data, so every inconsistency surfaces as
-NoConsistentOrder with witnesses.
+Every pair is compared once (never sorting with a comparator), and each edge
+keeps a bit row of the edges it precedes.  Ranking by popcount gives the
+order, which is validated against both planar-order axioms and re-extracted
+and compared with the given data, so every inconsistency, comparisons that
+cycle included, surfaces as NoConsistentOrder with witnesses.
 
 Local data has one check, which takes partial data too (:class:`PAGraph`
 adds completeness), and one read, a walk over the order (unchecked).
 
-The enumerator generates every planar order by extending prefixes of linear
-extensions with a betweenness pruning step, in lexicographic order of edge
-declaration; it is the oracle the rest of the test suite leans on, so it is
-deliberately simple.
+The enumerator extends prefixes of linear extensions in lexicographic order
+of edge declaration, with one frame of bit masks per depth (placed, ready,
+banned, still to try); a prefix that bans an unplaced edge is cut.  It is the
+oracle the rest of the test suite leans on, so it is deliberately simple.
 """
 
 from __future__ import annotations
@@ -173,35 +173,30 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
 def synthesize_order(pa: PAGraph) -> PlanarOrder:
     """The unique planar order consistent with the given data.
 
-    The full pairwise relation is materialized, checked to be a strict total
-    order, validated against both axioms, and finally re-extracted to confirm
-    it reproduces the input data; any failure raises NoConsistentOrder naming
-    witnesses.
+    Every pair is compared once, and each edge keeps a bit row of the edges
+    it precedes; ranking by that row's popcount gives the order when the
+    comparisons are a strict total order.  The ranking is validated against
+    both axioms and re-extracted to confirm it reproduces the input data, so
+    any failure, cyclic comparisons included, raises NoConsistentOrder
+    naming witnesses.
     """
     g = pa.graph
     ids = g.edge_ids
     witnesses: list[str] = []
-    less: dict[str, set[str]] = {e: set() for e in ids}
+    later = [0] * len(ids)
     for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
+        for j, b in enumerate(ids[i + 1:], i + 1):
             c = compare_edges(pa, a, b)
             if c is Comparison.INCONSISTENT:
                 witnesses.append(f"no consistent position for pair ({a}, {b})")
             elif c is Comparison.LESS:
-                less[a].add(b)
+                later[i] |= 1 << j
             else:
-                less[b].add(a)
+                later[j] |= 1 << i
     if witnesses:
         raise NoConsistentOrder(tuple(witnesses))
 
-    seq = sorted(ids, key=lambda e: len(ids) - len(less[e]))
-    for i, a in enumerate(seq):
-        for b in seq[i + 1:]:
-            if b not in less[a]:
-                witnesses.append(f"comparisons cycle through ({a}, {b})")
-    if witnesses:
-        raise NoConsistentOrder(tuple(witnesses))
-
+    seq = sorted(ids, key=lambda e: -later[g.edge_index(e)].bit_count())
     try:
         pop = validate_planar_order(g, seq)
     except PpgError as err:
@@ -239,50 +234,46 @@ class EnumerationResult(NamedTuple):
 DEFAULT_EDGE_BOUND = 10
 
 
-def _search(g: ProgressiveGraph):
+def _search(g: ProgressiveGraph, max_edges: int, force: bool):
     """Generate planar orders as index tuples, lexicographic by declaration.
 
-    Linear-extension backtracking over strict reachability, with the
-    betweenness axiom enforced on every prefix: appending e is vetoed when
-    some already-placed pair (a before b) has a reaching e but b unrelated
-    to both.  Any full sequence emitted is therefore a planar order, and no
-    planar order is missed because pruning only removes sequences whose
-    violation is already frozen in the prefix.  The prefix is the explicit
-    stack, so depth is bounded by memory, not by the recursion limit.
+    Linear-extension backtracking with one frame per depth of four edge
+    masks: placed, ready (unplaced, every reacher placed), banned, and the
+    ready edges still to try.  Placing b after a placed a that does not reach
+    b bans every edge a reaches and b does not: by betweenness none may come
+    after b.  A ban never lifts, so a prefix that bans an unplaced edge cannot
+    be completed and gets no candidates; every full sequence is a planar
+    order, and none is missed.  The frames are an explicit stack, so depth is
+    bounded by memory, not by the recursion limit.
     """
-    m = len(g.edges)
+    if len(g.edges) > max_edges and not force:
+        raise TooLarge(len(g.edges), max_edges)
     reach = [g.reach_bits(e) for e in g.edge_ids]
     reachers = [g.reacher_bits(e) for e in g.edge_ids]
+    succ = [sum(1 << g.edge_index(c.id) for c in g.out_edges(e.dst)) for e in g.edges]
+    ready = sum(1 << i for i, row in enumerate(reachers) if not row)
     prefix: list[int] = []
-    used = 0
-
-    def ok_to_append(e: int) -> bool:
-        if reachers[e] & ~used:
-            return False  # an unplaced edge still reaches e
-        before = 0
-        for b in prefix:
-            if not (reach[b] >> e & 1) and (before & reachers[e] & ~reachers[b]):
-                return False
-            before |= 1 << b
-        return True
-
-    start = 0  # the first candidate to try at depth len(prefix)
+    frames = [[0, ready, 0, ready]]
     while True:
-        if len(prefix) == m:
+        frame = frames[-1]
+        placed, ready, banned, todo = frame
+        if len(prefix) == len(reach):
             yield tuple(prefix)
-            start = m
-        for e in range(start, m):
-            if not used >> e & 1 and ok_to_append(e):
-                prefix.append(e)
-                used |= 1 << e
-                start = 0
-                break
-        else:  # no candidate left at this depth: backtrack
+        if not todo:  # every candidate tried at this depth: backtrack
             if not prefix:
                 return
-            last = prefix.pop()
-            used &= ~(1 << last)
-            start = last + 1
+            frames.pop()
+            prefix.pop()
+            continue
+        b = (todo & -todo).bit_length() - 1
+        frame[3] = todo & (todo - 1)
+        for a in _members(placed & ~reachers[b]):
+            banned |= reach[a] & ~reach[b]
+        placed |= 1 << b
+        ready &= ~(1 << b)
+        ready |= sum(1 << c for c in _members(succ[b]) if not reachers[c] & ~placed)
+        frames.append([placed, ready, banned, 0 if banned & ~placed else ready])
+        prefix.append(b)
 
 
 def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
@@ -293,11 +284,9 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
     Refuses graphs above ``max_edges`` unless forced; with ``limit`` the
     result is cut off there and flagged as truncated.
     """
-    if len(g.edges) > max_edges and not force:
-        raise TooLarge(len(g.edges), max_edges)
     ids = g.edge_ids
     out = []
-    for perm in _search(g):
+    for perm in _search(g, max_edges, force):
         out.append(PlanarOrder(ids[i] for i in perm))
         if limit is not None and len(out) > limit:
             return EnumerationResult(tuple(out[:limit]), True)
@@ -308,6 +297,4 @@ def count_planar_orders(g: ProgressiveGraph, *,
                         max_edges: int = DEFAULT_EDGE_BOUND,
                         force: bool = False) -> int:
     """Number of planar orders of g, without materializing them."""
-    if len(g.edges) > max_edges and not force:
-        raise TooLarge(len(g.edges), max_edges)
-    return sum(1 for _ in _search(g))
+    return sum(1 for _ in _search(g, max_edges, force))
