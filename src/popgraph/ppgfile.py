@@ -27,7 +27,9 @@ checked semantically after parsing: the graph must be progressive, anchors
 and vertex orders must be permutations of the actual boundary and incident
 edges (the one check :class:`PAGraph` runs, applied to partial data too),
 and an ``order`` line must be a valid planar order; those failures raise the
-corresponding validation errors, which carry no line numbers.
+corresponding validation errors, which carry no line numbers.  Last, an
+``order`` line must give back whatever anchors and vertex orders the file
+has, or a PpgError names the first anchor side or vertex that differs.
 
 Emission is canonical and deterministic: header, edges in declaration
 order, anchors, vertex orders sorted by vertex id, order line; emitting a
@@ -63,6 +65,14 @@ class PpgDocument:
             self._pa = PAGraph(graph, vertex_orders or {}, anchor)
         else:
             _check_local_data(graph, vertex_orders or {}, anchor)
+        if self._pop is not None:  # last, so the checks above keep their precedence
+            read_orders, read_anchor = _local_data(self._pop)
+            for side, given, read in zip(("inputs", "outputs"), anchor or (), read_anchor):
+                if tuple(given) != read:
+                    raise PpgError(f"the order line disagrees with the {side} line")
+            for v in sorted(self.vertex_orders or ()):
+                if tuple(map(tuple, self.vertex_orders[v])) != read_orders[v]:
+                    raise PpgError(f"the order line disagrees with the vertex order at {v!r}")
 
     def has_pa(self) -> bool:
         return self._pa is not None

@@ -6,8 +6,9 @@ hand-written ``fresh_names.ppg``, whose vertex names collide with the ``s@``/``t
 names decomposition generates, three hand-written inputs whose order lines
 are not planar: ``canonical19_reversed.ppg`` (extension violations only),
 ``canonical19_swap89.ppg`` (betweenness violations only) and
-``layer_top_shuffled.ppg`` (both), and ``canonical19_conflict.ppg``, whose
-anchor swaps two outputs so that ``ppg order`` finds no consistent order) is run through ``popgraph.cli.main`` in-process
+``layer_top_shuffled.ppg`` (both), ``canonical19_conflict.ppg``, whose
+anchor swaps two outputs so that ``ppg order`` finds no consistent order, and
+``canonical19_disagree.ppg``, whose anchor its order line does not give) is run through ``popgraph.cli.main`` in-process
 with a fixed list of subcommands, and the transcript must equal the committed
 ``tests/golden/<input>.txt``.
 ``ppg enumerate`` (a listing capped at 20 orders, and the count) has its own

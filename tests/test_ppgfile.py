@@ -171,6 +171,30 @@ class TestSemanticErrors:
             pg.parse_ppg(swapped)
         assert ("5", "9", "8") in exc.value.betweenness_violations
 
+    @pytest.mark.parametrize("edits, named", [
+        ({"outputs 7 13": "outputs 13 7"}, "the outputs line"),
+        ({"inputs 1 2": "inputs 2 1"}, "the inputs line"),
+        ({"inputs 1 2": "inputs 2 1", "out B 7 8": "out B 8 7"}, "the inputs line"),
+        ({"out C 13 14": "out C 14 13", "out B 7 8": "out B 8 7"}, "the vertex order at 'B'"),
+    ], ids=["outputs", "inputs", "anchor-first", "first-vertex"])
+    def test_order_line_disagrees_with_local_data(self, edits, named):
+        text = (FIXTURES / "canonical19.ppg").read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        with pytest.raises(pg.PpgError, match=f"^the order line disagrees with {named}$"):
+            pg.parse_ppg(text)
+        # partial local data is compared too
+        partial = "".join(line for line in text.splitlines(keepends=True)
+                          if not line.startswith(("in C", "out C")))
+        with pytest.raises(pg.PpgError, match=f"^the order line disagrees with {named}$"):
+            pg.parse_ppg(partial)
+
+    def test_an_invalid_order_line_is_reported_first(self):
+        text = (FIXTURES / "canonical19.ppg").read_text()
+        text = text.replace("order 1 2 3 4 5 6 7 8 9", "order 1 2 3 4 5 6 7 9 8")
+        with pytest.raises(pg.InvalidPlanarOrder):
+            pg.parse_ppg(text.replace("outputs 7 13", "outputs 13 7"))
+
 
 class TestEmitPpg:
     def test_round_trip_fixtures(self):
