@@ -19,16 +19,15 @@ from .composition import (ElementaryDecomposition, compose, decompose_step,
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, StGraph, circ,
                    hat, isomorphic_by_edges, validate_progressive)
 from .errors import (ArityMismatch, BadBoundaryDegree, CycleDetected,
-                     DuplicateId, InvalidPlanarOrder, IsolatedVertex,
-                     NoConsistentOrder, NoInternalVertex, NotAPermutation,
-                     NotConjugate, ParseError, PpgError, ReservedVertexName,
-                     TooLarge, UnknownEdge, UnknownVertex, UsageError)
+                     DuplicateId, InvalidPlanarOrder, NoConsistentOrder,
+                     NoInternalVertex, NotAPermutation, NotConjugate,
+                     ParseError, PpgError, ReservedVertexName, TooLarge,
+                     UnknownEdge, UnknownVertex, UsageError)
 from .layout import (Drawing, DrawingReport, check_drawing, layout, layout_st,
                      read_back, render_svg, render_tikz)
 from .order import (ConjugacyReport, PlanarOrder, POPGraph, check_conjugacy,
-                    conjugate_order, input_window, interval_partition,
-                    order_from_conjugate, order_violations, output_window,
-                    validate_planar_order)
+                    conjugate_order, interval_partition, order_from_conjugate,
+                    order_violations, validate_planar_order)
 from .ppgfile import PpgDocument, emit_ppg, emit_stg, parse_ppg, parse_stg
 from .synthesis import (Anchor, Comparison, EnumerationResult, PAGraph,
                         VertexOrder, compare_edges, count_planar_orders,

@@ -6,14 +6,13 @@ boundary; everything else is internal.  Edges whose tail is a boundary vertex
 are the graph's inputs, edges whose head is a boundary vertex are its outputs;
 a bare edge (boundary at both ends) is both.  Connectivity is not required.
 
-Reachability here is between *edges*: edge a reaches edge b when a directed
-path starts with a and ends with b.  The reflexive convention reaches(e, e) is
-true; the strict part (a != b) is the precedence order that planar orders must
-extend.  It is kept in one form, integer bitsets over edge declaration
-indexes: the rows of the edges each edge reaches, computed once at validation
-time, and their transpose, the rows of the edges reaching each edge, built on
-first use.  Queries are O(1) and the objects can be treated as immutable
-values.
+Reachability here is between *edges*: edge a strictly reaches edge b when a
+directed path starts with a and ends with b, a != b; this is the precedence
+order that planar orders must extend.  It is kept in one form, integer
+bitsets over edge declaration indexes: the rows of the edges each edge
+reaches, computed once at validation time, and their transpose, the rows of
+the edges reaching each edge, built on first use.  Queries are O(1) and the
+objects can be treated as immutable values.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import (
     BadBoundaryDegree,
     CycleDetected,
     DuplicateId,
-    IsolatedVertex,
     ReservedVertexName,
     UnknownEdge,
     UnknownVertex,
@@ -41,17 +39,15 @@ class Edge(NamedTuple):
 class DirectedMultigraph:
     """Edge-labelled directed multigraph.
 
-    Vertices are inferred from edge endpoints; ``extra_vertices`` may declare
-    vertices with no incident edges (progressive validation rejects those).
-    Edge ids must be unique.  Declaration order of edges is preserved for
+    Vertices are inferred from edge endpoints, so none is isolated.  Edge ids
+    must be unique.  Declaration order of edges is preserved for
     presentation (``edges``, ``in_edges``, ``out_edges``) but is not part of
     the value: two graphs are equal when they have the same vertex set and
     the same set of edges.  The incoming and outgoing edges of every vertex
     are indexed once, at construction.
     """
 
-    def __init__(self, edges: Iterable[Edge | tuple[str, str, str]],
-                 extra_vertices: Iterable[str] = ()):
+    def __init__(self, edges: Iterable[Edge | tuple[str, str, str]]):
         out: list[Edge] = []
         seen: set[str] = set()
         for e in edges:
@@ -66,8 +62,6 @@ class DirectedMultigraph:
         for e in self.edges:
             verts.setdefault(e.src)
             verts.setdefault(e.dst)
-        for v in extra_vertices:
-            verts.setdefault(v)
         self.vertices: tuple[str, ...] = tuple(verts)
         self._by_id = {e.id: e for e in self.edges}
         ins: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -159,9 +153,6 @@ class ProgressiveGraph:
 
     def __init__(self, graph: DirectedMultigraph):
         indeg, outdeg = _degrees(graph)
-        for v in graph.vertices:
-            if indeg[v] == 0 and outdeg[v] == 0:
-                raise IsolatedVertex(v)
         topo = _toposort(graph)
         for v in graph.vertices:
             if indeg[v] == 0 and outdeg[v] != 1:
@@ -221,14 +212,6 @@ class ProgressiveGraph:
     def edge(self, edge_id: str) -> Edge:
         return self.graph.edge(edge_id)
 
-    def reaches(self, e1: str, e2: str) -> bool:
-        """True when a directed path starts with edge e1 and ends with e2.
-
-        Reflexive by convention; use :meth:`strictly_reaches` for the strict
-        precedence relation.
-        """
-        return self.strictly_reaches(e1, e2) or e1 == e2
-
     def strictly_reaches(self, e1: str, e2: str) -> bool:
         return bool(self.reach_bits(e1) >> self.edge_index(e2) & 1)
 
@@ -267,7 +250,7 @@ class ProgressiveGraph:
 
 
 def validate_progressive(graph: DirectedMultigraph) -> ProgressiveGraph:
-    """Check acyclicity and boundary degrees; reject isolated vertices."""
+    """Check acyclicity and boundary degrees."""
     return ProgressiveGraph(graph)
 
 
@@ -288,8 +271,6 @@ class StGraph:
         _toposort(graph)
         indeg, outdeg = _degrees(graph)
         for v in graph.vertices:
-            if indeg[v] == 0 and outdeg[v] == 0:
-                raise IsolatedVertex(v)
             if indeg[v] == 0 and v != source:
                 raise BadBoundaryDegree(v, "source", outdeg[v])
             if outdeg[v] == 0 and v != sink:

@@ -64,12 +64,6 @@ class BadBoundaryDegree(PpgError):
         self.degree = degree
 
 
-class IsolatedVertex(PpgError):
-    def __init__(self, vertex: str):
-        super().__init__(f"vertex {vertex!r} has no incident edges")
-        self.vertex = vertex
-
-
 class ReservedVertexName(PpgError):
     """A fresh vertex name required by a construction is already taken."""
 

@@ -17,10 +17,9 @@ the check reads off four rows per edge; their union is then the planar
 order, so the two presentations are interchangeable.  The test suite checks
 all of this against definitional pair and triple scans.
 
-Input and output windows locate an edge relative to the ordered boundary:
-the window of a non-input edge e is the span, in the order restricted to
-inputs, of the inputs that reach e.  The interval partition that composition
-shuffles by agrees with the windows.
+The interval partition that composition shuffles by locates each edge
+relative to the ordered boundary: after the last input that reaches it, and
+before the first output it reaches.
 """
 
 from __future__ import annotations
@@ -260,29 +259,6 @@ def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     return PlanarOrder(e for _, e in sorted(zip(later, g.edge_ids), reverse=True))
 
 
-def input_window(pop: POPGraph, e: str) -> tuple[str, str]:
-    """The first and last input, in the order, that reach e.
-
-    For an input edge the window is (e, e) by convention.
-    """
-    g = pop.graph
-    g.edge(e)
-    if e in g.inputs:
-        return (e, e)
-    hits = [i for i in pop.inputs_ordered if g.strictly_reaches(i, e)]
-    return (hits[0], hits[-1])
-
-
-def output_window(pop: POPGraph, e: str) -> tuple[str, str]:
-    """The first and last output, in the order, reachable from e."""
-    g = pop.graph
-    g.edge(e)
-    if e in g.outputs:
-        return (e, e)
-    hits = [o for o in pop.outputs_ordered if g.strictly_reaches(e, o)]
-    return (hits[0], hits[-1])
-
-
 def interval_partition(pop: POPGraph):
     """Partition non-inputs by the input they follow, and non-outputs by the
     output they precede.
@@ -293,9 +269,9 @@ def interval_partition(pop: POPGraph):
     output and o.  Every non-input edge lands after the first input and every
     non-output edge before the last output, so these are genuine partitions;
     an order that breaks this (it is not planar) raises PpgError.
-    They agree with the windows: an edge in ``after_input[i]`` has i as the
-    last input of its input window, and an edge in ``before_output[o]`` has o
-    as the first output of its output window (the test suite checks this).
+    An edge in ``after_input[i]`` has i as the last input, in the order, that
+    reaches it, and an edge in ``before_output[o]`` has o as the first output
+    it reaches (the test suite checks this against a scan of its windows).
     """
     g = pop.graph
     seq = pop.order.sequence

@@ -10,18 +10,14 @@ import popgraph as pg
 from conftest import slow_reaches
 
 
-def graph(*triples, extra=()):
-    return pg.DirectedMultigraph([pg.Edge(*t) for t in triples], extra)
+def graph(*triples):
+    return pg.DirectedMultigraph([pg.Edge(*t) for t in triples])
 
 
 class TestValidation:
     def test_duplicate_edge_id(self):
         with pytest.raises(pg.DuplicateId):
             graph(("e", "a", "b"), ("e", "c", "d"))
-
-    def test_isolated_vertex(self):
-        with pytest.raises(pg.IsolatedVertex):
-            pg.validate_progressive(graph(("e", "a", "b"), extra=["lonely"]))
 
     def test_cycle_witness_closes(self):
         g = graph(("1", "p", "a"), ("2", "a", "b"), ("3", "b", "c"), ("4", "c", "a"))
@@ -72,16 +68,13 @@ class TestAdjacency:
             with pytest.raises(pg.UnknownVertex):
                 lookup("nowhere")
 
-    def test_extra_vertex_has_no_edges(self):
-        g = graph(("a", "u", "v"), ("b", "u", "v"), extra=["lonely"])
-        assert g.in_edges("lonely") == () and g.out_edges("lonely") == ()
-
 
 class TestReachability:
     def test_reflexive_convention(self, canonical):
+        # rows are strict: no edge is in its own row
         g = canonical.graph
-        assert g.reaches("5", "5")
         assert not g.strictly_reaches("5", "5")
+        assert not g.reacher_bits("5") >> g.edge_index("5") & 1
 
     def test_frozen_pairs(self, canonical):
         g = canonical.graph
@@ -109,7 +102,7 @@ class TestReachability:
         g = canonical.graph
         for a, b in (("5", "nope"), ("nope", "nope")):
             with pytest.raises(pg.UnknownEdge):
-                g.reaches(a, b)
+                g.strictly_reaches(a, b)
         for row in (g.reach_bits, g.reacher_bits):
             with pytest.raises(pg.UnknownEdge):
                 row("nope")
@@ -157,7 +150,7 @@ class TestIsomorphism:
 
     def test_negative_structure(self):
         a = graph(("1", "p", "v"), ("2", "v", "q"))
-        b = graph(("1", "p", "v"), ("2", "w", "q"), extra=())
+        b = graph(("1", "p", "v"), ("2", "w", "q"))
         assert not pg.isomorphic_by_edges(a, b)
 
     def test_negative_vertex_merge(self):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import popgraph as pg
 from popgraph.errors import SHOWN
-from conftest import (check_conjugacy_scan, conjugate_pairs_scan, conjugate_pop,
-                      order_from_conjugate_scan, order_violations_scan, run_optimized,
-                      slow_planar)
+from conftest import (_scan_window, check_conjugacy_scan, conjugate_pairs_scan,
+                      conjugate_pop, order_from_conjugate_scan, order_violations_scan,
+                      run_optimized, slow_planar, vertex_reach_dfs)
 
 
 def tampered(pop: pg.POPGraph, rng: random.Random):
@@ -268,15 +268,27 @@ class TestBoundedMessages:
             assert message.endswith("w19") == (n == SHOWN)
 
 
+def windows(pop: pg.POPGraph, forward: bool) -> dict[str, tuple[str, str]]:
+    """Per edge, the first and last input reaching it (forward) or output it
+    reaches, in the order; a boundary edge is its own window."""
+    g = pop.graph
+    side = pop.inputs_ordered if forward else pop.outputs_ordered
+    below, pos = vertex_reach_dfs(g), {b: k for k, b in enumerate(side)}
+    return {e: tuple(side[k] for k in _scan_window(g, below, pos, side, e, forward))
+            for e in g.edge_ids}
+
+
 class TestWindows:
     def test_frozen_input_windows(self, canonical):
-        assert pg.input_window(canonical, "8") == ("1", "4")
-        assert pg.input_window(canonical, "12") == ("10", "11")
-        assert pg.input_window(canonical, "19") == ("19", "19")
+        inputs = windows(canonical, True)
+        assert inputs["8"] == ("1", "4")
+        assert inputs["12"] == ("10", "11")
+        assert inputs["19"] == ("19", "19")
 
     def test_output_window_convention(self, canonical):
-        assert pg.output_window(canonical, "19") == ("19", "19")
-        assert pg.output_window(canonical, "10") == ("13", "16")
+        outputs = windows(canonical, False)
+        assert outputs["19"] == ("19", "19")
+        assert outputs["10"] == ("13", "16")
 
     def test_interval_partition_frozen(self, canonical):
         after_in, before_out = pg.interval_partition(canonical)
@@ -290,12 +302,13 @@ class TestWindows:
         pops = suite + [(f"random{k}", pg.random_pop(rng)) for k in range(50)]
         for name, pop in pops:
             after_in, before_out = pg.interval_partition(pop)
+            inputs, outputs = windows(pop, True), windows(pop, False)
             for i, block in after_in.items():
                 for e in block:
-                    assert pg.input_window(pop, e)[1] == i, (name, i, e)
+                    assert inputs[e][1] == i, (name, i, e)
             for o, block in before_out.items():
                 for e in block:
-                    assert pg.output_window(pop, e)[0] == o, (name, o, e)
+                    assert outputs[e][0] == o, (name, o, e)
 
     @pytest.mark.parametrize("graph, seq, message", [
         (pg.spider(1, 1).graph, ("o1", "i1"), "non-input edge o1 comes before every input"),
