@@ -280,6 +280,24 @@ def brute_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:
     return [p for p in permutations(g.edge_ids) if slow_planar(g, p)]
 
 
+def linear_extension_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:
+    """Every planar order, lexicographic by declaration: each linear extension
+    of strict reachability by a plain DFS, kept when ``order_violations``
+    finds nothing.  Linear extensions are many; keep the graphs small."""
+    out = []
+
+    def extend(prefix: list[str], rest: list[str]) -> None:
+        if not rest:
+            if not any(pg.order_violations(g, prefix)):
+                out.append(tuple(prefix))
+        for e in rest:
+            if not any(g.strictly_reaches(r, e) for r in rest):
+                extend(prefix + [e], [r for r in rest if r != e])
+
+    extend([], list(g.edge_ids))
+    return out
+
+
 def perturbed(pop: pg.POPGraph, rng: random.Random) -> pg.POPGraph | None:
     """A different valid planar order on the same graph, if one exists
     within an adjacent transposition."""

@@ -90,6 +90,12 @@ class TestHappyPaths:
         code, out, _ = run(capsys, "enumerate", SPIDER, "--count")
         assert code == 0 and out == "4\n"
 
+    def test_enumerate_the_empty_graph(self, capsys, tmp_path):
+        empty = tmp_path / "empty.ppg"
+        empty.write_text("ppg 1\n", encoding="utf-8")
+        assert run(capsys, "enumerate", str(empty)) == (0, "\n", "")
+        assert run(capsys, "enumerate", "--count", str(empty)) == (0, "1\n", "")
+
     def test_enumerate_limit_warns(self, capsys):
         code, out, err = run(capsys, "enumerate", SPIDER, "--limit", "2")
         assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popgraph as pg
-from conftest import brute_orders, compare_edges_scan
+from conftest import FIXTURES, brute_orders, compare_edges_scan, linear_extension_orders
 
 
 def graph(*triples):
@@ -183,6 +183,35 @@ class TestEnumerate:
             got = pg.enumerate_planar_orders(pop.graph)
             assert not got.truncated
             assert [o.sequence for o in got.orders] == brute_orders(pop.graph), name
+
+    def test_matches_the_linear_extension_oracle(self):
+        # 7-9 edges over at least two layers, where brute force cannot go and
+        # prefixes that betweenness dooms arise
+        rng = random.Random(3)
+        graphs = []
+        while len(graphs) < 50:
+            g = pg.random_pop(rng, min_layers=2).graph
+            if 7 <= len(g.edges) <= 9:
+                graphs.append(g)
+        for g in graphs:
+            got = [o.sequence for o in pg.enumerate_planar_orders(g).orders]
+            assert got == linear_extension_orders(g), g.edge_ids
+
+    def test_the_empty_graph_has_one_order(self):
+        g = pg.validate_progressive(pg.DirectedMultigraph([]))
+        assert pg.count_planar_orders(g) == 1
+        assert pg.enumerate_planar_orders(g) == ((pg.PlanarOrder(()),), False)
+
+    def test_a_few_orders_of_a_larger_graph_come_quickly(self):
+        # prefixes that no completion can save are cut, not walked
+        text = (FIXTURES.parent / "golden" / "inputs" / "layered_3x7.ppg").read_text(encoding="utf-8")
+        g = pg.parse_ppg(text).graph
+        t0 = time.perf_counter()
+        res = pg.enumerate_planar_orders(g, limit=3, force=True)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(res.orders) == 3 and res.truncated
+        for o in res.orders:
+            pg.validate_planar_order(g, o.sequence)
 
     def test_lexicographic_by_declaration(self):
         res = pg.enumerate_planar_orders(pg.spider(2, 2).graph)
