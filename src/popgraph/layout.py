@@ -12,16 +12,22 @@ centroid and everything else straight across keeps the drawing planar.
 All coordinates are exact rationals so the crossing checker can be exact
 too.
 
-``check_drawing`` verifies monotonicity, boundary attachment, and pairwise
-non-crossing of every segment pair; ``read_back`` recovers the vertex
-orders and anchors from coordinates alone, which ties the picture back to
-the combinatorics it came from.
+``check_drawing`` verifies monotonicity, boundary attachment, and that no
+two routes meet except at a vertex where both of them start or end.  It
+sweeps the horizontal strips between the y values of the route points, so
+only the segment pairs that may meet there (their left-to-right order
+changes or ties within a strip, they share an endpoint, or one is
+horizontal) reach the exact intersection test; no pair is decided with
+floats or a tolerance.  ``read_back`` recovers the vertex orders and anchors
+from coordinates alone, which ties the picture back to the combinatorics it
+came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .composition import _peel_order
@@ -165,12 +171,16 @@ class DrawingReport:
 
 
 def check_drawing(d: Drawing) -> DrawingReport:
-    """Exact verification: monotone routes, boundary attachment, no crossings."""
+    """Exact verification: monotone routes, boundary attachment, no crossings.
+
+    Crossings are found by a sweep over horizontal strips, not by testing
+    every pair of segments: see ``_crossings``.  Each candidate pair is
+    decided by the exact ``_segment_meet``, and the problems are listed in
+    the order of a pair scan, route by route, then segment by segment.  Two
+    routes may meet only at a drawn vertex where each of them starts or ends.
+    """
     problems: list[str] = []
-    down = d.flow == "down"
-    y_in = d.box[1] if down else d.box[3]
-    y_out = d.box[3] if down else d.box[1]
-    allowed = set(d.vertices.values())
+    down, y_in, y_out = _boundary_ys(d)
     short = {e for e, pts in d.routes.items() if len(pts) < 2}
 
     for e, pts in d.routes.items():
@@ -199,24 +209,89 @@ def check_drawing(d: Drawing) -> DrawingReport:
                 problems.append(f"{side} {e}: does not "
                                 f"{'meet' if d.st else verb + ' on'} the {side} boundary")
 
-    ids = list(d.routes)
-    for i, e1 in enumerate(ids):
-        segs1 = list(zip(d.routes[e1], d.routes[e1][1:]))
-        for e2 in ids[i + 1:]:
-            for a1, b1 in segs1:
-                for a2, b2 in zip(d.routes[e2], d.routes[e2][1:]):
-                    hit = _segment_meet(a1, b1, a2, b2)
-                    if hit is None:
-                        continue
-                    kind, p = hit
-                    if (kind == "point" and p in allowed
-                            and p in (a1, b1) and p in (a2, b2)):
-                        continue
-                    problems.append(
-                        f"routes {e1} and {e2} cross near "
-                        f"({float(p[0]):.3f}, {float(p[1]):.3f})")
-
+    problems += _crossings(d, set(d.vertices.values()))
     return DrawingReport(not problems, tuple(problems))
+
+
+def _crossings(d: Drawing, allowed: set[Point]) -> list[str]:
+    """One problem per pair of segments on distinct routes that meet, other
+    than at a point of ``allowed`` where both routes start or end.
+
+    The plane is cut into strips between consecutive distinct y values of
+    the segment endpoints; inside a strip every segment that is not
+    horizontal runs straight from the top line to the bottom line.  Two
+    segments can meet only if (a) in some strip their order by x changes
+    between the top and the bottom line, or ties at either line, (b) they
+    share an endpoint, which covers two segments meeting at one point from
+    opposite sides of a line, or (c) one is horizontal (a single point
+    included) and the other's closed y-range holds its y.  Only those
+    candidates reach ``_segment_meet``.  Sorting a strip by (top x, bottom x
+    descending) and inserting each segment by bottom x past every earlier
+    one at or right of it lists every pair of (a), at a cost of the pairs
+    listed.
+    """
+    names = list(d.routes)
+    segs = [(i, a, b) for i, pts in enumerate(d.routes.values())
+            for a, b in zip(pts, pts[1:])]
+    ends = [pts[:1] + pts[-1:] for pts in d.routes.values()]
+    ys = sorted({p[1] for _, a, b in segs for p in (a, b)})
+    line = {y: k for k, y in enumerate(ys)}
+    strips: list[list[int]] = [[] for _ in ys]  # strip k lies between ys[k] and ys[k + 1]
+    flat: dict[int, list[int]] = {}
+    at: dict[Point, list[int]] = {}
+    spans = []  # per segment: line lo, its end there, line hi >= lo, its end there
+    for g, (_, a, b) in enumerate(segs):
+        for p in {a, b}:
+            at.setdefault(p, []).append(g)
+        ka, kb = line[a[1]], line[b[1]]
+        spans.append((ka, a, kb, b) if ka <= kb else (kb, b, ka, a))
+        lo, _, hi, _ = spans[g]
+        if lo == hi:
+            flat.setdefault(lo, []).append(g)
+        for k in range(lo, hi):
+            strips[k].append(g)
+
+    def x_at(g: int, k: int) -> Fraction:
+        lo, p, hi, q = spans[g]
+        if k == lo:
+            return p[0]
+        if k == hi:
+            return q[0]
+        return p[0] + Fraction((q[0] - p[0]) * (ys[k] - p[1]), q[1] - p[1])
+
+    pairs: set[tuple[int, int]] = set()
+    for group in at.values():
+        pairs.update(combinations(group, 2))
+    for k, group in flat.items():
+        near = group + (strips[k - 1] if k else []) + strips[k]
+        pairs.update((min(g, h), max(g, h)) for g in group for h in near if g != h)
+    for k, group in enumerate(strips):
+        if len(group) < 2:
+            continue
+        top = {g: x_at(g, k) for g in group}
+        bottom = {g: x_at(g, k + 1) for g in group}
+        placed: list[tuple[Fraction, int]] = []  # sorted by bottom x
+        for g in sorted(group, key=lambda g: (top[g], -bottom[g])):
+            j = len(placed)
+            while j and placed[j - 1][0] >= bottom[g]:
+                j -= 1
+                pairs.add((min(g, placed[j][1]), max(g, placed[j][1])))
+            placed.insert(j, (bottom[g], g))
+
+    problems = []
+    for g, h in sorted(pairs, key=lambda gh: (segs[gh[0]][0], segs[gh[1]][0]) + gh):
+        (i, a1, b1), (j, a2, b2) = segs[g], segs[h]
+        if i == j:
+            continue
+        hit = _segment_meet(a1, b1, a2, b2)
+        if hit is None:
+            continue
+        kind, p = hit
+        if kind == "point" and p in allowed and p in ends[i] and p in ends[j]:
+            continue
+        problems.append(f"routes {names[i]} and {names[j]} cross near "
+                        f"({float(p[0]):.3f}, {float(p[1]):.3f})")
+    return problems
 
 
 def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
@@ -253,6 +328,13 @@ def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
     return None
 
 
+def _boundary_ys(d: Drawing) -> tuple[bool, Fraction, Fraction]:
+    """Whether the flow runs down, and the y of the input and output lines."""
+    down = d.flow == "down"
+    y_in, y_out = (d.box[1], d.box[3]) if down else (d.box[3], d.box[1])
+    return down, y_in, y_out
+
+
 def _require_routes(d: Drawing) -> None:
     for e, pts in d.routes.items():
         if len(pts) < 2:
@@ -279,9 +361,7 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     that does not meet its boundary, raises PpgError.
     """
     _require_routes(d)
-    down = d.flow == "down"
-    y_in = d.box[1] if down else d.box[3]
-    y_out = d.box[3] if down else d.box[1]
+    _, y_in, y_out = _boundary_ys(d)
 
     def boundary_x(e: str, start: bool, y: Fraction) -> Fraction:
         p = _attachment(d, e, start)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import popgraph as pg
+from popgraph.layout import _segment_meet
 from popgraph.order import _expect_permutation, _members
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -296,6 +297,35 @@ def linear_extension_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:
 
     extend([], list(g.edge_ids))
     return out
+
+
+def check_drawing_scan(d: pg.Drawing) -> tuple[str, ...]:
+    """``check_drawing(d).problems`` with the crossings found by testing every
+    pair of segments on distinct routes, route by route, then segment by
+    segment.  The other problems (monotone routes, boundary attachment) are
+    taken from the library: crossing messages are the ones starting
+    "routes ".  O(S^2) in the S segments; keep the drawings small."""
+    problems = [p for p in pg.check_drawing(d).problems if not p.startswith("routes ")]
+    allowed = set(d.vertices.values())
+    ids = list(d.routes)
+    for i, e1 in enumerate(ids):
+        r1 = d.routes[e1]
+        segs1 = list(zip(r1, r1[1:]))
+        for e2 in ids[i + 1:]:
+            r2 = d.routes[e2]
+            for a1, b1 in segs1:
+                for a2, b2 in zip(r2, r2[1:]):
+                    hit = _segment_meet(a1, b1, a2, b2)
+                    if hit is None:
+                        continue
+                    kind, p = hit
+                    if (kind == "point" and p in allowed
+                            and p in (r1[0], r1[-1]) and p in (r2[0], r2[-1])):
+                        continue
+                    problems.append(
+                        f"routes {e1} and {e2} cross near "
+                        f"({float(p[0]):.3f}, {float(p[1]):.3f})")
+    return tuple(problems)
 
 
 def perturbed(pop: pg.POPGraph, rng: random.Random) -> pg.POPGraph | None:

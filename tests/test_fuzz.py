@@ -3,7 +3,8 @@
 Two halves.  Mutated .ppg and .stg text goes through the whole pipeline
 (parse, emit, synthesis, decomposition, both layouts, the checker, read-back,
 the renderers, the conjugate, hat and circ).  Mutated drawings go through the
-checker, read-back and the renderers.  Any other exception fails the test.
+checker, read-back and the renderers.  Any other exception fails the test, and
+the checker must report what the pair scan ``check_drawing_scan`` reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import popgraph as pg
-from conftest import FIXTURES
+from conftest import FIXTURES, check_drawing_scan
 
 KEYWORDS = ["edge", "inputs", "outputs", "in", "out", "order", "source", "sink",
             "ppg", "stg", "1", "#", "s", "t"]
@@ -165,7 +166,7 @@ def mutate_drawing(d: pg.Drawing, ops) -> pg.Drawing:
 def test_mutated_drawings_raise_only_ppg_errors(seed, ops):
     graph, d = seed
     bad = mutate_drawing(d, ops)
-    pg.check_drawing(bad)
+    assert pg.check_drawing(bad).problems == check_drawing_scan(bad)
     attempt(pg.read_back, bad, graph)
     attempt(pg.render_svg, bad)
     attempt(pg.render_tikz, bad)

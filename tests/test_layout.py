@@ -3,13 +3,14 @@ from __future__ import annotations
 import dataclasses
 import random
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
 
 import popgraph as pg
 from popgraph.layout import _flip, _segment_meet
-from conftest import run_optimized
+from conftest import check_drawing_scan, run_optimized
 
 
 F = Fraction
@@ -213,6 +214,142 @@ class TestCheckDrawing:
         # two edges meeting head-on at a drawn vertex is not a crossing
         pop = pg.spider(2, 1)
         assert pg.check_drawing(pg.layout(pop)).ok
+
+
+    def test_route_through_a_foreign_vertex_detected(self, canonical):
+        # a bend placed exactly on a vertex the edge does not touch meets
+        # that vertex's legs there: both are segment ends, neither route ends
+        tried = 0
+        for draw in (pg.layout, pg.layout_st):
+            d = draw(canonical)
+            for v, (vx, vy) in d.vertices.items():
+                near = f"cross near ({float(vx):.3f}, {float(vy):.3f})"
+                for e, pts in d.routes.items():
+                    if (vx, vy) in (pts[0], pts[-1]):
+                        continue
+                    i = next((i for i, (a, b) in enumerate(zip(pts, pts[1:]))
+                              if a[1] < vy < b[1]), None)
+                    if i is None:
+                        continue
+                    routes = dict(d.routes, **{e: pts[:i + 1] + ((vx, vy),) + pts[i + 1:]})
+                    bad = dataclasses.replace(d, routes=routes)
+                    problems = pg.check_drawing(bad).problems
+                    assert any(p.endswith(near) and (p.startswith(f"routes {e} and ")
+                                                     or f" and {e} cross" in p)
+                               for p in problems), (v, e, problems)
+                    tried += 1
+        assert tried > 20
+
+    def test_segments_meeting_across_a_line_detected(self):
+        # a ends at (1, 1) from above, b starts there going below: the two
+        # share no strip, only the point
+        d = pg.Drawing(
+            flow="down", box=(F(0), F(0), F(3), F(2)), bands=((F(0), F(2)),),
+            vertices={},
+            routes={"a": ((F(0), F(0)), (F(1), F(1))),
+                    "b": ((F(1), F(1)), (F(2), F(2))),
+                    "c": ((F(3), F(0)), (F(3), F(2)))},
+            inputs=("a", "c"), outputs=("b", "c"))
+        assert pg.check_drawing(d).problems == check_drawing_scan(d) == (
+            "routes a and b cross near (1.000, 1.000)",)
+
+    def test_a_large_layout_checks_quickly(self):
+        # the 16x16 composition of random layers: 249 edges, 2 788 segments;
+        # a pair scan takes minutes here
+        rng = random.Random(0)
+        pop = pg.random_elementary_layer(rng, "L0.", n_inputs=16)
+        for k in range(1, 16):
+            pop = pg.compose(pop, pg.random_elementary_layer(
+                rng, f"L{k}.", n_inputs=len(pop.graph.outputs)))
+        d = pg.layout(pop)
+        assert len(pop.graph.edges) == 249
+        assert sum(len(pts) - 1 for pts in d.routes.values()) == 2788
+        t0 = time.perf_counter()
+        report = pg.check_drawing(d)
+        assert time.perf_counter() - t0 < 10.0
+        assert report.ok, report.problems[:3]
+
+
+def swapped_x(d: pg.Drawing) -> pg.Drawing:
+    # two neighbouring points on the line with the most distinct x values
+    at: dict[Fraction, list] = {}
+    for e, pts in d.routes.items():
+        for i, (x, y) in enumerate(pts):
+            at.setdefault(y, []).append((x, e, i))
+    y, row = max(at.items(), key=lambda yr: len({x for x, _, _ in yr[1]}))
+    row.sort()
+    (x1, e1, i1), (x2, e2, i2) = next((p, q) for p, q in zip(row, row[1:]) if p[0] != q[0])
+    routes = dict(d.routes)
+    routes[e1] = routes[e1][:i1] + ((x2, y),) + routes[e1][i1 + 1:]
+    routes[e2] = routes[e2][:i2] + ((x1, y),) + routes[e2][i2 + 1:]
+    return dataclasses.replace(d, routes=routes)
+
+
+def moved_vertex(d: pg.Drawing) -> pg.Drawing:
+    v = sorted(d.vertices)[0]
+    old = d.vertices[v]
+    new = (old[0] + F(3, 2), old[1])
+    routes = {e: tuple(new if p == old else p for p in pts) for e, pts in d.routes.items()}
+    return dataclasses.replace(d, routes=routes, vertices=dict(d.vertices, **{v: new}))
+
+
+def copied_route(d: pg.Drawing) -> pg.Drawing:
+    return dataclasses.replace(d, routes=dict(d.routes, copy=d.routes[sorted(d.routes)[0]]))
+
+
+def horizontal_segment(d: pg.Drawing) -> pg.Drawing:
+    # the first output runs flat along the output line past its neighbour's
+    # end, which lies inside the flat segment, not at one of its ends
+    e = d.outputs[0]
+    i = len(d.routes[e]) - (2 if d.st else 1)
+    x, y = d.routes[e][i]
+    routes = dict(d.routes, **{e: d.routes[e][:i + 1] + ((x + F(3, 2), y),)
+                               + d.routes[e][i + 1:]})
+    return dataclasses.replace(d, routes=routes)
+
+
+def reversed_route(d: pg.Drawing) -> pg.Drawing:
+    e = sorted(d.routes)[len(d.routes) // 2]
+    return dataclasses.replace(d, routes=dict(d.routes, **{e: d.routes[e][::-1]}))
+
+
+def ghost_route(d: pg.Drawing) -> pg.Drawing:
+    # a zigzag listed first: its segments meet later routes in an order
+    # other than route by route
+    x0, y0, x1, y1 = d.box
+    ghost = ((x0 + 1, y0), (x1 - 1, (y0 + y1) / 2), (x0 + 1, y1))
+    return dataclasses.replace(d, routes={"ghost": ghost, **d.routes})
+
+
+CORRUPTIONS = [swapped_x, moved_vertex, copied_route, horizontal_segment,
+               reversed_route, ghost_route]
+
+
+class TestCheckerAgreesWithScan:
+    """The strip sweep reports exactly what the pair scan reports, in the
+    same order, on clean and on corrupted drawings."""
+
+    def test_clean_layouts(self, canonical, suite):
+        rng = random.Random(5)
+        pops = [canonical] + [pop for _, pop in suite]
+        pops += [pg.random_pop(rng, max_layers=3, tag=f"c{i}.") for i in range(8)]
+        for i, pop in enumerate(pops):
+            for d in all_variants(pop):
+                assert pg.check_drawing(d).problems == check_drawing_scan(d) == (), i
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    def test_corrupted_drawings(self, canonical, corrupt):
+        rng = random.Random(6)
+        pops = [canonical] + [pg.random_pop(rng, min_layers=2, max_layers=3, tag=f"k{i}.")
+                              for i in range(3)]
+        flagged = 0
+        for pop in pops:
+            for d in all_variants(pop):
+                bad = corrupt(d)
+                problems = pg.check_drawing(bad).problems
+                assert problems == check_drawing_scan(bad)
+                flagged += bool(problems)
+        assert flagged
 
 
 class TestSegmentMeet:
