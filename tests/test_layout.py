@@ -24,16 +24,20 @@ def all_variants(pop):
 
 
 class TestLayout:
+    # clean layouts: the strip sweep and the pair scan both find nothing
+
     def test_canonical_clean_in_all_variants(self, canonical):
         for d in all_variants(canonical):
             report = pg.check_drawing(d)
             assert report.ok, report.problems
+            assert check_drawing_scan(d) == ()
 
     def test_suite_clean_in_all_variants(self, suite):
         for name, pop in suite:
             for d in all_variants(pop):
                 report = pg.check_drawing(d)
                 assert report.ok, (name, report.problems)
+                assert check_drawing_scan(d) == (), name
 
     def test_random_pops_clean(self):
         rng = random.Random(12)
@@ -42,6 +46,7 @@ class TestLayout:
             for d in all_variants(pop):
                 report = pg.check_drawing(d)
                 assert report.ok, (i, report.problems)
+                assert check_drawing_scan(d) == (), i
 
     def test_read_back_recovers_local_data(self, canonical, suite):
         for name, pop in [("canonical", canonical)] + suite:
@@ -215,7 +220,6 @@ class TestCheckDrawing:
         pop = pg.spider(2, 1)
         assert pg.check_drawing(pg.layout(pop)).ok
 
-
     def test_route_through_a_foreign_vertex_detected(self, canonical):
         # a bend placed exactly on a vertex the edge does not touch meets
         # that vertex's legs there: both are segment ends, neither route ends
@@ -327,15 +331,7 @@ CORRUPTIONS = [swapped_x, moved_vertex, copied_route, horizontal_segment,
 
 class TestCheckerAgreesWithScan:
     """The strip sweep reports exactly what the pair scan reports, in the
-    same order, on clean and on corrupted drawings."""
-
-    def test_clean_layouts(self, canonical, suite):
-        rng = random.Random(5)
-        pops = [canonical] + [pop for _, pop in suite]
-        pops += [pg.random_pop(rng, max_layers=3, tag=f"c{i}.") for i in range(8)]
-        for i, pop in enumerate(pops):
-            for d in all_variants(pop):
-                assert pg.check_drawing(d).problems == check_drawing_scan(d) == (), i
+    same order, on corrupted drawings (clean ones: ``TestLayout``)."""
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
     def test_corrupted_drawings(self, canonical, corrupt):
