@@ -52,6 +52,9 @@ COMMANDS = (
     ("conjugate",),
     ("hat",),
     ("render",),
+    ("render", "--format", "tikz"),
+    ("render", "--st"),
+    ("render", "--up"),
     ("render", "--st", "--up", "--format", "tikz"),
 )
 
