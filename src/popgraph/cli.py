@@ -13,6 +13,7 @@ arity mismatches, and refused oversize enumerations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="ppg", description="planar-order calculus for progressive graphs")
     sub = p.add_subparsers(dest="command", metavar="command")

@@ -183,6 +183,23 @@ class ProgressiveGraph:
         # vertex reachable from e's head.  Acyclicity rules out e itself.
         self._ereach = tuple(src_union[e.dst] for e in graph.edges)
 
+    @classmethod
+    def _spider(cls, graph: DirectedMultigraph, vertex: str) -> ProgressiveGraph:
+        """An elementary graph, one spider at ``vertex`` plus bare edges, built
+        from that shape with no toposort or closure: the legs into ``vertex``
+        reach the legs out of it, and no other edge reaches anything.  Only
+        for callers that build exactly this shape (decomposition factors);
+        :func:`validate_progressive` gives the same value on it."""
+        self = cls.__new__(cls)
+        self.graph = graph
+        self.internal_vertices = frozenset((vertex,))
+        self.inputs = frozenset(e.id for e in graph.edges if e.src != vertex)
+        self.outputs = frozenset(e.id for e in graph.edges if e.dst != vertex)
+        self._eix = {e: i for i, e in enumerate(graph.edge_ids)}
+        legs_out = sum(1 << self._eix[e.id] for e in graph._out[vertex])
+        self._ereach = tuple(legs_out if e.dst == vertex else 0 for e in graph.edges)
+        return self
+
     @cached_property
     def _ereachers(self) -> tuple[int, ...]:
         """The transpose of the reach rows, in one upstream-first pass; built

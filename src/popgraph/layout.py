@@ -9,8 +9,10 @@ the edges crossing it sit at integer x positions given by their rank in
 the planar order restricted to that boundary; because each layer's spider
 legs form a contiguous block of its order, routing the legs to a vertex
 centroid and everything else straight across keeps the drawing planar.
-All coordinates are exact rationals so the crossing checker can be exact
-too.
+All coordinates are exact: points on the crossing lines are plain ints, and
+only the vertices (x at the centroid of their legs, y halfway between two
+lines) and the st apexes carry a ``Fraction``, so the crossing checker can be
+exact too.
 
 ``check_drawing`` verifies monotonicity, boundary attachment, and that no
 two routes meet except at a vertex where both of them start or end.  It
@@ -36,7 +38,9 @@ from .errors import PpgError, ReservedVertexName
 from .order import POPGraph
 from .synthesis import Anchor, PAGraph, VertexOrder
 
-Point = tuple[Fraction, Fraction]
+# a coordinate is an int on the crossing lines, a Fraction where a
+# denominator can arise (vertex centroids and half-integer y, st apexes)
+Point = tuple[Fraction | int, Fraction | int]
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def layout(pop: POPGraph, up: bool = False) -> Drawing:
         crossed[eid] = range(band_of.get(edge.src, 0), band_of.get(edge.dst, k_bands + 1))
         for k in crossed[eid]:
             lines[k].append(eid)
-    pos = [{e: Fraction(i + 1) for i, e in enumerate(line)} for line in lines]
+    pos = [{e: i + 1 for i, e in enumerate(line)} for line in lines]
     width = Fraction(max(len(line) for line in lines) + 1)
 
     vertices: dict[str, Point] = {}
@@ -104,15 +108,16 @@ def layout(pop: POPGraph, up: bool = False) -> Drawing:
         pts: list[Point] = []
         if edge.src in band_of:
             pts.append(vertices[edge.src])
-        pts += [(pos[k][eid], Fraction(k)) for k in crossed[eid]]
+        pts += [(pos[k][eid], k) for k in crossed[eid]]
         if edge.dst in band_of:
             pts.append(vertices[edge.dst])
         routes[eid] = tuple(pts)
 
+    line_ys = [Fraction(k) for k in range(k_bands + 1)]
     d = Drawing(
         flow="down",
-        box=(Fraction(0), Fraction(0), width, Fraction(k_bands)),
-        bands=tuple((Fraction(k), Fraction(k + 1)) for k in range(k_bands)),
+        box=(line_ys[0], line_ys[0], width, line_ys[-1]),
+        bands=tuple(zip(line_ys[:-1], line_ys[1:])),
         vertices=vertices,
         routes=routes,
         inputs=pop.inputs_ordered,
@@ -127,7 +132,7 @@ def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
         if name in pop.graph.vertices:
             raise ReservedVertexName(name)
     d = layout(pop)
-    cx = (d.box[0] + d.box[2]) / 2
+    cx = Fraction(d.box[0] + d.box[2], 2)
     s: Point = (cx, d.box[1] - 1)
     t: Point = (cx, d.box[3] + 1)
     routes = dict(d.routes)
@@ -146,17 +151,22 @@ def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
 
 def _flip(d: Drawing) -> Drawing:
     """Mirror the drawing in y, so the flow runs the other way."""
-    h = d.box[1] + d.box[3]
+    h = _int_if_whole(d.box[1] + d.box[3])
 
     def f(p: Point) -> Point:
         return (p[0], h - p[1])
 
+    # a layout's routes share their vertex points with ``vertices``: those
+    # are flipped once, by identity, and every other point on its own
+    vertices = {v: f(p) for v, p in d.vertices.items()}
+    flipped = {id(p): q for p, q in zip(d.vertices.values(), vertices.values())}
     return Drawing(
         flow="up" if d.flow == "down" else "down",
         box=d.box,
         bands=tuple(sorted((h - b, h - a) for a, b in d.bands)),
-        vertices={v: f(p) for v, p in d.vertices.items()},
-        routes={e: tuple(f(p) for p in pts) for e, pts in d.routes.items()},
+        vertices=vertices,
+        routes={e: tuple(flipped.get(id(p)) or f(p) for p in pts)
+                for e, pts in d.routes.items()},
         inputs=d.inputs, outputs=d.outputs,
         st=d.st, source=d.source, sink=d.sink)
 
@@ -299,6 +309,8 @@ def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
 
     None when disjoint; ("point", P) for a single shared point; for
     collinear overlap beyond a point, ("overlap", P) with P in the overlap.
+    Either segment may be a single point; whether they meet does not depend
+    on which one comes first.
     """
     d1 = (p2[0] - p1[0], p2[1] - p1[1])
     d2 = (p4[0] - p3[0], p4[1] - p3[1])
@@ -311,7 +323,11 @@ def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
         dot = lambda u, v: u[0] * v[0] + u[1] * v[1]
         l2 = dot(d1, d1)
         if l2 == 0:
-            return None
+            # the first segment is a single point: meet it from the second's
+            # side, so that the answer does not depend on the argument order
+            if d2 == (0, 0):
+                return ("point", p1) if p1 == p3 else None
+            return _segment_meet(p3, p4, p1, p2)
         t3 = Fraction(dot(w, d1), l2)
         t4 = Fraction(dot((p4[0] - p1[0], p4[1] - p1[1]), d1), l2)
         lo, hi = min(t3, t4), max(t3, t4)
@@ -388,7 +404,21 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     return PAGraph(g, vertex_orders, anchor)
 
 
-def _fmt(x: Fraction, scale: float = 1.0, off: float = 0.0) -> str:
+def _int_if_whole(x: Fraction) -> Fraction | int:
+    """``x`` as an int when it is one, so that subtracting it from the int
+    coordinates on the lines keeps them ints; the values are equal."""
+    return int(x) if x.denominator == 1 else x
+
+
+def _minus(x: Fraction | int, off: Fraction | int) -> float:
+    """``float(x - off)`` without building a Fraction: ints and Fractions
+    both carry a numerator and a denominator, and int / int rounds the
+    exact quotient once, as ``float`` of a Fraction does."""
+    return ((x.numerator * off.denominator - off.numerator * x.denominator)
+            / (x.denominator * off.denominator))
+
+
+def _fmt(x: Fraction | int | float, scale: float = 1.0, off: float = 0.0) -> str:
     return f"{float(x) * scale + off:.2f}"
 
 
@@ -398,14 +428,14 @@ def render_svg(d: Drawing) -> str:
     _require_routes(d)
     s = 48.0
     pad = 30.0
-    ys = [p[1] for pts in d.routes.values() for p in pts]
-    ys += [d.box[1], d.box[3]]
-    y0 = min(ys)
+    ys = {p[1] for pts in d.routes.values() for p in pts}
+    ys.update((d.box[1], d.box[3]))
+    x0, y0 = d.box[0], min(ys)
     w = float(d.box[2] - d.box[0]) * s + 2 * pad
     h = float(max(ys) - y0) * s + 2 * pad
 
     def px(p: Point) -> tuple[float, float]:
-        return (float(p[0] - d.box[0]) * s + pad, float(p[1] - y0) * s + pad)
+        return (_minus(p[0], x0) * s + pad, _minus(p[1], y0) * s + pad)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
            f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">']
@@ -453,8 +483,10 @@ def render_tikz(d: Drawing) -> str:
         out.append(rf"\draw {path};")
         i = (len(pts) - 1) // 2
         a, b = pts[i], pts[i + 1]
+        # halfway along the segment and a quarter of the way, each rounded
+        # once from its exact value (int / int does that, or stays a Fraction)
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        near = ((a[0] + mid[0]) / 2, (a[1] + mid[1]) / 2)
+        near = ((3 * a[0] + b[0]) / 4, (3 * a[1] + b[1]) / 4)
         out.append(rf"\draw[->] ({_fmt(near[0])},{_fmt(near[1])}) -- "
                    rf"({_fmt(mid[0])},{_fmt(mid[1])});")
     for v, p in d.vertices.items():

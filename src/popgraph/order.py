@@ -8,10 +8,13 @@ A planar order is a total order on the edge set satisfying two axioms:
 
 The betweenness axiom is equivalent to transitivity of the conjugate
 relation (a <* b  iff  a < b and a does not reach b).  Relations are held as
-bit rows, one per edge, and one helper lists the intransitive triples of
-such rows: validation takes its betweenness violations from the conjugate
-rows, and the conjugacy check its transitivity witnesses from the given
-relation, in O(m^2) words plus one step per witness.  The conjugate together
+bit rows, one per edge.  Validation first decides the order by a chain
+check on rows indexed by rank, O(m * depth) row operations (see
+``_reach_chains_hold``); only an order that fails it is listed.  One helper
+lists the intransitive triples of such rows: the listing takes its
+betweenness violations from the conjugate rows, and the conjugacy check its
+transitivity witnesses from the given relation, in O(m^2) words plus one
+step per witness.  The conjugate together
 with strict reachability covers every unordered edge pair exactly once, which
 the check reads off four rows per edge; their union is then the planar
 order, so the two presentations are interchangeable.  The test suite checks
@@ -170,12 +173,58 @@ def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
     return pairs, triples
 
 
+def _reach_chains_hold(g: ProgressiveGraph, seq: tuple[str, ...]) -> bool:
+    """Whether ``seq`` is a planar order of g (False also when it is not a
+    permutation of the edges), in O(m * depth) operations on bit rows
+    indexed by rank.
+
+    One pass from the last rank to the first builds each reach row as the
+    union, over the edges leaving the edge's head, of their bit and their
+    row; an edge ranked before one it leads into breaks the extension axiom.
+    The conjugate row of rank k is then every later rank that k does not
+    reach, and betweenness says these rows are transitive.  Going from the
+    last rank to the first, the rows after k are already transitive, so row
+    k is checked along a chain: take its lowest member j unchecked so far,
+    require row j inside row k (which vouches for the members of row j too),
+    and go on with the members that j reaches, the only later ranks row j
+    leaves out.  A chain follows reach, so it is no longer than the longest
+    path.
+    """
+    m = len(seq)
+    rank = {e: r for r, e in enumerate(seq)}
+    if len(rank) != m or rank.keys() != set(g.edge_ids):
+        return False
+    outs = g.graph._out
+    reach = [0] * m
+    for r in range(m - 1, -1, -1):
+        row = 0
+        for c in outs[g.edge(seq[r]).dst]:
+            rc = rank[c.id]
+            if rc < r:
+                return False
+            row |= 1 << rc | reach[rc]
+        reach[r] = row
+    full = (1 << m) - 1
+    conj = [0] * m
+    for k in range(m - 1, -1, -1):
+        row = conj[k] = full ^ ((2 << k) - 1) ^ reach[k]  # reach[k] is all later
+        rest = row
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            if conj[j] & ~row:
+                return False
+            rest &= reach[j]
+    return True
+
+
 def validate_planar_order(g: ProgressiveGraph, sequence) -> POPGraph:
-    """Check both axioms; on failure raise with every violation listed."""
+    """Check both axioms by reach chains; when they fail, list every
+    violation with :func:`order_violations` and raise with them."""
     seq = tuple(sequence)
-    pairs, triples = order_violations(g, seq)
-    if pairs or triples:
-        raise InvalidPlanarOrder(pairs, triples)
+    if not _reach_chains_hold(g, seq):
+        pairs, triples = order_violations(g, seq)
+        if pairs or triples:
+            raise InvalidPlanarOrder(pairs, triples)
     return POPGraph(g, PlanarOrder(seq))
 
 

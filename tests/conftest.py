@@ -38,6 +38,17 @@ def suite() -> list[tuple[str, pg.POPGraph]]:
     return pg.generator_suite()
 
 
+def recipe_graph(layers: int, width: int) -> pg.POPGraph:
+    """The layered graph of the corpus recipe, seed 0: an elementary layer
+    of ``width`` inputs, then ``layers`` - 1 more composed below it."""
+    rng = random.Random(0)
+    pop = pg.random_elementary_layer(rng, "L0.", n_inputs=width)
+    for k in range(1, layers):
+        pop = pg.compose(pop, pg.random_elementary_layer(
+            rng, f"L{k}.", n_inputs=len(pop.graph.outputs)))
+    return pop
+
+
 def run_optimized(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` under ``python -O`` (asserts stripped) on this package."""
     src = str(Path(pg.__file__).parents[1])

@@ -137,6 +137,14 @@ def test_criterion_05_decomposition_recomposes(announce, canonical):
                 assert pg.is_elementary(f.graph), i
                 # the walk orders factors by restriction and never validates them
                 pg.validate_planar_order(f.graph, f.order.sequence)
+                # nor closes them: their reach rows are read off the spider
+                g, ref = f.graph, pg.validate_progressive(f.graph.graph)
+                assert ([g.reach_bits(e) for e in g.edge_ids]
+                        == [ref.reach_bits(e) for e in ref.edge_ids]), i
+                assert ([g.reacher_bits(e) for e in g.edge_ids]
+                        == [ref.reacher_bits(e) for e in ref.edge_ids]), i
+                assert ((g.inputs, g.outputs, g.internal_vertices)
+                        == (ref.inputs, ref.outputs, ref.internal_vertices)), i
             back = pg.recompose(d)
             assert back.graph == pop.graph and back.order == pop.order, i
             assert pg.pop_isomorphic(back, pop), i

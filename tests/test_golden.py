@@ -25,7 +25,6 @@ Regenerate the corpus and the transcripts (the hand-written inputs are kept) wit
 from __future__ import annotations
 
 import io
-import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -34,7 +33,7 @@ import pytest
 
 import popgraph as pg
 from popgraph.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, recipe_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -59,16 +58,6 @@ COMMANDS = (
 )
 
 
-def corpus_graph(layers: int, width: int) -> pg.POPGraph:
-    """The layered graph of the benchmark corpus recipe, seed 0."""
-    rng = random.Random(0)
-    pop = pg.random_elementary_layer(rng, "L0.", n_inputs=width)
-    for k in range(1, layers):
-        pop = pg.compose(pop, pg.random_elementary_layer(
-            rng, f"L{k}.", n_inputs=len(pop.graph.outputs)))
-    return pop
-
-
 def input_files() -> list[Path]:
     return sorted(FIXTURES.glob("*.ppg")) + sorted(INPUTS.glob("*.ppg"))
 
@@ -76,7 +65,7 @@ def input_files() -> list[Path]:
 def write_corpus() -> None:
     INPUTS.mkdir(parents=True, exist_ok=True)
     for layers, width in CORPUS_SHAPES:
-        text = pg.emit_ppg(corpus_graph(layers, width))
+        text = pg.emit_ppg(recipe_graph(layers, width))
         stem = f"layered_{layers}x{width}"
         (INPUTS / f"{stem}.ppg").write_text(text, encoding="utf-8")
         unordered = "".join(line for line in text.splitlines(keepends=True)
@@ -153,7 +142,7 @@ def test_compose_layers_transcript():
 def test_corpus_inputs_are_current():
     # the committed corpus is what the recipe still produces
     for layers, width in CORPUS_SHAPES:
-        text = pg.emit_ppg(corpus_graph(layers, width))
+        text = pg.emit_ppg(recipe_graph(layers, width))
         assert text.encode("utf-8") == (INPUTS / f"layered_{layers}x{width}.ppg").read_bytes()
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import popgraph as pg
 from popgraph.layout import _flip, _segment_meet
-from conftest import check_drawing_scan, run_optimized
+from conftest import check_drawing_scan, recipe_graph, run_optimized
 
 
 F = Fraction
@@ -146,6 +146,17 @@ class TestLayout:
         assert not d.vertices
         assert len(d.bands) == 1
 
+    def test_points_on_lines_are_ints(self, canonical):
+        # a denominator arises only at the vertices and the st apexes
+        for d in all_variants(canonical):
+            apexes = {d.vertices.get("s"), d.vertices.get("t")}
+            for pts in d.routes.values():
+                for p in pts:
+                    if p not in apexes and p not in d.vertices.values():
+                        assert type(p[0]) is int and type(p[1]) is int, p
+            for p in d.vertices.values():
+                assert type(p[0]) is type(p[1]) is Fraction, p
+
     def test_vertices_sit_between_their_legs(self, canonical):
         d = pg.layout(canonical)
         for v, (x, y) in d.vertices.items():
@@ -257,14 +268,23 @@ class TestCheckDrawing:
         assert pg.check_drawing(d).problems == check_drawing_scan(d) == (
             "routes a and b cross near (1.000, 1.000)",)
 
+    def test_single_point_route_meets_in_either_order(self):
+        # a route whose two points coincide, lying on another route, meets
+        # it whichever of the two is listed first
+        e, f = ((1, 1), (1, 1)), ((0, 0), (2, 2))
+        for routes, first, second in (({"e": e, "f": f}, "e", "f"),
+                                      ({"f": f, "e": e}, "f", "e")):
+            d = pg.Drawing(flow="down", box=(F(0), F(0), F(2), F(2)),
+                           bands=((F(0), F(2)),), vertices={}, routes=routes,
+                           inputs=("f",), outputs=("f",))
+            assert pg.check_drawing(d).problems == check_drawing_scan(d) == (
+                "route e: not monotone in the flow direction",
+                f"routes {first} and {second} cross near (1.000, 1.000)")
+
     def test_a_large_layout_checks_quickly(self):
         # the 16x16 composition of random layers: 249 edges, 2 788 segments;
         # a pair scan takes minutes here
-        rng = random.Random(0)
-        pop = pg.random_elementary_layer(rng, "L0.", n_inputs=16)
-        for k in range(1, 16):
-            pop = pg.compose(pop, pg.random_elementary_layer(
-                rng, f"L{k}.", n_inputs=len(pop.graph.outputs)))
+        pop = recipe_graph(16, 16)
         d = pg.layout(pop)
         assert len(pop.graph.edges) == 249
         assert sum(len(pts) - 1 for pts in d.routes.values()) == 2788
@@ -375,6 +395,16 @@ class TestSegmentMeet:
     def test_parallel(self):
         assert _segment_meet((F(0), F(0)), (F(1), F(1)),
                              (F(0), F(1)), (F(1), F(2))) is None
+
+    def test_single_point_meets_in_either_order(self):
+        point, diagonal = ((1, 1), (1, 1)), ((0, 0), (2, 2))
+        assert _segment_meet(*point, *diagonal) == ("point", (1, 1))
+        assert _segment_meet(*diagonal, *point) == ("point", (1, 1))
+        off = ((1, 0), (1, 0))
+        assert _segment_meet(*off, *diagonal) is None
+        assert _segment_meet(*diagonal, *off) is None
+        assert _segment_meet(*point, *point) == ("point", (1, 1))
+        assert _segment_meet(*point, *off) is None
 
 
 class TestRender:

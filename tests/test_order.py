@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import textwrap
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import popgraph as pg
 from popgraph.errors import SHOWN
+from popgraph.order import _reach_chains_hold
 from conftest import (_scan_window, check_conjugacy_scan, conjugate_pairs_scan,
                       conjugate_pop, order_from_conjugate_scan, order_violations_scan,
                       run_optimized, slow_planar, vertex_reach_dfs)
@@ -26,6 +28,20 @@ def tampered(pop: pg.POPGraph, rng: random.Random):
     if rel:
         some = rng.choice(sorted(rel))
         out += [("drop", rel - {some}), ("reverse", rel - {some} | {some[::-1]})]
+    return out
+
+
+def random_linear_extension(g: pg.ProgressiveGraph, rng: random.Random) -> list[str]:
+    """A uniformly chosen ready edge at each step: an order that extends
+    reachability, planar or not."""
+    ids = g.edge_ids
+    waiting = {e: g.reacher_bits(e) for e in ids}
+    placed, out = 0, []
+    while waiting:
+        e = rng.choice([e for e, row in waiting.items() if not row & ~placed])
+        del waiting[e]
+        placed |= 1 << g.edge_index(e)
+        out.append(e)
     return out
 
 
@@ -100,6 +116,31 @@ class TestValidate:
                 assert got == order_violations_scan(g, cand), (k, cand)
                 invalid += bool(got[0] or got[1])
         assert invalid > 400
+
+    def test_chain_verdict_matches_the_scan(self):
+        # the reach-chain check accepts exactly the sequences in which the
+        # O(m^3) scan finds no violation
+        rng = random.Random(29)
+        verdicts = Counter()
+        for k in range(200):
+            pop = pg.random_pop(random.Random(1000 + k))
+            g, seq = pop.graph, list(pop.order.sequence)
+            cands = [seq, random_linear_extension(g, rng)]
+            for i in rng.sample(range(len(seq) - 1), min(3, len(seq) - 1)):
+                cands.append(seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:])
+            for cand in cands:
+                ext, bet = order_violations_scan(g, cand)
+                holds = _reach_chains_hold(g, tuple(cand))
+                assert holds == (not ext and not bet), (k, cand)
+                verdicts[holds, bool(ext)] += 1
+        # accepted, refused by betweenness only, and by extension
+        assert min(verdicts[True, False], verdicts[False, False],
+                   verdicts[False, True]) > 100, verdicts
+
+    def test_chain_refuses_what_is_not_a_permutation(self, canonical):
+        g, seq = canonical.graph, canonical.order.sequence
+        for bad in (seq[:-1], seq + seq[-1:], seq[:-1] + ("ghost",), ()):
+            assert not _reach_chains_hold(g, bad)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
