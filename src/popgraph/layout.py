@@ -151,22 +151,19 @@ def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
 
 def _flip(d: Drawing) -> Drawing:
     """Mirror the drawing in y, so the flow runs the other way."""
-    h = _int_if_whole(d.box[1] + d.box[3])
+    h = d.box[1] + d.box[3]
+    if h.denominator == 1:
+        h = int(h)  # so the points on the lines stay ints
 
     def f(p: Point) -> Point:
         return (p[0], h - p[1])
 
-    # a layout's routes share their vertex points with ``vertices``: those
-    # are flipped once, by identity, and every other point on its own
-    vertices = {v: f(p) for v, p in d.vertices.items()}
-    flipped = {id(p): q for p, q in zip(d.vertices.values(), vertices.values())}
     return Drawing(
         flow="up" if d.flow == "down" else "down",
         box=d.box,
         bands=tuple(sorted((h - b, h - a) for a, b in d.bands)),
-        vertices=vertices,
-        routes={e: tuple(flipped.get(id(p)) or f(p) for p in pts)
-                for e, pts in d.routes.items()},
+        vertices={v: f(p) for v, p in d.vertices.items()},
+        routes={e: tuple(f(p) for p in pts) for e, pts in d.routes.items()},
         inputs=d.inputs, outputs=d.outputs,
         st=d.st, source=d.source, sink=d.sink)
 
@@ -402,12 +399,6 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
             tuple(e for _, e in sorted(ends.get(p, ()))),
             tuple(e for _, e in sorted(starts.get(p, ()))))
     return PAGraph(g, vertex_orders, anchor)
-
-
-def _int_if_whole(x: Fraction) -> Fraction | int:
-    """``x`` as an int when it is one, so that subtracting it from the int
-    coordinates on the lines keeps them ints; the values are equal."""
-    return int(x) if x.denominator == 1 else x
 
 
 def _minus(x: Fraction | int, off: Fraction | int) -> float:

@@ -8,17 +8,17 @@ A planar order is a total order on the edge set satisfying two axioms:
 
 The betweenness axiom is equivalent to transitivity of the conjugate
 relation (a <* b  iff  a < b and a does not reach b).  Relations are held as
-bit rows, one per edge.  Validation first decides the order by a chain
-check on rows indexed by rank, O(m * depth) row operations (see
-``_reach_chains_hold``); only an order that fails it is listed.  One helper
-lists the intransitive triples of such rows: the listing takes its
-betweenness violations from the conjugate rows, and the conjugacy check its
-transitivity witnesses from the given relation, in O(m^2) words plus one
-step per witness.  The conjugate together
-with strict reachability covers every unordered edge pair exactly once, which
-the check reads off four rows per edge; their union is then the planar
-order, so the two presentations are interchangeable.  The test suite checks
-all of this against definitional pair and triple scans.
+bit rows, one per edge.  Validation decides an order by a chain check on
+rows indexed by rank, O(m * depth) row operations (``_reach_chains_hold``),
+and lists the violations only of an order that fails it.  One helper lists
+the intransitive triples of such rows: the listing takes its betweenness
+violations from the conjugate rows, and the conjugacy check its transitivity
+witnesses from the given relation, in O(m^2) words plus one step per
+witness.  The conjugate together with strict reachability covers every
+unordered edge pair exactly once, which the check reads off four rows per
+edge; their union is then the planar order, so the two presentations are
+interchangeable.  The test suite checks all of this against definitional
+pair and triple scans.
 
 The interval partition that composition shuffles by locates each edge
 relative to the ordered boundary: after the last input that reaches it, and
