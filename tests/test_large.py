@@ -2,8 +2,9 @@
 
 The 40x28 graph of the corpus recipe (1 176 edges, 33 212 layout segments)
 goes through the text format, decomposition, layout and the drawing checker
-in one test, under a generous wall-time bound: each stage there was once
-cubic or worse in the edge count.
+in one test, under a generous wall-time bound that a stage going back to
+cubic work would break (the drawing checker's old pair scan had 5.5e8
+segment pairs to test here).
 """
 
 from __future__ import annotations
