@@ -48,22 +48,19 @@ class DirectedMultigraph:
     """
 
     def __init__(self, edges: Iterable[Edge | tuple[str, str, str]]):
-        out: list[Edge] = []
-        seen: set[str] = set()
-        for e in edges:
-            e = Edge(*e)
-            if e.id in seen:
-                raise DuplicateId("edge", e.id)
-            seen.add(e.id)
-            out.append(e)
-        self.edges: tuple[Edge, ...] = tuple(out)
-        self.edge_ids: tuple[str, ...] = tuple(e.id for e in out)
-        verts: dict[str, None] = {}  # insertion-ordered set
-        for e in self.edges:
-            verts.setdefault(e.src)
-            verts.setdefault(e.dst)
-        self.vertices: tuple[str, ...] = tuple(verts)
+        self.edges: tuple[Edge, ...] = tuple(
+            e if isinstance(e, Edge) else Edge(*e) for e in edges)
         self._by_id = {e.id: e for e in self.edges}
+        if len(self._by_id) != len(self.edges):
+            seen: set[str] = set()
+            for e in self.edges:
+                if e.id in seen:
+                    raise DuplicateId("edge", e.id)
+                seen.add(e.id)
+        self.edge_ids: tuple[str, ...] = tuple(self._by_id)
+        # an insertion-ordered set: tails and heads in declaration order
+        self.vertices: tuple[str, ...] = tuple(dict.fromkeys(
+            v for e in self.edges for v in (e.src, e.dst)))
         ins: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         outs: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:

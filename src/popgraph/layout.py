@@ -150,20 +150,30 @@ def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
 
 
 def _flip(d: Drawing) -> Drawing:
-    """Mirror the drawing in y, so the flow runs the other way."""
+    """Mirror the drawing in y, so the flow runs the other way.
+
+    A route shares its end points with the vertices, and neighbouring bands
+    share a bound, so each y object of a vertex or a band bound is mirrored
+    once, looked up by identity (the same object has the same mirror); the
+    other route points sit on the crossing lines, with an int y.
+    """
     h = d.box[1] + d.box[3]
     if h.denominator == 1:
         h = int(h)  # so the points on the lines stay ints
+    ys = {id(y): y for _, y in d.vertices.values()}
+    ys.update((id(y), y) for band in d.bands for y in band)
+    mirrored = {k: h - y for k, y in ys.items()}
 
-    def f(p: Point) -> Point:
-        return (p[0], h - p[1])
+    def f(y):
+        fy = mirrored.get(id(y))
+        return h - y if fy is None else fy
 
     return Drawing(
         flow="up" if d.flow == "down" else "down",
         box=d.box,
-        bands=tuple(sorted((h - b, h - a) for a, b in d.bands)),
-        vertices={v: f(p) for v, p in d.vertices.items()},
-        routes={e: tuple(f(p) for p in pts) for e, pts in d.routes.items()},
+        bands=tuple(sorted((f(b), f(a)) for a, b in d.bands)),
+        vertices={v: (x, f(y)) for v, (x, y) in d.vertices.items()},
+        routes={e: tuple([(x, f(y)) for x, y in pts]) for e, pts in d.routes.items()},
         inputs=d.inputs, outputs=d.outputs,
         st=d.st, source=d.source, sink=d.sink)
 

@@ -10,15 +10,18 @@ The betweenness axiom is equivalent to transitivity of the conjugate
 relation (a <* b  iff  a < b and a does not reach b).  Relations are held as
 bit rows, one per edge.  Validation decides an order by a chain check on
 rows indexed by rank, O(m * depth) row operations (``_reach_chains_hold``),
-and lists the violations only of an order that fails it.  One helper lists
-the intransitive triples of such rows: the listing takes its betweenness
-violations from the conjugate rows, and the conjugacy check its transitivity
-witnesses from the given relation, in O(m^2) words plus one step per
-witness.  The conjugate together with strict reachability covers every
-unordered edge pair exactly once, which the check reads off four rows per
-edge; their union is then the planar order, so the two presentations are
-interchangeable.  The test suite checks all of this against definitional
-pair and triple scans.
+and lists the violations only of an order that fails it.  The conjugate
+together with strict reachability covers every unordered edge pair exactly
+once, which the conjugacy check reads off four rows per edge.  A relation
+that does so is transitive exactly when its union with reachability, ranked
+by popcount, passes the same chain check and has the relation as its
+conjugate; that union is then the planar order, so the two presentations
+are interchangeable.  One helper lists the intransitive triples of a set of
+rows, one step per member of each row plus one per witness, and runs only
+on what these checks refuse: the listing takes its betweenness violations
+from the conjugate rows, and the conjugacy check its transitivity witnesses
+from the given relation.  The test suite checks all of this against
+definitional pair and triple scans.
 
 The interval partition that composition shuffles by locates each edge
 relative to the ordered boundary: after the last input that reaches it, and
@@ -254,23 +257,29 @@ class ConjugacyReport:
         return f"ConjugacyReport(ok={self.ok}, problems={list(self.problems)})"
 
 
-def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], list[int]]:
-    """:func:`check_conjugacy`'s problems, and ``rel``'s rows over edge indexes."""
+def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str, ...]]:
+    """:func:`check_conjugacy`'s problems, and when there are none the
+    planar order whose conjugate ``rel`` is.
+
+    The rows of ``rel`` are built straight from its pairs; only a relation
+    naming an unknown edge or a reflexive pair is listed sorted.  Once every
+    pair is related exactly once, the edges ranked by how many edges they
+    precede form a planar order exactly when ``rel`` is transitive, and then
+    ``rel`` is that order's conjugate: a reach-chain check and one row
+    comparison accept it, and only a relation they refuse has its
+    intransitive triples listed.
+    """
     rel = set(rel)
-    problems = []
     ids = g.edge_ids
-    ix = {e: i for i, e in enumerate(ids)}
-    for a, b in sorted(rel):
-        if a not in ix or b not in ix:
-            problems.append(f"({a}, {b}) names an unknown edge")
-        elif a == b:
-            problems.append(f"({a}, {a}) is reflexive")
-    if problems:
-        return problems, []
+    ix = g._eix
     out, into = [0] * len(ids), [0] * len(ids)
     for a, b in rel:
-        out[ix[a]] |= 1 << ix[b]
-        into[ix[b]] |= 1 << ix[a]
+        i, j = ix.get(a), ix.get(b)
+        if i is None or j is None or i == j:
+            return _unknown_or_reflexive(rel, ix), ()
+        out[i] |= 1 << j
+        into[j] |= 1 << i
+    problems = []
     rows = zip(map(g.reach_bits, ids), map(g.reacher_bits, ids), out, into)
     for i, (r, rt, c, ct) in enumerate(rows):
         # bit j > i: reach, reached-by, rel-out and rel-in must hold exactly once
@@ -278,10 +287,26 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], list[int]]
         problems.extend(f"pair ({ids[i]}, {ids[j]}) is related "
                         f"{sum(x >> j & 1 for x in (r, rt, c, ct))} times, expected exactly once"
                         for j in _members(bad))
+    if not problems:
+        later = [(g.reach_bits(e) | row).bit_count() for e, row in zip(ids, out)]
+        seq = tuple(e for _, e in sorted(zip(later, ids), reverse=True))
+        if _reach_chains_hold(g, seq) and _conjugate_rows(g, seq)[1] == out:
+            return problems, seq
     witnesses = sorted(_intransitive(out), key=lambda t: (ids[t[0]], ids[t[1]]))
     problems.extend(f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
                     for i, j, k in witnesses)
-    return problems, out
+    return problems, ()
+
+
+def _unknown_or_reflexive(rel: set, ix: dict[str, int]) -> list[str]:
+    """The pairs of ``rel`` naming an unknown edge or an edge twice, sorted."""
+    problems = []
+    for a, b in sorted(rel):
+        if a not in ix or b not in ix:
+            problems.append(f"({a}, {b}) names an unknown edge")
+        elif a == b:
+            problems.append(f"({a}, {a}) is reflexive")
+    return problems
 
 
 def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
@@ -297,15 +322,17 @@ def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
 def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     """Rebuild the planar order whose conjugate is ``rel``.
 
-    Once ``rel`` passes :func:`check_conjugacy`, its union with strict
-    reachability is a planar order (betweenness is the transitivity just
-    checked), in which the edge with the most successors comes first.
+    A relation that passes :func:`check_conjugacy` has as its union with
+    strict reachability a planar order (betweenness is its transitivity), in
+    which the edge with the most successors comes first.  The check itself
+    ranks the edges that way and accepts when the ranking passes the
+    reach-chain test and its conjugate rows are those of ``rel``, so the
+    order is what the check accepted.
     """
-    problems, out = _conjugacy_problems(g, rel)
+    problems, seq = _conjugacy_problems(g, rel)
     if problems:
         raise NotConjugate(tuple(problems))
-    later = [(g.reach_bits(e) | row).bit_count() for e, row in zip(g.edge_ids, out)]
-    return PlanarOrder(e for _, e in sorted(zip(later, g.edge_ids), reverse=True))
+    return PlanarOrder(seq)
 
 
 def interval_partition(pop: POPGraph):

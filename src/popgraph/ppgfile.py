@@ -38,7 +38,7 @@ parsed document reproduces it value for value.
 
 from __future__ import annotations
 
-from .core import DirectedMultigraph, ProgressiveGraph, StGraph, validate_progressive
+from .core import DirectedMultigraph, Edge, ProgressiveGraph, StGraph, validate_progressive
 from .errors import ParseError, PpgError
 from .order import PlanarOrder, POPGraph, validate_planar_order
 from .synthesis import (Anchor, PAGraph, VertexOrder, _check_local_data, _local_data,
@@ -124,7 +124,7 @@ def _parse_common(text: str, kind: str, directives: dict):
     no, tokens = rows[0]
     if tokens != [kind, "1"]:
         raise ParseError(no, f"expected header '{kind} 1'")
-    edges: list[tuple[str, str, str]] = []
+    edges: list[Edge] = []
     ids: set[str] = set()
     for no, tokens in rows[1:]:
         if tokens[0] == "edge":
@@ -134,7 +134,7 @@ def _parse_common(text: str, kind: str, directives: dict):
             if eid in ids:
                 raise ParseError(no, f"duplicate edge id {eid!r}")
             ids.add(eid)
-            edges.append((eid, src, dst))
+            edges.append(Edge(eid, src, dst))
 
     found: dict[str, tuple[int, object]] = {}
     legs: dict[str, list] = {}

@@ -18,10 +18,15 @@ disjoint cases:
 3. some vertex reaches both tails: a maximal such vertex sees the two edges
    through distinct outgoing legs, and its vertex order decides.
 
-Each case is read off two bit rows per edge, the edges it reaches and the
-edges reaching it: a vertex reaches an edge's tail exactly when one of its
-legs reaches that edge, so ancestors, descendants and windows are
-intersections of rows.
+The comparator reads rows that its first call builds once per graph: per
+edge, the bit rows of the edges it reaches and of the edges reaching it
+(itself included), its input and output windows as anchor positions, and
+the out-legs of its tail as a bitset; per internal vertex, its out-legs in
+vertex order.  A vertex reaches an edge's tail exactly when one of its legs
+reaches that edge, so case 1 reads two rows, case 2 compares windows, and
+case 3 visits only the tails of the edges that reach one edge and not the
+other, testing each tail's legs against the rows.  A comparison builds no
+sets or lists; what stays quadratic is the number of pairs.
 
 Every pair is compared once (never sorting with a comparator), and each edge
 keeps a bit row of the edges it precedes.  Ranking by popcount gives the
@@ -76,6 +81,17 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
         _expect_permutation(vo[1], (e.id for e in graph.out_edges(v)))
 
 
+class _Rows(NamedTuple):
+    """The comparator's view of a :class:`PAGraph`, by edge index; bit rows
+    are over edge indexes, windows are anchor positions."""
+    reach: tuple[int, ...]  # the edges it reaches, itself included
+    reached: tuple[int, ...]  # the edges reaching it, itself included
+    windows: tuple[tuple[int, int, int, int], ...]  # input lo, hi, output lo, hi
+    tails: tuple[str, ...]  # its tail
+    tail_legs: tuple[int, ...]  # the out-legs of its tail
+    legs: dict[str, tuple[int, ...]]  # by internal vertex: its out-legs in vertex order
+
+
 class PAGraph:
     """A progressive graph with vertex orders at every internal vertex and
     anchors on the boundary; the combinatorial shadow of a plane drawing."""
@@ -93,11 +109,35 @@ class PAGraph:
             raise PpgError(f"missing vertex order for internal vertex {min(missing)!r}")
 
     @cached_property
-    def _anchor_rows(self) -> tuple[tuple[dict[int, int], int], ...]:
-        """Per anchor side: position by edge index, and the side as a bitset;
-        only the comparator reads them, so its first call builds them."""
-        sides = [{self.graph.edge_index(e): k for k, e in enumerate(side)} for side in self.anchor]
-        return tuple((pos, sum(1 << i for i in pos)) for pos in sides)
+    def _rows(self) -> _Rows:
+        """What :func:`compare_edges` reads: per edge its reflexive reach and
+        reacher rows, its input and output windows and its tail's out-legs,
+        and per internal vertex its out-legs in vertex order.  Built once,
+        from the reach rows and the local data, by the first comparison, so
+        that extracting or emitting local data never pays for it."""
+        g = self.graph
+        ids = g.edge_ids
+        reach = tuple(g.reach_bits(e) | 1 << i for i, e in enumerate(ids))
+        reached = tuple(g.reacher_bits(e) | 1 << i for i, e in enumerate(ids))
+
+        def side(edges: tuple[str, ...]) -> tuple[dict[int, int], int]:
+            """Anchor position by edge index, and the side as a bitset."""
+            pos = {g.edge_index(e): k for k, e in enumerate(edges)}
+            return pos, sum(1 << i for i in pos)
+
+        def span(pos: dict[int, int], anchored: int) -> tuple[int, int]:
+            ks = [pos[i] for i in _members(anchored)]
+            return min(ks), max(ks)
+
+        (ins, in_mask), (outs, out_mask) = map(side, self.anchor)
+        # every edge is reached by an input and reaches an output
+        windows = tuple(span(ins, t & in_mask) + span(outs, r & out_mask)
+                        for r, t in zip(reach, reached))
+        tails = tuple(e.src for e in g.edges)
+        legs = {v: sum(1 << g.edge_index(e.id) for e in g.out_edges(v)) for v in g.vertices}
+        return _Rows(reach, reached, windows, tails, tuple(map(legs.__getitem__, tails)),
+                     {v: tuple(map(g.edge_index, vo.outgoing))
+                      for v, vo in self.vertex_orders.items()})
 
     def __eq__(self, other):
         if isinstance(other, PAGraph):
@@ -116,14 +156,12 @@ class Comparison(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-def _window_verdict(side: tuple[dict[int, int], int], x1: int, x2: int) -> Comparison:
-    """Compare the windows of two edges: the anchor spans of the anchored
-    edges in their rows ``x1`` and ``x2``, on one side of the anchor."""
-    pos, mask = side
-    w1, w2 = ([pos[i] for i in _members(x & mask)] for x in (x1, x2))
-    if max(w1) < min(w2):
+def _span_order(lo1: int, hi1: int, lo2: int, hi2: int) -> Comparison:
+    """Compare two windows of anchor positions: one lies wholly before the
+    other, or they overlap."""
+    if hi1 < lo2:
         return Comparison.LESS
-    if max(w2) < min(w1):
+    if hi2 < lo1:
         return Comparison.GREATER
     return Comparison.INCONSISTENT
 
@@ -132,42 +170,54 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
     """Decide the relative planar-order position of two distinct edges.
 
     Antisymmetric by construction; INCONSISTENT means the vertex orders and
-    anchors admit no planar order that relates this pair.
+    anchors admit no planar order that relates this pair.  Reads only the
+    rows :class:`PAGraph` builds once: two bit rows per edge for case 1, its
+    precomputed windows for case 2, and for case 3 the out-leg masks of the
+    tails of the edges reaching one edge and not the other.
     """
-    g = pa.graph
     if e1 == e2:
         raise PpgError("compare_edges requires two distinct edges")
-    b1, b2 = 1 << g.edge_index(e1), 1 << g.edge_index(e2)
-    # r: the edges e reaches, t: the edges reaching e, both reflexive
-    r1, r2 = g.reach_bits(e1) | b1, g.reach_bits(e2) | b2
-    if r1 & b2:
+    g = pa.graph
+    i, j = g.edge_index(e1), g.edge_index(e2)
+    rows = pa._rows
+    r1, r2 = rows.reach[i], rows.reach[j]
+    if r1 >> j & 1:
         return Comparison.LESS
-    if r2 & b1:
+    if r2 >> i & 1:
         return Comparison.GREATER
 
     # A vertex reaches e's tail iff it has a leg in t, so t1 & t2 holds the
     # legs of the vertices reaching both tails.  It is empty only if no such
     # vertex exists: a tail with two legs is internal and has in-edges.
-    t1, t2 = g.reacher_bits(e1) | b1, g.reacher_bits(e2) | b2
+    t1, t2 = rows.reached[i], rows.reached[j]
     both = t1 & t2
     if not both:
-        ins, outs = pa._anchor_rows
-        verdict = _window_verdict(ins, t1, t2)
-        if not r1 & r2 and _window_verdict(outs, r1, r2) != verdict:
+        w1, w2 = rows.windows[i], rows.windows[j]
+        verdict = _span_order(w1[0], w1[1], w2[0], w2[1])
+        if not r1 & r2 and _span_order(w1[2], w1[3], w2[2], w2[3]) is not verdict:
             return Comparison.INCONSISTENT
         return verdict
 
     # A maximal common ancestor has legs into t1 and t2 and none into both
     # (its head would be a lower common ancestor), so it is the tail of an
-    # edge in t1 ^ t2; the least by name decides, through its first leg.
-    edges = g.edges
-    tails = ({edges[i].src for i in _members(t1 & ~t2)}
-             & {edges[i].src for i in _members(t2 & ~t1)})
-    v = min(v for v in tails
-            if not any(both >> g.edge_index(h) & 1 for h in pa.vertex_orders[v].outgoing))
-    first = next(i for i in map(g.edge_index, pa.vertex_orders[v].outgoing)
-                 if (t1 | t2) >> i & 1)
-    return Comparison.LESS if t1 >> first & 1 else Comparison.GREATER
+    # edge in t1 & ~t2 with a leg in t2 & ~t1; the least by name decides,
+    # through its first leg.  The legs of a tail seen are not visited again.
+    only2 = t2 & ~t1
+    tails, tail_legs = rows.tails, rows.tail_legs
+    v = None
+    rest = t1 & ~t2
+    while rest:
+        k = (rest & -rest).bit_length() - 1
+        legs = tail_legs[k]
+        rest &= ~legs
+        if legs & only2 and not legs & both and (v is None or tails[k] < v):
+            v = tails[k]
+    # v has no leg into both, so its first leg into either decides
+    for k in rows.legs[v]:
+        if t1 >> k & 1:
+            return Comparison.LESS
+        if t2 >> k & 1:
+            return Comparison.GREATER
 
 
 def synthesize_order(pa: PAGraph) -> PlanarOrder:

@@ -241,6 +241,27 @@ class TestConjugate:
         assert min(kinds.values()) > 450, kinds
         assert rejected > 2500
 
+    def test_conjugates_of_linear_extensions_match_the_scan(self):
+        # the "conjugate" of any linear extension relates each pair exactly
+        # once, but is transitive only when the extension is planar: the
+        # reach-chain test must accept the planar ones and hand the rest to
+        # the triple listing, with the outcome of the pair-counting rebuild
+        rng = random.Random(37)
+        accepted = refused = 0
+        for k in range(200):
+            g = pg.random_pop(random.Random(2000 + k), max_layers=2).graph
+            seq = random_linear_extension(g, rng)
+            rel = {(a, b) for i, a in enumerate(seq) for b in seq[i + 1:]
+                   if not g.strictly_reaches(a, b)}
+            got = outcome(pg.order_from_conjugate, g, rel)
+            assert got == outcome(order_from_conjugate_scan, g, rel), (k, seq)
+            if isinstance(got, pg.PlanarOrder):
+                assert got.sequence == tuple(seq), k
+                accepted += 1
+            else:
+                refused += 1
+        assert accepted > 50 and refused > 50, (accepted, refused)
+
     def test_not_conjugate_raises(self, canonical):
         rel = pg.conjugate_order(canonical)
         some = next(iter(rel))

@@ -62,6 +62,42 @@ def tampered_pas(pop: pg.POPGraph, rng: random.Random):
                                 (ins, rng.sample(outs, len(outs))))
 
 
+def synthesize_by_scan(pa: pg.PAGraph) -> pg.PlanarOrder:
+    """``synthesize_order`` with every pair decided by ``compare_edges_scan``:
+    the same witnesses, the same ranking by the number of later edges, and
+    the same checks of the ranking."""
+    g = pa.graph
+    ids = g.edge_ids
+    witnesses, later = [], dict.fromkeys(ids, 0)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            c = compare_edges_scan(pa, a, b)
+            if c is pg.Comparison.INCONSISTENT:
+                witnesses.append(f"no consistent position for pair ({a}, {b})")
+            else:
+                later[a if c is pg.Comparison.LESS else b] += 1
+    if witnesses:
+        raise pg.NoConsistentOrder(tuple(witnesses))
+    seq = sorted(ids, key=lambda e: -later[e])
+    try:
+        pop = pg.validate_planar_order(g, seq)
+    except pg.PpgError as err:
+        raise pg.NoConsistentOrder((f"synthesized order is not planar: {err}",)) from err
+    if pg.extract_pa(pop) != pa:
+        raise pg.NoConsistentOrder(
+            ("synthesized order does not reproduce the given vertex orders/anchors",))
+    return pop.order
+
+
+def synthesis_outcome(synthesize, pa: pg.PAGraph):
+    """The order ``synthesize(pa)`` returns, or the type, message and
+    witnesses of the NoConsistentOrder it raises."""
+    try:
+        return synthesize(pa)
+    except pg.NoConsistentOrder as exc:
+        return type(exc), str(exc), exc.witnesses
+
+
 class TestCompareEdges:
     def test_reachability_decides(self, canonical):
         pa = pg.extract_pa(canonical)
@@ -79,6 +115,24 @@ class TestCompareEdges:
         pa = pg.extract_pa(canonical)
         assert pg.compare_edges(pa, "5", "6") is pg.Comparison.LESS
         assert pg.compare_edges(pa, "6", "5") is pg.Comparison.GREATER
+
+    def test_the_least_maximal_common_ancestor_decides(self):
+        # u and w both reach the tails x and y of e1 and e2, and neither
+        # reaches the other (the graph has no planar order); their vertex
+        # orders disagree, and u, the least by name, decides
+        g = graph(("iu", "s1", "u"), ("iw", "s2", "w"), ("a1", "u", "x"), ("a2", "u", "y"),
+                  ("b1", "w", "x"), ("b2", "w", "y"), ("e1", "x", "t1"), ("e2", "y", "t2"))
+        pa = pg.PAGraph(g, {"u": (("iu",), ("a1", "a2")), "w": (("iw",), ("b2", "b1")),
+                            "x": (("a1", "b1"), ("e1",)), "y": (("a2", "b2"), ("e2",))},
+                        (("iu", "iw"), ("e1", "e2")))
+        assert pg.compare_edges(pa, "e1", "e2") is pg.Comparison.LESS
+        ids = g.edge_ids
+        for a in ids:
+            for b in ids:
+                if a != b:
+                    assert pg.compare_edges(pa, a, b) is compare_edges_scan(pa, a, b), (a, b)
+        with pytest.raises(pg.NoConsistentOrder):
+            pg.synthesize_order(pa)
 
     def test_equal_edge_rejected(self, canonical):
         pa = pg.extract_pa(canonical)
@@ -149,6 +203,20 @@ class TestSynthesize:
         for i in range(30):
             pop = pg.random_pop(rng, tag=f"t{i}.")
             assert pg.synthesize_order(pg.extract_pa(pop)) == pop.order, i
+
+    def test_agrees_with_a_pair_loop_over_the_scan(self, suite):
+        # the suite, and 100 random graphs with intact and tampered local
+        # data: the same order, or the same refusal and witnesses
+        rng = random.Random(43)
+        pas = [pg.extract_pa(pop) for _, pop in suite]
+        for k in range(100):
+            pas += [pa for _, pa in tampered_pas(pg.random_pop(random.Random(3000 + k)), rng)]
+        refused = 0
+        for k, pa in enumerate(pas):
+            got = synthesis_outcome(pg.synthesize_order, pa)
+            assert got == synthesis_outcome(synthesize_by_scan, pa), k
+            refused += not isinstance(got, pg.PlanarOrder)
+        assert refused > 100, refused
 
     def test_crossed_anchors_have_no_order(self):
         g = graph(("a", "p", "q"), ("b", "r", "s"))
