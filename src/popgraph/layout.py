@@ -11,16 +11,21 @@ legs form a contiguous block of its order, routing the legs to a vertex
 centroid and everything else straight across keeps the drawing planar.
 All coordinates are exact: points on the crossing lines are plain ints, and
 only the vertices (x at the centroid of their legs, y halfway between two
-lines) and the st apexes carry a ``Fraction``, so the crossing checker can be
-exact too.
+lines) and the st apexes carry a ``Fraction``.  The crossing checker reads
+each point once as ints over a common denominator and decides on ints; it
+builds a ``Fraction`` only where a segment crosses a line at an x that is
+not an int.
 
 ``check_drawing`` verifies monotonicity, boundary attachment, and that no
 two routes meet except at a vertex where both of them start or end.  It
 sweeps the horizontal strips between the y values of the route points, so
 only the segment pairs that may meet there (their left-to-right order
 changes or ties within a strip, they share an endpoint, or one is
-horizontal) reach the exact intersection test; no pair is decided with
-floats or a tolerance.  ``read_back`` recovers the vertex orders and anchors
+horizontal) reach the exact intersection test, scaled to the denominators
+of that pair alone; no pair is decided with floats or a tolerance.  The
+checker, ``read_back`` and the renderers refuse a coordinate that is not
+an int or a ``Fraction`` with ``PpgError``, and the renderers one too large
+for their floats.  ``read_back`` recovers the vertex orders and anchors
 from coordinates alone, which ties the picture back to the combinatorics it
 came from.
 """
@@ -29,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable
 
 from .composition import _peel_order
@@ -192,10 +199,11 @@ def check_drawing(d: Drawing) -> DrawingReport:
 
     Crossings are found by a sweep over horizontal strips, not by testing
     every pair of segments: see ``_crossings``.  Each candidate pair is
-    decided by the exact ``_segment_meet``, and the problems are listed in
+    decided exactly, on ints, and the problems are listed in
     the order of a pair scan, route by route, then segment by segment.  Two
     routes may meet only at a drawn vertex where each of them starts or ends.
     """
+    _require_coordinates(d)
     problems: list[str] = []
     down, y_in, y_out = _boundary_ys(d)
     short = {e for e, pts in d.routes.items() if len(pts) < 2}
@@ -226,13 +234,13 @@ def check_drawing(d: Drawing) -> DrawingReport:
                 problems.append(f"{side} {e}: does not "
                                 f"{'meet' if d.st else verb + ' on'} the {side} boundary")
 
-    problems += _crossings(d, set(d.vertices.values()))
+    problems += _crossings(d)
     return DrawingReport(not problems, tuple(problems))
 
 
-def _crossings(d: Drawing, allowed: set[Point]) -> list[str]:
+def _crossings(d: Drawing) -> list[str]:
     """One problem per pair of segments on distinct routes that meet, other
-    than at a point of ``allowed`` where both routes start or end.
+    than at a drawn vertex where both routes start or end.
 
     The plane is cut into strips between consecutive distinct y values of
     the segment endpoints; inside a strip every segment that is not
@@ -242,39 +250,61 @@ def _crossings(d: Drawing, allowed: set[Point]) -> list[str]:
     share an endpoint, which covers two segments meeting at one point from
     opposite sides of a line, or (c) one is horizontal (a single point
     included) and the other's closed y-range holds its y.  Only those
-    candidates reach ``_segment_meet``.  Sorting a strip by (top x, bottom x
-    descending) and inserting each segment by bottom x past every earlier
-    one at or right of it lists every pair of (a), at a cost of the pairs
-    listed.
+    candidates reach the exact test ``_meet``.  Sorting a strip by (top x,
+    bottom x descending) and inserting each segment by bottom x past every
+    earlier one at or right of it lists every pair of (a), at a cost of the
+    pairs listed.
+
+    Exactness is kept on ints: every point is read once as ``(X, Y, W)``
+    with ``x = X/W`` and ``y = Y/W`` (``_ints``), the lines, the shared-end
+    index and the allowed vertices are keyed by ints, an x on a line is an
+    int unless the division leaves a remainder (only then a ``Fraction``),
+    and each candidate pair is scaled to the lcm of its own four ``W``, so
+    the cost of a pair never depends on the rest of the drawing.
     """
     names = list(d.routes)
-    segs = [(i, a, b) for i, pts in enumerate(d.routes.values())
-            for a, b in zip(pts, pts[1:])]
-    ends = [pts[:1] + pts[-1:] for pts in d.routes.values()]
-    ys = sorted({p[1] for _, a, b in segs for p in (a, b)})
+    allowed = {_ints(p) for p in d.vertices.values()}
+    segs = []  # route index, both ends, both ends as ints
+    ends = []  # per route, its first and last point as ints
+    for i, pts in enumerate(d.routes.values()):
+        qs = [_ints(p) for p in pts]
+        segs += [(i, a, b, qa, qb) for a, b, qa, qb in zip(pts, pts[1:], qs, qs[1:])]
+        ends.append(qs[:1] + qs[-1:])
+    # the distinct y as (numerator, denominator), in the order of n/m
+    ys = sorted({(p[1].numerator, p[1].denominator) for _, a, b, _, _ in segs for p in (a, b)},
+                key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
     line = {y: k for k, y in enumerate(ys)}
     strips: list[list[int]] = [[] for _ in ys]  # strip k lies between ys[k] and ys[k + 1]
     flat: dict[int, list[int]] = {}
-    at: dict[Point, list[int]] = {}
-    spans = []  # per segment: line lo, its end there, line hi >= lo, its end there
-    for g, (_, a, b) in enumerate(segs):
-        for p in {a, b}:
-            at.setdefault(p, []).append(g)
-        ka, kb = line[a[1]], line[b[1]]
-        spans.append((ka, a, kb, b) if ka <= kb else (kb, b, ka, a))
-        lo, _, hi, _ = spans[g]
+    at: dict[tuple[int, int, int], list[int]] = {}
+    spans = []  # per segment: line lo, x key and ints of its end there, same at hi >= lo
+    for g, (_, a, b, qa, qb) in enumerate(segs):
+        at.setdefault(qa, []).append(g)
+        if qb != qa:
+            at.setdefault(qb, []).append(g)
+        ka = line[a[1].numerator, a[1].denominator]
+        kb = line[b[1].numerator, b[1].denominator]
+        ea, eb = (ka, _key(a[0]), qa), (kb, _key(b[0]), qb)
+        spans.append(ea + eb if ka <= kb else eb + ea)
+        lo, hi = spans[g][0], spans[g][3]
         if lo == hi:
             flat.setdefault(lo, []).append(g)
         for k in range(lo, hi):
             strips[k].append(g)
 
-    def x_at(g: int, k: int) -> Fraction:
-        lo, p, hi, q = spans[g]
+    def x_at(g: int, k: int) -> tuple[int, Fraction | int]:
+        """The ``_key`` of segment g's x on line k."""
+        lo, x_lo, (xp, yp, wp), hi, x_hi, (xq, yq, wq) = spans[g]
         if k == lo:
-            return p[0]
+            return x_lo
         if k == hi:
-            return q[0]
-        return p[0] + Fraction((q[0] - p[0]) * (ys[k] - p[1]), q[1] - p[1])
+            return x_hi
+        # x = (xp (yq - y) + xq (y - yp)) / (yq - yp) at y = n/m, on ints
+        n, m = ys[k]
+        num = xp * (yq * m - n * wq) + xq * (n * wp - yp * m)
+        den = m * (yq * wp - yp * wq)
+        x, r = divmod(num, den)
+        return (x, Fraction(num, den) if r else x)
 
     pairs: set[tuple[int, int]] = set()
     for group in at.values():
@@ -287,8 +317,10 @@ def _crossings(d: Drawing, allowed: set[Point]) -> list[str]:
             continue
         top = {g: x_at(g, k) for g in group}
         bottom = {g: x_at(g, k + 1) for g in group}
-        placed: list[tuple[Fraction, int]] = []  # sorted by bottom x
-        for g in sorted(group, key=lambda g: (top[g], -bottom[g])):
+        placed: list[tuple[tuple[int, Fraction | int], int]] = []  # sorted by bottom x
+        # by top x, ties by bottom x descending (two stable sorts)
+        for g in sorted(sorted(group, key=bottom.__getitem__, reverse=True),
+                        key=top.__getitem__):
             j = len(placed)
             while j and placed[j - 1][0] >= bottom[g]:
                 j -= 1
@@ -297,58 +329,115 @@ def _crossings(d: Drawing, allowed: set[Point]) -> list[str]:
 
     problems = []
     for g, h in sorted(pairs, key=lambda gh: (segs[gh[0]][0], segs[gh[1]][0]) + gh):
-        (i, a1, b1), (j, a2, b2) = segs[g], segs[h]
+        (i, _, _, a1, b1), (j, _, _, a2, b2) = segs[g], segs[h]
         if i == j:
             continue
-        hit = _segment_meet(a1, b1, a2, b2)
+        hit = _meet(a1, b1, a2, b2)
         if hit is None:
             continue
         kind, p = hit
         if kind == "point" and p in allowed and p in ends[i] and p in ends[j]:
             continue
+        # int / int rounds the exact quotient once, as float of a Fraction does
         problems.append(f"routes {names[i]} and {names[j]} cross near "
-                        f"({float(p[0]):.3f}, {float(p[1]):.3f})")
+                        f"({p[0] / p[2]:.3f}, {p[1] / p[2]:.3f})")
     return problems
 
 
+def _key(x: Fraction | int) -> tuple[int, Fraction | int]:
+    """x as (floor x, x), which sorts as x does: most comparisons are then
+    decided by the int, and a tie by x itself, exactly."""
+    return x.numerator // x.denominator, x
+
+
+def _ints(p: Point) -> tuple[int, int, int]:
+    """The point (x, y) as ints (X, Y, W) with x = X/W, y = Y/W and W the
+    lcm of the denominators: one triple per point, so it can key a dict."""
+    x, y = p
+    dx, dy = x.denominator, y.denominator
+    w = lcm(dx, dy)
+    return x.numerator * (w // dx), y.numerator * (w // dy), w
+
+
+def _point(x: int, y: int, w: int) -> Point:
+    """The inverse of ``_ints``: an int where the division is exact."""
+    return tuple(c // w if c % w == 0 else Fraction(c, w) for c in (x, y))
+
+
 def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
-    """Exact intersection of two closed segments.
+    """Exact intersection of two closed segments, given by points of ints
+    or ``Fraction``s.
 
     None when disjoint; ("point", P) for a single shared point; for
     collinear overlap beyond a point, ("overlap", P) with P in the overlap.
     Either segment may be a single point; whether they meet does not depend
-    on which one comes first.
+    on which one comes first.  Decided by ``_meet`` on ints: a meeting at
+    an end of a segment is that end, any other point is mapped back with a
+    ``Fraction`` where the division leaves a remainder.
     """
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (p4[0] - p3[0], p4[1] - p3[1])
-    w = (p3[0] - p1[0], p3[1] - p1[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0:
-        if w[0] * d1[1] - w[1] * d1[0] != 0:
+    points = (p1, p2, p3, p4)
+    qs = [_ints(p) for p in points]
+    hit = _meet(*qs)
+    if hit is None:
+        return None
+    kind, q = hit
+    return kind, next((p for p, r in zip(points, qs) if r is q), None) or _point(*q)
+
+
+def _meet(q1, q2, q3, q4):
+    """``_segment_meet`` on points given as ``_ints`` triples, answering
+    with the meeting point as a reduced triple.
+
+    The four points are scaled to the lcm of their own ``W`` (1 for two
+    segments between crossing lines), so every test is a sign test on ints:
+    with t = tn/den along the first segment and u = un/den along the
+    second, they meet when 0 <= tn <= den and 0 <= un <= den.  A meeting
+    point at an end of a segment is that end; any other is reduced by a gcd.
+    """
+    w = lcm(q1[2], q2[2], q3[2], q4[2])
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = [
+        (x * (w // c), y * (w // c)) for x, y, c in (q1, q2, q3, q4)]
+    dx1, dy1, dx2, dy2 = x2 - x1, y2 - y1, x4 - x3, y4 - y3
+    wx, wy = x3 - x1, y3 - y1
+    den = dx1 * dy2 - dy1 * dx2
+    un = wx * dy1 - wy * dx1
+    if den == 0:
+        if un != 0:
             return None
-        # collinear: compare parameter intervals along d1
-        dot = lambda u, v: u[0] * v[0] + u[1] * v[1]
-        l2 = dot(d1, d1)
+        # collinear: compare parameter intervals along the first segment,
+        # scaled by its squared length l2
+        l2 = dx1 * dx1 + dy1 * dy1
         if l2 == 0:
             # the first segment is a single point: meet it from the second's
             # side, so that the answer does not depend on the argument order
-            if d2 == (0, 0):
-                return ("point", p1) if p1 == p3 else None
-            return _segment_meet(p3, p4, p1, p2)
-        t3 = Fraction(dot(w, d1), l2)
-        t4 = Fraction(dot((p4[0] - p1[0], p4[1] - p1[1]), d1), l2)
-        lo, hi = min(t3, t4), max(t3, t4)
-        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+            if dx2 == dy2 == 0:
+                return ("point", q1) if (x1, y1) == (x3, y3) else None
+            return _meet(q3, q4, q1, q2)
+        t3 = wx * dx1 + wy * dy1
+        t4 = (x4 - x1) * dx1 + (y4 - y1) * dy1
+        lo, hi = max(min(t3, t4), 0), min(max(t3, t4), l2)
         if lo > hi:
             return None
-        mid = (lo + hi) / 2
-        p = (p1[0] + mid * d1[0], p1[1] + mid * d1[1])
+        # the midpoint of the overlap, at t = (lo + hi) / (2 l2)
+        s = 2 * l2
+        p = _reduced(x1 * s + (lo + hi) * dx1, y1 * s + (lo + hi) * dy1, s * w)
         return ("point", p) if lo == hi else ("overlap", p)
-    t = Fraction(w[0] * d2[1] - w[1] * d2[0], denom)
-    u = Fraction(w[0] * d1[1] - w[1] * d1[0], denom)
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return ("point", (p1[0] + t * d1[0], p1[1] + t * d1[1]))
-    return None
+    tn = wx * dy2 - wy * dx2
+    if den < 0:
+        den, tn, un = -den, -tn, -un
+    if not (0 <= tn <= den and 0 <= un <= den):
+        return None
+    if tn == 0 or tn == den:
+        return ("point", q1 if tn == 0 else q2)
+    if un == 0 or un == den:
+        return ("point", q3 if un == 0 else q4)
+    return ("point", _reduced(x1 * den + tn * dx1, y1 * den + tn * dy1, den * w))
+
+
+def _reduced(x: int, y: int, w: int) -> tuple[int, int, int]:
+    """(x, y, w) divided by their gcd, w > 0: the ``_ints`` of x/w, y/w."""
+    g = gcd(x, y, w)
+    return x // g, y // g, w // g
 
 
 def _boundary_ys(d: Drawing) -> tuple[bool, Fraction, Fraction]:
@@ -356,6 +445,34 @@ def _boundary_ys(d: Drawing) -> tuple[bool, Fraction, Fraction]:
     down = d.flow == "down"
     y_in, y_out = (d.box[1], d.box[3]) if down else (d.box[3], d.box[1])
     return down, y_in, y_out
+
+
+# below this magnitude a renderer's floats (coordinates scaled, offset and
+# squared in an arrow) stay finite
+_RENDER_BOUND = 10 ** 100
+
+
+def _require_coordinates(d: Drawing, render: bool = False) -> None:
+    """Raise PpgError naming the first route, vertex or box with a point
+    that is not an (x, y) tuple, a coordinate that is not an int or a
+    ``Fraction`` (every check here is exact), or, for a renderer, a
+    coordinate of magnitude ``_RENDER_BOUND`` or more."""
+    where = [("route of edge", e, pts) for e, pts in d.routes.items()]
+    where += [("vertex", v, (p,)) for v, p in d.vertices.items()]
+    where.append(("drawing", "box", (d.box[:2], d.box[2:])))
+    for kind, name, pts in where:
+        for p in pts:
+            if type(p) is not tuple or len(p) != 2:
+                raise PpgError(f"{kind} {name} has a point that is not an (x, y) tuple")
+            for c in p:
+                # most coordinates are ints (the points on the lines)
+                if type(c) is not int and not isinstance(c, (int, Fraction)):
+                    raise PpgError(f"{kind} {name} has a coordinate of type "
+                                   f"{type(c).__name__}, not an int or a Fraction")
+                if render and not (-_RENDER_BOUND < c < _RENDER_BOUND if type(c) is int
+                                   else abs(c.numerator) < _RENDER_BOUND * c.denominator):
+                    raise PpgError(f"{kind} {name} has a coordinate too large "
+                                   f"to render (magnitude 1e100 or more)")
 
 
 def _require_routes(d: Drawing) -> None:
@@ -384,6 +501,7 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     that does not meet its boundary, raises PpgError.
     """
     _require_routes(d)
+    _require_coordinates(d)
     _, y_in, y_out = _boundary_ys(d)
 
     def boundary_x(e: str, start: bool, y: Fraction) -> Fraction:
@@ -427,6 +545,7 @@ def render_svg(d: Drawing) -> str:
     """Self-contained SVG: one path per edge, arrowheads at route midpoints,
     filled circles for vertices, a dashed frame around the banded region."""
     _require_routes(d)
+    _require_coordinates(d, render=True)
     s = 48.0
     pad = 30.0
     ys = {p[1] for pts in d.routes.values() for p in pts}
@@ -476,6 +595,7 @@ def _svg_arrow(pts: tuple[Point, ...], px) -> str:
 def render_tikz(d: Drawing) -> str:
     """TikZ picture with the same content; y is mirrored for TikZ's up axis."""
     _require_routes(d)
+    _require_coordinates(d, render=True)
     out = [r"\begin{tikzpicture}[x=1.1cm,y=1.1cm,yscale=-1]"]
     out.append(rf"\draw[densely dashed, gray] ({_fmt(d.box[0])},{_fmt(d.box[1])}) "
                rf"rectangle ({_fmt(d.box[2])},{_fmt(d.box[3])});")

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, takewhile
 from pathlib import Path
 
 import pytest
 
 import popgraph as pg
-from popgraph.layout import _segment_meet
+from popgraph.layout import Point
 from popgraph.order import _expect_permutation, _members
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -310,6 +312,47 @@ def linear_extension_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:
     return out
 
 
+def segment_meet_scan(p1: Point, p2: Point, p3: Point, p4: Point):
+    """Exact intersection of two closed segments, in ``Fraction`` arithmetic:
+    the oracle for ``popgraph.layout._segment_meet``, which decides on ints.
+
+    None when disjoint; ("point", P) for a single shared point; for
+    collinear overlap beyond a point, ("overlap", P) with P in the overlap.
+    Either segment may be a single point; whether they meet does not depend
+    on which one comes first.
+    """
+    d1 = (p2[0] - p1[0], p2[1] - p1[1])
+    d2 = (p4[0] - p3[0], p4[1] - p3[1])
+    w = (p3[0] - p1[0], p3[1] - p1[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom == 0:
+        if w[0] * d1[1] - w[1] * d1[0] != 0:
+            return None
+        # collinear: compare parameter intervals along d1
+        dot = lambda u, v: u[0] * v[0] + u[1] * v[1]
+        l2 = dot(d1, d1)
+        if l2 == 0:
+            # the first segment is a single point: meet it from the second's
+            # side, so that the answer does not depend on the argument order
+            if d2 == (0, 0):
+                return ("point", p1) if p1 == p3 else None
+            return segment_meet_scan(p3, p4, p1, p2)
+        t3 = Fraction(dot(w, d1), l2)
+        t4 = Fraction(dot((p4[0] - p1[0], p4[1] - p1[1]), d1), l2)
+        lo, hi = min(t3, t4), max(t3, t4)
+        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+        if lo > hi:
+            return None
+        mid = (lo + hi) / 2
+        p = (p1[0] + mid * d1[0], p1[1] + mid * d1[1])
+        return ("point", p) if lo == hi else ("overlap", p)
+    t = Fraction(w[0] * d2[1] - w[1] * d2[0], denom)
+    u = Fraction(w[0] * d1[1] - w[1] * d1[0], denom)
+    if 0 <= t <= 1 and 0 <= u <= 1:
+        return ("point", (p1[0] + t * d1[0], p1[1] + t * d1[1]))
+    return None
+
+
 def check_drawing_scan(d: pg.Drawing) -> tuple[str, ...]:
     """``check_drawing(d).problems`` with the crossings found by testing every
     pair of segments on distinct routes, route by route, then segment by
@@ -326,7 +369,7 @@ def check_drawing_scan(d: pg.Drawing) -> tuple[str, ...]:
             r2 = d.routes[e2]
             for a1, b1 in segs1:
                 for a2, b2 in zip(r2, r2[1:]):
-                    hit = _segment_meet(a1, b1, a2, b2)
+                    hit = segment_meet_scan(a1, b1, a2, b2)
                     if hit is None:
                         continue
                     kind, p = hit
@@ -337,6 +380,35 @@ def check_drawing_scan(d: pg.Drawing) -> tuple[str, ...]:
                         f"routes {e1} and {e2} cross near "
                         f"({float(p[0]):.3f}, {float(p[1]):.3f})")
     return tuple(problems)
+
+
+def first_primes(n: int) -> list[int]:
+    """The first n primes, by trial division by the primes up to the root."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in takewhile(lambda p: p * p <= k, primes)):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def moved_by_primes(d: pg.Drawing, rng: random.Random, most: Fraction) -> pg.Drawing:
+    """``d`` with one interior point of each route that has one moved in x
+    by +-k/p, where p is a prime of the route's own and k is not a multiple
+    of p, with k/p up to about ``most``: the worst case for denominators,
+    since the lcm of all of them is the product of the primes."""
+    primes = iter(first_primes(len(d.routes)))
+    routes = dict(d.routes)
+    for e, pts in d.routes.items():
+        if len(pts) < 3:
+            continue
+        p, i = next(primes), rng.randrange(1, len(pts) - 1)
+        k = rng.randint(1, max(1, int(most * p)))
+        k = rng.choice((-1, 1)) * (k + 1 if k % p == 0 else k)
+        x, y = pts[i]
+        routes[e] = pts[:i] + ((x + Fraction(k, p), y),) + pts[i + 1:]
+    return dataclasses.replace(d, routes=routes)
 
 
 def perturbed(pop: pg.POPGraph, rng: random.Random) -> pg.POPGraph | None:

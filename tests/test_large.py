@@ -4,19 +4,28 @@ The 40x28 graph of the corpus recipe (1 176 edges, 33 212 layout segments)
 goes through the text format, decomposition, layout and the drawing checker
 in one test, under a generous wall-time bound that a stage going back to
 cubic work would break (the drawing checker's old pair scan had 5.5e8
-segment pairs to test here).
+segment pairs to test here).  A second test checks its drawing with a
+denominator of its own on nearly every route.
 """
 
 from __future__ import annotations
 
+import random
 import time
+from fractions import Fraction
+
+import pytest
 
 import popgraph as pg
-from conftest import recipe_graph
+from conftest import moved_by_primes, recipe_graph
 
 
-def test_a_thousand_edges_end_to_end():
-    pop = recipe_graph(40, 28)
+@pytest.fixture(scope="module")
+def pop() -> pg.POPGraph:
+    return recipe_graph(40, 28)
+
+
+def test_a_thousand_edges_end_to_end(pop):
     assert len(pop.graph.edges) == 1176
     t0 = time.perf_counter()
     text = pg.emit_ppg(pop)
@@ -30,3 +39,17 @@ def test_a_thousand_edges_end_to_end():
     assert report.ok, report.problems[:3]
     assert pg.read_back(d, pop.graph) == pg.extract_pa(pop)
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_points_moved_by_distinct_primes_check_quickly(pop):
+    # one interior point per route moved by +-k/p, a prime p of its own per
+    # route: the lcm of all denominators is the product of 1 172 primes; a
+    # prototype that scaled the whole drawing to it took 24 s (Python 3.11),
+    # where scaling each candidate pair to its own takes about 0.5 s
+    d = pg.layout(pop)
+    bad = moved_by_primes(d, random.Random(0), Fraction(2))
+    assert sum(bad.routes[e] != pts for e, pts in d.routes.items()) == 1172
+    t0 = time.perf_counter()
+    report = pg.check_drawing(bad)
+    assert time.perf_counter() - t0 < 10.0
+    assert not report.ok

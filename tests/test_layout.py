@@ -10,7 +10,8 @@ import pytest
 
 import popgraph as pg
 from popgraph.layout import _flip, _segment_meet
-from conftest import check_drawing_scan, recipe_graph, run_optimized
+from conftest import (check_drawing_scan, moved_by_primes, recipe_graph, run_optimized,
+                      segment_meet_scan)
 
 
 F = Fraction
@@ -267,6 +268,17 @@ class TestCheckDrawing:
         assert pg.check_drawing(d).problems == check_drawing_scan(d) == (
             "routes a and b cross near (1.000, 1.000)",)
 
+    def test_collinear_legs_meeting_at_a_vertex_allowed(self):
+        # as above, but a vertex sits at the meeting point, whose x and y
+        # have different denominators (1/4, 1/2)
+        v = (F(1, 4), F(1, 2))
+        d = pg.Drawing(
+            flow="down", box=(F(0), F(0), F(1), F(1)), bands=((F(0), F(1)),),
+            vertices={"v": v},
+            routes={"a": ((0, 0), v), "b": (v, (F(1, 2), 1)), "c": ((1, 0), (1, 1))},
+            inputs=("a", "c"), outputs=("b", "c"))
+        assert pg.check_drawing(d).problems == check_drawing_scan(d) == ()
+
     def test_single_point_route_meets_in_either_order(self):
         # a route whose two points coincide, lying on another route, meets
         # it whichever of the two is listed first
@@ -366,6 +378,42 @@ class TestCheckerAgreesWithScan:
                 flagged += bool(problems)
         assert flagged
 
+    def test_points_moved_by_distinct_primes(self):
+        # one interior point per route moved by +-k/p, with a prime p of its
+        # own: small moves keep the drawing clean, large ones make crossings
+        d = pg.layout(recipe_graph(4, 8))
+        flagged = []
+        for seed, most in enumerate((F(1, 8), F(1, 8), F(2), F(2))):
+            bad = moved_by_primes(d, random.Random(seed), most)
+            problems = pg.check_drawing(bad).problems
+            assert problems == check_drawing_scan(bad)
+            flagged.append(bool(problems))
+        assert True in flagged and False in flagged
+
+
+def random_coordinate(rng: random.Random):
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    d = rng.randint(1, 4)
+    return F(rng.randint(-3 * d, 3 * d), d)
+
+
+def random_quadruple(rng: random.Random):
+    """Four points of ints and Fractions (denominators 1-4); a segment may
+    be a single point, share an end with the other, or lie on its line."""
+    p1, p2, p3, p4 = [(random_coordinate(rng), random_coordinate(rng)) for _ in range(4)]
+    r = rng.random()
+    if r < 0.1:
+        p2 = p1
+    elif r < 0.2:
+        p3 = p4
+    elif r < 0.4:
+        p3 = rng.choice((p1, p2))
+    elif r < 0.6:
+        p3, p4 = ((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+                  for t in (F(rng.randint(-4, 8), 4) for _ in range(2)))
+    return p1, p2, p3, p4
+
 
 class TestSegmentMeet:
     def test_disjoint(self):
@@ -404,6 +452,17 @@ class TestSegmentMeet:
         assert _segment_meet(*diagonal, *off) is None
         assert _segment_meet(*point, *point) == ("point", (1, 1))
         assert _segment_meet(*point, *off) is None
+
+    def test_agrees_with_the_fraction_scan(self):
+        # the integer kernel against the Fraction arithmetic it replaced
+        rng = random.Random(15)
+        kinds = {None: 0, "point": 0, "overlap": 0}
+        for _ in range(100_000):
+            q = random_quadruple(rng)
+            hit = segment_meet_scan(*q)
+            assert _segment_meet(*q) == hit, q
+            kinds[hit and hit[0]] += 1
+        assert min(kinds.values()) > 10_000, kinds
 
 
 class TestRender:
@@ -468,3 +527,44 @@ class TestMalformedDrawings:
         bad = without(pg.layout_st(pg.spider(2, 2)), vertex=apex)
         problems = pg.check_drawing(bad).problems
         assert list(problems[:3]) == [f"apex {apex}: not among the vertices"] + want
+
+    @staticmethod
+    def with_x(d: pg.Drawing, where: str, x) -> pg.Drawing:
+        """``d`` with the first x of route i1, or the x of vertex v, set to x."""
+        if where == "route":
+            pts = d.routes["i1"]
+            return dataclasses.replace(
+                d, routes=dict(d.routes, i1=((x, pts[0][1]),) + pts[1:]))
+        return dataclasses.replace(d, vertices=dict(d.vertices, v=(x, d.vertices["v"][1])))
+
+    @pytest.mark.parametrize("where,name", [("route", "route of edge i1"), ("vertex", "vertex v")])
+    @pytest.mark.parametrize("x", [0.5, float("nan"), float("inf"), "1", None], ids=repr)
+    @pytest.mark.parametrize("use", ["check_drawing", "read_back", "render_svg", "render_tikz"])
+    def test_coordinate_neither_int_nor_fraction_refused(self, use, x, where, name):
+        pop = pg.spider(2, 2)
+        bad = self.with_x(pg.layout(pop), where, x)
+        fn = getattr(pg, use)
+        with pytest.raises(pg.PpgError, match=f"^{name} has a coordinate of type "
+                                              f"{type(x).__name__}, not an int or a Fraction$"):
+            fn(bad, pop.graph) if use == "read_back" else fn(bad)
+
+    def test_huge_coordinates_are_checked_but_not_rendered(self):
+        pop = pg.spider(2, 2)
+        bad = self.with_x(pg.layout(pop), "route", 10 ** 400)
+        assert pg.check_drawing(bad).ok
+        assert pg.read_back(bad, pop.graph).anchor.inputs == ("i2", "i1")
+        for render in (pg.render_svg, pg.render_tikz):
+            with pytest.raises(pg.PpgError, match="^route of edge i1 has a coordinate "
+                                                  "too large to render"):
+                render(bad)
+            render(self.with_x(pg.layout(pop), "route", 10 ** 99))
+
+    @pytest.mark.parametrize("use", ["check_drawing", "read_back", "render_svg", "render_tikz"])
+    def test_point_that_is_not_a_pair_refused(self, use):
+        pop = pg.spider(2, 2)
+        d = pg.layout(pop)
+        bad = dataclasses.replace(d, routes=dict(d.routes, i1=((1, 0, 0),) + d.routes["i1"][1:]))
+        fn = getattr(pg, use)
+        with pytest.raises(pg.PpgError, match="^route of edge i1 has a point that is not "
+                                              r"an \(x, y\) tuple$"):
+            fn(bad, pop.graph) if use == "read_back" else fn(bad)
