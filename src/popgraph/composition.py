@@ -1,16 +1,17 @@
 """Gluing and splitting planarly ordered progressive graphs.
 
-Composition glues the k-th output (by the order) of the first factor to the
-k-th input of the second, fusing each such pair into one new edge; the
-composite order shuffles the two orders around the fused edges:
+Composition glues the k-th output (by the order) of one factor to the k-th
+input of the next, fusing each such pair into one new edge; the composite
+order shuffles the two orders around the fused edges:
 
     Q_1, f_1, P_1, Q_2, f_2, P_2, ..., Q_n, f_n, P_n
 
-where Q_k collects the first factor's non-output edges before its k-th
-output and P_k the second factor's non-input edges after its k-th input.
-Planar orders are closed under this composition, so the result is not
-re-validated (the test suite validates thousands of composites); only the
-glued graph goes through validate_progressive, which builds its closure.
+where Q_k collects the upper factor's non-output edges before its k-th
+output and P_k the lower factor's non-input edges after its k-th input.  A
+chain is glued in one pass, each glued output giving way to its fused edge
+and P block, recursively.  Planar orders are closed under composition, so
+the result is not re-validated (the test suite validates thousands of
+composites); the glued graph goes once through validate_progressive.
 
 Decomposition is the inverse: splitting off an order-maximal internal vertex
 leaves a remainder and an elementary factor (one internal vertex plus
@@ -31,7 +32,7 @@ import heapq
 
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, _fresh,
                    _induces_vertex_bijection, validate_progressive)
-from .errors import ArityMismatch, NoInternalVertex
+from .errors import ArityMismatch, NoInternalVertex, PpgError
 from .order import PlanarOrder, POPGraph, interval_partition, validate_planar_order
 
 
@@ -62,50 +63,53 @@ def is_elementary(g: ProgressiveGraph) -> bool:
     return True
 
 
-def compose(first: POPGraph, second: POPGraph) -> POPGraph:
-    """Glue the outputs of ``first`` onto the inputs of ``second``.
+def compose(*factors: POPGraph) -> POPGraph:
+    """Glue each factor's outputs onto the next one's inputs, upstream first.
 
-    Arities must match.  A fused edge keeps its id when both halves agree on
-    it (which is how decomposition factors are labelled) and is otherwise
-    named "lower~upper"; surviving edges keep their ids, with a "'" suffix
-    appended on collision.  Vertex ids from the second factor are suffixed
-    the same way when they clash with the first's.
+    Arities must match; one factor is returned as it is.  A fused edge keeps
+    its id when both halves agree on it (which is how decomposition factors
+    are labelled) and is otherwise named "output~input"; surviving edges
+    keep their ids, with a "'" suffix appended on collision.  A factor's
+    vertex ids are suffixed the same way when they clash with those above
+    it, so the result is that of composing two factors at a time.
     """
-    pairs = glue_table(first, second)
-    g1, g2 = first.graph, second.graph
+    if not factors:
+        raise PpgError("compose needs at least one factor")
+    if len(factors) == 1:
+        return factors[0]
+    tables = [glue_table(a, b) for a, b in zip(factors, factors[1:])]
+    edges = {e.id: e for e in factors[0].graph.edges}  # the running composite
+    names, ids = set(factors[0].graph.vertices), set(edges)
+    local = [dict(zip(edges, edges))]  # per factor: local id -> composite id
+    follow = []  # per glue: upper output -> lower input and its P block
+    for pairs, pop in zip(tables, factors[1:]):
+        g, upper, after = pop.graph, local[-1], interval_partition(pop)[0]
+        follow.append({o: (i, *after[i]) for o, i in pairs})
+        glued = [edges.pop(upper[o]) for o, _ in pairs]
+        ids.difference_update(e.id for e in glued)
+        names.difference_update(e.dst for e in glued)
+        tails = {g.edge(i).src for _, i in pairs}
+        vmap = {v: _fresh(v, names) for v in g.vertices if v not in tails}
+        ours: dict[str, str] = {}
+        for e, (_, i) in zip(glued, pairs):
+            ours[i] = _fresh(e.id if e.id == i else f"{e.id}~{i}", ids)
+            edges[ours[i]] = Edge(ours[i], e.src, vmap[g.edge(i).dst])
+        for e in g.edges:
+            if e.id not in g.inputs:
+                ours[e.id] = _fresh(e.id, ids)
+                edges[ours[e.id]] = Edge(ours[e.id], vmap[e.src], vmap[e.dst])
+        local.append(ours)
 
-    sinks1 = {g1.edge(o).dst for o, _ in pairs}
-    sources2 = {g2.edge(i).src for _, i in pairs}
-    vmap2: dict[str, str] = {}
-    taken = {v for v in g1.vertices if v not in sinks1}
-    for v in g2.vertices:
-        if v not in sources2:
-            vmap2[v] = _fresh(v, taken)
-
-    survivors1 = [e for e in g1.edges if e.id not in g1.outputs]
-    survivors2 = [e for e in g2.edges if e.id not in g2.inputs]
-    used = {e.id for e in survivors1}
-    fused_id: dict[str, str] = {}
-    for o, i in pairs:
-        fused_id[o] = _fresh(o if o == i else f"{o}~{i}", used)
-    emap2 = {e.id: _fresh(e.id, used) for e in survivors2}
-
-    edges = list(survivors1)
-    for o, i in pairs:
-        edges.append(Edge(fused_id[o], g1.edge(o).src, vmap2[g2.edge(i).dst]))
-    for e in survivors2:
-        edges.append(Edge(emap2[e.id], vmap2[e.src], vmap2[e.dst]))
-
-    # Shuffle the two orders around the fused edges: Q_k f_k P_k.
-    q_blocks = interval_partition(first)[1]
-    p_blocks = interval_partition(second)[0]
+    # Q_k f_k P_k, recursively: each glued output gives way to its follow
     order: list[str] = []
-    for o, i in pairs:
-        order.extend(q_blocks[o])
-        order.append(fused_id[o])
-        order.extend(emap2[e] for e in p_blocks[i])
-
-    graph = validate_progressive(DirectedMultigraph(edges))
+    stack = [(0, e) for e in reversed(factors[0].order.sequence)]
+    while stack:
+        k, e = stack.pop()
+        if k < len(follow) and e in follow[k]:
+            stack.extend((k + 1, x) for x in reversed(follow[k][e]))
+        else:
+            order.append(local[k][e])
+    graph = validate_progressive(DirectedMultigraph(edges.values()))
     return POPGraph(graph, PlanarOrder(order))
 
 
@@ -254,9 +258,5 @@ def elementary_decomposition(pop: POPGraph) -> ElementaryDecomposition:
 
 
 def recompose(decomposition) -> POPGraph:
-    """Fold :func:`compose` over the factors, upstream first."""
-    factors = list(decomposition)
-    result = factors[0]
-    for factor in factors[1:]:
-        result = compose(result, factor)
-    return result
+    """:func:`compose` of the factors, upstream first."""
+    return compose(*decomposition)

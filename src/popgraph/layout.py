@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Iterable
 
 from .composition import _peel_order
@@ -338,10 +338,20 @@ def _crossings(d: Drawing) -> list[str]:
         kind, p = hit
         if kind == "point" and p in allowed and p in ends[i] and p in ends[j]:
             continue
-        # int / int rounds the exact quotient once, as float of a Fraction does
         problems.append(f"routes {names[i]} and {names[j]} cross near "
-                        f"({p[0] / p[2]:.3f}, {p[1] / p[2]:.3f})")
+                        f"({_decimal(p[0], p[2])}, {_decimal(p[1], p[2])})")
     return problems
+
+
+def _decimal(n: int, w: int) -> str:
+    """n/w to three decimals, rounded once as float of a Fraction is; beyond
+    the float range, as "d.ddde+E", E first estimated by logarithms."""
+    try:
+        return f"{n / w:.3f}"
+    except OverflowError:
+        e = int(log10(abs(n)) - log10(w))
+        mantissa, exponent = f"{n / (w * 10 ** e):.3e}".split("e")
+        return f"{mantissa}e+{e + int(exponent)}"
 
 
 def _key(x: Fraction | int) -> tuple[int, Fraction | int]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import popgraph as pg
+from popgraph.core import _fresh
 from popgraph.layout import Point
 from popgraph.order import _expect_permutation, _members
 
@@ -44,11 +45,11 @@ def recipe_graph(layers: int, width: int) -> pg.POPGraph:
     """The layered graph of the corpus recipe, seed 0: an elementary layer
     of ``width`` inputs, then ``layers`` - 1 more composed below it."""
     rng = random.Random(0)
-    pop = pg.random_elementary_layer(rng, "L0.", n_inputs=width)
+    rows = [pg.random_elementary_layer(rng, "L0.", n_inputs=width)]
     for k in range(1, layers):
-        pop = pg.compose(pop, pg.random_elementary_layer(
-            rng, f"L{k}.", n_inputs=len(pop.graph.outputs)))
-    return pop
+        rows.append(pg.random_elementary_layer(
+            rng, f"L{k}.", n_inputs=len(rows[-1].graph.outputs)))
+    return pg.compose(*rows)
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -126,6 +127,43 @@ def order_violations_scan(g: pg.ProgressiveGraph, sequence) -> tuple[list, list]
                 if g.strictly_reaches(seq[i], seq[k]) and not g.strictly_reaches(seq[j], seq[k]):
                     triples.append((seq[i], seq[j], seq[k]))
     return pairs, triples
+
+
+def compose_fold(*factors: pg.POPGraph) -> pg.POPGraph:
+    """``compose`` by its two-factor definition, folded upstream first: each
+    step rebuilds, validates and re-reads the whole running composite.
+
+    The vertices of the lower factor are freshened against the upper one's
+    minus the heads of its outputs, the fused and surviving edge ids against
+    the upper one's non-outputs; the edges are declared as the upper
+    survivors, the fused edges in glue order, then the lower survivors; the
+    order is Q_k f_k P_k over the glue pairs.
+    """
+    result = factors[0]
+    for second in factors[1:]:
+        pairs = pg.glue_table(result, second)
+        g1, g2 = result.graph, second.graph
+        sinks1 = {g1.edge(o).dst for o, _ in pairs}
+        sources2 = {g2.edge(i).src for _, i in pairs}
+        taken = {v for v in g1.vertices if v not in sinks1}
+        vmap2 = {v: _fresh(v, taken) for v in g2.vertices if v not in sources2}
+        survivors1 = [e for e in g1.edges if e.id not in g1.outputs]
+        survivors2 = [e for e in g2.edges if e.id not in g2.inputs]
+        used = {e.id for e in survivors1}
+        fused_id = {o: _fresh(o if o == i else f"{o}~{i}", used) for o, i in pairs}
+        emap2 = {e.id: _fresh(e.id, used) for e in survivors2}
+        edges = list(survivors1)
+        edges += [pg.Edge(fused_id[o], g1.edge(o).src, vmap2[g2.edge(i).dst])
+                  for o, i in pairs]
+        edges += [pg.Edge(emap2[e.id], vmap2[e.src], vmap2[e.dst]) for e in survivors2]
+        q_blocks = pg.interval_partition(result)[1]
+        p_blocks = pg.interval_partition(second)[0]
+        order: list[str] = []
+        for o, i in pairs:
+            order += [*q_blocks[o], fused_id[o], *(emap2[e] for e in p_blocks[i])]
+        graph = pg.validate_progressive(pg.DirectedMultigraph(edges))
+        result = pg.POPGraph(graph, pg.PlanarOrder(order))
+    return result
 
 
 def conjugate_pairs_scan(pop: pg.POPGraph) -> frozenset[tuple[str, str]]:

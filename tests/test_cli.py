@@ -75,10 +75,24 @@ class TestHappyPaths:
                 assert all(p.split("=")[0] == p.split("=")[1]
                            for p in line.split()[2:])
         factors = [pg.parse_ppg((outdir / n).read_text()).pop() for n in names[:-1]]
-        rebuilt = factors[0]
-        for f in factors[1:]:
-            rebuilt = pg.compose(rebuilt, f)
+        rebuilt = pg.compose(*factors)
         assert rebuilt.graph == canonical.graph and rebuilt.order == canonical.order
+
+    def test_compose_of_the_decomposition_files(self, capsys, tmp_path, canonical):
+        outdir = tmp_path / "factors"
+        assert run(capsys, "decompose", CANON, "-o", str(outdir))[0] == 0
+        manifest = (outdir / "manifest.txt").read_text().splitlines()
+        files = [str(outdir / l.split()[2]) for l in manifest if l.startswith("factor ")]
+        assert len(files) == 6
+        code, out, err = run(capsys, "compose", *files)
+        assert code == 0 and err == ""
+        assert out == pg.emit_ppg(pg.recompose(pg.elementary_decomposition(canonical)))
+        # the input's text but for the order of the edge lines: compose
+        # declares the upper survivors, the fused edges, then the lower ones
+        got, want = out.splitlines(), pg.emit_ppg(canonical).splitlines()
+        edges = [sorted(l for l in lines if l.startswith("edge ")) for lines in (got, want)]
+        rest = [[l for l in lines if not l.startswith("edge ")] for lines in (got, want)]
+        assert edges[0] == edges[1] and rest[0] == rest[1]
 
     def test_enumerate(self, capsys):
         code, out, err = run(capsys, "enumerate", SPIDER)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import popgraph as pg
-from conftest import perturbed, spider_layer_with_outputs
+from conftest import compose_fold, perturbed, spider_layer_with_outputs
 
 
 class TestCompose:
@@ -74,6 +74,51 @@ class TestCompose:
         left = pg.compose(pg.compose(top, mid), bot)
         right = pg.compose(top, pg.compose(mid, bot))
         assert pg.pop_isomorphic(left, right)
+
+
+def same_literally(a: pg.POPGraph, b: pg.POPGraph) -> bool:
+    """Equal edges in declaration order, vertices and order sequence; ``==``
+    ignores declaration order."""
+    return (a.graph.edges == b.graph.edges and a.graph.vertices == b.graph.vertices
+            and a.order.sequence == b.order.sequence)
+
+
+class TestComposeMany:
+    def test_no_factors_is_a_ppg_error(self):
+        with pytest.raises(pg.PpgError, match="at least one factor"):
+            pg.compose()
+        with pytest.raises(pg.PpgError, match="at least one factor"):
+            pg.recompose([])
+
+    def test_one_factor_is_itself(self, canonical):
+        assert pg.compose(canonical) is canonical
+
+    def test_matches_the_fold_on_decompositions(self):
+        rng = random.Random(16)
+        for k in range(300):
+            factors = tuple(pg.elementary_decomposition(pg.random_pop(rng)))
+            assert same_literally(pg.compose(*factors), compose_fold(*factors)), k
+
+    def test_matches_the_fold_on_chains_with_clashing_names(self):
+        # every tag is drawn from three, so ids and vertex names collide
+        # between layers and get freshened, at each glue of a chain
+        rng = random.Random(61)
+        for k in range(300):
+            chain = [pg.random_elementary_layer(rng, rng.choice(["", "a", "L1."]))]
+            for _ in range(rng.randint(1, 5)):
+                chain.append(pg.random_elementary_layer(
+                    rng, rng.choice(["", "a", "L1."]),
+                    n_inputs=len(chain[-1].graph.outputs)))
+            assert same_literally(pg.compose(*chain), compose_fold(*chain)), k
+
+    def test_first_mismatch_raises_as_the_fold_does(self, layers):
+        top, mid, bot = layers
+        chain = (top, mid, pg.bare_edges(3), bot)
+        with pytest.raises(pg.ArityMismatch) as folded:
+            compose_fold(*chain)
+        with pytest.raises(pg.ArityMismatch) as exc:
+            pg.compose(*chain)
+        assert str(exc.value) == str(folded.value) == "cannot glue 7 outputs onto 3 inputs"
 
 
 class TestIsElementary:

@@ -292,6 +292,15 @@ class TestCheckDrawing:
                 "route e: not monotone in the flow direction",
                 f"routes {first} and {second} cross near (1.000, 1.000)")
 
+    def test_crossing_beyond_the_float_range_reported(self):
+        # the meeting point's x overflows a float: it is written in
+        # scientific form, where three decimals would need 400 digits
+        d = pg.layout(pg.spider(2, 2))
+        routes = dict(d.routes, i1=((10**400, 0), (F(3, 2), F(1, 2))),
+                      i2=((2, 0), (10**400, F(1, 4)), (F(3, 2), F(1, 2))))
+        assert pg.check_drawing(dataclasses.replace(d, routes=routes)).problems == (
+            "routes i1 and i2 cross near (6.667e+399, 0.167)",)
+
     def test_a_large_layout_checks_quickly(self):
         # the 16x16 composition of random layers: 249 edges, 2 788 segments;
         # a pair scan takes minutes here
