@@ -157,6 +157,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    for flag, n in (("--limit", args.limit), ("--max-edges", args.max_edges)):
+        if n is not None and n < 0:
+            raise UsageError(f"{flag} must be 0 or more, not {n}")
     doc = parse_ppg(_read(args.file))
     kw = dict(max_edges=args.max_edges, force=args.force)
     if args.count:

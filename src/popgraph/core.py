@@ -316,15 +316,22 @@ def hat(p: ProgressiveGraph) -> StGraph:
     """Merge all boundary sources into a fresh vertex ``s`` and all boundary
     sinks into a fresh ``t``.  Edge ids are preserved; the names ``s`` and
     ``t`` must not already be in use."""
+    s, t = _apexes(p)
+    edges = []
+    for e in p.edges:
+        src = s if e.id in p.inputs else e.src
+        dst = t if e.id in p.outputs else e.dst
+        edges.append(Edge(e.id, src, dst))
+    return StGraph(DirectedMultigraph(edges), s, t)
+
+
+def _apexes(p: ProgressiveGraph) -> tuple[str, str]:
+    """The names ``s`` and ``t`` of the source and sink apexes that
+    :func:`hat` and st drawings add; ReservedVertexName when p uses one."""
     for name in ("s", "t"):
         if name in p.vertices:
             raise ReservedVertexName(name)
-    edges = []
-    for e in p.edges:
-        src = "s" if e.id in p.inputs else e.src
-        dst = "t" if e.id in p.outputs else e.dst
-        edges.append(Edge(e.id, src, dst))
-    return StGraph(DirectedMultigraph(edges), "s", "t")
+    return "s", "t"
 
 
 def _fresh(name: str, taken: set[str]) -> str:

@@ -1,7 +1,7 @@
 """Layered upward drawings of planarly ordered graphs.
 
 The layout stacks the elementary layers of a graph as horizontal bands,
-flow running down the page (or up, when flipped).  The bands are read from
+flow running down the page or up it.  The bands are read from
 the peel order of the elementary decomposition, one band per internal
 vertex, without building the factors: an edge crosses every band boundary
 from the band of its tail to the band before its head's.  At each boundary
@@ -15,6 +15,11 @@ lines) and the st apexes carry a ``Fraction``.  The crossing checker reads
 each point once as ints over a common denominator and decides on ints; it
 builds a ``Fraction`` only where a segment crosses a line at an x that is
 not an int.
+
+Each variant, either flow with or without the st apexes, is placed in one
+pass: flowing up puts line k at y = K - k in place of k, and the apexes are
+placed before the routes that start or end at them.  No drawing is copied
+from another.
 
 ``check_drawing`` verifies monotonicity, boundary attachment, and that no
 two routes meet except at a vertex where both of them start or end.  It
@@ -40,8 +45,8 @@ from math import gcd, lcm, log10
 from typing import Iterable
 
 from .composition import _peel_order
-from .core import ProgressiveGraph
-from .errors import PpgError, ReservedVertexName
+from .core import ProgressiveGraph, _apexes
+from .errors import PpgError
 from .order import POPGraph
 from .synthesis import Anchor, PAGraph, VertexOrder
 
@@ -83,15 +88,29 @@ def layout(pop: POPGraph, up: bool = False) -> Drawing:
     vertex (one band in all when there is none).
 
     Bands follow the peel order of the elementary decomposition: the j-th
-    vertex peeled (0-based, most downstream first) sits in band K - j.
+    vertex peeled (0-based, most downstream first) sits in band K - j.  Line
+    k lies at y = k, or with ``up`` at y = K - k, so that the flow runs up
+    the page without a flipped copy of the drawing.
     """
+    return _layout(pop, up, st=False)
+
+
+def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
+    """Drawing of the graph with its boundary gathered into apexes s and t."""
+    return _layout(pop, up, st=True)
+
+
+def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
+    """``layout`` or, with ``st``, ``layout_st``: every point is placed once,
+    at its final coordinates."""
     g = pop.graph
+    source, sink = _apexes(g) if st else (None, None)
     peeled = list(_peel_order(pop))
     k_bands = max(len(peeled), 1)
     band_of = {v: k_bands - j for j, v in enumerate(peeled)}
 
-    # Crossing lines y=0..K: line k carries the outputs of layer k (equally
-    # the inputs of layer k+1), positioned by rank within that line.
+    # Crossing lines k=0..K: line k carries the outputs of layer k (equally
+    # the inputs of layer k+1), positioned by rank within that line, at y=ys[k].
     crossed: dict[str, range] = {}
     lines: list[list[str]] = [[] for _ in range(k_bands + 1)]
     for eid in pop.order.sequence:
@@ -101,88 +120,43 @@ def layout(pop: POPGraph, up: bool = False) -> Drawing:
             lines[k].append(eid)
     pos = [{e: i + 1 for i, e in enumerate(line)} for line in lines]
     width = Fraction(max(len(line) for line in lines) + 1)
+    ys = list(range(k_bands, -1, -1) if up else range(k_bands + 1))  # a list indexes faster
 
     vertices: dict[str, Point] = {}
     for v in reversed(peeled):
         k = band_of[v]
         xs = [pos[k - 1][e.id] for e in g.in_edges(v)]
         xs += [pos[k][e.id] for e in g.out_edges(v)]
-        vertices[v] = (Fraction(sum(xs), len(xs)), Fraction(2 * k - 1, 2))
+        vertices[v] = (Fraction(sum(xs), len(xs)), Fraction(ys[k - 1] + ys[k], 2))
+    first, last = [], []  # the apexes the boundary routes start or end at
+    if st:
+        # centred, one unit beyond the input and the output line
+        step = ys[1] - ys[0]
+        vertices[source] = (width / 2, Fraction(ys[0] - step))
+        vertices[sink] = (width / 2, Fraction(ys[-1] + step))
+        first, last = [vertices[source]], [vertices[sink]]
 
     routes: dict[str, tuple[Point, ...]] = {}
     for eid in pop.order.sequence:
         edge = g.edge(eid)
-        pts: list[Point] = []
-        if edge.src in band_of:
-            pts.append(vertices[edge.src])
-        pts += [(pos[k][eid], k) for k in crossed[eid]]
-        if edge.dst in band_of:
-            pts.append(vertices[edge.dst])
-        routes[eid] = tuple(pts)
+        start = [vertices[edge.src]] if edge.src in band_of else first
+        end = [vertices[edge.dst]] if edge.dst in band_of else last
+        routes[eid] = tuple(start + [(pos[k][eid], ys[k]) for k in crossed[eid]] + end)
 
+    # the box and the bands are the same in both flows
     line_ys = [Fraction(k) for k in range(k_bands + 1)]
-    d = Drawing(
-        flow="down",
+    return Drawing(
+        flow="up" if up else "down",
         box=(line_ys[0], line_ys[0], width, line_ys[-1]),
         bands=tuple(zip(line_ys[:-1], line_ys[1:])),
         vertices=vertices,
         routes=routes,
         inputs=pop.inputs_ordered,
         outputs=pop.outputs_ordered,
+        st=st,
+        source=source,
+        sink=sink,
     )
-    return _flip(d) if up else d
-
-
-def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
-    """Drawing of the graph with its boundary gathered into apexes s and t."""
-    for name in ("s", "t"):
-        if name in pop.graph.vertices:
-            raise ReservedVertexName(name)
-    d = layout(pop)
-    cx = Fraction(d.box[0] + d.box[2], 2)
-    s: Point = (cx, d.box[1] - 1)
-    t: Point = (cx, d.box[3] + 1)
-    routes = dict(d.routes)
-    for e in d.inputs:
-        routes[e] = (s,) + routes[e]
-    for e in d.outputs:
-        routes[e] = routes[e] + (t,)
-    vertices = dict(d.vertices)
-    vertices["s"] = s
-    vertices["t"] = t
-    d = Drawing(flow="down", box=d.box, bands=d.bands, vertices=vertices,
-                routes=routes, inputs=d.inputs, outputs=d.outputs,
-                st=True, source="s", sink="t")
-    return _flip(d) if up else d
-
-
-def _flip(d: Drawing) -> Drawing:
-    """Mirror the drawing in y, so the flow runs the other way.
-
-    A route shares its end points with the vertices, and neighbouring bands
-    share a bound, so each y object of a vertex or a band bound is mirrored
-    once, looked up by identity (the same object has the same mirror); the
-    other route points sit on the crossing lines, with an int y.
-    """
-    h = d.box[1] + d.box[3]
-    if h.denominator == 1:
-        h = int(h)  # so the points on the lines stay ints
-    ys = {id(y): y for _, y in d.vertices.values()}
-    ys.update((id(y), y) for band in d.bands for y in band)
-    mirrored = {k: h - y for k, y in ys.items()}
-
-    def f(y):
-        fy = mirrored.get(id(y))
-        return h - y if fy is None else fy
-
-    return Drawing(
-        flow="up" if d.flow == "down" else "down",
-        box=d.box,
-        bands=tuple(sorted((f(b), f(a)) for a, b in d.bands)),
-        vertices={v: (x, f(y)) for v, (x, y) in d.vertices.items()},
-        routes={e: tuple([(x, f(y)) for x, y in pts]) for e, pts in d.routes.items()},
-        inputs=d.inputs, outputs=d.outputs,
-        st=d.st, source=d.source, sink=d.sink)
 
 
 @dataclass(frozen=True)
@@ -369,40 +343,19 @@ def _ints(p: Point) -> tuple[int, int, int]:
     return x.numerator * (w // dx), y.numerator * (w // dy), w
 
 
-def _point(x: int, y: int, w: int) -> Point:
-    """The inverse of ``_ints``: an int where the division is exact."""
-    return tuple(c // w if c % w == 0 else Fraction(c, w) for c in (x, y))
-
-
-def _segment_meet(p1: Point, p2: Point, p3: Point, p4: Point):
-    """Exact intersection of two closed segments, given by points of ints
-    or ``Fraction``s.
+def _meet(q1, q2, q3, q4):
+    """Exact intersection of two closed segments, their points given as
+    ``_ints`` triples.
 
     None when disjoint; ("point", P) for a single shared point; for
-    collinear overlap beyond a point, ("overlap", P) with P in the overlap.
-    Either segment may be a single point; whether they meet does not depend
-    on which one comes first.  Decided by ``_meet`` on ints: a meeting at
-    an end of a segment is that end, any other point is mapped back with a
-    ``Fraction`` where the division leaves a remainder.
-    """
-    points = (p1, p2, p3, p4)
-    qs = [_ints(p) for p in points]
-    hit = _meet(*qs)
-    if hit is None:
-        return None
-    kind, q = hit
-    return kind, next((p for p, r in zip(points, qs) if r is q), None) or _point(*q)
-
-
-def _meet(q1, q2, q3, q4):
-    """``_segment_meet`` on points given as ``_ints`` triples, answering
-    with the meeting point as a reduced triple.
-
-    The four points are scaled to the lcm of their own ``W`` (1 for two
-    segments between crossing lines), so every test is a sign test on ints:
-    with t = tn/den along the first segment and u = un/den along the
-    second, they meet when 0 <= tn <= den and 0 <= un <= den.  A meeting
-    point at an end of a segment is that end; any other is reduced by a gcd.
+    collinear overlap beyond a point, ("overlap", P) with P in the overlap,
+    as a reduced triple.  Either segment may be a single point; whether they
+    meet does not depend on which one comes first.  The four points are
+    scaled to the lcm of their own ``W`` (1 for two segments between
+    crossing lines), so every test is a sign test on ints: with t = tn/den
+    along the first segment and u = un/den along the second, they meet when
+    0 <= tn <= den and 0 <= un <= den.  A meeting point at an end of a
+    segment is that end; any other is reduced by a gcd.
     """
     w = lcm(q1[2], q2[2], q3[2], q4[2])
     (x1, y1), (x2, y2), (x3, y3), (x4, y4) = [

@@ -332,8 +332,11 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
     """All planar orders of g, lexicographic by edge declaration order.
 
     Refuses graphs above ``max_edges`` unless forced; with ``limit`` the
-    result is cut off there and flagged as truncated.
+    result is cut off there and flagged as truncated; a negative ``limit``
+    raises PpgError.
     """
+    if limit is not None and limit < 0:
+        raise PpgError(f"limit must be 0 or more, not {limit}")
     ids = g.edge_ids
     out = []
     for perm in _search(g, max_edges, force):

@@ -352,7 +352,7 @@ def linear_extension_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:
 
 def segment_meet_scan(p1: Point, p2: Point, p3: Point, p4: Point):
     """Exact intersection of two closed segments, in ``Fraction`` arithmetic:
-    the oracle for ``popgraph.layout._segment_meet``, which decides on ints.
+    the oracle for ``popgraph.layout._meet``, which decides on ints.
 
     None when disjoint; ("point", P) for a single shared point; for
     collinear overlap beyond a point, ("overlap", P) with P in the overlap.
@@ -418,6 +418,39 @@ def check_drawing_scan(d: pg.Drawing) -> tuple[str, ...]:
                         f"routes {e1} and {e2} cross near "
                         f"({float(p[0]):.3f}, {float(p[1]):.3f})")
     return tuple(problems)
+
+
+def mirror(d: pg.Drawing) -> pg.Drawing:
+    """``d`` reflected in y, the flow the other way: y becomes top + bottom
+    - y at every point, band bound and apex, read afresh for each point.
+    The definition of ``layout(pop, up=True)`` from ``layout(pop)``.  An
+    int top + bottom keeps the ints on the crossing lines ints."""
+    x0, y0, x1, y1 = d.box
+    h = y0 + y1
+    h = h.numerator if h.denominator == 1 else h
+    return dataclasses.replace(
+        d, flow="up" if d.flow == "down" else "down",
+        box=(x0, h - y1, x1, h - y0),
+        bands=tuple(sorted((h - b, h - a) for a, b in d.bands)),
+        vertices={v: (x, h - y) for v, (x, y) in d.vertices.items()},
+        routes={e: tuple((x, h - y) for x, y in pts) for e, pts in d.routes.items()})
+
+
+def with_apexes(d: pg.Drawing) -> pg.Drawing:
+    """The downward plain drawing ``d`` with its inputs starting at a source
+    apex s and its outputs ending at a sink apex t, each one unit beyond its
+    boundary line at mid-width.  The definition of ``layout_st(pop)`` from
+    ``layout(pop)``."""
+    assert d.flow == "down" and not d.st
+    x0, y0, x1, y1 = d.box
+    s, t = ((x0 + x1) / 2, y0 - 1), ((x0 + x1) / 2, y1 + 1)
+    routes = dict(d.routes)
+    for e in d.inputs:
+        routes[e] = (s,) + routes[e]
+    for e in d.outputs:
+        routes[e] = routes[e] + (t,)
+    return dataclasses.replace(d, vertices={**d.vertices, "s": s, "t": t}, routes=routes,
+                               st=True, source="s", sink="t")
 
 
 def first_primes(n: int) -> list[int]:

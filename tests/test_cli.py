@@ -116,6 +116,11 @@ class TestHappyPaths:
         assert len(out.splitlines()) == 2
         assert err == "truncated at 2 orders\n"
 
+    @pytest.mark.parametrize("flag", ["--limit", "--max-edges"])
+    def test_enumerate_refuses_a_negative_bound(self, capsys, flag):
+        assert run(capsys, "enumerate", SPIDER, flag, "-2") == (
+            3, "", f"error: {flag} must be 0 or more, not -2\n")
+
     def test_conjugate(self, capsys):
         code, out, _ = run(capsys, "conjugate", SPIDER.replace("spider22", "canonical19"))
         assert code == 0

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 import popgraph as pg
-from popgraph.layout import _flip, _segment_meet
-from conftest import (check_drawing_scan, moved_by_primes, recipe_graph, run_optimized,
-                      segment_meet_scan)
+from popgraph.layout import _ints, _meet
+from conftest import (check_drawing_scan, mirror, moved_by_primes, recipe_graph,
+                      run_optimized, segment_meet_scan, with_apexes)
 
 
 F = Fraction
@@ -164,13 +164,6 @@ class TestLayout:
             xs = [r[-2][0] for r in legs]
             assert min(xs) <= x <= max(xs), v
 
-    def test_flip_is_an_involution(self, canonical):
-        d = pg.layout(canonical)
-        assert _flip(_flip(d)) == d
-        flipped = _flip(d)
-        assert flipped.flow == "up"
-        assert pg.check_drawing(flipped).ok
-
     def test_st_reserves_apex_names(self):
         pop = pg.validate_planar_order(pg.ProgressiveGraph(pg.DirectedMultigraph(
             [pg.Edge("1", "p", "s"), pg.Edge("2", "s", "q")])), ["1", "2"])
@@ -185,6 +178,46 @@ class TestLayout:
             assert d.routes[e][0] == s
         for e in d.outputs:
             assert d.routes[e][-1] == t
+
+
+def typed(x):
+    """x with every coordinate paired with its type name and every dict as
+    its item list, so that == also compares types and key order."""
+    if isinstance(x, tuple):
+        return tuple(map(typed, x))
+    if isinstance(x, dict):
+        return [(k, typed(v)) for k, v in x.items()]
+    return type(x).__name__, x
+
+
+def variant_corpus(suite):
+    empty = pg.validate_planar_order(pg.ProgressiveGraph(pg.DirectedMultigraph([])), [])
+    rng = random.Random(0)
+    return ([pop for _, pop in suite] + [empty]
+            + [pg.random_pop(rng, 1, 6, tag=f"v{i}.") for i in range(300)])
+
+
+class TestVariants:
+    """The upward and st drawings against their definitions from the plain
+    drawing: every field, coordinate type and key order."""
+
+    def test_variants_match_their_definitions(self, canonical, suite):
+        for i, pop in enumerate([canonical] + variant_corpus(suite)):
+            d = pg.layout(pop)
+            for got, want in ((pg.layout(pop, up=True), mirror(d)),
+                              (pg.layout_st(pop), with_apexes(d)),
+                              (pg.layout_st(pop, up=True), mirror(with_apexes(d)))):
+                assert typed(dataclasses.astuple(got)) == typed(dataclasses.astuple(want)), i
+
+    def test_mirrored_drawings_check(self, canonical, suite):
+        rng = random.Random(3)
+        pops = [canonical] + [pop for _, pop in suite]
+        pops += [pg.random_pop(rng, 1, 6, tag=f"m{i}.") for i in range(20)]
+        for i, pop in enumerate(pops):
+            for d in (mirror(pg.layout(pop)), mirror(with_apexes(pg.layout(pop)))):
+                assert d.flow == "up"
+                report = pg.check_drawing(d)
+                assert report.ok, (i, report.problems)
 
 
 class TestCheckDrawing:
@@ -424,43 +457,40 @@ def random_quadruple(rng: random.Random):
     return p1, p2, p3, p4
 
 
+def meet(*points):
+    """``_meet`` on four points of ints and ``Fraction``s."""
+    return _meet(*map(_ints, points))
+
+
 class TestSegmentMeet:
     def test_disjoint(self):
-        assert _segment_meet((F(0), F(0)), (F(1), F(0)),
-                             (F(0), F(1)), (F(1), F(1))) is None
+        assert meet((0, 0), (1, 0), (0, 1), (1, 1)) is None
 
     def test_proper_crossing(self):
-        kind, p = _segment_meet((F(0), F(0)), (F(2), F(2)),
-                                (F(0), F(2)), (F(2), F(0)))
-        assert kind == "point" and p == (F(1), F(1))
+        assert meet((0, 0), (2, 2), (0, 2), (2, 0)) == ("point", (1, 1, 1))
 
     def test_endpoint_touch(self):
-        kind, p = _segment_meet((F(0), F(0)), (F(1), F(1)),
-                                (F(1), F(1)), (F(2), F(0)))
-        assert kind == "point" and p == (F(1), F(1))
+        assert meet((0, 0), (1, 1), (1, 1), (2, 0)) == ("point", (1, 1, 1))
 
     def test_collinear_overlap(self):
-        kind, _ = _segment_meet((F(0), F(0)), (F(2), F(0)),
-                                (F(1), F(0)), (F(3), F(0)))
+        kind, _ = meet((0, 0), (2, 0), (1, 0), (3, 0))
         assert kind == "overlap"
 
     def test_collinear_disjoint(self):
-        assert _segment_meet((F(0), F(0)), (F(1), F(0)),
-                             (F(2), F(0)), (F(3), F(0))) is None
+        assert meet((0, 0), (1, 0), (2, 0), (3, 0)) is None
 
     def test_parallel(self):
-        assert _segment_meet((F(0), F(0)), (F(1), F(1)),
-                             (F(0), F(1)), (F(1), F(2))) is None
+        assert meet((0, 0), (1, 1), (0, 1), (1, 2)) is None
 
     def test_single_point_meets_in_either_order(self):
         point, diagonal = ((1, 1), (1, 1)), ((0, 0), (2, 2))
-        assert _segment_meet(*point, *diagonal) == ("point", (1, 1))
-        assert _segment_meet(*diagonal, *point) == ("point", (1, 1))
+        assert meet(*point, *diagonal) == ("point", (1, 1, 1))
+        assert meet(*diagonal, *point) == ("point", (1, 1, 1))
         off = ((1, 0), (1, 0))
-        assert _segment_meet(*off, *diagonal) is None
-        assert _segment_meet(*diagonal, *off) is None
-        assert _segment_meet(*point, *point) == ("point", (1, 1))
-        assert _segment_meet(*point, *off) is None
+        assert meet(*off, *diagonal) is None
+        assert meet(*diagonal, *off) is None
+        assert meet(*point, *point) == ("point", (1, 1, 1))
+        assert meet(*point, *off) is None
 
     def test_agrees_with_the_fraction_scan(self):
         # the integer kernel against the Fraction arithmetic it replaced
@@ -469,7 +499,7 @@ class TestSegmentMeet:
         for _ in range(100_000):
             q = random_quadruple(rng)
             hit = segment_meet_scan(*q)
-            assert _segment_meet(*q) == hit, q
+            assert meet(*q) == (hit and (hit[0], _ints(hit[1]))), q
             kinds[hit and hit[0]] += 1
         assert min(kinds.values()) > 10_000, kinds
 

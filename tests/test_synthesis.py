@@ -307,6 +307,13 @@ class TestEnumerate:
         res = pg.enumerate_planar_orders(g, limit=24)
         assert len(res.orders) == 24 and not res.truncated
 
+    def test_negative_limit_refused(self):
+        g = pg.bare_edges(2).graph
+        for limit in (-1, -2):
+            with pytest.raises(pg.PpgError, match=f"^limit must be 0 or more, not {limit}$"):
+                pg.enumerate_planar_orders(g, limit)
+        assert pg.enumerate_planar_orders(g, 0) == ((), True)
+
     def test_size_guard(self):
         g = pg.bare_edges(11).graph
         with pytest.raises(pg.TooLarge):
