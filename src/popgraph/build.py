@@ -2,7 +2,7 @@
 
 Everything here exists to feed tests and examples: small named families
 (bare edges, spiders, a theta, a two-level tree), a deterministic suite of
-graphs small enough for the brute-force enumerator, and seeded random
+graphs small enough to enumerate in full, and seeded random
 generators that build planarly ordered graphs layer by layer.
 
 Random layers come with their planar orders for free: an elementary layer
@@ -73,7 +73,7 @@ def side_by_side(left: POPGraph, right: POPGraph) -> POPGraph:
 
 
 def generator_suite(max_edges: int = 7) -> list[tuple[str, POPGraph]]:
-    """Named small graphs, all within reach of the brute-force enumerator."""
+    """Named small graphs, all small enough to enumerate in full."""
     suite: list[tuple[str, POPGraph]] = []
     for k in range(1, 6):
         suite.append((f"bare{k}", bare_edges(k)))

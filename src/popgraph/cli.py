@@ -23,8 +23,7 @@ from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
 from .order import conjugate_order
 from .ppgfile import emit_ppg, emit_stg, parse_ppg, parse_stg
-from .synthesis import (DEFAULT_EDGE_BOUND, count_planar_orders, enumerate_planar_orders,
-                        synthesize_order)
+from .synthesis import DEFAULT_EDGE_BOUND, _list_orders, count_planar_orders, synthesize_order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +63,10 @@ def _build_parser() -> _Parser:
     c.add_argument("--limit", type=int, help="stop after this many orders")
     c.add_argument("--count", action="store_true", help="print only the count")
     c.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_BOUND,
-                   help="size guard for the brute-force search (default %(default)s)")
-    c.add_argument("--force", action="store_true", help="ignore the size guard")
+                   help="size guard for the search (default %(default)s)")
+    c.add_argument("--force", action="store_true",
+                   help="ignore the size guard (--count keeps one count per set of "
+                        "placed edges, up to 2^m for m edges)")
 
     c = cmd("conjugate", "print the conjugate order as one pair per line")
     c.add_argument("file")
@@ -165,11 +166,8 @@ def _cmd_enumerate(args) -> int:
     if args.count:
         print(count_planar_orders(doc.graph, **kw))
         return 0
-    result = enumerate_planar_orders(doc.graph, args.limit, **kw)
-    for order in result.orders:
-        print(" ".join(order.sequence))
-    if result.truncated:
-        print(f"truncated at {len(result.orders)} orders", file=sys.stderr)
+    if _list_orders(doc.graph, args.limit, emit=lambda o: print(" ".join(o.sequence)), **kw):
+        print(f"truncated at {args.limit} orders", file=sys.stderr)
     return 0
 
 

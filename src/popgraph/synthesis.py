@@ -1,4 +1,4 @@
-"""Recovering planar orders from local data, and brute-force enumeration.
+"""Recovering planar orders from local data, and enumerating and counting them.
 
 A progressive graph rarely wears its planar order openly; what a drawing
 determines directly is *local*: the left-to-right order of edges around each
@@ -38,15 +38,23 @@ Local data has one check, which takes partial data too (:class:`PAGraph`
 adds completeness), and one read, a walk over the order (unchecked).
 
 The enumerator extends prefixes of linear extensions in lexicographic order
-of edge declaration, with one frame of bit masks per depth (placed, ready,
-banned, still to try); a prefix that bans an unplaced edge is cut.  It is the
-oracle the rest of the test suite leans on, so it is deliberately simple.
+of edge declaration, one step at a time: placing an edge bans, by
+betweenness, the edges that may no longer follow it, and a step that bans an
+unplaced edge is cut.  It keeps one frame per depth on an explicit stack.
+A prefix that survives bans only placed edges, so the orders completing it
+depend on its set of placed edges alone, not on their order.  The counter
+counts the completions of each placed set once and remembers them, stepping
+in place through placed sets with a single ready edge.  The test suite
+checks both against two oracles that share none of this: a filter over all
+permutations (``brute_orders``) and a filter over all linear extensions
+(``linear_extension_orders``).
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cached_property
+from itertools import islice
 from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph
@@ -284,46 +292,99 @@ class EnumerationResult(NamedTuple):
 DEFAULT_EDGE_BOUND = 10
 
 
-def _search(g: ProgressiveGraph, max_edges: int, force: bool):
-    """Generate planar orders as index tuples, lexicographic by declaration.
+class _Moves(NamedTuple):
+    """What a search step reads, by edge index: bit rows over edge indexes."""
+    reach: list[int]  # the edges it strictly reaches
+    reachers: list[int]  # the edges strictly reaching it
+    succ: list[int]  # the out-edges of its head
+    reaching: int  # the edges that reach some edge
 
-    Linear-extension backtracking with one frame per depth of four edge
-    masks: placed, ready (unplaced, every reacher placed), banned, and the
-    ready edges still to try.  Placing b after a placed a that does not reach
-    b bans every edge a reaches and b does not: by betweenness none may come
-    after b.  A ban never lifts, so a prefix that bans an unplaced edge cannot
-    be completed and gets no candidates; every full sequence is a planar
-    order, and none is missed.  The frames are an explicit stack, so depth is
-    bounded by memory, not by the recursion limit.
-    """
+
+def _start(g: ProgressiveGraph, max_edges: int, force: bool) -> tuple[_Moves, int]:
+    """The search rows of g and its first ready edges, after the size guard."""
+    if max_edges < 0:
+        raise PpgError(f"max_edges must be 0 or more, not {max_edges}")
     if len(g.edges) > max_edges and not force:
         raise TooLarge(len(g.edges), max_edges)
     reach = [g.reach_bits(e) for e in g.edge_ids]
     reachers = [g.reacher_bits(e) for e in g.edge_ids]
-    succ = [sum(1 << g.edge_index(c.id) for c in g.out_edges(e.dst)) for e in g.edges]
-    ready = sum(1 << i for i, row in enumerate(reachers) if not row)
+    moves = _Moves(reach, reachers,
+                   [sum(1 << g.edge_index(c.id) for c in g.out_edges(e.dst)) for e in g.edges],
+                   sum(1 << i for i, row in enumerate(reach) if row))
+    return moves, sum(1 << i for i, row in enumerate(reachers) if not row)
+
+
+def _step(moves: _Moves, placed: int, ready: int, b: int) -> tuple[int, int, bool]:
+    """Place the ready edge b after the placed edges: the new placed and
+    ready masks, and whether the step bans an unplaced edge, which cuts it
+    (the masks are then left as they were).
+
+    Placing b after a placed a that does not reach b bans every edge a
+    reaches and b does not: by betweenness none may come after b.  Only the
+    placed edges that reach some edge can ban one, and only the out-edges of
+    b's head can become ready.
+    """
+    reach, reachers, succ, reaching = moves
+    free = ~(placed | reach[b])  # unplaced, and not reached by b
+    for a in _members(placed & reaching & ~reachers[b]):
+        if reach[a] & free:
+            return placed, ready, True
+    placed |= 1 << b
+    ready &= ~(1 << b)
+    for c in _members(succ[b]):
+        if not reachers[c] & ~placed:
+            ready |= 1 << c
+    return placed, ready, False
+
+
+def _search(g: ProgressiveGraph, max_edges: int, force: bool):
+    """Generate the planar orders of g, lexicographic by declaration.
+
+    Linear-extension backtracking over :func:`_step`, with one frame per
+    depth on an explicit stack (placed, ready, the ready edges still to
+    try), so depth is bounded by memory, not by the recursion limit.  A ban
+    never lifts, so a step that bans an unplaced edge is cut; every full
+    sequence is a planar order, and none is missed.  Memory stays linear in
+    the number of edges.
+    """
+    moves, ready = _start(g, max_edges, force)
+    ids = g.edge_ids
+    if not ready:  # no edges
+        yield PlanarOrder(())
+        return
     prefix: list[int] = []
-    frames = [[0, ready, 0, ready]]
+    frames = [[0, ready, ready]]
     while True:
         frame = frames[-1]
-        placed, ready, banned, todo = frame
-        if len(prefix) == len(reach):
-            yield tuple(prefix)
+        todo = frame[2]
         if not todo:  # every candidate tried at this depth: backtrack
-            if not prefix:
-                return
             frames.pop()
+            if not frames:
+                return
             prefix.pop()
             continue
         b = (todo & -todo).bit_length() - 1
-        frame[3] = todo & (todo - 1)
-        for a in _members(placed & ~reachers[b]):
-            banned |= reach[a] & ~reach[b]
-        placed |= 1 << b
-        ready &= ~(1 << b)
-        ready |= sum(1 << c for c in _members(succ[b]) if not reachers[c] & ~placed)
-        frames.append([placed, ready, banned, 0 if banned & ~placed else ready])
+        frame[2] = todo & (todo - 1)
+        placed, ready, cut = _step(moves, frame[0], frame[1], b)
+        if cut:
+            continue
+        if not ready:  # every edge placed
+            yield PlanarOrder([ids[i] for i in prefix] + [ids[b]])
+            continue
+        frames.append([placed, ready, ready])
         prefix.append(b)
+
+
+def _list_orders(g: ProgressiveGraph, limit: int | None, max_edges: int, force: bool,
+                 emit) -> bool:
+    """Pass the planar orders of g to ``emit`` as the search finds them, at
+    most ``limit`` of them; True when the limit cut the listing short."""
+    if limit is not None and limit < 0:
+        raise PpgError(f"limit must be 0 or more, not {limit}")
+    orders = _search(g, max_edges, force)
+    for order in islice(orders, limit):
+        emit(order)
+    return next(orders, None) is not None
 
 
 def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
@@ -333,21 +394,61 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
 
     Refuses graphs above ``max_edges`` unless forced; with ``limit`` the
     result is cut off there and flagged as truncated; a negative ``limit``
-    raises PpgError.
+    or ``max_edges`` raises PpgError.
     """
-    if limit is not None and limit < 0:
-        raise PpgError(f"limit must be 0 or more, not {limit}")
-    ids = g.edge_ids
-    out = []
-    for perm in _search(g, max_edges, force):
-        out.append(PlanarOrder(ids[i] for i in perm))
-        if limit is not None and len(out) > limit:
-            return EnumerationResult(tuple(out[:limit]), True)
-    return EnumerationResult(tuple(out), False)
+    orders: list[PlanarOrder] = []
+    truncated = _list_orders(g, limit, max_edges, force, orders.append)
+    return EnumerationResult(tuple(orders), truncated)
 
 
 def count_planar_orders(g: ProgressiveGraph, *,
                         max_edges: int = DEFAULT_EDGE_BOUND,
                         force: bool = False) -> int:
-    """Number of planar orders of g, without materializing them."""
-    return sum(1 for _ in _search(g, max_edges, force))
+    """Number of planar orders of g, without materializing them.
+
+    A prefix that bans no unplaced edge bans only placed edges, and
+    :func:`_step` derives each step's bans from the placed set, so the
+    orders completing such a prefix depend on its placed set alone, not on
+    its order.  Each placed set is counted once, on an explicit stack, and
+    remembered: time and memory grow with the number of placed sets the
+    search meets (at most 2^m for m edges), not with the number of orders.
+    A placed set with one ready edge steps on in place.  Above the first
+    branch it is not remembered, so a path costs no memory; below one it is
+    remembered with the count its forced steps lead to, so the other
+    branches that reach it stop there.
+    """
+    moves, ready = _start(g, max_edges, force)
+    memo: dict[int, int] = {}
+    # placed, ready, ready edges still to try, completions, the forced
+    # placed sets that led to it
+    frames: list[list] = []
+    placed, cut = 0, False
+    while True:
+        chain = []
+        while ready and not ready & (ready - 1) and not cut:  # a forced step
+            if frames:
+                if placed in memo:
+                    break
+                chain.append(placed)
+            placed, ready, cut = _step(moves, placed, ready, ready.bit_length() - 1)
+        n = 0 if cut else 1 if not ready else memo.get(placed)
+        if n is None:
+            frames.append([placed, ready, ready, 0, chain])
+        else:  # add n to the frame above; finish the frames with nothing left to try
+            for key in chain:
+                memo[key] = n
+            while True:
+                if not frames:
+                    return n
+                frame = frames[-1]
+                frame[3] += n
+                if frame[2]:
+                    break
+                frames.pop()
+                n = memo[frame[0]] = frame[3]
+                for key in frame[4]:
+                    memo[key] = n
+        frame = frames[-1]
+        todo = frame[2]
+        frame[2] = todo & (todo - 1)
+        placed, ready, cut = _step(moves, frame[0], frame[1], (todo & -todo).bit_length() - 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import subprocess
@@ -115,6 +116,26 @@ class TestHappyPaths:
         assert code == 0
         assert len(out.splitlines()) == 2
         assert err == "truncated at 2 orders\n"
+
+    def test_enumerate_prints_each_order_as_found(self, monkeypatch):
+        # the first order is written before the search looks for the second
+        found, written = [], []
+        search = pg.synthesis._search
+
+        def counted(*args):
+            for order in search(*args):
+                found.append(order)
+                yield order
+
+        class Out(io.StringIO):
+            def write(self, text):
+                written.append(len(found))
+                return super().write(text)
+
+        monkeypatch.setattr(pg.synthesis, "_search", counted)
+        monkeypatch.setattr(sys, "stdout", Out())
+        assert main(["enumerate", SPIDER]) == 0
+        assert written[0] == 1 and len(found) == 4
 
     @pytest.mark.parametrize("flag", ["--limit", "--max-edges"])
     def test_enumerate_refuses_a_negative_bound(self, capsys, flag):

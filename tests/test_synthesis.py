@@ -2,17 +2,25 @@ from __future__ import annotations
 
 import math
 import random
+import textwrap
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import popgraph as pg
-from conftest import FIXTURES, brute_orders, compare_edges_scan, linear_extension_orders
+from conftest import (FIXTURES, brute_orders, compare_edges_scan, linear_extension_orders,
+                      run_optimized)
 
 
 def graph(*triples):
     return pg.ProgressiveGraph(pg.DirectedMultigraph([pg.Edge(*t) for t in triples]))
+
+
+# two vertices u and w that both reach x and y, neither reaching the other:
+# no planar order exists
+NO_ORDER = (("iu", "s1", "u"), ("iw", "s2", "w"), ("a1", "u", "x"), ("a2", "u", "y"),
+            ("b1", "w", "x"), ("b2", "w", "y"), ("e1", "x", "t1"), ("e2", "y", "t2"))
 
 
 class TestPAGraph:
@@ -120,8 +128,7 @@ class TestCompareEdges:
         # u and w both reach the tails x and y of e1 and e2, and neither
         # reaches the other (the graph has no planar order); their vertex
         # orders disagree, and u, the least by name, decides
-        g = graph(("iu", "s1", "u"), ("iw", "s2", "w"), ("a1", "u", "x"), ("a2", "u", "y"),
-                  ("b1", "w", "x"), ("b2", "w", "y"), ("e1", "x", "t1"), ("e2", "y", "t2"))
+        g = graph(*NO_ORDER)
         pa = pg.PAGraph(g, {"u": (("iu",), ("a1", "a2")), "w": (("iw",), ("b2", "b1")),
                             "x": (("a1", "b1"), ("e1",)), "y": (("a2", "b2"), ("e2",))},
                         (("iu", "iw"), ("e1", "e2")))
@@ -337,11 +344,89 @@ class TestEnumerate:
         assert pg.count_planar_orders(pg.spider(2, 2).graph) == 4
 
     def test_long_path_counts_without_recursion(self):
+        # deeper than the default recursion limit: the search keeps its own stack
         g = pg.validate_progressive(pg.DirectedMultigraph(
-            pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1200)))
+            pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(2000)))
         t0 = time.perf_counter()
         assert pg.count_planar_orders(g, force=True) == 1
         assert time.perf_counter() - t0 < 5.0
+        assert pg.enumerate_planar_orders(g, force=True) == (
+            (pg.PlanarOrder(g.edge_ids),), False)
+
+    def test_negative_edge_bound_refused(self):
+        g = pg.bare_edges(0).graph
+        for fn in (pg.count_planar_orders, pg.enumerate_planar_orders):
+            for force in (False, True):
+                with pytest.raises(pg.PpgError, match="^max_edges must be 0 or more, not -1$"):
+                    fn(g, max_edges=-1, force=force)
+        assert pg.count_planar_orders(g, max_edges=0) == 1
+
+    def test_count_matches_the_linear_extension_oracle(self):
+        rng = random.Random(11)
+        graphs = []
+        while len(graphs) < 60:
+            g = pg.random_pop(rng, max_layers=1 + len(graphs) % 4).graph
+            if len(g.edges) <= 8:
+                graphs.append(g)
+        for g in graphs:
+            assert pg.count_planar_orders(g) == len(linear_extension_orders(g)), g.edge_ids
+
+    def test_count_matches_the_enumeration(self):
+        rng = random.Random(12)
+        graphs = []
+        while len(graphs) < 30:
+            g = pg.random_pop(rng, min_layers=1 + len(graphs) % 3).graph
+            if 9 <= len(g.edges) <= 11:
+                graphs.append(g)
+        for g in graphs:
+            assert pg.count_planar_orders(g, force=True) == len(
+                pg.enumerate_planar_orders(g, force=True).orders), g.edge_ids
+
+    def test_count_of_a_layered_graph(self):
+        text = (FIXTURES.parent / "golden" / "inputs" / "layered_2x9.ppg").read_text(encoding="utf-8")
+        assert pg.count_planar_orders(pg.parse_ppg(text).graph, force=True) == 442_368
+
+    def test_dead_prefixes_count_once(self):
+        # interleaving 9 bare edges multiplies the doomed prefixes by 9!
+        # orders of them; each set of placed edges is counted once
+        g = graph(*NO_ORDER, *((f"z{k}", f"p{k}", f"q{k}") for k in range(9)))
+        t0 = time.perf_counter()
+        assert pg.count_planar_orders(g, force=True) == 0
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_a_long_path_beside_bare_edges(self):
+        # betweenness keeps each bare edge off the inside of the path, so the
+        # 4 blocks go in any order; a bare edge after a path prefix is cut at
+        # the first placed path edge, and the path steps are forced
+        g = graph(*((f"e{k}", f"v{k}", f"v{k + 1}") for k in range(2000)),
+                  *((f"z{k}", f"p{k}", f"q{k}") for k in range(3)))
+        t0 = time.perf_counter()
+        assert pg.count_planar_orders(g, force=True) == 24
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_forced_steps_below_a_branch_count_once(self, monkeypatch):
+        # 4 inputs meet at v0 in any order, and every order goes on down the
+        # same 2000 forced steps: the path is walked once, not 4 times
+        g = graph(*((f"i{k}", f"s{k}", "v0") for k in range(4)),
+                  *((f"e{k}", f"v{k}", f"v{k + 1}") for k in range(2000)))
+        steps = []
+        step = pg.synthesis._step
+        monkeypatch.setattr(pg.synthesis, "_step", lambda *a: steps.append(1) or step(*a))
+        assert pg.count_planar_orders(g, force=True) == 24
+        assert len(steps) < 2100
+
+    def test_same_answers_under_O(self):
+        script = textwrap.dedent("""\
+            import popgraph as pg
+            print(__debug__)
+            for g in (pg.bare_edges(5).graph, pg.spider(3, 2).graph):
+                print(pg.count_planar_orders(g), len(pg.enumerate_planar_orders(g).orders),
+                      " ".join(pg.enumerate_planar_orders(g, 1).orders[0].sequence))
+            """)
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False", "120 120 w1 w2 w3 w4 w5", "12 12 i1 i2 i3 o1 o2"]
 
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=9, deadline=None)
@@ -349,10 +434,10 @@ class TestEnumerate:
         got = pg.count_planar_orders(pg.spider(p, q).graph)
         assert got == math.factorial(p) * math.factorial(q)
 
-    @given(st.integers(1, 5))
-    @settings(max_examples=5, deadline=None)
-    def test_bare_counts(self, k):
-        assert pg.count_planar_orders(pg.bare_edges(k).graph) == math.factorial(k)
+    def test_bare_counts(self):
+        # 14! orders, but only 2**14 sets of placed edges to count them over
+        for k in range(15):
+            assert pg.count_planar_orders(pg.bare_edges(k).graph, force=True) == math.factorial(k)
 
     def test_every_enumerated_order_validates(self, canonical):
         # the 19-edge graph is too big to enumerate fully; cap and validate
