@@ -7,7 +7,7 @@ output.
 
 Exit codes: 0 success; 1 validation failure (bad graph, bad order, no
 consistent order); 2 unreadable or unparsable input; 3 usage errors,
-arity mismatches, and refused oversize enumerations.
+arity mismatches, and enumerations past their bound on search states.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
 from .order import conjugate_order
 from .ppgfile import emit_ppg, emit_stg, parse_ppg, parse_stg
-from .synthesis import DEFAULT_EDGE_BOUND, _list_orders, count_planar_orders, synthesize_order
+from .synthesis import _list_orders, count_planar_orders, synthesize_order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,11 +62,10 @@ def _build_parser() -> _Parser:
     c.add_argument("file")
     c.add_argument("--limit", type=int, help="stop after this many orders")
     c.add_argument("--count", action="store_true", help="print only the count")
-    c.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_BOUND,
-                   help="size guard for the search (default %(default)s)")
     c.add_argument("--force", action="store_true",
-                   help="ignore the size guard (--count keeps one count per set of "
-                        "placed edges, up to 2^m for m edges)")
+                   help="lift the bound on search states: the prefixes a listing "
+                        "searches, or the sets of placed edges --count remembers "
+                        "(up to 2^m for m edges)")
 
     c = cmd("conjugate", "print the conjugate order as one pair per line")
     c.add_argument("file")
@@ -158,15 +157,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for flag, n in (("--limit", args.limit), ("--max-edges", args.max_edges)):
-        if n is not None and n < 0:
-            raise UsageError(f"{flag} must be 0 or more, not {n}")
-    doc = parse_ppg(_read(args.file))
-    kw = dict(max_edges=args.max_edges, force=args.force)
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit must be 0 or more, not {args.limit}")
+    g = parse_ppg(_read(args.file)).graph
     if args.count:
-        print(count_planar_orders(doc.graph, **kw))
+        print(count_planar_orders(g, force=args.force))
         return 0
-    if _list_orders(doc.graph, args.limit, emit=lambda o: print(" ".join(o.sequence)), **kw):
+    if _list_orders(g, args.limit, args.force, lambda o: print(" ".join(o.sequence))):
         print(f"truncated at {args.limit} orders", file=sys.stderr)
     return 0
 

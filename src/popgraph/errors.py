@@ -13,13 +13,13 @@ from typing import Iterable
 SHOWN = 20  # witnesses a message lists before it counts the rest
 
 
-def _capped(items: Iterable[str], total: int) -> str:
-    """The first SHOWN of ``total`` items joined by "; ", then a count of
+def _capped(items: Iterable[str], total: int, sep: str = "; ") -> str:
+    """The first SHOWN of ``total`` items joined by ``sep``, then a count of
     the rest, so that a message stays short however many witnesses there
     are; the exceptions keep every witness in their attributes."""
-    text = "; ".join(islice(items, SHOWN))
+    text = sep.join(islice(items, SHOWN))
     if total > SHOWN:
-        text += f"; ... and {total - SHOWN} more ({total} in all)"
+        text += f"{sep}... and {total - SHOWN} more ({total} in all)"
     return text
 
 
@@ -47,10 +47,14 @@ class UnknownVertex(PpgError):
 
 
 class CycleDetected(PpgError):
-    """The directed graph is not acyclic.  ``cycle`` is a witness vertex loop."""
+    """The directed graph is not acyclic.  ``cycle`` is a witness vertex
+    loop, its first vertex repeated at the end; the message lists a loop of
+    at most SHOWN vertices in full, and the first SHOWN of a longer one."""
 
     def __init__(self, cycle: tuple[str, ...]):
-        super().__init__("directed cycle: " + " -> ".join(cycle))
+        n = len(cycle) - 1  # vertices on the loop
+        text = " -> ".join(cycle) if n <= SHOWN else _capped(cycle, n, " -> ")
+        super().__init__("directed cycle: " + text)
         self.cycle = cycle
 
 
@@ -73,17 +77,14 @@ class ReservedVertexName(PpgError):
 
 
 class NotAPermutation(PpgError):
-    """A sequence that must list each edge exactly once does not."""
+    """A sequence that must list each edge exactly once does not.  The
+    attributes list every id; the message shows the first SHOWN of each."""
 
     def __init__(self, missing: tuple[str, ...], extra: tuple[str, ...],
                  duplicated: tuple[str, ...]):
-        parts = []
-        if missing:
-            parts.append("missing " + " ".join(missing))
-        if extra:
-            parts.append("extra " + " ".join(extra))
-        if duplicated:
-            parts.append("duplicated " + " ".join(duplicated))
+        parts = [f"{kind} {_capped(ids, len(ids), ' ')}"
+                 for kind, ids in (("missing", missing), ("extra", extra),
+                                   ("duplicated", duplicated)) if ids]
         super().__init__("not a permutation of the edge set: " + "; ".join(parts))
         self.missing = missing
         self.extra = extra
@@ -149,12 +150,14 @@ class NoConsistentOrder(PpgError):
 
 
 class TooLarge(PpgError):
-    """Enumeration refused: the edge count exceeds the guard bound."""
+    """Enumeration stopped: the search passed its bound on search states,
+    ``what`` it counts (the prefixes a listing searched, or the placed sets
+    a count remembered)."""
 
-    def __init__(self, edges: int, bound: int):
-        super().__init__(
-            f"{edges} edges exceeds the enumeration bound {bound}; force to override")
-        self.edges = edges
+    def __init__(self, what: str, bound: int):
+        super().__init__(f"enumeration bound passed: more than {bound} {what}; "
+                         "force to override")
+        self.what = what
         self.bound = bound
 
 

@@ -262,23 +262,26 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
     planar order whose conjugate ``rel`` is.
 
     The rows of ``rel`` are built straight from its pairs; only a relation
-    naming an unknown edge or a reflexive pair is listed sorted.  Once every
-    pair is related exactly once, the edges ranked by how many edges they
-    precede form a planar order exactly when ``rel`` is transitive, and then
-    ``rel`` is that order's conjugate: a reach-chain check and one row
-    comparison accept it, and only a relation they refuse has its
-    intransitive triples listed.
+    with a member that is not a pair of two distinct known edges is listed
+    sorted.  Once every pair is related exactly once, the edges ranked by
+    how many edges they precede form a planar order exactly when ``rel`` is
+    transitive, and then ``rel`` is that order's conjugate: a reach-chain
+    check and one row comparison accept it, and only a relation they refuse
+    has its intransitive triples listed.
     """
     rel = set(rel)
     ids = g.edge_ids
     ix = g._eix
     out, into = [0] * len(ids), [0] * len(ids)
-    for a, b in rel:
-        i, j = ix.get(a), ix.get(b)
-        if i is None or j is None or i == j:
-            return _unknown_or_reflexive(rel, ix), ()
-        out[i] |= 1 << j
-        into[j] |= 1 << i
+    try:
+        for a, b in rel:
+            i, j = ix.get(a), ix.get(b)
+            if i is None or j is None or i == j:
+                return _unknown_or_reflexive(rel, ix), ()
+            out[i] |= 1 << j
+            into[j] |= 1 << i
+    except (TypeError, ValueError):  # a member that is not a pair
+        return _unknown_or_reflexive(rel, ix), ()
     problems = []
     rows = zip(map(g.reach_bits, ids), map(g.reacher_bits, ids), out, into)
     for i, (r, rt, c, ct) in enumerate(rows):
@@ -299,14 +302,22 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
 
 
 def _unknown_or_reflexive(rel: set, ix: dict[str, int]) -> list[str]:
-    """The pairs of ``rel`` naming an unknown edge or an edge twice, sorted."""
+    """The members of ``rel`` that are not a pair of two distinct known
+    edges: pairs of strings sorted, then the rest by repr."""
     problems = []
-    for a, b in sorted(rel):
-        if a not in ix or b not in ix:
-            problems.append(f"({a}, {b}) names an unknown edge")
+    for member in rel:
+        try:
+            a, b = member
+            known = a in ix and b in ix
+        except (TypeError, ValueError):
+            problems.append(((1, repr(member)), f"{member!r} is not a pair of edge ids"))
+            continue
+        key = (0, (a, b)) if type(a) is str and type(b) is str else (1, repr(member))
+        if not known:
+            problems.append((key, f"({a}, {b}) names an unknown edge"))
         elif a == b:
-            problems.append(f"({a}, {a}) is reflexive")
-    return problems
+            problems.append((key, f"({a}, {a}) is reflexive"))
+    return [text for _, text in sorted(problems)]
 
 
 def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:

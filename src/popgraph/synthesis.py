@@ -44,10 +44,11 @@ unplaced edge is cut.  It keeps one frame per depth on an explicit stack.
 A prefix that survives bans only placed edges, so the orders completing it
 depend on its set of placed edges alone, not on their order.  The counter
 counts the completions of each placed set once and remembers them, stepping
-in place through placed sets with a single ready edge.  The test suite
-checks both against two oracles that share none of this: a filter over all
-permutations (``brute_orders``) and a filter over all linear extensions
-(``linear_extension_orders``).
+in place through placed sets with a single ready edge.  Unless forced, both
+stop past a bound on search states (prefixes pushed, sets remembered).  The
+test suite checks both against two oracles that share none of this: a
+filter over all permutations (``brute_orders``) and one over all linear
+extensions (``linear_extension_orders``).
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ class EnumerationResult(NamedTuple):
     truncated: bool
 
 
-DEFAULT_EDGE_BOUND = 10
+_STATES = 1 << 16  # search states an unforced count or listing may reach
 
 
 class _Moves(NamedTuple):
@@ -300,18 +301,15 @@ class _Moves(NamedTuple):
     reaching: int  # the edges that reach some edge
 
 
-def _start(g: ProgressiveGraph, max_edges: int, force: bool) -> tuple[_Moves, int]:
-    """The search rows of g and its first ready edges, after the size guard."""
-    if max_edges < 0:
-        raise PpgError(f"max_edges must be 0 or more, not {max_edges}")
-    if len(g.edges) > max_edges and not force:
-        raise TooLarge(len(g.edges), max_edges)
+def _start(g: ProgressiveGraph, force: bool) -> tuple[_Moves, int, float]:
+    """The search rows of g, its first ready edges and its bound on states."""
     reach = [g.reach_bits(e) for e in g.edge_ids]
     reachers = [g.reacher_bits(e) for e in g.edge_ids]
     moves = _Moves(reach, reachers,
                    [sum(1 << g.edge_index(c.id) for c in g.out_edges(e.dst)) for e in g.edges],
                    sum(1 << i for i, row in enumerate(reach) if row))
-    return moves, sum(1 << i for i, row in enumerate(reachers) if not row)
+    ready = sum(1 << i for i, row in enumerate(reachers) if not row)
+    return moves, ready, float("inf") if force else _STATES
 
 
 def _step(moves: _Moves, placed: int, ready: int, b: int) -> tuple[int, int, bool]:
@@ -337,7 +335,7 @@ def _step(moves: _Moves, placed: int, ready: int, b: int) -> tuple[int, int, boo
     return placed, ready, False
 
 
-def _search(g: ProgressiveGraph, max_edges: int, force: bool):
+def _search(g: ProgressiveGraph, force: bool):
     """Generate the planar orders of g, lexicographic by declaration.
 
     Linear-extension backtracking over :func:`_step`, with one frame per
@@ -345,15 +343,17 @@ def _search(g: ProgressiveGraph, max_edges: int, force: bool):
     try), so depth is bounded by memory, not by the recursion limit.  A ban
     never lifts, so a step that bans an unplaced edge is cut; every full
     sequence is a planar order, and none is missed.  Memory stays linear in
-    the number of edges.
+    the number of edges; time follows the prefixes pushed, dead ones
+    included, and unless forced more than ``_STATES`` of them raise TooLarge.
     """
-    moves, ready = _start(g, max_edges, force)
+    moves, ready, bound = _start(g, force)
     ids = g.edge_ids
     if not ready:  # no edges
         yield PlanarOrder(())
         return
     prefix: list[int] = []
     frames = [[0, ready, ready]]
+    pushed = 0
     while True:
         frame = frames[-1]
         todo = frame[2]
@@ -373,37 +373,36 @@ def _search(g: ProgressiveGraph, max_edges: int, force: bool):
             continue
         frames.append([placed, ready, ready])
         prefix.append(b)
+        pushed += 1
+        if pushed > bound:
+            raise TooLarge("prefixes searched", bound)
 
 
-def _list_orders(g: ProgressiveGraph, limit: int | None, max_edges: int, force: bool,
-                 emit) -> bool:
+def _list_orders(g: ProgressiveGraph, limit: int | None, force: bool, emit) -> bool:
     """Pass the planar orders of g to ``emit`` as the search finds them, at
     most ``limit`` of them; True when the limit cut the listing short."""
     if limit is not None and limit < 0:
         raise PpgError(f"limit must be 0 or more, not {limit}")
-    orders = _search(g, max_edges, force)
+    orders = _search(g, force)
     for order in islice(orders, limit):
         emit(order)
     return next(orders, None) is not None
 
 
 def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
-                            max_edges: int = DEFAULT_EDGE_BOUND,
                             force: bool = False) -> EnumerationResult:
     """All planar orders of g, lexicographic by edge declaration order.
 
-    Refuses graphs above ``max_edges`` unless forced; with ``limit`` the
-    result is cut off there and flagged as truncated; a negative ``limit``
-    or ``max_edges`` raises PpgError.
+    Raises TooLarge once the search pushes more than ``_STATES`` prefixes,
+    unless forced; with ``limit`` the result is cut off there and flagged as
+    truncated; a negative ``limit`` raises PpgError.
     """
     orders: list[PlanarOrder] = []
-    truncated = _list_orders(g, limit, max_edges, force, orders.append)
+    truncated = _list_orders(g, limit, force, orders.append)
     return EnumerationResult(tuple(orders), truncated)
 
 
-def count_planar_orders(g: ProgressiveGraph, *,
-                        max_edges: int = DEFAULT_EDGE_BOUND,
-                        force: bool = False) -> int:
+def count_planar_orders(g: ProgressiveGraph, *, force: bool = False) -> int:
     """Number of planar orders of g, without materializing them.
 
     A prefix that bans no unplaced edge bans only placed edges, and
@@ -415,9 +414,10 @@ def count_planar_orders(g: ProgressiveGraph, *,
     A placed set with one ready edge steps on in place.  Above the first
     branch it is not remembered, so a path costs no memory; below one it is
     remembered with the count its forced steps lead to, so the other
-    branches that reach it stop there.
+    branches that reach it stop there.  Unless forced, remembering more than
+    ``_STATES`` placed sets raises TooLarge.
     """
-    moves, ready = _start(g, max_edges, force)
+    moves, ready, bound = _start(g, force)
     memo: dict[int, int] = {}
     # placed, ready, ready edges still to try, completions, the forced
     # placed sets that led to it
@@ -448,6 +448,8 @@ def count_planar_orders(g: ProgressiveGraph, *,
                 n = memo[frame[0]] = frame[3]
                 for key in frame[4]:
                     memo[key] = n
+            if len(memo) > bound:
+                raise TooLarge("placed sets remembered", bound)
         frame = frames[-1]
         todo = frame[2]
         frame[2] = todo & (todo - 1)

@@ -43,8 +43,8 @@ def announce(capsys):
 
 @pytest.fixture(scope="module")
 def suite_orders(suite):
-    """Every planar order of every generator-suite graph (25 graphs,
-    780 orders at max_edges=7), enumerated once and shared."""
+    """Every planar order of every generator-suite graph (25 graphs of at
+    most 7 edges, 780 orders), enumerated once and shared."""
     out = []
     for name, pop in suite:
         seqs = [o.sequence for o in pg.enumerate_planar_orders(pop.graph).orders]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -137,10 +138,9 @@ class TestHappyPaths:
         assert main(["enumerate", SPIDER]) == 0
         assert written[0] == 1 and len(found) == 4
 
-    @pytest.mark.parametrize("flag", ["--limit", "--max-edges"])
-    def test_enumerate_refuses_a_negative_bound(self, capsys, flag):
-        assert run(capsys, "enumerate", SPIDER, flag, "-2") == (
-            3, "", f"error: {flag} must be 0 or more, not -2\n")
+    def test_enumerate_refuses_a_negative_limit(self, capsys):
+        assert run(capsys, "enumerate", SPIDER, "--limit", "-2") == (
+            3, "", "error: --limit must be 0 or more, not -2\n")
 
     def test_conjugate(self, capsys):
         code, out, _ = run(capsys, "conjugate", SPIDER.replace("spider22", "canonical19"))
@@ -230,14 +230,36 @@ class TestExitCodes:
             pg.validate_progressive(pg.DirectedMultigraph(edges)), [e.id for e in edges])
         path = tmp_path / "path1200.ppg"
         path.write_text(pg.emit_ppg(pop), encoding="utf-8")
-        assert run(capsys, "enumerate", str(path), "--count", "--force") == (0, "1\n", "")
+        assert run(capsys, "enumerate", str(path), "--count") == (0, "1\n", "")
 
-    def test_size_guard_is_3(self, capsys):
-        code, _, err = run(capsys, "enumerate", CANON)
-        assert code == 3 and "19" in err
-        assert run(capsys, "enumerate", CANON, "--max-edges", "19",
-                   "--limit", "2")[0] == 0
-        assert run(capsys, "enumerate", CANON, "--force", "--limit", "2")[0] == 0
+    def test_size_guard_is_3(self, capsys, tmp_path):
+        # 9! orders of 9 bare edges: the listing passes the bound on
+        # prefixes mid-stream and keeps the orders it printed
+        path = tmp_path / "bare9.ppg"
+        path.write_text(pg.emit_ppg(pg.bare_edges(9)), encoding="utf-8")
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert code == 3
+        assert err == (f"error: enumeration bound passed: more than {1 << 16} "
+                       "prefixes searched; force to override\n")
+        lines = out.splitlines()
+        assert 0 < len(lines) < math.factorial(9)
+        assert lines[0] == "w1 w2 w3 w4 w5 w6 w7 w8 w9"
+        assert all(sorted(line.split()) == sorted(lines[0].split()) for line in lines)
+        assert run(capsys, "enumerate", str(path), "--count") == (0, "362880\n", "")
+        assert run(capsys, "enumerate", str(path), "--force", "--limit", "2")[0] == 0
+
+    def test_the_bound_and_force(self, capsys, monkeypatch):
+        # the sixth prefix pushed, (i2, i1), comes after two orders
+        monkeypatch.setattr(pg.synthesis, "_STATES", 5)
+        code, out, err = run(capsys, "enumerate", SPIDER)
+        assert (code, out) == (3, "i1 i2 o1 o2\ni1 i2 o2 o1\n")
+        assert "more than 5 prefixes searched" in err
+        code, out, err = run(capsys, "enumerate", CANON, "--count")
+        assert (code, out) == (3, "")
+        assert "more than 5 placed sets remembered" in err
+        assert run(capsys, "enumerate", SPIDER, "--force")[:2] == (0, (
+            "i1 i2 o1 o2\ni1 i2 o2 o1\ni2 i1 o1 o2\ni2 i1 o2 o1\n"))
+        assert run(capsys, "enumerate", CANON, "--count", "--force") == (0, "576\n", "")
 
 
 class TestSubprocess:

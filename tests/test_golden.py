@@ -103,7 +103,7 @@ def enumerate_inputs() -> list[Path]:
 
 def enumerate_transcript(path: Path) -> str:
     return "".join(_run([*cmd, str(path)], [*cmd, path.name]) for cmd in (
-        ("enumerate", "--limit", "20", "--max-edges", "20"), ("enumerate", "--count")))
+        ("enumerate", "--limit", "20"), ("enumerate", "--count")))
 
 
 def compose_transcript() -> str:

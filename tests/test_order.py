@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgraph as pg
+from popgraph.cli import main
 from popgraph.errors import SHOWN
 from popgraph.order import _reach_chains_hold
 from conftest import (_scan_window, check_conjugacy_scan, conjugate_pairs_scan,
@@ -199,6 +200,26 @@ class TestConjugate:
         rel = pg.conjugate_order(canonical)
         assert pg.order_from_conjugate(canonical.graph, rel) == canonical.order
 
+    @pytest.mark.parametrize("member", [("i1",), ("i1", "i2", "o1"), None, (1, "i2")],
+                             ids=["one", "three", "none", "int"])
+    def test_a_member_that_is_not_a_pair_of_ids_is_a_problem(self, member):
+        pop = pg.spider(2, 2)
+        rel = pg.conjugate_order(pop) | {member}
+        want = ("(1, i2) names an unknown edge" if member == (1, "i2")
+                else f"{member!r} is not a pair of edge ids")
+        assert pg.check_conjugacy(pop.graph, rel).problems == (want,)
+        with pytest.raises(pg.NotConjugate) as exc:
+            pg.order_from_conjugate(pop.graph, rel)
+        assert exc.value.problems == (want,)
+
+    def test_mixed_members_are_listed_pairs_of_strings_first(self):
+        pop = pg.spider(2, 2)
+        rel = pg.conjugate_order(pop) | {(2, 1), ("i1", "i1"), None, ("zz", "i1"), (3, "o1")}
+        assert pg.check_conjugacy(pop.graph, rel).problems == (
+            "(i1, i1) is reflexive", "(zz, i1) names an unknown edge",
+            "(2, 1) names an unknown edge", "(3, o1) names an unknown edge",
+            "None is not a pair of edge ids")
+
     def test_round_trip_suite(self, suite):
         for name, pop in suite:
             rel = pg.conjugate_order(pop)
@@ -322,6 +343,40 @@ class TestBoundedMessages:
             pg.synthesize_order(pg.PAGraph(g, {}, (ids, ids[::-1])))
         assert len(exc.value.witnesses) == 66
         self.assert_capped(str(exc.value), 66)
+
+    def test_not_a_permutation(self, capsys, tmp_path):
+        # one edge of 5000 listed: 4999 missing ids, of which the message shows 20
+        pop = pg.bare_edges(5000)
+        with pytest.raises(pg.NotAPermutation) as exc:
+            pg.validate_planar_order(pop.graph, ["w1"])
+        assert exc.value.missing == tuple(sorted(pop.graph.edge_ids[1:]))
+        message = str(exc.value)
+        assert len(message) < 300
+        assert message.endswith(" w1016 ... and 4979 more (4999 in all)")
+        path = tmp_path / "bare5000.ppg"
+        lines = pg.emit_ppg(pop).splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("order ")) + "order w1\n",
+                        encoding="utf-8")
+        assert main(["check-order", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        short = pg.NotAPermutation(("a", "b"), ("c",), ("d", "e"))
+        assert str(short) == ("not a permutation of the edge set: "
+                              "missing a b; extra c; duplicated d e")
+
+    def test_cycle_detected(self):
+        for n in (SHOWN, 5000):
+            edges = [pg.Edge(f"e{k}", f"v{k}", f"v{(k + 1) % n}") for k in range(n)]
+            with pytest.raises(pg.CycleDetected) as exc:
+                pg.validate_progressive(pg.DirectedMultigraph(edges))
+            cycle = exc.value.cycle
+            assert len(cycle) == n + 1 and cycle[0] == cycle[-1]
+            message = str(exc.value)
+            if n == SHOWN:
+                assert message == "directed cycle: " + " -> ".join(cycle)
+            else:
+                assert len(message) < 200
+                assert message.endswith(f" -> {cycle[SHOWN - 1]} -> ... and "
+                                        f"{n - SHOWN} more ({n} in all)")
 
     def test_a_short_list_is_shown_whole(self):
         for n in (SHOWN, SHOWN + 1):

@@ -321,18 +321,48 @@ class TestEnumerate:
                 pg.enumerate_planar_orders(g, limit)
         assert pg.enumerate_planar_orders(g, 0) == ((), True)
 
-    def test_size_guard(self):
-        g = pg.bare_edges(11).graph
-        with pytest.raises(pg.TooLarge):
+    def test_the_count_bounds_the_placed_sets_it_remembers(self, monkeypatch):
+        # 2^5 - 1 placed sets of 5 bare edges are remembered, the last two
+        # as the search returns, after the final bound check
+        g = pg.bare_edges(5).graph
+        monkeypatch.setattr(pg.synthesis, "_STATES", 28)
+        with pytest.raises(pg.TooLarge, match="more than 28 placed sets remembered") as exc:
+            pg.count_planar_orders(g)
+        assert exc.value.bound == 28
+        monkeypatch.setattr(pg.synthesis, "_STATES", 29)
+        assert pg.count_planar_orders(g) == 120
+        monkeypatch.setattr(pg.synthesis, "_STATES", 0)
+        assert pg.count_planar_orders(g, force=True) == 120
+
+    def test_the_listing_bounds_the_prefixes_it_searches(self, monkeypatch):
+        # 4 + 12 + 24 prefixes of 4 bare edges are pushed before the 24 orders
+        g = pg.bare_edges(4).graph
+        monkeypatch.setattr(pg.synthesis, "_STATES", 39)
+        with pytest.raises(pg.TooLarge, match="more than 39 prefixes searched") as exc:
             pg.enumerate_planar_orders(g)
-        res = pg.enumerate_planar_orders(g, limit=3, force=True)
-        assert len(res.orders) == 3 and res.truncated
-        assert pg.enumerate_planar_orders(g, limit=3, max_edges=12).truncated
+        assert exc.value.bound == 39
+        assert len(pg.enumerate_planar_orders(g, limit=3).orders) == 3
+        monkeypatch.setattr(pg.synthesis, "_STATES", 40)
+        assert len(pg.enumerate_planar_orders(g).orders) == 24
+        monkeypatch.setattr(pg.synthesis, "_STATES", 0)
+        res = pg.enumerate_planar_orders(g, force=True)
+        assert len(res.orders) == 24 and not res.truncated
+
+    def test_a_path_counts_without_remembering(self, monkeypatch):
+        # no placed set above the first branch is remembered, and a path has none
+        g = pg.validate_progressive(pg.DirectedMultigraph(
+            pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1200)))
+        monkeypatch.setattr(pg.synthesis, "_STATES", 0)
+        assert pg.count_planar_orders(g) == 1
+
+    def test_the_default_bound(self):
+        # 2^16 - 1 placed sets for 16 bare edges, 2^17 - 1 for 17
+        assert pg.count_planar_orders(pg.bare_edges(16).graph) == math.factorial(16)
+        with pytest.raises(pg.TooLarge, match=f"more than {1 << 16} placed sets"):
+            pg.count_planar_orders(pg.bare_edges(17).graph)
 
     def test_limits_cut_the_full_enumeration(self, suite):
         for name, pop in suite:
-            if len(pop.graph.edges) > 10:  # the default size guard
-                continue
             full = pg.enumerate_planar_orders(pop.graph)
             assert not full.truncated, name
             for limit in (1, 5):
@@ -352,14 +382,6 @@ class TestEnumerate:
         assert time.perf_counter() - t0 < 5.0
         assert pg.enumerate_planar_orders(g, force=True) == (
             (pg.PlanarOrder(g.edge_ids),), False)
-
-    def test_negative_edge_bound_refused(self):
-        g = pg.bare_edges(0).graph
-        for fn in (pg.count_planar_orders, pg.enumerate_planar_orders):
-            for force in (False, True):
-                with pytest.raises(pg.PpgError, match="^max_edges must be 0 or more, not -1$"):
-                    fn(g, max_edges=-1, force=force)
-        assert pg.count_planar_orders(g, max_edges=0) == 1
 
     def test_count_matches_the_linear_extension_oracle(self):
         rng = random.Random(11)
