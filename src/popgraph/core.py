@@ -11,8 +11,8 @@ directed path starts with a and ends with b, a != b; this is the precedence
 order that planar orders must extend.  It is kept in one form, integer
 bitsets over edge declaration indexes: the rows of the edges each edge
 reaches, computed once at validation time, and their transpose, the rows of
-the edges reaching each edge, built on first use.  Queries are O(1) and the
-objects can be treated as immutable values.
+the edges reaching each edge, built on first use, both over the topological
+order validation finds.  Queries are O(1); treat the objects as immutable.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class ProgressiveGraph:
 
     def __init__(self, graph: DirectedMultigraph):
         indeg, outdeg = _degrees(graph)
-        topo = _toposort(graph)
+        self._topo = _toposort(graph)
         for v in graph.vertices:
             if indeg[v] == 0 and outdeg[v] != 1:
                 raise BadBoundaryDegree(v, "source", outdeg[v])
@@ -165,20 +165,8 @@ class ProgressiveGraph:
         self.outputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.dst not in self.internal_vertices)
 
-        # src_union[v] = all edges whose tail is a vertex reachable from v
-        # (reflexively), as bitsets over the edge index.
-        eix = {e: i for i, e in enumerate(graph.edge_ids)}
-        src_union: dict[str, int] = {}
-        for v in reversed(topo):
-            acc = 0
-            for e in graph._out[v]:
-                acc |= 1 << eix[e.id] | src_union[e.dst]
-            src_union[v] = acc
-
-        self._eix = eix
-        # Strict edge reachability: e reaches f (e != f) iff f's tail is a
-        # vertex reachable from e's head.  Acyclicity rules out e itself.
-        self._ereach = tuple(src_union[e.dst] for e in graph.edges)
+        self._eix = {e: i for i, e in enumerate(graph.edge_ids)}
+        self._ereach = tuple(self._downstream(self._eix))
 
     @classmethod
     def _spider(cls, graph: DirectedMultigraph, vertex: str) -> ProgressiveGraph:
@@ -198,11 +186,31 @@ class ProgressiveGraph:
         return self
 
     @cached_property
+    def _topo(self) -> list[str]:
+        """The vertices in a topological order: validation stores the one it
+        finds, and a spider, which skips validation, sorts on first use."""
+        return _toposort(self.graph)
+
+    def _downstream(self, index: dict[str, int]) -> list[int]:
+        """Per edge, at its place in ``index``, the edges it strictly reaches,
+        as bits over ``index``; ``down[v]`` gathers the edges whose tail v reaches."""
+        out, down = self.graph._out, {}
+        rows = [0] * len(index)
+        for v in reversed(self._topo):
+            acc = 0
+            for e in out[v]:
+                i = index[e.id]
+                rows[i] = row = down[e.dst]
+                acc |= 1 << i | row
+            down[v] = acc
+        return rows
+
+    @cached_property
     def _ereachers(self) -> tuple[int, ...]:
-        """The transpose of the reach rows, in one upstream-first pass; built
-        on first use, since validation alone never needs it."""
+        """The transpose of the reach rows, in one upstream pass over the
+        stored order; built on first use, since validation alone never needs it."""
         head_union: dict[str, int] = {}  # edges whose head reaches v, reflexively
-        for v in _toposort(self.graph):
+        for v in self._topo:
             acc = 0
             for e in self.graph._in[v]:
                 acc |= 1 << self._eix[e.id] | head_union[e.src]

@@ -76,13 +76,18 @@ class ReservedVertexName(PpgError):
         self.name = name
 
 
+def _shown(name) -> str:
+    """An id as a message shows it: a string as it is, anything else by repr."""
+    return name if isinstance(name, str) else repr(name)
+
+
 class NotAPermutation(PpgError):
     """A sequence that must list each edge exactly once does not.  The
     attributes list every id; the message shows the first SHOWN of each."""
 
     def __init__(self, missing: tuple[str, ...], extra: tuple[str, ...],
                  duplicated: tuple[str, ...]):
-        parts = [f"{kind} {_capped(ids, len(ids), ' ')}"
+        parts = [f"{kind} {_capped(map(_shown, ids), len(ids), ' ')}"
                  for kind, ids in (("missing", missing), ("extra", extra),
                                    ("duplicated", duplicated)) if ids]
         super().__init__("not a permutation of the edge set: " + "; ".join(parts))

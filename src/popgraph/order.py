@@ -8,20 +8,21 @@ A planar order is a total order on the edge set satisfying two axioms:
 
 The betweenness axiom is equivalent to transitivity of the conjugate
 relation (a <* b  iff  a < b and a does not reach b).  Relations are held as
-bit rows, one per edge.  Validation decides an order by a chain check on
-rows indexed by rank, O(m * depth) row operations (``_reach_chains_hold``),
-and lists the violations only of an order that fails it.  The conjugate
-together with strict reachability covers every unordered edge pair exactly
-once, which the conjugacy check reads off four rows per edge.  A relation
-that does so is transitive exactly when its union with reachability, ranked
-by popcount, passes the same chain check and has the relation as its
-conjugate; that union is then the planar order, so the two presentations
-are interchangeable.  One helper lists the intransitive triples of a set of
-rows, one step per member of each row plus one per witness, and runs only
-on what these checks refuse: the listing takes its betweenness violations
-from the conjugate rows, and the conjugacy check its transitivity witnesses
-from the given relation.  The test suite checks all of this against
-definitional pair and triple scans.
+bit rows.  Every question about a sequence reads one pair of row lists
+indexed by rank (``_ranked``): the ranks each edge reaches, and its
+conjugate row, the later ranks it does not reach.  A chain check on them,
+O(m * depth) row operations, decides an order; only an order it refuses has
+its violations listed, read off the rows rank by rank, so in sequence order.
+The conjugate together with strict reachability relates every unordered
+edge pair exactly once, which the conjugacy check reads off four rows per
+edge.  Such a relation is transitive exactly when its union with
+reachability is a transitive tournament whose ranking passes the chain
+check; it is then the conjugate of that planar order, so the two
+presentations are interchangeable.  One helper lists the intransitive
+triples of a set of rows, and runs only on what these checks refuse: the
+betweenness violations of an order and the transitivity witnesses of a
+relation.  The test suite checks all of this against definitional pair and
+triple scans.
 
 The interval partition that composition shuffles by locates each edge
 relative to the ordered boundary: after the last input that reaches it, and
@@ -43,9 +44,12 @@ class PlanarOrder:
 
     def __init__(self, sequence):
         self.sequence: tuple[str, ...] = tuple(sequence)
-        self.ranks: dict[str, int] = {e: i + 1 for i, e in enumerate(self.sequence)}
+        try:
+            self.ranks: dict[str, int] = {e: i + 1 for i, e in enumerate(self.sequence)}
+        except TypeError:  # an unhashable member
+            self.ranks = {}
         if len(self.ranks) != len(self.sequence):
-            raise NotAPermutation((), (), _duplicates(self.sequence))
+            raise _not_a_permutation(self.sequence)
 
     def rank(self, e: str) -> int:
         try:
@@ -101,18 +105,40 @@ class POPGraph:
         return f"POPGraph({len(self.order)} edges)"
 
 
-def _duplicates(seq: tuple[str, ...]) -> tuple[str, ...]:
-    """The ids listed more than once in ``seq``, sorted."""
-    return tuple(sorted(e for e, n in Counter(seq).items() if n > 1))
+def _id_key(e) -> tuple:
+    """Sorts ids as messages list them: strings first, then the rest by repr."""
+    return (0, e) if type(e) is str else (1, repr(e))
 
 
-def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> None:
+def _not_a_permutation(seq: tuple, want=None) -> NotAPermutation:
+    """The error for ``seq``, which does not list each id of ``want`` once
+    (by default its own hashable members, so only repeats count).  A member
+    that cannot be hashed is no id, so it is extra."""
+    count, extra = Counter(), []
+    for e in seq:
+        try:
+            count[e] += 1
+        except TypeError:
+            extra.append(e)
+    want = count.keys() if want is None else want
+    extra += (e for e in count if e not in want)
+    return NotAPermutation(tuple(sorted(want - count.keys(), key=_id_key)),
+                           tuple(sorted(extra, key=_id_key)),
+                           tuple(sorted((e for e, n in count.items() if n > 1), key=_id_key)))
+
+
+def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> dict[str, int]:
+    """The 0-based rank of each id in ``seq``, which must list each id of
+    ``universe`` once; NotAPermutation otherwise."""
     seq = tuple(seq)
     want = set(universe)
-    have = set(seq)
-    if have != want or len(have) != len(seq):
-        raise NotAPermutation(tuple(sorted(want - have)),
-                              tuple(sorted(have - want)), _duplicates(seq))
+    try:
+        rank = {e: r for r, e in enumerate(seq)}
+    except TypeError:  # an unhashable member
+        rank = {}
+    if len(rank) != len(seq) or rank.keys() != want:
+        raise _not_a_permutation(seq, want)
+    return rank
 
 
 def _members(bits: int):
@@ -123,19 +149,39 @@ def _members(bits: int):
         bits ^= low
 
 
-def _conjugate_rows(g: ProgressiveGraph, seq: tuple[str, ...]) -> tuple[list[int], list[int]]:
-    """Per edge index i: the earlier edges in ``seq`` that edge i reaches (its
-    extension violations), and the conjugate row of edge i, the later edges
-    it does not reach; both are bitsets over edge declaration indexes."""
+def _ranked(g: ProgressiveGraph, seq: tuple[str, ...]) -> tuple[list[int], list[int]]:
+    """Rows over ranks in ``seq``, which must list each edge of g once: per
+    rank r, the ranks that edge r reaches (earlier ones break extension), and
+    its conjugate row, the later ranks it does not reach."""
+    reach = g._downstream(_expect_permutation(seq, g.edge_ids))
     full = (1 << len(seq)) - 1
-    late, conj = [0] * len(seq), [0] * len(seq)
-    placed = 0
-    for e in seq:
-        i, reach = g.edge_index(e), g.reach_bits(e)
-        late[i] = reach & placed
-        placed |= 1 << i
-        conj[i] = full & ~(placed | reach)
-    return late, conj
+    return reach, [full & ~((2 << r) - 1 | row) for r, row in enumerate(reach)]
+
+
+def _chains_hold(reach: list[int], conj: list[int]) -> bool:
+    """Whether the rows of :func:`_ranked` are those of a planar order, in
+    O(m * depth) row operations.
+
+    Extension says no rank reaches an earlier one; then every later rank is
+    in the reach row or the conjugate row of rank k, and betweenness says
+    the conjugate rows are transitive.  Going from the last rank to the
+    first, the ranks after k already pass both, so rank k must not reach
+    back and its conjugate row is checked along a chain: take its lowest
+    member j unchecked so far, require row j inside row k (which vouches for
+    the members of row j too), and go on with the members that j reaches,
+    the only later ranks row j leaves out.  A chain follows reach, so it is
+    no longer than the longest path.
+    """
+    for k in range(len(conj) - 1, -1, -1):
+        if reach[k] & ((1 << k) - 1):
+            return False
+        row = rest = conj[k]
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            if conj[j] & ~row:
+                return False
+            rest &= reach[j]
+    return True
 
 
 def _intransitive(rows: list[int]) -> list[tuple[int, int, int]]:
@@ -160,74 +206,23 @@ def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
     Returns (extension pairs, betweenness triples); the sequence must be a
     permutation of the edge set.  Pairs are (a, b) with a reaching b but
     ranked later; triples (a, b, c) are the intransitive triples of the
-    conjugate rows: a reaches c and b relates to neither.  Both are listed
-    in sequence order.
+    conjugate rows: a reaches c and b relates to neither.  Both are read off
+    the rank rows rank by rank, so they come out in sequence order.
     """
     seq = tuple(sequence)
-    ids = g.edge_ids
-    _expect_permutation(seq, ids)
-    late, conj = _conjugate_rows(g, seq)
-    pairs = [(ids[i], ids[j]) for i, row in enumerate(late) if row for j in _members(row)]
-    triples = [(ids[i], ids[j], ids[k]) for i, j, k in _intransitive(conj)]
-    if pairs or triples:
-        rank = {e: k for k, e in enumerate(seq)}.__getitem__
-        pairs.sort(key=lambda t: tuple(map(rank, t)))
-        triples.sort(key=lambda t: tuple(map(rank, t)))
+    reach, conj = _ranked(g, seq)
+    pairs = [(seq[r], seq[j]) for r, row in enumerate(reach)
+             for j in _members(row & ((1 << r) - 1))]
+    triples = [(seq[i], seq[j], seq[k]) for i, j, k in _intransitive(conj)]
     return pairs, triples
 
 
-def _reach_chains_hold(g: ProgressiveGraph, seq: tuple[str, ...]) -> bool:
-    """Whether ``seq`` is a planar order of g (False also when it is not a
-    permutation of the edges), in O(m * depth) operations on bit rows
-    indexed by rank.
-
-    One pass from the last rank to the first builds each reach row as the
-    union, over the edges leaving the edge's head, of their bit and their
-    row; an edge ranked before one it leads into breaks the extension axiom.
-    The conjugate row of rank k is then every later rank that k does not
-    reach, and betweenness says these rows are transitive.  Going from the
-    last rank to the first, the rows after k are already transitive, so row
-    k is checked along a chain: take its lowest member j unchecked so far,
-    require row j inside row k (which vouches for the members of row j too),
-    and go on with the members that j reaches, the only later ranks row j
-    leaves out.  A chain follows reach, so it is no longer than the longest
-    path.
-    """
-    m = len(seq)
-    rank = {e: r for r, e in enumerate(seq)}
-    if len(rank) != m or rank.keys() != set(g.edge_ids):
-        return False
-    outs = g.graph._out
-    reach = [0] * m
-    for r in range(m - 1, -1, -1):
-        row = 0
-        for c in outs[g.edge(seq[r]).dst]:
-            rc = rank[c.id]
-            if rc < r:
-                return False
-            row |= 1 << rc | reach[rc]
-        reach[r] = row
-    full = (1 << m) - 1
-    conj = [0] * m
-    for k in range(m - 1, -1, -1):
-        row = conj[k] = full ^ ((2 << k) - 1) ^ reach[k]  # reach[k] is all later
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            if conj[j] & ~row:
-                return False
-            rest &= reach[j]
-    return True
-
-
 def validate_planar_order(g: ProgressiveGraph, sequence) -> POPGraph:
-    """Check both axioms by reach chains; when they fail, list every
-    violation with :func:`order_violations` and raise with them."""
+    """Check both axioms by the chain check on the rank rows; when it fails,
+    list every violation with :func:`order_violations` and raise with them."""
     seq = tuple(sequence)
-    if not _reach_chains_hold(g, seq):
-        pairs, triples = order_violations(g, seq)
-        if pairs or triples:
-            raise InvalidPlanarOrder(pairs, triples)
+    if not _chains_hold(*_ranked(g, seq)):
+        raise InvalidPlanarOrder(*order_violations(g, seq))
     return POPGraph(g, PlanarOrder(seq))
 
 
@@ -237,9 +232,9 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
     Transitive by the betweenness axiom; together with strict reachability it
     covers each unordered pair exactly once.
     """
-    ids = pop.graph.edge_ids
-    _, conj = _conjugate_rows(pop.graph, pop.order.sequence)
-    return frozenset((ids[i], ids[j]) for i, row in enumerate(conj) for j in _members(row))
+    seq = pop.order.sequence
+    _, conj = _ranked(pop.graph, seq)
+    return frozenset((seq[i], seq[j]) for i, row in enumerate(conj) for j in _members(row))
 
 
 class ConjugacyReport:
@@ -261,17 +256,23 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
     """:func:`check_conjugacy`'s problems, and when there are none the
     planar order whose conjugate ``rel`` is.
 
-    The rows of ``rel`` are built straight from its pairs; only a relation
-    with a member that is not a pair of two distinct known edges is listed
-    sorted.  Once every pair is related exactly once, the edges ranked by
-    how many edges they precede form a planar order exactly when ``rel`` is
-    transitive, and then ``rel`` is that order's conjugate: a reach-chain
-    check and one row comparison accept it, and only a relation they refuse
-    has its intransitive triples listed.
+    The rows of ``rel`` are built straight from its pairs (a set is read as
+    it is; anything else is copied); only a relation with a member that is
+    not a pair of two distinct known edges is listed sorted.  Once every
+    pair is related exactly once, the union of ``rel`` with reachability is
+    a tournament.  ``rel`` is transitive exactly when that tournament is
+    transitive, no two edges preceding equally many, and its ranking passes
+    the chain check; ``rel`` is then the conjugate of that ranking.  Only a
+    relation these refuse has its intransitive triples listed.
     """
-    rel = set(rel)
     ids = g.edge_ids
     ix = g._eix
+    if not isinstance(rel, (set, frozenset)):
+        rel = list(rel)
+        try:
+            rel = set(rel)
+        except TypeError:  # an unhashable member
+            return _unknown_or_reflexive(rel, ix), ()
     out, into = [0] * len(ids), [0] * len(ids)
     try:
         for a, b in rel:
@@ -291,32 +292,35 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
                         f"{sum(x >> j & 1 for x in (r, rt, c, ct))} times, expected exactly once"
                         for j in _members(bad))
     if not problems:
-        later = [(g.reach_bits(e) | row).bit_count() for e, row in zip(ids, out)]
-        seq = tuple(e for _, e in sorted(zip(later, ids), reverse=True))
-        if _reach_chains_hold(g, seq) and _conjugate_rows(g, seq)[1] == out:
-            return problems, seq
+        # place each edge by how many edges it precedes, most first
+        seq = [None] * len(ids)
+        for e, row in zip(ids, out):
+            seq[~(g.reach_bits(e) | row).bit_count()] = e
+        if None not in seq and _chains_hold(*_ranked(g, seq)):
+            return problems, tuple(seq)
     witnesses = sorted(_intransitive(out), key=lambda t: (ids[t[0]], ids[t[1]]))
     problems.extend(f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
                     for i, j, k in witnesses)
     return problems, ()
 
 
-def _unknown_or_reflexive(rel: set, ix: dict[str, int]) -> list[str]:
-    """The members of ``rel`` that are not a pair of two distinct known
-    edges: pairs of strings sorted, then the rest by repr."""
-    problems = []
+def _unknown_or_reflexive(rel, ix: dict[str, int]) -> list[str]:
+    """The members of ``rel`` that are not a hashable pair of two distinct
+    known edges, each once: pairs of strings sorted, then the rest by repr."""
+    problems = set()
     for member in rel:
         try:
+            hash(member)
             a, b = member
             known = a in ix and b in ix
         except (TypeError, ValueError):
-            problems.append(((1, repr(member)), f"{member!r} is not a pair of edge ids"))
+            problems.add(((1, repr(member)), f"{member!r} is not a pair of edge ids"))
             continue
         key = (0, (a, b)) if type(a) is str and type(b) is str else (1, repr(member))
         if not known:
-            problems.append((key, f"({a}, {b}) names an unknown edge"))
+            problems.add((key, f"({a}, {b}) names an unknown edge"))
         elif a == b:
-            problems.append((key, f"({a}, {a}) is reflexive"))
+            problems.add((key, f"({a}, {a}) is reflexive"))
     return [text for _, text in sorted(problems)]
 
 
@@ -336,9 +340,10 @@ def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     A relation that passes :func:`check_conjugacy` has as its union with
     strict reachability a planar order (betweenness is its transitivity), in
     which the edge with the most successors comes first.  The check itself
-    ranks the edges that way and accepts when the ranking passes the
-    reach-chain test and its conjugate rows are those of ``rel``, so the
-    order is what the check accepted.
+    places the edges that way and accepts only when no two share a place
+    and the ranking passes the chain check, so the order is what the check
+    accepted; a member that is not a hashable pair of edge ids is a problem
+    like any other, raised as NotConjugate.
     """
     problems, seq = _conjugacy_problems(g, rel)
     if problems:

@@ -98,6 +98,16 @@ class TestReachability:
             a, b = rng.choice(ids), rng.choice(ids)
             assert g.strictly_reaches(a, b) == slow_reaches(g, a, b), (a, b)
 
+    def test_graph_is_sorted_once(self, canonical, monkeypatch):
+        # the transpose walks the topological order that validation found
+        calls = []
+        toposort = pg.core._toposort
+        monkeypatch.setattr(pg.core, "_toposort", lambda g: calls.append(g) or toposort(g))
+        g = pg.validate_progressive(canonical.graph.graph)
+        assert [g.reacher_bits(e) for e in g.edge_ids] == [
+            canonical.graph.reacher_bits(e) for e in g.edge_ids]
+        assert len(calls) == 1
+
     def test_unknown_edge(self, canonical):
         g = canonical.graph
         for a, b in (("5", "nope"), ("nope", "nope")):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import popgraph as pg
 from popgraph.cli import main
 from popgraph.errors import SHOWN
-from popgraph.order import _reach_chains_hold
+from popgraph.order import _chains_hold, _ranked
 from conftest import (_scan_window, check_conjugacy_scan, conjugate_pairs_scan,
                       conjugate_pop, order_from_conjugate_scan, order_violations_scan,
                       run_optimized, slow_planar, vertex_reach_dfs)
@@ -119,19 +119,20 @@ class TestValidate:
         assert invalid > 400
 
     def test_chain_verdict_matches_the_scan(self):
-        # the reach-chain check accepts exactly the sequences in which the
-        # O(m^3) scan finds no violation
+        # the chain check on the rank rows accepts exactly the sequences in
+        # which the O(m^3) scan finds no violation; reversed and shuffled
+        # sequences give rank rows that reach earlier ranks
         rng = random.Random(29)
         verdicts = Counter()
         for k in range(200):
             pop = pg.random_pop(random.Random(1000 + k))
             g, seq = pop.graph, list(pop.order.sequence)
-            cands = [seq, random_linear_extension(g, rng)]
+            cands = [seq, random_linear_extension(g, rng), seq[::-1], rng.sample(seq, len(seq))]
             for i in rng.sample(range(len(seq) - 1), min(3, len(seq) - 1)):
                 cands.append(seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:])
             for cand in cands:
                 ext, bet = order_violations_scan(g, cand)
-                holds = _reach_chains_hold(g, tuple(cand))
+                holds = _chains_hold(*_ranked(g, tuple(cand)))
                 assert holds == (not ext and not bet), (k, cand)
                 verdicts[holds, bool(ext)] += 1
         # accepted, refused by betweenness only, and by extension
@@ -141,7 +142,29 @@ class TestValidate:
     def test_chain_refuses_what_is_not_a_permutation(self, canonical):
         g, seq = canonical.graph, canonical.order.sequence
         for bad in (seq[:-1], seq + seq[-1:], seq[:-1] + ("ghost",), ()):
-            assert not _reach_chains_hold(g, bad)
+            with pytest.raises(pg.NotAPermutation):
+                _ranked(g, bad)
+
+    @pytest.mark.parametrize("seq, message", [
+        ([1, 2, 3, 4], "missing i1 i2 o1 o2; extra 1 2 3 4"),
+        ([["i1"], "i2", "o1", "o2"], "missing i1; extra ['i1']"),
+        (["o2", 2, "i1", ("o1",), "o2"], "missing i2 o1; extra ('o1',) 2; duplicated o2"),
+    ], ids=["ints", "unhashable", "mixed"])
+    def test_members_that_are_not_ids_are_not_a_permutation(self, seq, message):
+        g = pg.spider(2, 2).graph
+        for check in (pg.validate_planar_order, pg.order_violations):
+            with pytest.raises(pg.NotAPermutation) as exc:
+                check(g, seq)
+            assert str(exc.value) == "not a permutation of the edge set: " + message
+
+    def test_planar_order_refuses_repeats_of_any_member(self):
+        with pytest.raises(pg.NotAPermutation) as exc:
+            pg.PlanarOrder([1, 1])
+        assert exc.value.duplicated == (1,)
+        assert str(exc.value) == "not a permutation of the edge set: duplicated 1"
+        with pytest.raises(pg.NotAPermutation) as exc:
+            pg.PlanarOrder(["a", ["b"]])
+        assert exc.value.extra == (["b"],)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
@@ -211,6 +234,19 @@ class TestConjugate:
         with pytest.raises(pg.NotConjugate) as exc:
             pg.order_from_conjugate(pop.graph, rel)
         assert exc.value.problems == (want,)
+
+    def test_unhashable_members_are_problems(self):
+        # a list of two edge ids unpacks like a pair, but is not one
+        g = pg.spider(2, 2).graph
+        rel = [["i1", "i2"], ("o1", "o2"), ["o1", "o2"], ["i1", "i2"]]
+        want = ("['i1', 'i2'] is not a pair of edge ids",
+                "['o1', 'o2'] is not a pair of edge ids")
+        assert pg.check_conjugacy(g, rel).problems == want
+        with pytest.raises(pg.NotConjugate) as exc:
+            pg.order_from_conjugate(g, rel)
+        assert exc.value.problems == want
+        assert pg.order_from_conjugate(g, iter([("i1", "i2"), ("o1", "o2")])).sequence == (
+            "i1", "i2", "o1", "o2")
 
     def test_mixed_members_are_listed_pairs_of_strings_first(self):
         pop = pg.spider(2, 2)
