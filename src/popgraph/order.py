@@ -32,6 +32,7 @@ before the first output it reaches.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Iterable
 
 from .core import ProgressiveGraph
@@ -40,7 +41,9 @@ from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError
 
 
 class PlanarOrder:
-    """A total order on edge ids, with 1-based ranks."""
+    """A total order on edge ids, with 1-based ranks.  Ids are strings: a
+    sequence with a repeat, or else with a member that is not a string,
+    raises NotAPermutation."""
 
     def __init__(self, sequence):
         self.sequence: tuple[str, ...] = tuple(sequence)
@@ -50,6 +53,11 @@ class PlanarOrder:
             self.ranks = {}
         if len(self.ranks) != len(self.sequence):
             raise _not_a_permutation(self.sequence)
+        try:
+            "".join(self.sequence)  # in one C pass, as repr shows the ids
+        except TypeError:  # a member that is not a string, so no id
+            ids = {e for e in self.ranks if isinstance(e, str)}
+            raise _not_a_permutation(self.sequence, ids) from None
 
     def rank(self, e: str) -> int:
         try:
@@ -273,6 +281,8 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
             rel = set(rel)
         except TypeError:  # an unhashable member
             return _unknown_or_reflexive(rel, ix), ()
+    if any(map(isinstance, rel, repeat(str))):  # a string unpacks, but is no pair
+        return _unknown_or_reflexive(rel, ix), ()
     out, into = [0] * len(ids), [0] * len(ids)
     try:
         for a, b in rel:
@@ -311,7 +321,7 @@ def _unknown_or_reflexive(rel, ix: dict[str, int]) -> list[str]:
     for member in rel:
         try:
             hash(member)
-            a, b = member
+            a, b = () if isinstance(member, str) else member
             known = a in ix and b in ix
         except (TypeError, ValueError):
             problems.add(((1, repr(member)), f"{member!r} is not a pair of edge ids"))

@@ -15,18 +15,25 @@ disjoint cases:
    dual output-window comparison applied when no vertex is reachable from
    the heads of both; a disagreement or overlapping windows means no planar
    order exists);
-3. some vertex reaches both tails: a maximal such vertex sees the two edges
-   through distinct outgoing legs, and its vertex order decides.
+3. some vertex reaches both tails: a maximal such vertex (the least by name,
+   when there are several) sees the two edges through distinct outgoing
+   legs, and its vertex order decides.
 
 The comparator reads rows that its first call builds once per graph: per
 edge, the bit rows of the edges it reaches and of the edges reaching it
 (itself included), its input and output windows as anchor positions, and
-the out-legs of its tail as a bitset; per internal vertex, its out-legs in
-vertex order.  A vertex reaches an edge's tail exactly when one of its legs
-reaches that edge, so case 1 reads two rows, case 2 compares windows, and
-case 3 visits only the tails of the edges that reach one edge and not the
-other, testing each tail's legs against the rows.  A comparison builds no
-sets or lists; what stays quadratic is the number of pairs.
+the ancestors of its tail; per vertex, its ancestors and, if internal, its
+out-legs in vertex order.  Ancestor rows are bits over the vertices numbered
+in reverse topological order, so a vertex reaches only lower numbers, and
+one upstream pass builds them.  Case 1 reads two edge rows and case 2
+compares windows.  In case 3 the common ancestors of the two tails are one
+AND of ancestor rows, and the lowest of them is a maximal one.  The
+reachability poset of a planar st graph is a lattice (Kelly and Rival 1975,
+Platt 1976), so when the graph has any planar order that vertex is the
+only maximal one, which one more row confirms.  Only when several are
+maximal (a graph with no planar order) does the comparator walk the common
+ancestors to find them all, and the least by name decides.  A comparison
+builds no sets or lists; what stays quadratic is the number of pairs.
 
 Every pair is compared once (never sorting with a comparator), and each edge
 keeps a bit row of the edges it precedes.  Ranking by popcount gives the
@@ -59,7 +66,7 @@ from itertools import islice
 from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph
-from .errors import NoConsistentOrder, PpgError, TooLarge, UnknownVertex
+from .errors import NoConsistentOrder, PpgError, TooLarge, UnknownEdge, UnknownVertex
 from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
                     validate_planar_order)
 
@@ -91,14 +98,16 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
 
 
 class _Rows(NamedTuple):
-    """The comparator's view of a :class:`PAGraph`, by edge index; bit rows
-    are over edge indexes, windows are anchor positions."""
+    """The comparator's view of a :class:`PAGraph`, by edge index and by
+    vertex number (reverse topological order); bit rows are over edge
+    indexes or vertex numbers, windows are anchor positions."""
     reach: tuple[int, ...]  # the edges it reaches, itself included
     reached: tuple[int, ...]  # the edges reaching it, itself included
     windows: tuple[tuple[int, int, int, int], ...]  # input lo, hi, output lo, hi
-    tails: tuple[str, ...]  # its tail
-    tail_legs: tuple[int, ...]  # the out-legs of its tail
-    legs: dict[str, tuple[int, ...]]  # by internal vertex: its out-legs in vertex order
+    anc: tuple[int, ...]  # the vertices reaching its tail, the tail included
+    below: tuple[int, ...]  # by vertex: the vertices reaching it, itself included
+    names: tuple[str, ...]  # by vertex: its name
+    legs: tuple[tuple[int, ...], ...]  # by vertex: its out-legs in vertex order
 
 
 class PAGraph:
@@ -120,10 +129,11 @@ class PAGraph:
     @cached_property
     def _rows(self) -> _Rows:
         """What :func:`compare_edges` reads: per edge its reflexive reach and
-        reacher rows, its input and output windows and its tail's out-legs,
-        and per internal vertex its out-legs in vertex order.  Built once,
-        from the reach rows and the local data, by the first comparison, so
-        that extracting or emitting local data never pays for it."""
+        reacher rows, its input and output windows and its tail's ancestors,
+        and per vertex its ancestors, its name and its out-legs in vertex
+        order.  Built once, from the reach rows and the local data, by the
+        first comparison, so that extracting or emitting local data never
+        pays for it."""
         g = self.graph
         ids = g.edge_ids
         reach = tuple(g.reach_bits(e) | 1 << i for i, e in enumerate(ids))
@@ -142,11 +152,22 @@ class PAGraph:
         # every edge is reached by an input and reaches an output
         windows = tuple(span(ins, t & in_mask) + span(outs, r & out_mask)
                         for r, t in zip(reach, reached))
-        tails = tuple(e.src for e in g.edges)
-        legs = {v: sum(1 << g.edge_index(e.id) for e in g.out_edges(v)) for v in g.vertices}
-        return _Rows(reach, reached, windows, tails, tuple(map(legs.__getitem__, tails)),
-                     {v: tuple(map(g.edge_index, vo.outgoing))
-                      for v, vo in self.vertex_orders.items()})
+        # vertices numbered in reverse topological order; walking the
+        # topological order meets the tails of a vertex's in-edges first
+        names = tuple(reversed(g._topo))
+        number = {v: n for n, v in enumerate(names)}
+        below = [0] * len(names)
+        for v in g._topo:
+            n = number[v]
+            row = 1 << n
+            for e in g.in_edges(v):
+                row |= below[number[e.src]]
+            below[n] = row
+        orders = self.vertex_orders
+        legs = tuple(tuple(map(g.edge_index, orders[v].outgoing)) if v in orders else ()
+                     for v in names)
+        return _Rows(reach, reached, windows, tuple(below[number[e.src]] for e in g.edges),
+                     tuple(below), names, legs)
 
     def __eq__(self, other):
         if isinstance(other, PAGraph):
@@ -165,14 +186,7 @@ class Comparison(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-def _span_order(lo1: int, hi1: int, lo2: int, hi2: int) -> Comparison:
-    """Compare two windows of anchor positions: one lies wholly before the
-    other, or they overlap."""
-    if hi1 < lo2:
-        return Comparison.LESS
-    if hi2 < lo1:
-        return Comparison.GREATER
-    return Comparison.INCONSISTENT
+_LESS, _GREATER, _INCONSISTENT = Comparison.LESS, Comparison.GREATER, Comparison.INCONSISTENT
 
 
 def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
@@ -180,53 +194,60 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
 
     Antisymmetric by construction; INCONSISTENT means the vertex orders and
     anchors admit no planar order that relates this pair.  Reads only the
-    rows :class:`PAGraph` builds once: two bit rows per edge for case 1, its
-    precomputed windows for case 2, and for case 3 the out-leg masks of the
-    tails of the edges reaching one edge and not the other.
+    rows :class:`PAGraph` builds once: two reach rows for case 1, the
+    precomputed windows for case 2, and for case 3 the AND of the two tails'
+    ancestor rows.  Its lowest vertex w is a maximal common ancestor, as w
+    reaches only lower numbers.  Since reachability in a planar st graph is
+    a lattice, w is the only maximal one whenever the graph has a planar
+    order; it is exactly when every common ancestor reaches w, and w then
+    decides through its first out-leg towards either edge, in its vertex
+    order.  Otherwise (the graph has no planar order) the maximal common
+    ancestors are found by a walk from the low bits that drops the
+    ancestors of each one it meets, and the least by name decides.
     """
     if e1 == e2:
         raise PpgError("compare_edges requires two distinct edges")
-    g = pa.graph
-    i, j = g.edge_index(e1), g.edge_index(e2)
-    rows = pa._rows
-    r1, r2 = rows.reach[i], rows.reach[j]
+    ix = pa.graph._eix
+    try:
+        i, j = ix[e1], ix[e2]
+    except KeyError as exc:
+        raise UnknownEdge(exc.args[0]) from None
+    reach, reached, windows, anc, below, names, legs = pa._rows
+    r1, r2 = reach[i], reach[j]
     if r1 >> j & 1:
-        return Comparison.LESS
+        return _LESS
     if r2 >> i & 1:
-        return Comparison.GREATER
+        return _GREATER
 
-    # A vertex reaches e's tail iff it has a leg in t, so t1 & t2 holds the
-    # legs of the vertices reaching both tails.  It is empty only if no such
-    # vertex exists: a tail with two legs is internal and has in-edges.
-    t1, t2 = rows.reached[i], rows.reached[j]
-    both = t1 & t2
-    if not both:
-        w1, w2 = rows.windows[i], rows.windows[j]
-        verdict = _span_order(w1[0], w1[1], w2[0], w2[1])
-        if not r1 & r2 and _span_order(w1[2], w1[3], w2[2], w2[3]) is not verdict:
-            return Comparison.INCONSISTENT
+    common = anc[i] & anc[j]
+    if not common:
+        # over disjoint parts of the input boundary: the input windows
+        # decide, and the output windows must agree unless both edges
+        # reach a common edge
+        lo1, hi1, out_lo1, out_hi1 = windows[i]
+        lo2, hi2, out_lo2, out_hi2 = windows[j]
+        verdict = _LESS if hi1 < lo2 else _GREATER if hi2 < lo1 else _INCONSISTENT
+        if not r1 & r2 and verdict is not (
+                _LESS if out_hi1 < out_lo2 else _GREATER if out_hi2 < out_lo1 else _INCONSISTENT):
+            return _INCONSISTENT
         return verdict
 
-    # A maximal common ancestor has legs into t1 and t2 and none into both
-    # (its head would be a lower common ancestor), so it is the tail of an
-    # edge in t1 & ~t2 with a leg in t2 & ~t1; the least by name decides,
-    # through its first leg.  The legs of a tail seen are not visited again.
-    only2 = t2 & ~t1
-    tails, tail_legs = rows.tails, rows.tail_legs
-    v = None
-    rest = t1 & ~t2
-    while rest:
-        k = (rest & -rest).bit_length() - 1
-        legs = tail_legs[k]
-        rest &= ~legs
-        if legs & only2 and not legs & both and (v is None or tails[k] < v):
-            v = tails[k]
-    # v has no leg into both, so its first leg into either decides
-    for k in rows.legs[v]:
+    w = (common & -common).bit_length() - 1
+    if common & ~below[w]:  # a common ancestor not reaching w: several are maximal
+        rest = common
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= ~below[k]
+            if names[k] < names[w]:
+                w = k
+    # no leg of w reaches both edges (its head would be a lower common
+    # ancestor), so its first leg into either row decides
+    t1, t2 = reached[i], reached[j]
+    for k in legs[w]:
         if t1 >> k & 1:
-            return Comparison.LESS
+            return _LESS
         if t2 >> k & 1:
-            return Comparison.GREATER
+            return _GREATER
 
 
 def synthesize_order(pa: PAGraph) -> PlanarOrder:
@@ -244,14 +265,16 @@ def synthesize_order(pa: PAGraph) -> PlanarOrder:
     witnesses: list[str] = []
     later = [0] * len(ids)
     for i, a in enumerate(ids):
+        row = later[i]
         for j, b in enumerate(ids[i + 1:], i + 1):
             c = compare_edges(pa, a, b)
-            if c is Comparison.INCONSISTENT:
-                witnesses.append(f"no consistent position for pair ({a}, {b})")
-            elif c is Comparison.LESS:
-                later[i] |= 1 << j
-            else:
+            if c is _LESS:
+                row |= 1 << j
+            elif c is _GREATER:
                 later[j] |= 1 << i
+            else:
+                witnesses.append(f"no consistent position for pair ({a}, {b})")
+        later[i] = row
     if witnesses:
         raise NoConsistentOrder(tuple(witnesses))
 

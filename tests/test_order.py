@@ -166,6 +166,17 @@ class TestValidate:
             pg.PlanarOrder(["a", ["b"]])
         assert exc.value.extra == (["b"],)
 
+    @pytest.mark.parametrize("seq, message", [
+        ([1, 2], "extra 1 2"),
+        (["b", 2, "a"], "extra 2"),
+        ([b"a", "b", None], "extra None b'a'"),
+    ], ids=["ints", "one int", "bytes and None"])
+    def test_planar_order_refuses_members_that_are_not_strings(self, seq, message):
+        with pytest.raises(pg.NotAPermutation) as exc:
+            pg.PlanarOrder(seq)
+        assert str(exc.value) == "not a permutation of the edge set: " + message
+        assert not exc.value.missing and not exc.value.duplicated
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
     def test_valid_orders_satisfy_slow_oracle(self, seed):
@@ -247,6 +258,19 @@ class TestConjugate:
         assert exc.value.problems == want
         assert pg.order_from_conjugate(g, iter([("i1", "i2"), ("o1", "o2")])).sequence == (
             "i1", "i2", "o1", "o2")
+
+    @pytest.mark.parametrize("edges", [
+        (("a", "p", "q"), ("b", "r", "s")),
+        (("a", "p", "v"), ("b", "v", "q")),
+    ], ids=["unrelated", "related"])
+    def test_a_string_is_never_a_pair(self, edges):
+        # "ab" unpacks into the one-letter ids a and b, but is no pair
+        g = pg.validate_progressive(pg.DirectedMultigraph(edges))
+        for rel in ({"ab"}, ["ab"], {"ab", ("a", "b")}):
+            assert pg.check_conjugacy(g, rel).problems == ("'ab' is not a pair of edge ids",)
+            with pytest.raises(pg.NotConjugate) as exc:
+                pg.order_from_conjugate(g, rel)
+            assert exc.value.problems == ("'ab' is not a pair of edge ids",)
 
     def test_mixed_members_are_listed_pairs_of_strings_first(self):
         pop = pg.spider(2, 2)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
 import textwrap
@@ -21,6 +23,17 @@ def graph(*triples):
 # no planar order exists
 NO_ORDER = (("iu", "s1", "u"), ("iw", "s2", "w"), ("a1", "u", "x"), ("a2", "u", "y"),
             ("b1", "w", "x"), ("b2", "w", "y"), ("e1", "x", "t1"), ("e2", "y", "t2"))
+
+# three such vertices m, k and p, numbered in that order by the comparator's
+# reverse topological order, so that k, the least by name, is neither the
+# first nor the last; k's vertex order puts e1 first, the others put e2 first
+TIES = (("im", "sm", "m"), ("ik", "sk", "k"), ("ip", "sp", "p"),
+        ("a1", "m", "x"), ("a2", "m", "y"), ("b1", "k", "x"), ("b2", "k", "y"),
+        ("c1", "p", "x"), ("c2", "p", "y"), ("e1", "x", "t1"), ("e2", "y", "t2"))
+TIE_ORDERS = {"m": (("im",), ("a2", "a1")), "k": (("ik",), ("b1", "b2")),
+              "p": (("ip",), ("c2", "c1")), "x": (("a1", "b1", "c1"), ("e1",)),
+              "y": (("a2", "b2", "c2"), ("e2",))}
+TIE_ANCHOR = (("im", "ik", "ip"), ("e1", "e2"))
 
 
 class TestPAGraph:
@@ -124,22 +137,37 @@ class TestCompareEdges:
         assert pg.compare_edges(pa, "5", "6") is pg.Comparison.LESS
         assert pg.compare_edges(pa, "6", "5") is pg.Comparison.GREATER
 
-    def test_the_least_maximal_common_ancestor_decides(self):
-        # u and w both reach the tails x and y of e1 and e2, and neither
-        # reaches the other (the graph has no planar order); their vertex
-        # orders disagree, and u, the least by name, decides
-        g = graph(*NO_ORDER)
-        pa = pg.PAGraph(g, {"u": (("iu",), ("a1", "a2")), "w": (("iw",), ("b2", "b1")),
-                            "x": (("a1", "b1"), ("e1",)), "y": (("a2", "b2"), ("e2",))},
-                        (("iu", "iw"), ("e1", "e2")))
+    @pytest.mark.parametrize("edges, orders, anchor, maximal", [
+        (NO_ORDER, {"u": (("iu",), ("a1", "a2")), "w": (("iw",), ("b2", "b1")),
+                    "x": (("a1", "b1"), ("e1",)), "y": (("a2", "b2"), ("e2",))},
+         (("iu", "iw"), ("e1", "e2")), "uw"),
+        (TIES, TIE_ORDERS, TIE_ANCHOR, "mkp"),
+    ], ids=["two", "three"])
+    def test_the_least_maximal_common_ancestor_decides(self, edges, orders, anchor, maximal):
+        # the maximal common ancestors of the tails x and y of e1 and e2, in
+        # the comparator's reverse topological order, each reach x and y and
+        # none reaches another (the graph has no planar order); their vertex
+        # orders disagree, and the least by name decides e1 before e2
+        g = graph(*edges)
+        assert [v for v in reversed(g._topo) if v in maximal] == list(maximal)
+        pa = pg.PAGraph(g, orders, anchor)
         assert pg.compare_edges(pa, "e1", "e2") is pg.Comparison.LESS
         ids = g.edge_ids
         for a in ids:
             for b in ids:
                 if a != b:
                     assert pg.compare_edges(pa, a, b) is compare_edges_scan(pa, a, b), (a, b)
-        with pytest.raises(pg.NoConsistentOrder):
-            pg.synthesize_order(pa)
+        got = synthesis_outcome(pg.synthesize_order, pa)
+        assert got[0] is pg.NoConsistentOrder
+        assert got == synthesis_outcome(synthesize_by_scan, pa)
+
+    def test_one_comparison_per_pair(self, canonical, monkeypatch):
+        calls = []
+        compare = pg.synthesis.compare_edges
+        monkeypatch.setattr(pg.synthesis, "compare_edges",
+                            lambda *a: calls.append(a[1:]) or compare(*a))
+        assert pg.synthesize_order(pg.extract_pa(canonical)) == canonical.order
+        assert len(calls) == 19 * 18 // 2 == len(set(map(frozenset, calls)))
 
     def test_equal_edge_rejected(self, canonical):
         pa = pg.extract_pa(canonical)
@@ -438,17 +466,31 @@ class TestEnumerate:
         assert len(steps) < 2100
 
     def test_same_answers_under_O(self):
-        script = textwrap.dedent("""\
+        # counts, listings, and the orders and refusals synthesized on the
+        # suite and on the tie graph, the same with asserts stripped
+        script = textwrap.dedent(f"""\
             import popgraph as pg
-            print(__debug__)
             for g in (pg.bare_edges(5).graph, pg.spider(3, 2).graph):
                 print(pg.count_planar_orders(g), len(pg.enumerate_planar_orders(g).orders),
                       " ".join(pg.enumerate_planar_orders(g, 1).orders[0].sequence))
+            pas = [pg.extract_pa(pop) for _, pop in pg.generator_suite()]
+            ties = pg.validate_progressive(pg.DirectedMultigraph({TIES!r}))
+            pas.append(pg.PAGraph(ties, {TIE_ORDERS!r}, {TIE_ANCHOR!r}))
+            for pa in pas:
+                try:
+                    print(*pg.synthesize_order(pa))
+                except pg.NoConsistentOrder as exc:
+                    print(exc)
             """)
-        proc = run_optimized(script)
+        proc = run_optimized("print(__debug__)\n" + script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "False", "120 120 w1 w2 w3 w4 w5", "12 12 i1 i2 i3 o1 o2"]
+        lines = proc.stdout.splitlines()
+        assert lines[:3] == ["False", "120 120 w1 w2 w3 w4 w5", "12 12 i1 i2 i3 o1 o2"]
+        assert lines[-1].startswith("no consistent planar order: ")
+        plain = io.StringIO()
+        with contextlib.redirect_stdout(plain):
+            exec(script, {})
+        assert lines[1:] == plain.getvalue().splitlines()
 
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=9, deadline=None)
