@@ -18,12 +18,10 @@ leaves a remainder and an elementary factor (one internal vertex plus
 pass-through bare edges) whose composition restores the original, and
 repeating until no internal vertex is left writes the graph as a chain of
 single-vertex layers.  That is one walk over the order which builds only the
-factors, each ordered by restricting the planar order; the restriction and
-every remainder are planar by the theory, and a factor is one spider plus
-bare edges, whose reach rows are read off the spider (the legs into the
-vertex reach the legs out of it), so nothing in the walk is validated or
-closed again.  The layout reads the same peel order for its bands and builds
-no factor.
+factors: each is validated as a progressive graph like any other, and
+ordered by restricting the planar order, which the theory makes planar, so
+no order is checked again and no remainder is built.  The layout reads the
+same peel order for its bands and builds no factor.
 """
 
 from __future__ import annotations
@@ -186,7 +184,7 @@ def _peel(pop: POPGraph):
             if src != v and e not in g.inputs:
                 src = _fresh(f"s@{e}", taken)
             edges.append(Edge(e, src, head[e]))
-        factor = POPGraph(ProgressiveGraph._spider(DirectedMultigraph(edges), v),
+        factor = POPGraph(validate_progressive(DirectedMultigraph(edges)),
                           PlanarOrder(sorted(ids, key=pop.rank)))
 
         # fresh heads avoid every name of the graph the step started from,

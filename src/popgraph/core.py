@@ -10,9 +10,11 @@ Reachability here is between *edges*: edge a strictly reaches edge b when a
 directed path starts with a and ends with b, a != b; this is the precedence
 order that planar orders must extend.  It is kept in one form, integer
 bitsets over edge declaration indexes: the rows of the edges each edge
-reaches, computed once at validation time, and their transpose, the rows of
-the edges reaching each edge, built on first use, both over the topological
-order validation finds.  Queries are O(1); treat the objects as immutable.
+reaches and their transpose, the rows of the edges reaching each edge.
+Validation finds a topological order and builds neither; each is built on
+first use in one pass over that order, so parsing, decomposing or drawing a
+graph never pays O(m^2) for them.  Queries are then O(1); treat the objects
+as immutable.
 """
 
 from __future__ import annotations
@@ -101,15 +103,9 @@ class DirectedMultigraph:
         return f"DirectedMultigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def _degrees(g: DirectedMultigraph) -> tuple[dict[str, int], dict[str, int]]:
-    """In-degree and out-degree of every vertex, read off the incidence index."""
-    return ({v: len(es) for v, es in g._in.items()},
-            {v: len(es) for v, es in g._out.items()})
-
-
 def _toposort(g: DirectedMultigraph) -> list[str]:
     """Vertices in a topological order; raises CycleDetected with a witness."""
-    indeg, _ = _degrees(g)
+    indeg = {v: len(es) for v, es in g._in.items()}
     ready = [v for v in g.vertices if indeg[v] == 0]
     order: list[str] = []
     while ready:
@@ -142,54 +138,35 @@ def _toposort(g: DirectedMultigraph) -> list[str]:
 
 
 class ProgressiveGraph:
-    """A validated progressive graph with its edge reachability rows.
+    """A validated progressive graph; its edge reachability rows are built
+    on first use.
 
     Build via :func:`validate_progressive`; the constructor itself performs
     the checks, so every instance is valid.  Treat instances as immutable.
     """
 
     def __init__(self, graph: DirectedMultigraph):
-        indeg, outdeg = _degrees(graph)
         self._topo = _toposort(graph)
+        ins, outs = graph._in, graph._out
         for v in graph.vertices:
-            if indeg[v] == 0 and outdeg[v] != 1:
-                raise BadBoundaryDegree(v, "source", outdeg[v])
-            if outdeg[v] == 0 and indeg[v] != 1:
-                raise BadBoundaryDegree(v, "sink", indeg[v])
+            if not ins[v] and len(outs[v]) != 1:
+                raise BadBoundaryDegree(v, "source", len(outs[v]))
+            if not outs[v] and len(ins[v]) != 1:
+                raise BadBoundaryDegree(v, "sink", len(ins[v]))
 
         self.graph = graph
         self.internal_vertices: frozenset[str] = frozenset(
-            v for v in graph.vertices if indeg[v] + outdeg[v] >= 2)
+            v for v in graph.vertices if ins[v] and outs[v])
         self.inputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.src not in self.internal_vertices)
         self.outputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.dst not in self.internal_vertices)
-
         self._eix = {e: i for i, e in enumerate(graph.edge_ids)}
-        self._ereach = tuple(self._downstream(self._eix))
-
-    @classmethod
-    def _spider(cls, graph: DirectedMultigraph, vertex: str) -> ProgressiveGraph:
-        """An elementary graph, one spider at ``vertex`` plus bare edges, built
-        from that shape with no toposort or closure: the legs into ``vertex``
-        reach the legs out of it, and no other edge reaches anything.  Only
-        for callers that build exactly this shape (decomposition factors);
-        :func:`validate_progressive` gives the same value on it."""
-        self = cls.__new__(cls)
-        self.graph = graph
-        self.internal_vertices = frozenset((vertex,))
-        self.inputs = frozenset(e.id for e in graph.edges if e.src != vertex)
-        self.outputs = frozenset(e.id for e in graph.edges if e.dst != vertex)
-        self._eix = {e: i for i, e in enumerate(graph.edge_ids)}
-        legs_out = sum(1 << self._eix[e.id] for e in graph._out[vertex])
-        self._ereach = tuple(legs_out if e.dst == vertex else 0 for e in graph.edges)
-        return self
 
     @cached_property
-    def _topo(self) -> list[str]:
-        """The vertices in a topological order: validation stores the one it
-        finds, and a spider, which skips validation, sorts on first use."""
-        return _toposort(self.graph)
+    def _ereach(self) -> tuple[int, ...]:
+        """The reach rows, in one downstream pass over the stored order."""
+        return tuple(self._downstream(self._eix))
 
     def _downstream(self, index: dict[str, int]) -> list[int]:
         """Per edge, at its place in ``index``, the edges it strictly reaches,
@@ -208,7 +185,7 @@ class ProgressiveGraph:
     @cached_property
     def _ereachers(self) -> tuple[int, ...]:
         """The transpose of the reach rows, in one upstream pass over the
-        stored order; built on first use, since validation alone never needs it."""
+        stored order."""
         head_union: dict[str, int] = {}  # edges whose head reaches v, reflexively
         for v in self._topo:
             acc = 0
@@ -291,16 +268,16 @@ class StGraph:
         if sink not in graph.vertices:
             raise UnknownVertex(sink)
         _toposort(graph)
-        indeg, outdeg = _degrees(graph)
+        ins, outs = graph._in, graph._out
         for v in graph.vertices:
-            if indeg[v] == 0 and v != source:
-                raise BadBoundaryDegree(v, "source", outdeg[v])
-            if outdeg[v] == 0 and v != sink:
-                raise BadBoundaryDegree(v, "sink", indeg[v])
-        if indeg[source] != 0:
-            raise BadBoundaryDegree(source, "source", indeg[source])
-        if outdeg[sink] != 0:
-            raise BadBoundaryDegree(sink, "sink", outdeg[sink])
+            if not ins[v] and v != source:
+                raise BadBoundaryDegree(v, "source", len(outs[v]))
+            if not outs[v] and v != sink:
+                raise BadBoundaryDegree(v, "sink", len(ins[v]))
+        if ins[source]:
+            raise BadBoundaryDegree(source, "source", len(ins[source]))
+        if outs[sink]:
+            raise BadBoundaryDegree(sink, "sink", len(outs[sink]))
         self.graph = graph
         self.source = source
         self.sink = sink

@@ -500,8 +500,8 @@ def _minus(x: Fraction | int, off: Fraction | int) -> float:
             / (x.denominator * off.denominator))
 
 
-def _fmt(x: Fraction | int | float, scale: float = 1.0, off: float = 0.0) -> str:
-    return f"{float(x) * scale + off:.2f}"
+def _fmt(x: Fraction | int | float) -> str:
+    return f"{float(x):.2f}"
 
 
 def render_svg(d: Drawing) -> str:

@@ -266,7 +266,7 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
 
     The rows of ``rel`` are built straight from its pairs (a set is read as
     it is; anything else is copied); only a relation with a member that is
-    not a pair of two distinct known edges is listed sorted.  Once every
+    not a tuple of two distinct known edges is listed sorted.  Once every
     pair is related exactly once, the union of ``rel`` with reachability is
     a tournament.  ``rel`` is transitive exactly when that tournament is
     transitive, no two edges preceding equally many, and its ranking passes
@@ -281,7 +281,7 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
             rel = set(rel)
         except TypeError:  # an unhashable member
             return _unknown_or_reflexive(rel, ix), ()
-    if any(map(isinstance, rel, repeat(str))):  # a string unpacks, but is no pair
+    if not all(map(isinstance, rel, repeat(tuple))):  # only a tuple is a pair
         return _unknown_or_reflexive(rel, ix), ()
     out, into = [0] * len(ids), [0] * len(ids)
     try:
@@ -291,7 +291,7 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
                 return _unknown_or_reflexive(rel, ix), ()
             out[i] |= 1 << j
             into[j] |= 1 << i
-    except (TypeError, ValueError):  # a member that is not a pair
+    except (TypeError, ValueError):  # a tuple that is not a pair
         return _unknown_or_reflexive(rel, ix), ()
     problems = []
     rows = zip(map(g.reach_bits, ids), map(g.reacher_bits, ids), out, into)
@@ -315,13 +315,13 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
 
 
 def _unknown_or_reflexive(rel, ix: dict[str, int]) -> list[str]:
-    """The members of ``rel`` that are not a hashable pair of two distinct
+    """The members of ``rel`` that are not a hashable tuple of two distinct
     known edges, each once: pairs of strings sorted, then the rest by repr."""
     problems = set()
     for member in rel:
         try:
             hash(member)
-            a, b = () if isinstance(member, str) else member
+            a, b = member if isinstance(member, tuple) else ()
             known = a in ix and b in ix
         except (TypeError, ValueError):
             problems.add(((1, repr(member)), f"{member!r} is not a pair of edge ids"))
@@ -352,8 +352,8 @@ def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     which the edge with the most successors comes first.  The check itself
     places the edges that way and accepts only when no two share a place
     and the ranking passes the chain check, so the order is what the check
-    accepted; a member that is not a hashable pair of edge ids is a problem
-    like any other, raised as NotConjugate.
+    accepted; a member that is not a hashable tuple of two edge ids is a
+    problem like any other, raised as NotConjugate.
     """
     problems, seq = _conjugacy_problems(g, rel)
     if problems:

@@ -83,18 +83,35 @@ class Anchor(NamedTuple):
     outputs: tuple[str, ...]
 
 
+def _sides(value, vertex: str | None = None) -> tuple[tuple, tuple]:
+    """The two sides of the vertex order at ``vertex``, or of the anchor, as
+    tuples; PpgError naming it unless there are exactly two."""
+    try:
+        first, second = value
+        return tuple(first), tuple(second)
+    except (TypeError, ValueError):
+        what = "the anchor" if vertex is None else f"the vertex order at {vertex!r}"
+        raise PpgError(f"{what} must have exactly two sides of edge ids") from None
+
+
 def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, VertexOrder | tuple],
-                      anchor: Anchor | tuple | None) -> None:
+                      anchor: Anchor | tuple | None
+                      ) -> tuple[dict[str, VertexOrder], Anchor | None]:
     """Check whatever local data is given (no anchor, partial vertex orders):
-    each side is a permutation of its boundary or of an internal vertex's legs."""
+    each has two sides, and each side is a permutation of its boundary or of
+    an internal vertex's legs.  Returns the data as tuples."""
     if anchor is not None:
-        _expect_permutation(anchor[0], graph.inputs)
-        _expect_permutation(anchor[1], graph.outputs)
+        anchor = Anchor(*_sides(anchor))
+        _expect_permutation(anchor.inputs, graph.inputs)
+        _expect_permutation(anchor.outputs, graph.outputs)
+    orders = {}
     for v, vo in vertex_orders.items():
         if v not in graph.internal_vertices:
             raise UnknownVertex(v)
-        _expect_permutation(vo[0], (e.id for e in graph.in_edges(v)))
-        _expect_permutation(vo[1], (e.id for e in graph.out_edges(v)))
+        orders[v] = vo = VertexOrder(*_sides(vo, v))
+        _expect_permutation(vo.incoming, (e.id for e in graph.in_edges(v)))
+        _expect_permutation(vo.outgoing, (e.id for e in graph.out_edges(v)))
+    return orders, anchor
 
 
 class _Rows(NamedTuple):
@@ -118,10 +135,9 @@ class PAGraph:
                  vertex_orders: Mapping[str, VertexOrder | tuple],
                  anchor: Anchor | tuple):
         self.graph = graph
-        self.vertex_orders: dict[str, VertexOrder] = {
-            v: VertexOrder(tuple(vo[0]), tuple(vo[1])) for v, vo in vertex_orders.items()}
-        self.anchor = Anchor(tuple(anchor[0]), tuple(anchor[1]))
-        _check_local_data(graph, self.vertex_orders, self.anchor)
+        # an anchor is required here: a missing one has no sides
+        self.vertex_orders, self.anchor = _check_local_data(
+            graph, vertex_orders, () if anchor is None else anchor)
         missing = graph.internal_vertices.difference(self.vertex_orders)
         if missing:
             raise PpgError(f"missing vertex order for internal vertex {min(missing)!r}")
@@ -210,8 +226,8 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
     ix = pa.graph._eix
     try:
         i, j = ix[e1], ix[e2]
-    except KeyError as exc:
-        raise UnknownEdge(exc.args[0]) from None
+    except (KeyError, TypeError):  # an unknown id, or one that cannot be hashed
+        raise UnknownEdge(e2 if e1 in pa.graph.edge_ids else e1) from None
     reach, reached, windows, anc, below, names, legs = pa._rows
     r1, r2 = reach[i], reach[j]
     if r1 >> j & 1:

@@ -135,9 +135,9 @@ def test_criterion_05_decomposition_recomposes(announce, canonical):
             assert len(d.factors) == len(pop.graph.internal_vertices), i
             for f in d.factors:
                 assert pg.is_elementary(f.graph), i
-                # the walk orders factors by restriction and never validates them
+                # the walk orders factors by restriction and never checks the order
                 pg.validate_planar_order(f.graph, f.order.sequence)
-                # nor closes them: their reach rows are read off the spider
+                # each factor is validated like any graph: it has the rows of a fresh one
                 g, ref = f.graph, pg.validate_progressive(f.graph.graph)
                 assert ([g.reach_bits(e) for e in g.edge_ids]
                         == [ref.reach_bits(e) for e in ref.edge_ids]), i

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import popgraph as pg
-from conftest import compose_fold, perturbed, spider_layer_with_outputs
+from conftest import FIXTURES, compose_fold, perturbed, recipe_graph, spider_layer_with_outputs
 
 
 class TestCompose:
@@ -141,6 +141,24 @@ class TestIsElementary:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("text", [
+        (FIXTURES / "canonical19.ppg").read_text(encoding="utf-8"),
+        pg.emit_ppg(recipe_graph(16, 16)),
+    ], ids=["canonical19", "recipe16x16"])
+    def test_the_drawing_path_builds_no_reach_rows(self, text):
+        # parse, decompose, recompose, lay out and emit never read a reach
+        # row, so none is built; the first comparison builds them
+        doc = pg.parse_ppg(text)
+        pop = doc.pop()
+        d = pg.elementary_decomposition(pop)
+        back = pg.recompose(d)
+        pg.layout(back)
+        pg.emit_ppg(back)
+        for g in (pop.graph, back.graph, *(f.graph for f in d.factors)):
+            assert "_ereach" not in g.__dict__
+        pg.synthesize_order(doc.pa())
+        assert "_ereach" in doc.graph.__dict__
+
     def test_first_split_is_frozen(self, canonical):
         remainder, factor = pg.decompose_step(canonical)
         assert factor.order.sequence == ("7", "8", "9", "12", "13", "14", "16", "18", "19")

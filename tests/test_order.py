@@ -234,9 +234,11 @@ class TestConjugate:
         rel = pg.conjugate_order(canonical)
         assert pg.order_from_conjugate(canonical.graph, rel) == canonical.order
 
-    @pytest.mark.parametrize("member", [("i1",), ("i1", "i2", "o1"), None, (1, "i2")],
-                             ids=["one", "three", "none", "int"])
+    @pytest.mark.parametrize("member", [("i1",), ("i1", "i2", "o1"), None, (1, "i2"),
+                                        frozenset({"i1", "i2"}), b"ab"],
+                             ids=["one", "three", "none", "int", "frozenset", "bytes"])
     def test_a_member_that_is_not_a_pair_of_ids_is_a_problem(self, member):
+        # only a tuple is a pair: a frozenset unpacks in hash order, bytes into ints
         pop = pg.spider(2, 2)
         rel = pg.conjugate_order(pop) | {member}
         want = ("(1, i2) names an unknown edge" if member == (1, "i2")

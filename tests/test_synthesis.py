@@ -67,6 +67,29 @@ class TestPAGraph:
         assert exc.value.missing == ("2",)
         assert exc.value.extra == ("ghost",)
 
+    @pytest.mark.parametrize("orders, anchor, what", [
+        ({"v": [["i1", "i2"]]}, (("i1", "i2"), ("o1", "o2")), "the vertex order at 'v'"),
+        ({"v": (("i1", "i2"), ("o1", "o2"), ())}, (("i1", "i2"), ("o1", "o2")),
+         "the vertex order at 'v'"),
+        ({"v": (("i1", "i2"), ("o1", "o2"))}, (("i1", "i2"),), "the anchor"),
+        ({"v": (("i1", "i2"), ("o1", "o2"))}, None, "the anchor"),
+    ], ids=["one-sided-vertex", "three-sided-vertex", "one-sided-anchor", "no-anchor"])
+    def test_local_data_has_two_sides(self, orders, anchor, what):
+        g = pg.spider(2, 2).graph
+        message = f"{what} must have exactly two sides of edge ids"
+        with pytest.raises(pg.PpgError) as exc:
+            pg.PAGraph(g, orders, anchor)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("orders, anchor, what", [
+        ({"v": [["i1", "i2"]]}, None, "the vertex order at 'v'"),
+        ({}, (("i1", "i2"),), "the anchor"),
+    ], ids=["vertex", "anchor"])
+    def test_partial_local_data_has_two_sides(self, orders, anchor, what):
+        with pytest.raises(pg.PpgError) as exc:
+            pg.PpgDocument(pg.spider(2, 2).graph, orders, anchor)
+        assert str(exc.value) == f"{what} must have exactly two sides of edge ids"
+
 
 def tampered_pas(pop: pg.POPGraph, rng: random.Random):
     """The local data of ``pop``, intact, with every vertex's outgoing legs
@@ -168,6 +191,13 @@ class TestCompareEdges:
                             lambda *a: calls.append(a[1:]) or compare(*a))
         assert pg.synthesize_order(pg.extract_pa(canonical)) == canonical.order
         assert len(calls) == 19 * 18 // 2 == len(set(map(frozenset, calls)))
+
+    def test_an_unhashable_id_is_unknown(self):
+        pa = pg.extract_pa(pg.spider(2, 2))
+        for e1, e2 in ((["x"], "i1"), ("i1", ["x"])):
+            with pytest.raises(pg.UnknownEdge) as exc:
+                pg.compare_edges(pa, e1, e2)
+            assert exc.value.name == ["x"]
 
     def test_equal_edge_rejected(self, canonical):
         pa = pg.extract_pa(canonical)
