@@ -74,7 +74,7 @@ class DirectedMultigraph:
     def edge(self, edge_id: str) -> Edge:
         try:
             return self._by_id[edge_id]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownEdge(edge_id) from None
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
@@ -226,7 +226,7 @@ class ProgressiveGraph:
     def edge_index(self, e: str) -> int:
         try:
             return self._eix[e]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownEdge(e) from None
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:

@@ -16,7 +16,7 @@ SHOWN = 20  # witnesses a message lists before it counts the rest
 def _capped(items: Iterable[str], total: int, sep: str = "; ") -> str:
     """The first SHOWN of ``total`` items joined by ``sep``, then a count of
     the rest, so that a message stays short however many witnesses there
-    are; the exceptions keep every witness in their attributes."""
+    are."""
     text = sep.join(islice(items, SHOWN))
     if total > SHOWN:
         text += f"{sep}... and {total - SHOWN} more ({total} in all)"
@@ -76,6 +76,15 @@ class ReservedVertexName(PpgError):
         self.name = name
 
 
+def _first(items: Iterable, total: int | None) -> tuple[tuple, int]:
+    """The first SHOWN of ``items`` and their total: ``total`` when given
+    (then only SHOWN items are drawn), else the number of items."""
+    if total is None:
+        items = tuple(items)
+        return items[:SHOWN], len(items)
+    return tuple(islice(items, SHOWN)), total
+
+
 def _shown(name) -> str:
     """An id as a message shows it: a string as it is, anything else by repr."""
     return name if isinstance(name, str) else repr(name)
@@ -104,29 +113,36 @@ class InvalidPlanarOrder(PpgError):
     ``betweenness_violations`` lists triples (a, b, c), increasing in the
     order, where a reaches c but b is reachability-unrelated to both, i.e.
     an unrelated edge sits between the endpoints of a precedence pair.
-    All violations are enumerated, not just the first; the message shows
-    the first SHOWN of them and a count.
+    Each keeps the first SHOWN violations of its kind, in sequence order;
+    ``extension_total`` and ``betweenness_total`` count them all (by
+    default, the length of the iterable given).  The message shows the
+    first SHOWN of both and the total.
     """
 
-    def __init__(self, extension_violations, betweenness_violations):
-        self.extension_violations = tuple(extension_violations)
-        self.betweenness_violations = tuple(betweenness_violations)
+    def __init__(self, extension_violations, betweenness_violations,
+                 extension_total: int | None = None, betweenness_total: int | None = None):
+        self.extension_violations, self.extension_total = _first(
+            extension_violations, extension_total)
+        self.betweenness_violations, self.betweenness_total = _first(
+            betweenness_violations, betweenness_total)
         bits = chain(
             (f"{b} precedes {a} although {a} reaches {b}"
              for a, b in self.extension_violations),
             (f"{b} sits between {a} and {c} but relates to neither"
              for a, b, c in self.betweenness_violations))
-        total = len(self.extension_violations) + len(self.betweenness_violations)
+        total = self.extension_total + self.betweenness_total
         super().__init__("not a planar order: " + _capped(bits, total))
 
 
 class NotConjugate(PpgError):
     """A relation is not the conjugate order of any planar order.
-    ``problems`` lists every witness; the message shows the first SHOWN."""
+    ``problems`` keeps the first SHOWN witnesses and ``total`` counts them
+    all (by default, the length of the iterable given); the message shows
+    the first SHOWN."""
 
-    def __init__(self, problems: tuple[str, ...]):
-        super().__init__("not a conjugate order: " + _capped(problems, len(problems)))
-        self.problems = problems
+    def __init__(self, problems: Iterable[str], total: int | None = None):
+        self.problems, self.total = _first(problems, total)
+        super().__init__("not a conjugate order: " + _capped(self.problems, self.total))
 
 
 class ArityMismatch(PpgError):

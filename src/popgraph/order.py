@@ -11,17 +11,21 @@ relation (a <* b  iff  a < b and a does not reach b).  Relations are held as
 bit rows.  Every question about a sequence reads one pair of row lists
 indexed by rank (``_ranked``): the ranks each edge reaches, and its
 conjugate row, the later ranks it does not reach.  A chain check on them,
-O(m * depth) row operations, decides an order; only an order it refuses has
-its violations listed, read off the rows rank by rank, so in sequence order.
+O(m * depth) row operations, decides an order.  Only an order it refuses
+has its violations counted, by popcounts over the same rows, and of those
+only the first SHOWN of each kind are built, in sequence order; so a
+refusal costs O(m^2) row operations however many violations there are.
 The conjugate together with strict reachability relates every unordered
 edge pair exactly once, which the conjugacy check reads off four rows per
 edge.  Such a relation is transitive exactly when its union with
 reachability is a transitive tournament whose ranking passes the chain
 check; it is then the conjugate of that planar order, so the two
-presentations are interchangeable.  One helper lists the intransitive
-triples of a set of rows, and runs only on what these checks refuse: the
-betweenness violations of an order and the transitivity witnesses of a
-relation.  The test suite checks all of this against definitional pair and
+presentations are interchangeable.  One helper counts the intransitive
+triples of a set of rows and one lists them, and both run only on what
+these checks refuse: the betweenness violations of an order and the
+transitivity witnesses of a relation, of which a refusal again builds the
+first SHOWN and counts the rest.  ``order_violations`` still lists every
+violation.  The test suite checks all of this against definitional pair and
 triple scans.
 
 The interval partition that composition shuffles by locates each edge
@@ -32,12 +36,12 @@ before the first output it reaches.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 from .core import ProgressiveGraph
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
-                     UnknownEdge)
+                     UnknownEdge, _first)
 
 
 class PlanarOrder:
@@ -62,7 +66,7 @@ class PlanarOrder:
     def rank(self, e: str) -> int:
         try:
             return self.ranks[e]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownEdge(e) from None
 
     def __iter__(self):
@@ -135,6 +139,16 @@ def _not_a_permutation(seq: tuple, want=None) -> NotAPermutation:
                            tuple(sorted((e for e, n in count.items() if n > 1), key=_id_key)))
 
 
+def _as_sequence(seq, universe: Iterable[str]) -> tuple:
+    """``seq`` as a tuple.  A value that is not iterable lists no id of
+    ``universe``: NotAPermutation, with the value as its one extra member."""
+    try:
+        iter(seq)
+    except TypeError:
+        raise _not_a_permutation((seq,), set(universe)) from None
+    return tuple(seq)
+
+
 def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> dict[str, int]:
     """The 0-based rank of each id in ``seq``, which must list each id of
     ``universe`` once; NotAPermutation otherwise."""
@@ -192,20 +206,48 @@ def _chains_hold(reach: list[int], conj: list[int]) -> bool:
     return True
 
 
-def _intransitive(rows: list[int]) -> list[tuple[int, int, int]]:
-    """The triples (i, j, k) with j in row i, k in row j and k not in row i;
-    only rows whose members' union escapes the row are expanded."""
-    triples = []
+def _intransitive(rows: list[int], top: int = 0) -> tuple[int, list[int]]:
+    """The number of triples (i, j, k) with j in row i, k in row j and k not
+    in row i, and the rows i that have one, ascending.
+
+    Rows whose members all lie above them, such as the conjugate rows of
+    :func:`_ranked`, may pass ``top = 1 << len(rows)``: a row that holds
+    every index from its lowest member up then has no triple, which skips
+    each row of a reversed order at once.
+    """
+    total, escaping = 0, []
     for i, row in enumerate(rows):
-        # the union inline: a generator here would slow the valid path
-        union, rest = 0, row
-        while rest:
-            low = rest & -rest
-            union |= rows[low.bit_length() - 1]
-            rest ^= low
-        if union & ~row:
-            triples.extend((i, j, k) for j in _members(row) for k in _members(rows[j] & ~row))
-    return triples
+        if row + (row & -row) == top:
+            continue
+        n = sum((rows[j] & ~row).bit_count() for j in _members(row))
+        if n:
+            total += n
+            escaping.append(i)
+    return total, escaping
+
+
+def _triples(rows: list[int], escaping: list[int], key=None):
+    """The triples that :func:`_intransitive` counts, from the rows i in
+    ``escaping``: by i, then by j, in the order of ``key`` (index order by
+    default), and by k ascending.  Lazy, so a refusal draws only what its
+    message shows."""
+    for i in sorted(escaping, key=key):
+        row = rows[i]
+        for j in sorted((j for j in _members(row) if rows[j] & ~row), key=key):
+            for k in _members(rows[j] & ~row):
+                yield i, j, k
+
+
+def _witnesses(seq: tuple[str, ...], reach: list[int], conj: list[int]):
+    """The extension pairs and the betweenness triples of the rank rows of
+    ``seq``, as lazy iterators in sequence order, then the total of each,
+    counted by popcounts: the arguments of :class:`InvalidPlanarOrder`, which
+    draws only the first SHOWN of each."""
+    below = [row & ((1 << r) - 1) for r, row in enumerate(reach)]
+    pairs = ((seq[r], seq[j]) for r, row in enumerate(below) for j in _members(row))
+    n_triples, escaping = _intransitive(conj, 1 << len(seq))
+    triples = ((seq[i], seq[j], seq[k]) for i, j, k in _triples(conj, escaping))
+    return pairs, triples, sum(map(int.bit_count, below)), n_triples
 
 
 def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
@@ -215,22 +257,22 @@ def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
     permutation of the edge set.  Pairs are (a, b) with a reaching b but
     ranked later; triples (a, b, c) are the intransitive triples of the
     conjugate rows: a reaches c and b relates to neither.  Both are read off
-    the rank rows rank by rank, so they come out in sequence order.
+    the rank rows rank by rank, so they come out in sequence order.  These
+    are the lists of which :class:`InvalidPlanarOrder` keeps the first SHOWN.
     """
-    seq = tuple(sequence)
-    reach, conj = _ranked(g, seq)
-    pairs = [(seq[r], seq[j]) for r, row in enumerate(reach)
-             for j in _members(row & ((1 << r) - 1))]
-    triples = [(seq[i], seq[j], seq[k]) for i, j, k in _intransitive(conj)]
-    return pairs, triples
+    seq = _as_sequence(sequence, g.edge_ids)
+    pairs, triples, _, _ = _witnesses(seq, *_ranked(g, seq))
+    return list(pairs), list(triples)
 
 
 def validate_planar_order(g: ProgressiveGraph, sequence) -> POPGraph:
     """Check both axioms by the chain check on the rank rows; when it fails,
-    list every violation with :func:`order_violations` and raise with them."""
-    seq = tuple(sequence)
-    if not _chains_hold(*_ranked(g, seq)):
-        raise InvalidPlanarOrder(*order_violations(g, seq))
+    raise InvalidPlanarOrder with the first SHOWN violations of each kind
+    and their totals, read off the same rows."""
+    seq = _as_sequence(sequence, g.edge_ids)
+    reach, conj = _ranked(g, seq)
+    if not _chains_hold(reach, conj):
+        raise InvalidPlanarOrder(*_witnesses(seq, reach, conj))
     return POPGraph(g, PlanarOrder(seq))
 
 
@@ -246,22 +288,27 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
 
 
 class ConjugacyReport:
-    def __init__(self, problems):
-        self.problems: tuple[str, ...] = tuple(problems)
+    """The verdict of :func:`check_conjugacy`.  ``problems`` keeps the first
+    SHOWN witnesses and ``total`` counts them all (by default, the length of
+    the iterable given)."""
+
+    def __init__(self, problems: Iterable[str], total: int | None = None):
+        self.problems, self.total = _first(problems, total)
 
     @property
     def ok(self) -> bool:
-        return not self.problems
+        return not self.total
 
     def __bool__(self):
         return self.ok
 
     def __repr__(self):
-        return f"ConjugacyReport(ok={self.ok}, problems={list(self.problems)})"
+        return (f"ConjugacyReport(ok={self.ok}, problems={list(self.problems)}, "
+                f"total={self.total})")
 
 
-def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str, ...]]:
-    """:func:`check_conjugacy`'s problems, and when there are none the
+def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[ConjugacyReport, tuple[str, ...]]:
+    """:func:`check_conjugacy`'s report, and when it has no problem the
     planar order whose conjugate ``rel`` is.
 
     The rows of ``rel`` are built straight from its pairs (a set is read as
@@ -271,11 +318,18 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
     a tournament.  ``rel`` is transitive exactly when that tournament is
     transitive, no two edges preceding equally many, and its ranking passes
     the chain check; ``rel`` is then the conjugate of that ranking.  Only a
-    relation these refuse has its intransitive triples listed.
+    relation these refuse has its problems counted, by popcounts of the
+    rows, and the first SHOWN of them built: the pairs not related exactly
+    once by index, then the intransitive triples by the ids of their first
+    two edges.
     """
     ids = g.edge_ids
     ix = g._eix
     if not isinstance(rel, (set, frozenset)):
+        try:
+            iter(rel)
+        except TypeError:  # not iterable, so no relation
+            return ConjugacyReport((f"{rel!r} is not a collection of edge pairs",)), ()
         rel = list(rel)
         try:
             rel = set(rel)
@@ -293,28 +347,27 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[list[str], tuple[str,
             into[j] |= 1 << i
     except (TypeError, ValueError):  # a tuple that is not a pair
         return _unknown_or_reflexive(rel, ix), ()
-    problems = []
-    rows = zip(map(g.reach_bits, ids), map(g.reacher_bits, ids), out, into)
-    for i, (r, rt, c, ct) in enumerate(rows):
-        # bit j > i: reach, reached-by, rel-out and rel-in must hold exactly once
-        bad = (~((r | c) ^ (rt | ct)) | r & c | rt & ct) & ((1 << len(ids)) - (2 << i))
-        problems.extend(f"pair ({ids[i]}, {ids[j]}) is related "
-                        f"{sum(x >> j & 1 for x in (r, rt, c, ct))} times, expected exactly once"
-                        for j in _members(bad))
-    if not problems:
+    rows = list(zip(map(g.reach_bits, ids), map(g.reacher_bits, ids), out, into))
+    # bit j > i: reach, reached-by, rel-out and rel-in must hold exactly once
+    bad = [(~((r | c) ^ (rt | ct)) | r & c | rt & ct) & ((1 << len(ids)) - (2 << i))
+           for i, (r, rt, c, ct) in enumerate(rows)]
+    if not any(bad):
         # place each edge by how many edges it precedes, most first
         seq = [None] * len(ids)
         for e, row in zip(ids, out):
             seq[~(g.reach_bits(e) | row).bit_count()] = e
         if None not in seq and _chains_hold(*_ranked(g, seq)):
-            return problems, tuple(seq)
-    witnesses = sorted(_intransitive(out), key=lambda t: (ids[t[0]], ids[t[1]]))
-    problems.extend(f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
-                    for i, j, k in witnesses)
-    return problems, ()
+            return ConjugacyReport(()), tuple(seq)
+    pairs = (f"pair ({ids[i]}, {ids[j]}) is related "
+             f"{sum(x >> j & 1 for x in rows[i])} times, expected exactly once"
+             for i, row in enumerate(bad) for j in _members(row))
+    n_triples, escaping = _intransitive(out)
+    triples = (f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
+               for i, j, k in _triples(out, escaping, ids.__getitem__))
+    return ConjugacyReport(chain(pairs, triples), sum(map(int.bit_count, bad)) + n_triples), ()
 
 
-def _unknown_or_reflexive(rel, ix: dict[str, int]) -> list[str]:
+def _unknown_or_reflexive(rel, ix: dict[str, int]) -> ConjugacyReport:
     """The members of ``rel`` that are not a hashable tuple of two distinct
     known edges, each once: pairs of strings sorted, then the rest by repr."""
     problems = set()
@@ -331,17 +384,18 @@ def _unknown_or_reflexive(rel, ix: dict[str, int]) -> list[str]:
             problems.add((key, f"({a}, {b}) names an unknown edge"))
         elif a == b:
             problems.add((key, f"({a}, {a}) is reflexive"))
-    return [text for _, text in sorted(problems)]
+    return ConjugacyReport([text for _, text in sorted(problems)])
 
 
 def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
     """Is ``rel`` a conjugate order for g?
 
     Required: irreflexive; transitive; and together with strict reachability
-    it relates every unordered pair of distinct edges exactly once.  Reports
-    every witness rather than stopping at the first.
+    it relates every unordered pair of distinct edges exactly once.  Counts
+    every witness rather than stopping at the first, and reports the first
+    SHOWN of them; a value that is not iterable is one problem.
     """
-    return ConjugacyReport(_conjugacy_problems(g, rel)[0])
+    return _conjugacy_problems(g, rel)[0]
 
 
 def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
@@ -352,12 +406,13 @@ def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
     which the edge with the most successors comes first.  The check itself
     places the edges that way and accepts only when no two share a place
     and the ranking passes the chain check, so the order is what the check
-    accepted; a member that is not a hashable tuple of two edge ids is a
-    problem like any other, raised as NotConjugate.
+    accepted; a member that is not a hashable tuple of two edge ids, or a
+    value that is not iterable, is a problem like any other, raised as
+    NotConjugate with the report's problems and total.
     """
-    problems, seq = _conjugacy_problems(g, rel)
-    if problems:
-        raise NotConjugate(tuple(problems))
+    report, seq = _conjugacy_problems(g, rel)
+    if not report:
+        raise NotConjugate(report.problems, report.total)
     return PlanarOrder(seq)
 
 

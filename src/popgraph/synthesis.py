@@ -104,6 +104,9 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
         anchor = Anchor(*_sides(anchor))
         _expect_permutation(anchor.inputs, graph.inputs)
         _expect_permutation(anchor.outputs, graph.outputs)
+    if not isinstance(vertex_orders, Mapping):
+        raise PpgError("vertex orders must be a mapping from internal vertex to its "
+                       f"order, not {type(vertex_orders).__name__}")
     orders = {}
     for v, vo in vertex_orders.items():
         if v not in graph.internal_vertices:

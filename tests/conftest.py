@@ -219,7 +219,7 @@ def order_from_conjugate_scan(g: pg.ProgressiveGraph, rel) -> pg.PlanarOrder:
     and validating the result, on top of :func:`check_conjugacy_scan`."""
     report = check_conjugacy_scan(g, rel)
     if not report:
-        raise pg.NotConjugate(report.problems)
+        raise pg.NotConjugate(report.problems, report.total)
     rel = set(rel)
     ids = g.edge_ids
     preds = Counter(b for a in ids for b in ids

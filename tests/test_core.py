@@ -117,6 +117,23 @@ class TestReachability:
             with pytest.raises(pg.UnknownEdge):
                 row("nope")
 
+    @pytest.mark.parametrize("lookup", [
+        lambda pop: pop.graph.edge_index(["x"]),
+        lambda pop: pop.graph.graph.edge(["x"]),
+        lambda pop: pop.graph.edge(["x"]),
+        lambda pop: pop.graph.reach_bits(["x"]),
+        lambda pop: pop.graph.reacher_bits(["x"]),
+        lambda pop: pop.graph.strictly_reaches(["x"], "i1"),
+        lambda pop: pop.graph.strictly_reaches("i1", ["x"]),
+        lambda pop: pop.order.rank(["x"]),
+        lambda pop: pop.rank(["x"]),
+    ], ids=["edge_index", "multigraph_edge", "edge", "reach_bits", "reacher_bits",
+            "strictly_reaches_from", "strictly_reaches_to", "order_rank", "pop_rank"])
+    def test_an_unhashable_id_is_unknown(self, lookup):
+        with pytest.raises(pg.UnknownEdge) as exc:
+            lookup(pg.spider(2, 2))
+        assert exc.value.name == ["x"]
+
 
 class TestHatCirc:
     def test_hat_counts(self, canonical):

@@ -7,6 +7,9 @@ cubic work would break (the drawing checker's old pair scan had 5.5e8
 segment pairs to test here).  A second test checks its drawing with a
 denominator of its own on nearly every route.  A third recomposes the
 1 560 factors of the 60x40 graph (3 161 edges) in one pass, validated once.
+The last two refuse a shuffled order of the 40x28 graph and a scrambled
+relation on the 24x20 graph (379 edges), each with millions of witnesses,
+in bounded time: only the first SHOWN witnesses are built, the rest counted.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 import popgraph as pg
 import popgraph.composition
+from popgraph.errors import SHOWN
 from conftest import moved_by_primes, recipe_graph
 
 
@@ -76,3 +80,51 @@ def test_recompose_sixty_layers_validates_once(monkeypatch):
     assert time.perf_counter() - t0 < 10.0
     assert len(calls) == 1
     assert back.graph == pop.graph and back.order == pop.order
+
+
+def test_a_shuffled_order_is_refused_in_bounded_time(pop):
+    # listing every violation built 16.6 million triples to print 1.8 KB and
+    # took 12.7 s (Python 3.11); the totals are those of a pair and a triple
+    # count straight from the definition of the two axioms
+    g = pop.graph
+    seq = list(pop.order.sequence)
+    random.Random(0).shuffle(seq)
+    rank = {e: r for r, e in enumerate(seq)}
+    t0 = time.perf_counter()
+    with pytest.raises(pg.InvalidPlanarOrder) as exc:
+        pg.validate_planar_order(g, seq)
+    assert time.perf_counter() - t0 < 3.0
+    err = exc.value
+    assert (err.extension_total, err.betweenness_total) == (99_418, 16_612_845)
+    assert len(err.extension_violations) == len(err.betweenness_violations) == SHOWN
+    for a, b in err.extension_violations:
+        assert g.strictly_reaches(a, b) and rank[a] > rank[b]
+    for a, b, c in err.betweenness_violations:
+        assert rank[a] < rank[b] < rank[c] and g.strictly_reaches(a, c)
+        assert not g.strictly_reaches(a, b) and not g.strictly_reaches(b, c)
+    assert str(err).endswith(f"... and {99_418 + 16_612_845 - SHOWN} more "
+                             f"({99_418 + 16_612_845} in all)")
+
+
+def test_a_scrambled_relation_is_refused_in_bounded_time():
+    # the conjugate with one pair in twenty reversed, and the "conjugate" of
+    # a shuffled sequence: listing every problem of the first built 0.9
+    # million strings; the totals are those of conftest.check_conjugacy_scan
+    pop = recipe_graph(24, 20)
+    g = pop.graph
+    assert len(g.edges) == 379
+    rng = random.Random(0)
+    flipped = {p[::-1] if rng.random() < 0.05 else p for p in sorted(pg.conjugate_order(pop))}
+    seq = list(pop.order.sequence)
+    random.Random(0).shuffle(seq)
+    shuffled = {(a, b) for i, a in enumerate(seq) for b in seq[i + 1:]
+                if not g.strictly_reaches(a, b)}
+    for rel, total, first in ((flipped, 938_990, "("), (shuffled, 675_999, "pair (")):
+        t0 = time.perf_counter()
+        report = pg.check_conjugacy(g, rel)
+        with pytest.raises(pg.NotConjugate) as exc:
+            pg.order_from_conjugate(g, rel)
+        assert time.perf_counter() - t0 < 3.0
+        assert report.total == exc.value.total == total
+        assert len(report.problems) == SHOWN and exc.value.problems == report.problems
+        assert all(p.startswith(first) for p in report.problems)

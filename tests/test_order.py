@@ -46,6 +46,20 @@ def random_linear_extension(g: pg.ProgressiveGraph, rng: random.Random) -> list[
     return out
 
 
+def assert_refusal_matches(g, seq, ext, bet):
+    """``validate_planar_order`` refuses ``seq`` exactly when the scan lists
+    violations ``ext`` and ``bet``, keeping the first SHOWN of each and
+    counting them all."""
+    try:
+        pg.validate_planar_order(g, seq)
+    except pg.InvalidPlanarOrder as exc:
+        assert exc.extension_violations == tuple(ext[:SHOWN])
+        assert exc.betweenness_violations == tuple(bet[:SHOWN])
+        assert (exc.extension_total, exc.betweenness_total) == (len(ext), len(bet))
+    else:
+        assert not ext and not bet
+
+
 def outcome(build, g, rel):
     """What ``build(g, rel)`` returns, or the type, message and problems it raises."""
     try:
@@ -99,6 +113,7 @@ class TestValidate:
             rng.shuffle(seq)
             ext, bet = pg.order_violations(g, seq)
             assert (ext, bet) == order_violations_scan(g, seq)
+            assert_refusal_matches(g, seq, ext, bet)
             agree += not ext and not bet
         # shuffled sequences of a graph this constrained are basically never valid
         assert agree <= 2
@@ -115,6 +130,7 @@ class TestValidate:
             for cand in (seq, seq[::-1], swapped, shuffled):
                 got = pg.order_violations(g, cand)
                 assert got == order_violations_scan(g, cand), (k, cand)
+                assert_refusal_matches(g, cand, *got)
                 invalid += bool(got[0] or got[1])
         assert invalid > 400
 
@@ -134,10 +150,22 @@ class TestValidate:
                 ext, bet = order_violations_scan(g, cand)
                 holds = _chains_hold(*_ranked(g, tuple(cand)))
                 assert holds == (not ext and not bet), (k, cand)
+                assert_refusal_matches(g, cand, ext, bet)
                 verdicts[holds, bool(ext)] += 1
         # accepted, refused by betweenness only, and by extension
         assert min(verdicts[True, False], verdicts[False, False],
                    verdicts[False, True]) > 100, verdicts
+
+    def test_a_value_that_is_not_iterable_is_not_a_permutation(self):
+        # like [1, 2, 3, 4]: every id missing, and the value extra
+        g = pg.spider(2, 2).graph
+        for check in (pg.validate_planar_order, pg.order_violations):
+            for value in (5, None):
+                with pytest.raises(pg.NotAPermutation) as exc:
+                    check(g, value)
+                assert str(exc.value) == (
+                    f"not a permutation of the edge set: missing i1 i2 o1 o2; extra {value}")
+                assert exc.value.extra == (value,)
 
     def test_chain_refuses_what_is_not_a_permutation(self, canonical):
         g, seq = canonical.graph, canonical.order.sequence
@@ -314,7 +342,8 @@ class TestConjugate:
             g = pop.graph
             for kind, rel in tampered(pop, rng):
                 report = pg.check_conjugacy(g, rel)
-                assert report.problems == check_conjugacy_scan(g, rel).problems, (k, kind)
+                scan = check_conjugacy_scan(g, rel)
+                assert (report.problems, report.total) == (scan.problems, scan.total), (k, kind)
                 got = outcome(pg.order_from_conjugate, g, rel)
                 assert got == outcome(order_from_conjugate_scan, g, rel), (k, kind)
                 assert isinstance(got, pg.PlanarOrder) == report.ok, (k, kind)
@@ -344,6 +373,17 @@ class TestConjugate:
             else:
                 refused += 1
         assert accepted > 50 and refused > 50, (accepted, refused)
+
+    @pytest.mark.parametrize("value", [5, None], ids=["int", "none"])
+    def test_a_value_that_is_not_iterable_is_one_problem(self, value):
+        g = pg.spider(2, 2).graph
+        want = (f"{value!r} is not a collection of edge pairs",)
+        report = pg.check_conjugacy(g, value)
+        assert not report and (report.problems, report.total) == (want, 1)
+        with pytest.raises(pg.NotConjugate) as exc:
+            pg.order_from_conjugate(g, value)
+        assert (exc.value.problems, exc.value.total) == (want, 1)
+        assert str(exc.value) == "not a conjugate order: " + want[0]
 
     def test_not_conjugate_raises(self, canonical):
         rel = pg.conjugate_order(canonical)
@@ -375,7 +415,8 @@ class TestConjugatePop:
 
 class TestBoundedMessages:
     """Messages list the first ``SHOWN`` witnesses and count the rest; the
-    exception attributes keep every witness."""
+    planar-order and conjugacy refusals keep the first ``SHOWN`` witnesses
+    of each kind and their exact totals, the others every witness."""
 
     @staticmethod
     def assert_capped(message: str, total: int):
@@ -386,7 +427,9 @@ class TestBoundedMessages:
         pop = pg.spider(8, 8)
         with pytest.raises(pg.InvalidPlanarOrder) as exc:
             pg.validate_planar_order(pop.graph, pop.order.sequence[::-1])
-        assert len(exc.value.extension_violations) == 64
+        assert len(exc.value.extension_violations) == SHOWN
+        assert exc.value.extension_total == 64
+        assert not exc.value.betweenness_violations and not exc.value.betweenness_total
         self.assert_capped(str(exc.value), 64)
 
     def test_not_conjugate(self):
@@ -394,7 +437,10 @@ class TestBoundedMessages:
         pop = pg.spider(8, 8)
         with pytest.raises(pg.NotConjugate) as exc:
             pg.order_from_conjugate(pop.graph, set())
-        assert len(exc.value.problems) == 56
+        assert len(exc.value.problems) == SHOWN
+        assert exc.value.total == 56
+        report = pg.check_conjugacy(pop.graph, set())
+        assert (report.problems, report.total) == (exc.value.problems, 56)
         self.assert_capped(str(exc.value), 56)
 
     def test_no_consistent_order(self):

@@ -67,6 +67,15 @@ class TestPAGraph:
         assert exc.value.missing == ("2",)
         assert exc.value.extra == ("ghost",)
 
+    def test_vertex_orders_must_be_a_mapping(self):
+        g = pg.spider(2, 2).graph
+        orders = [("v", (("i1", "i2"), ("o1", "o2")))]
+        message = "vertex orders must be a mapping from internal vertex to its order, not list"
+        for build in (pg.PAGraph, pg.PpgDocument):
+            with pytest.raises(pg.PpgError) as exc:
+                build(g, orders, (("i1", "i2"), ("o1", "o2")))
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("orders, anchor, what", [
         ({"v": [["i1", "i2"]]}, (("i1", "i2"), ("o1", "o2")), "the vertex order at 'v'"),
         ({"v": (("i1", "i2"), ("o1", "o2"), ())}, (("i1", "i2"), ("o1", "o2")),
