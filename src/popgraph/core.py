@@ -26,6 +26,7 @@ from .errors import (
     BadBoundaryDegree,
     CycleDetected,
     DuplicateId,
+    PpgError,
     ReservedVertexName,
     UnknownEdge,
     UnknownVertex,
@@ -42,17 +43,25 @@ class DirectedMultigraph:
     """Edge-labelled directed multigraph.
 
     Vertices are inferred from edge endpoints, so none is isolated.  Edge ids
-    must be unique.  Declaration order of edges is preserved for
-    presentation (``edges``, ``in_edges``, ``out_edges``) but is not part of
-    the value: two graphs are equal when they have the same vertex set and
-    the same set of edges.  The incoming and outgoing edges of every vertex
-    are indexed once, at construction.
+    must be unique, and an edge that is not an (id, src, dst) triple of
+    hashable names raises PpgError naming it.  Declaration order of edges is
+    preserved for presentation (``edges``, ``in_edges``, ``out_edges``) but
+    is not part of the value: two graphs are equal when they have the same
+    vertex set and the same set of edges.  The incoming and outgoing edges of
+    every vertex are indexed once, at construction.
     """
 
     def __init__(self, edges: Iterable[Edge | tuple[str, str, str]]):
-        self.edges: tuple[Edge, ...] = tuple(
-            e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        self._by_id = {e.id: e for e in self.edges}
+        try:
+            edges = tuple(edges)
+            self.edges: tuple[Edge, ...] = tuple(
+                e if isinstance(e, Edge) else Edge(*e) for e in edges)
+            self._by_id = {e.id: e for e in self.edges}
+            # an insertion-ordered set: tails and heads in declaration order
+            self.vertices: tuple[str, ...] = tuple(dict.fromkeys(
+                v for e in self.edges for v in (e.src, e.dst)))
+        except TypeError:
+            raise _malformed(edges) from None
         if len(self._by_id) != len(self.edges):
             seen: set[str] = set()
             for e in self.edges:
@@ -60,9 +69,6 @@ class DirectedMultigraph:
                     raise DuplicateId("edge", e.id)
                 seen.add(e.id)
         self.edge_ids: tuple[str, ...] = tuple(self._by_id)
-        # an insertion-ordered set: tails and heads in declaration order
-        self.vertices: tuple[str, ...] = tuple(dict.fromkeys(
-            v for e in self.edges for v in (e.src, e.dst)))
         ins: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         outs: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -101,6 +107,19 @@ class DirectedMultigraph:
 
     def __repr__(self):
         return f"DirectedMultigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+def _malformed(edges) -> PpgError:
+    """The error for ``edges``, which is not iterable or has a member that
+    is not an (id, src, dst) triple of hashable names: it names the first
+    such member."""
+    if isinstance(edges, tuple):
+        for e in edges:
+            try:
+                hash(Edge(*e))
+            except TypeError:
+                return PpgError(f"edge {e!r} is not an (id, src, dst) triple of hashable names")
+    return PpgError(f"{edges!r} is not a collection of edges")
 
 
 def _toposort(g: DirectedMultigraph) -> list[str]:

@@ -13,8 +13,11 @@ indexed by rank (``_ranked``): the ranks each edge reaches, and its
 conjugate row, the later ranks it does not reach.  A chain check on them,
 O(m * depth) row operations, decides an order.  Only an order it refuses
 has its violations counted, by popcounts over the same rows, and of those
-only the first SHOWN of each kind are built, in sequence order; so a
-refusal costs O(m^2) row operations however many violations there are.
+only the first SHOWN of each kind are built, in sequence order.  The count
+walks the conjugate rows along chains like the check's and reads a member
+on its own only where a chain breaks, so refusing a near-miss, such as one
+adjacent swap, costs O(m * depth) row operations, and no refusal costs
+more than O(m^2), however many violations there are.
 The conjugate together with strict reachability relates every unordered
 edge pair exactly once, which the conjugacy check reads off four rows per
 edge.  Such a relation is transitive exactly when its union with
@@ -46,11 +49,11 @@ from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError
 
 class PlanarOrder:
     """A total order on edge ids, with 1-based ranks.  Ids are strings: a
-    sequence with a repeat, or else with a member that is not a string,
-    raises NotAPermutation."""
+    value that is not iterable, a sequence with a repeat, or else one with
+    a member that is not a string, raises NotAPermutation."""
 
     def __init__(self, sequence):
-        self.sequence: tuple[str, ...] = tuple(sequence)
+        self.sequence: tuple[str, ...] = _as_sequence(sequence, ())
         try:
             self.ranks: dict[str, int] = {e: i + 1 for i, e in enumerate(self.sequence)}
         except TypeError:  # an unhashable member
@@ -143,10 +146,9 @@ def _as_sequence(seq, universe: Iterable[str]) -> tuple:
     """``seq`` as a tuple.  A value that is not iterable lists no id of
     ``universe``: NotAPermutation, with the value as its one extra member."""
     try:
-        iter(seq)
+        return tuple(seq)
     except TypeError:
         raise _not_a_permutation((seq,), set(universe)) from None
-    return tuple(seq)
 
 
 def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> dict[str, int]:
@@ -206,24 +208,41 @@ def _chains_hold(reach: list[int], conj: list[int]) -> bool:
     return True
 
 
-def _intransitive(rows: list[int], top: int = 0) -> tuple[int, list[int]]:
+def _intransitive(rows: list[int]) -> tuple[int, list[int]]:
     """The number of triples (i, j, k) with j in row i, k in row j and k not
     in row i, and the rows i that have one, ascending.
 
-    Rows whose members all lie above them, such as the conjugate rows of
-    :func:`_ranked`, may pass ``top = 1 << len(rows)``: a row that holds
-    every index from its lowest member up then has no triple, which skips
-    each row of a reversed order at once.
+    Rows are settled smallest first, each along a chain as in
+    :func:`_chains_hold`: the lowest member j of row i not yet covered,
+    when row j lies inside row i and was settled with no triple, covers
+    itself and all of row j, since no member of row j leaves row j.  Any
+    other member is counted on its own, by one popcount.  The rows are
+    irreflexive, so a row j inside row i is the smaller and settled first.
+    On the conjugate rows of a planar order every chain holds and follows
+    reach, so it is no longer than the longest path; a near-miss then costs
+    O(m * depth) row operations plus one for each member its violations
+    leave uncovered, and no row takes more steps than it has members.
     """
+    closed = [False] * len(rows)
     total, escaping = 0, []
-    for i, row in enumerate(rows):
-        if row + (row & -row) == top:
-            continue
-        n = sum((rows[j] & ~row).bit_count() for j in _members(row))
+    for i in sorted(range(len(rows)), key=[row.bit_count() for row in rows].__getitem__):
+        row = rest = rows[i]
+        outside, n = ~row, 0
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            out = rows[j] & outside
+            if out:
+                n += out.bit_count()
+            elif closed[j]:
+                rest &= ~rows[j]
+            rest ^= low
         if n:
             total += n
             escaping.append(i)
-    return total, escaping
+        else:
+            closed[i] = True
+    return total, sorted(escaping)
 
 
 def _triples(rows: list[int], escaping: list[int], key=None):
@@ -245,7 +264,7 @@ def _witnesses(seq: tuple[str, ...], reach: list[int], conj: list[int]):
     draws only the first SHOWN of each."""
     below = [row & ((1 << r) - 1) for r, row in enumerate(reach)]
     pairs = ((seq[r], seq[j]) for r, row in enumerate(below) for j in _members(row))
-    n_triples, escaping = _intransitive(conj, 1 << len(seq))
+    n_triples, escaping = _intransitive(conj)
     triples = ((seq[i], seq[j], seq[k]) for i, j, k in _triples(conj, escaping))
     return pairs, triples, sum(map(int.bit_count, below)), n_triples
 

@@ -129,6 +129,19 @@ def order_violations_scan(g: pg.ProgressiveGraph, sequence) -> tuple[list, list]
     return pairs, triples
 
 
+def intransitive_scan(rows: list[int]) -> tuple[int, list[int]]:
+    """``order._intransitive`` member by member: the number of triples
+    (i, j, k) with j in row i, k in row j and k not in row i, and the rows i
+    that have one, ascending."""
+    total, escaping = 0, []
+    for i, row in enumerate(rows):
+        n = sum((rows[j] & ~row).bit_count() for j in _members(row))
+        if n:
+            total += n
+            escaping.append(i)
+    return total, escaping
+
+
 def compose_fold(*factors: pg.POPGraph) -> pg.POPGraph:
     """``compose`` by its two-factor definition, folded upstream first: each
     step rebuilds, validates and re-reads the whole running composite.

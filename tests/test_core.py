@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import popgraph as pg
 from conftest import slow_reaches
 
+NO_TRIPLE = " is not an (id, src, dst) triple of hashable names"
+
 
 def graph(*triples):
     return pg.DirectedMultigraph([pg.Edge(*t) for t in triples])
@@ -51,6 +53,20 @@ class TestValidation:
     def test_empty_graph_ok(self):
         g = pg.validate_progressive(graph())
         assert g.inputs == frozenset() and not g.internal_vertices
+
+    @pytest.mark.parametrize("edges, message", [
+        ([("x", "a")], "edge ('x', 'a')" + NO_TRIPLE),
+        ([pg.Edge(["x"], "a", "b")], "edge Edge(id=['x'], src='a', dst='b')" + NO_TRIPLE),
+        ([("e", "a", "b"), ("f", ["a"], "c"), ("g",)], "edge ('f', ['a'], 'c')" + NO_TRIPLE),
+        (iter([("e", "a", "b"), 5]), "edge 5" + NO_TRIPLE),
+        (5, "5 is not a collection of edges"),
+    ], ids=["two fields", "unhashable id", "unhashable vertex", "not a triple", "not iterable"])
+    def test_a_malformed_edge_is_named(self, edges, message):
+        # the first edge that is no (id, src, dst) triple of hashable names;
+        # before, TypeError escaped from Edge.__new__ or from hashing the id
+        with pytest.raises(pg.PpgError) as exc:
+            pg.DirectedMultigraph(edges)
+        assert str(exc.value) == message
 
 
 class TestAdjacency:

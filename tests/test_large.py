@@ -7,9 +7,11 @@ cubic work would break (the drawing checker's old pair scan had 5.5e8
 segment pairs to test here).  A second test checks its drawing with a
 denominator of its own on nearly every route.  A third recomposes the
 1 560 factors of the 60x40 graph (3 161 edges) in one pass, validated once.
-The last two refuse a shuffled order of the 40x28 graph and a scrambled
+Two more refuse a shuffled order of the 40x28 graph and a scrambled
 relation on the 24x20 graph (379 edges), each with millions of witnesses,
 in bounded time: only the first SHOWN witnesses are built, the rest counted.
+The last two refuse near misses, one adjacent swap and one flipped pair,
+with a count that follows chains and reads few rows member by member.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import pytest
 
 import popgraph as pg
 import popgraph.composition
+import popgraph.order
 from popgraph.errors import SHOWN
-from conftest import moved_by_primes, recipe_graph
+from conftest import check_conjugacy_scan, moved_by_primes, recipe_graph
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +131,44 @@ def test_a_scrambled_relation_is_refused_in_bounded_time():
         assert report.total == exc.value.total == total
         assert len(report.problems) == SHOWN and exc.value.problems == report.problems
         assert all(p.startswith(first) for p in report.problems)
+
+
+def test_one_adjacent_swap_is_refused_without_walking_the_rows(pop, monkeypatch):
+    # counting betweenness triples member by member walked 453 674 members
+    # of the conjugate rows here and found no triple; along chains, every
+    # member is covered without being read on its own
+    g = pop.graph
+    seq = list(pop.order.sequence)
+    i = next(i for i in range(len(seq) - 1) if g.strictly_reaches(seq[i], seq[i + 1]))
+    swapped = seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:]
+    walked = []
+    members = popgraph.order._members
+
+    def counted(bits):
+        for j in members(bits):
+            walked.append(j)
+            yield j
+
+    monkeypatch.setattr(popgraph.order, "_members", counted)
+    with pytest.raises(pg.InvalidPlanarOrder) as exc:
+        pg.validate_planar_order(g, swapped)
+    err = exc.value
+    assert (err.extension_total, err.betweenness_total) == (1, 0)
+    assert err.extension_violations == ((seq[i], seq[i + 1]),)
+    assert len(walked) < len(seq)
+
+
+def test_one_flipped_pair_keeps_its_total():
+    # the middle pair of the sorted conjugate reversed: every pair is still
+    # related once, and 209 triples lose their transitive closure
+    pop = recipe_graph(24, 20)
+    g = pop.graph
+    rel = sorted(pg.conjugate_order(pop))
+    mid = rel[len(rel) // 2]
+    flipped = set(rel) - {mid} | {mid[::-1]}
+    report = pg.check_conjugacy(g, flipped)
+    with pytest.raises(pg.NotConjugate) as exc:
+        pg.order_from_conjugate(g, flipped)
+    assert report.total == exc.value.total == 209
+    assert exc.value.problems == report.problems
+    assert report.problems == check_conjugacy_scan(g, flipped).problems

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import popgraph as pg
 from popgraph.cli import main
 from popgraph.errors import SHOWN
-from popgraph.order import _chains_hold, _ranked
+from popgraph.order import _chains_hold, _intransitive, _ranked
 from conftest import (_scan_window, check_conjugacy_scan, conjugate_pairs_scan,
-                      conjugate_pop, order_from_conjugate_scan, order_violations_scan,
-                      run_optimized, slow_planar, vertex_reach_dfs)
+                      conjugate_pop, intransitive_scan, order_from_conjugate_scan,
+                      order_violations_scan, run_optimized, slow_planar, vertex_reach_dfs)
 
 
 def tampered(pop: pg.POPGraph, rng: random.Random):
@@ -198,8 +198,12 @@ class TestValidate:
         ([1, 2], "extra 1 2"),
         (["b", 2, "a"], "extra 2"),
         ([b"a", "b", None], "extra None b'a'"),
-    ], ids=["ints", "one int", "bytes and None"])
+        (5, "extra 5"),
+        (None, "extra None"),
+    ], ids=["ints", "one int", "bytes and None", "not iterable", "none"])
     def test_planar_order_refuses_members_that_are_not_strings(self, seq, message):
+        # a value that is not iterable is its own one extra member, as in
+        # validate_planar_order; TypeError escaped from the constructor
         with pytest.raises(pg.NotAPermutation) as exc:
             pg.PlanarOrder(seq)
         assert str(exc.value) == "not a permutation of the edge set: " + message
@@ -390,6 +394,54 @@ class TestConjugate:
         some = next(iter(rel))
         with pytest.raises(pg.NotConjugate):
             pg.order_from_conjugate(canonical.graph, rel - {some})
+
+
+class TestIntransitive:
+    """The chain count of ``order._intransitive`` against the member by
+    member count of ``conftest.intransitive_scan``."""
+
+    def test_rank_rows_match_the_scan(self):
+        rng = random.Random(41)
+        escaping = 0
+        for k in range(150):
+            pop = pg.random_pop(random.Random(3000 + k))
+            g, seq = pop.graph, list(pop.order.sequence)
+            cands = [seq, seq[::-1], rng.sample(seq, len(seq)), random_linear_extension(g, rng)]
+            for i in rng.sample(range(len(seq) - 1), min(3, len(seq) - 1)):
+                cands.append(seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:])
+            for cand in cands:
+                _, conj = _ranked(g, tuple(cand))
+                got = _intransitive(conj)
+                assert got == intransitive_scan(conj), (k, cand)
+                escaping += bool(got[1])
+        assert escaping > 200, escaping
+
+    def test_relation_rows_match_the_scan(self):
+        # conjugates with one pair flipped, dropped or present both ways,
+        # and random irreflexive relations of every density
+        rng = random.Random(43)
+        escaping = 0
+        for k in range(150):
+            pop = pg.random_pop(random.Random(4000 + k))
+            ix = {e: i for i, e in enumerate(pop.graph.edge_ids)}
+            rel = sorted(pg.conjugate_order(pop))
+            rels = [rel]
+            if rel:
+                some = rng.choice(rel)
+                rels += [[p for p in rel if p != some] + [some[::-1]],
+                         [p for p in rel if p != some], rel + [some[::-1]]]
+            for rel in rels:
+                rows = [0] * len(ix)
+                for a, b in rel:
+                    rows[ix[a]] |= 1 << ix[b]
+                got = _intransitive(rows)
+                assert got == intransitive_scan(rows), (k, rel)
+                escaping += bool(got[1])
+            m, density = len(ix), rng.random()
+            rows = [sum(1 << j for j in range(m) if j != i and rng.random() < density)
+                    for i in range(m)]
+            assert _intransitive(rows) == intransitive_scan(rows), (k, rows)
+        assert escaping > 100, escaping
 
 
 class TestConjugatePop:
