@@ -27,10 +27,11 @@ same peel order for its bands and builds no factor.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, _fresh,
                    _induces_vertex_bijection, validate_progressive)
-from .errors import ArityMismatch, NoInternalVertex, PpgError
+from .errors import ArityMismatch, NoInternalVertex, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, interval_partition, validate_planar_order
 
 
@@ -73,6 +74,8 @@ def compose(*factors: POPGraph) -> POPGraph:
     """
     if not factors:
         raise PpgError("compose needs at least one factor")
+    for pop in factors:
+        _expect_type(pop, "compose", POPGraph)
     if len(factors) == 1:
         return factors[0]
     tables = [glue_table(a, b) for a, b in zip(factors, factors[1:])]
@@ -208,7 +211,7 @@ def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
     first step of :func:`elementary_decomposition`; unlike it, the remainder
     is built and validated.
     """
-    if not pop.graph.internal_vertices:
+    if not _expect_type(pop, "decompose_step", POPGraph).graph.internal_vertices:
         raise NoInternalVertex()
     factor, head, dropped = next(_peel(pop))
     remainder_graph = validate_progressive(DirectedMultigraph(
@@ -248,7 +251,7 @@ def elementary_decomposition(pop: POPGraph) -> ElementaryDecomposition:
     remainder is absorbed into the most upstream factor's inputs); a graph
     with no internal vertex at all is its own single factor.
     """
-    if not pop.graph.internal_vertices:
+    if not _expect_type(pop, "elementary_decomposition", POPGraph).graph.internal_vertices:
         return ElementaryDecomposition([pop])
     factors = [factor for factor, _, _ in _peel(pop)]
     factors.reverse()
@@ -257,4 +260,4 @@ def elementary_decomposition(pop: POPGraph) -> ElementaryDecomposition:
 
 def recompose(decomposition) -> POPGraph:
     """:func:`compose` of the factors, upstream first."""
-    return compose(*decomposition)
+    return compose(*_expect_type(decomposition, "recompose", Iterable))

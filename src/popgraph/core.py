@@ -54,8 +54,7 @@ class DirectedMultigraph:
     def __init__(self, edges: Iterable[Edge | tuple[str, str, str]]):
         try:
             edges = tuple(edges)
-            self.edges: tuple[Edge, ...] = tuple(
-                e if isinstance(e, Edge) else Edge(*e) for e in edges)
+            self.edges: tuple[Edge, ...] = tuple(map(_edge, edges))
             self._by_id = {e.id: e for e in self.edges}
             # an insertion-ordered set: tails and heads in declaration order
             self.vertices: tuple[str, ...] = tuple(dict.fromkeys(
@@ -109,6 +108,16 @@ class DirectedMultigraph:
         return f"DirectedMultigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+def _edge(e) -> Edge:
+    """``e`` as an Edge; TypeError unless it unpacks into three fields and is
+    no string (a three-character string would unpack into one)."""
+    if isinstance(e, Edge):
+        return e
+    if isinstance(e, str):
+        raise TypeError(e)
+    return Edge(*e)
+
+
 def _malformed(edges) -> PpgError:
     """The error for ``edges``, which is not iterable or has a member that
     is not an (id, src, dst) triple of hashable names: it names the first
@@ -116,7 +125,7 @@ def _malformed(edges) -> PpgError:
     if isinstance(edges, tuple):
         for e in edges:
             try:
-                hash(Edge(*e))
+                hash(_edge(e))
             except TypeError:
                 return PpgError(f"edge {e!r} is not an (id, src, dst) triple of hashable names")
     return PpgError(f"{edges!r} is not a collection of edges")

@@ -90,6 +90,15 @@ def _shown(name) -> str:
     return name if isinstance(name, str) else repr(name)
 
 
+def _expect_type(value, where: str, *types: type):
+    """``value``, when it is an instance of one of ``types``; otherwise a
+    PpgError saying what ``where`` expects and naming the type given."""
+    if not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise PpgError(f"{where} expects {expected}, not {type(value).__name__}")
+    return value
+
+
 class NotAPermutation(PpgError):
     """A sequence that must list each edge exactly once does not.  The
     attributes list every id; the message shows the first SHOWN of each."""
@@ -162,12 +171,13 @@ class NoInternalVertex(PpgError):
 
 class NoConsistentOrder(PpgError):
     """Synthesis failed: no planar order realizes the given vertex orders and
-    boundary anchors.  ``witnesses`` are human-readable conflict reports, all
-    of them; the message shows the first SHOWN."""
+    boundary anchors.  ``witnesses`` keeps the first SHOWN human-readable
+    conflict reports and ``total`` counts them all (by default, the length
+    of the iterable given); the message shows the first SHOWN."""
 
-    def __init__(self, witnesses: tuple[str, ...]):
-        super().__init__("no consistent planar order: " + _capped(witnesses, len(witnesses)))
-        self.witnesses = witnesses
+    def __init__(self, witnesses: Iterable[str], total: int | None = None):
+        self.witnesses, self.total = _first(witnesses, total)
+        super().__init__("no consistent planar order: " + _capped(self.witnesses, self.total))
 
 
 class TooLarge(PpgError):

@@ -46,7 +46,7 @@ from typing import Iterable
 
 from .composition import _peel_order
 from .core import ProgressiveGraph, _apexes
-from .errors import PpgError
+from .errors import PpgError, _expect_type
 from .order import POPGraph
 from .synthesis import Anchor, PAGraph, VertexOrder
 
@@ -92,12 +92,12 @@ def layout(pop: POPGraph, up: bool = False) -> Drawing:
     k lies at y = k, or with ``up`` at y = K - k, so that the flow runs up
     the page without a flipped copy of the drawing.
     """
-    return _layout(pop, up, st=False)
+    return _layout(_expect_type(pop, "layout", POPGraph), up, st=False)
 
 
 def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
     """Drawing of the graph with its boundary gathered into apexes s and t."""
-    return _layout(pop, up, st=True)
+    return _layout(_expect_type(pop, "layout_st", POPGraph), up, st=True)
 
 
 def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:

@@ -39,7 +39,7 @@ parsed document reproduces it value for value.
 from __future__ import annotations
 
 from .core import DirectedMultigraph, Edge, ProgressiveGraph, StGraph, validate_progressive
-from .errors import ParseError, PpgError
+from .errors import ParseError, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, validate_planar_order
 from .synthesis import (Anchor, PAGraph, VertexOrder, _check_local_data, _local_data,
                         synthesize_order)
@@ -202,6 +202,7 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
     A POPGraph is written in full form (anchors and vertex orders derived
     from the order); nothing is validated again.
     """
+    _expect_type(doc, "emit_ppg", PpgDocument, POPGraph, PAGraph, ProgressiveGraph)
     if isinstance(doc, POPGraph):
         (vertex_orders, anchor), graph, order = _local_data(doc), doc.graph, doc.order
     elif isinstance(doc, PAGraph):

@@ -6,6 +6,16 @@ internal vertex (the vertex orders) and the left-to-right order of the
 boundary edges (the anchors).  This module reconstructs the unique planar
 order consistent with such data, or proves there is none.
 
+Local data are the restrictions of one planar order, so two lists that hold
+the same two edges must order them alike.  Every edge lies in exactly two
+lists: its tail's out-legs (the inputs, when the tail is a source) and its
+head's in-legs (the outputs, when the head is a sink).  Before any
+comparison, so before the comparator's rows are built, the edges are
+grouped by that pair of lists and each group's pairs ordered both ways are
+counted as inversions, in O(m log m) for m edges; any such pair refuses the
+data with NoConsistentOrder, naming the pair and both lists.  Every other
+conflict goes on to the comparator.
+
 The comparator decides each pair of distinct edges by exactly one of three
 disjoint cases:
 
@@ -25,21 +35,26 @@ edge, the bit rows of the edges it reaches and of the edges reaching it
 the ancestors of its tail; per vertex, its ancestors and, if internal, its
 out-legs in vertex order.  Ancestor rows are bits over the vertices numbered
 in reverse topological order, so a vertex reaches only lower numbers, and
-one upstream pass builds them.  Case 1 reads two edge rows and case 2
-compares windows.  In case 3 the common ancestors of the two tails are one
-AND of ancestor rows, and the lowest of them is a maximal one.  The
-reachability poset of a planar st graph is a lattice (Kelly and Rival 1975,
-Platt 1976), so when the graph has any planar order that vertex is the
-only maximal one, which one more row confirms.  Only when several are
-maximal (a graph with no planar order) does the comparator walk the common
-ancestors to find them all, and the least by name decides.  A comparison
-builds no sets or lists; what stays quadratic is the number of pairs.
+one upstream pass builds them.  A window is the span of the anchor positions
+of the boundary edges an edge sees, carried in one pass each way: an edge
+leaving a vertex takes the span of the input windows of the edges entering
+it, and an edge entering one that of the output windows leaving it.  Case 1
+reads two edge rows and case 2 compares windows.  In case 3 the common
+ancestors of the two tails are one AND of ancestor rows, and the lowest of
+them is a maximal one.  The reachability poset of a planar st graph is a
+lattice (Kelly and Rival 1975, Platt 1976), so when the graph has any
+planar order that vertex is the only maximal one, which one more row
+confirms.  Only when several are maximal (a graph with no planar order)
+does the comparator walk the common ancestors to find them all, and the
+least by name decides.  A comparison builds no sets or lists; what stays
+quadratic is the number of pairs.
 
 Every pair is compared once (never sorting with a comparator), and each edge
 keeps a bit row of the edges it precedes.  Ranking by popcount gives the
 order, which is validated against both planar-order axioms and re-extracted
 and compared with the given data, so every inconsistency, comparisons that
-cycle included, surfaces as NoConsistentOrder with witnesses.
+cycle included, surfaces as NoConsistentOrder with witnesses.  A refusal
+builds only the first SHOWN witness strings and counts the rest.
 
 Local data has one check, which takes partial data too (:class:`PAGraph`
 adds completeness), and one read, a walk over the order (unchecked).
@@ -62,11 +77,12 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph
-from .errors import NoConsistentOrder, PpgError, TooLarge, UnknownEdge, UnknownVertex
+from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
+                     UnknownVertex)
 from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
                     validate_planar_order)
 
@@ -154,23 +170,31 @@ class PAGraph:
         first comparison, so that extracting or emitting local data never
         pays for it."""
         g = self.graph
-        ids = g.edge_ids
+        ids, ix = g.edge_ids, g._eix
         reach = tuple(g.reach_bits(e) | 1 << i for i, e in enumerate(ids))
         reached = tuple(g.reacher_bits(e) | 1 << i for i, e in enumerate(ids))
 
-        def side(edges: tuple[str, ...]) -> tuple[dict[int, int], int]:
-            """Anchor position by edge index, and the side as a bitset."""
-            pos = {g.edge_index(e): k for k, e in enumerate(edges)}
-            return pos, sum(1 << i for i in pos)
+        def sweep(vertices, into, out_of, boundary: tuple[str, ...]) -> list[tuple[int, int]]:
+            """Per edge index, the least and greatest position in ``boundary``
+            of the boundary edges on its side: a boundary edge has its own,
+            and the edges ``out_of`` a vertex share the span of the edges
+            ``into`` it, which ``vertices`` lists first."""
+            win = [(0, 0)] * len(ids)
+            for k, e in enumerate(boundary):
+                win[ix[e]] = (k, k)
+            for v in vertices:
+                seen = [win[ix[e.id]] for e in into(v)]
+                if seen:
+                    span = min(lo for lo, _ in seen), max(hi for _, hi in seen)
+                    for e in out_of(v):
+                        win[ix[e.id]] = span
+            return win
 
-        def span(pos: dict[int, int], anchored: int) -> tuple[int, int]:
-            ks = [pos[i] for i in _members(anchored)]
-            return min(ks), max(ks)
-
-        (ins, in_mask), (outs, out_mask) = map(side, self.anchor)
         # every edge is reached by an input and reaches an output
-        windows = tuple(span(ins, t & in_mask) + span(outs, r & out_mask)
-                        for r, t in zip(reach, reached))
+        inputs, outputs = self.anchor
+        windows = tuple(a + b for a, b in zip(
+            sweep(g._topo, g.in_edges, g.out_edges, inputs),
+            sweep(reversed(g._topo), g.out_edges, g.in_edges, outputs)))
         # vertices numbered in reverse topological order; walking the
         # topological order meets the tails of a vertex's in-edges first
         names = tuple(reversed(g._topo))
@@ -269,19 +293,98 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
             return _GREATER
 
 
+def _later_and_lower(keys: list[int]) -> list[int]:
+    """Per position i, how many later positions hold a lower key (the keys
+    are distinct): one Fenwick tree over the key ranks, filled from the
+    end, in O(n log n)."""
+    n = len(keys)
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=keys.__getitem__), 1):
+        rank[i] = r
+    tree = [0] * (n + 1)
+    counts = [0] * n
+    for i in reversed(range(n)):
+        r = rank[i]
+        k, c = r - 1, 0
+        while k:
+            c += tree[k]
+            k &= k - 1
+        counts[i] = c
+        while r <= n:
+            tree[r] += 1
+            r += r & -r
+    return counts
+
+
+def _refuse_both_ways(pa: PAGraph) -> None:
+    """NoConsistentOrder when two local lists order an edge pair both ways.
+
+    Every edge lies in exactly two lists: the out-legs of its tail (the
+    inputs, when the tail is a source) and the in-legs of its head (the
+    outputs, when the head is a sink).  A planar order restricts to both,
+    so two edges that share both lists must be ordered alike by each.  The
+    edges are grouped by their pair of lists, each group in the order of its
+    first list, and the pairs the second list reverses are counted as
+    inversions, in O(g log g) for a group of g edges.  The witnesses name
+    the pair as the first list orders it, and come by the declaration index
+    of its left edge, then of its right one; only the first SHOWN are built.
+    """
+    ix = pa.graph._eix
+    orders, (inputs, outputs) = pa.vertex_orders, pa.anchor
+    names = (None, *orders)
+    # per edge, its head-side list (0 for the outputs, j for the in-legs of
+    # names[j]) and its position there
+    side, at = dict.fromkeys(outputs, 0), dict(zip(outputs, count()))
+    for j, vo in enumerate(orders.values(), 1):
+        side.update(dict.fromkeys(vo.incoming, j))
+        at.update(zip(vo.incoming, count()))
+    total, bad = 0, []  # bad: the left edges of reversed pairs, with their group
+    for j, legs in enumerate((inputs, *(vo.outgoing for vo in orders.values()))):
+        heads = [side[e] for e in legs]
+        if len(set(heads)) == len(heads):  # no two legs share their other list
+            continue
+        groups: dict[int, list[str]] = {}
+        for e, h in zip(legs, heads):
+            groups.setdefault(h, []).append(e)
+        for h, group in groups.items():
+            keys = [at[e] for e in group]
+            if any(a > b for a, b in zip(keys, keys[1:])):
+                for i, c in enumerate(_later_and_lower(keys)):
+                    if c:
+                        total += c
+                        bad.append((ix[group[i]], i, group, keys, j, h))
+    if not total:
+        return
+
+    def witnesses():
+        for _, i, group, keys, j, h in sorted(bad, key=lambda b: b[0]):
+            a, k = group[i], keys[i]
+            first = f"the out-legs of {names[j]}" if j else "the inputs"
+            second = f"the in-legs of {names[h]}" if h else "the outputs"
+            for b in sorted((b for b, kb in zip(group[i + 1:], keys[i + 1:]) if kb < k),
+                            key=ix.__getitem__):
+                yield f"pair ({a}, {b}) is ordered ({a}, {b}) by {first} and ({b}, {a}) by {second}"
+
+    raise NoConsistentOrder(witnesses(), total)
+
+
 def synthesize_order(pa: PAGraph) -> PlanarOrder:
     """The unique planar order consistent with the given data.
 
-    Every pair is compared once, and each edge keeps a bit row of the edges
-    it precedes; ranking by that row's popcount gives the order when the
+    First, before any comparison, local data in which two lists order an
+    edge pair both ways is refused in O(m log m) (m edges).  Then every pair
+    is compared once, and each edge keeps a bit row of the edges it
+    precedes; ranking by that row's popcount gives the order when the
     comparisons are a strict total order.  The ranking is validated against
     both axioms and re-extracted to confirm it reproduces the input data, so
     any failure, cyclic comparisons included, raises NoConsistentOrder
-    naming witnesses.
+    naming witnesses: the first SHOWN, and the total.
     """
+    _refuse_both_ways(pa)
     g = pa.graph
     ids = g.edge_ids
     witnesses: list[str] = []
+    total = 0
     later = [0] * len(ids)
     for i, a in enumerate(ids):
         row = later[i]
@@ -292,10 +395,12 @@ def synthesize_order(pa: PAGraph) -> PlanarOrder:
             elif c is _GREATER:
                 later[j] |= 1 << i
             else:
-                witnesses.append(f"no consistent position for pair ({a}, {b})")
+                total += 1
+                if total <= SHOWN:
+                    witnesses.append(f"no consistent position for pair ({a}, {b})")
         later[i] = row
-    if witnesses:
-        raise NoConsistentOrder(tuple(witnesses))
+    if total:
+        raise NoConsistentOrder(witnesses, total)
 
     seq = sorted(ids, key=lambda e: -later[g.edge_index(e)].bit_count())
     try:

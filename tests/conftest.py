@@ -339,6 +339,32 @@ def compare_edges_scan(pa: pg.PAGraph, e1: str, e2: str) -> pg.Comparison:
     return pg.Comparison.LESS if legs.index(h1) < legs.index(h2) else pg.Comparison.GREATER
 
 
+def both_ways_scan(pa: pg.PAGraph) -> None:
+    """Raise NoConsistentOrder when two local lists order an edge pair both
+    ways, testing every ordered pair of edges against every list that holds
+    both: the oracle for the check that opens ``synthesize_order``.
+
+    The tail-side lists (the inputs, the out-legs) come first; a witness
+    names the pair as the first list holding it orders it.
+    """
+    lists = [("the inputs", pa.anchor.inputs)]
+    lists += [(f"the out-legs of {v}", vo.outgoing) for v, vo in pa.vertex_orders.items()]
+    lists += [(f"the in-legs of {v}", vo.incoming) for v, vo in pa.vertex_orders.items()]
+    lists.append(("the outputs", pa.anchor.outputs))
+    witnesses = []
+    for a in pa.graph.edge_ids:
+        for b in pa.graph.edge_ids:
+            holding = [(name, seq.index(a) < seq.index(b)) for name, seq in lists
+                       if a != b and a in seq and b in seq]
+            for k, (first, ab) in enumerate(holding):
+                for second, ab_too in holding[k + 1:]:
+                    if ab and not ab_too:
+                        witnesses.append(f"pair ({a}, {b}) is ordered ({a}, {b}) by {first} "
+                                         f"and ({b}, {a}) by {second}")
+    if witnesses:
+        raise pg.NoConsistentOrder(witnesses)
+
+
 def brute_orders(g: pg.ProgressiveGraph) -> list[tuple[str, ...]]:
     """Every planar order by filtering all permutations.  Keep it tiny."""
     assert len(g.edges) <= 6, "brute force is factorial, use small graphs"

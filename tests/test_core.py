@@ -60,12 +60,39 @@ class TestValidation:
         ([("e", "a", "b"), ("f", ["a"], "c"), ("g",)], "edge ('f', ['a'], 'c')" + NO_TRIPLE),
         (iter([("e", "a", "b"), 5]), "edge 5" + NO_TRIPLE),
         (5, "5 is not a collection of edges"),
-    ], ids=["two fields", "unhashable id", "unhashable vertex", "not a triple", "not iterable"])
+        (["abc", "dbe"], "edge 'abc'" + NO_TRIPLE),
+    ], ids=["two fields", "unhashable id", "unhashable vertex", "not a triple", "not iterable",
+            "a string"])
     def test_a_malformed_edge_is_named(self, edges, message):
         # the first edge that is no (id, src, dst) triple of hashable names;
         # before, TypeError escaped from Edge.__new__ or from hashing the id
         with pytest.raises(pg.PpgError) as exc:
             pg.DirectedMultigraph(edges)
+        assert str(exc.value) == message
+
+
+class TestWrongTypes:
+    """The entries that take an ordered graph name the type of anything
+    else; before, each raised AttributeError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pg.compose(5, pg.spider(1, 1)), "compose expects POPGraph, not int"),
+        (lambda: pg.compose("ab"), "compose expects POPGraph, not str"),
+        (lambda: pg.recompose([pg.spider(1, 1), None]), "compose expects POPGraph, not NoneType"),
+        (lambda: pg.recompose(5), "recompose expects Iterable, not int"),
+        (lambda: pg.elementary_decomposition(5),
+         "elementary_decomposition expects POPGraph, not int"),
+        (lambda: pg.decompose_step(5), "decompose_step expects POPGraph, not int"),
+        (lambda: pg.layout(5), "layout expects POPGraph, not int"),
+        (lambda: pg.layout_st(pg.spider(1, 1).graph),
+         "layout_st expects POPGraph, not ProgressiveGraph"),
+        (lambda: pg.emit_ppg(5),
+         "emit_ppg expects PpgDocument or POPGraph or PAGraph or ProgressiveGraph, not int"),
+    ], ids=["compose", "compose one", "recompose factor", "recompose", "decomposition",
+            "decompose step", "layout", "layout st", "emit"])
+    def test_the_type_is_named(self, call, message):
+        with pytest.raises(pg.PpgError) as exc:
+            call()
         assert str(exc.value) == message
 
 

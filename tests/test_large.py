@@ -10,8 +10,11 @@ denominator of its own on nearly every route.  A third recomposes the
 Two more refuse a shuffled order of the 40x28 graph and a scrambled
 relation on the 24x20 graph (379 edges), each with millions of witnesses,
 in bounded time: only the first SHOWN witnesses are built, the rest counted.
-The last two refuse near misses, one adjacent swap and one flipped pair,
-with a count that follows chains and reads few rows member by member.
+Two refuse near misses, one adjacent swap and one flipped pair, with a
+count that follows chains and reads few rows member by member.  The last
+two refuse local data that orders an edge pair both ways before any edge
+comparison: one swapped pair of the 40x28 graph, and 2 000 bare edges
+whose outputs are anchored in reverse (1 999 000 such pairs).
 """
 
 from __future__ import annotations
@@ -172,3 +175,49 @@ def test_one_flipped_pair_keeps_its_total():
     assert report.total == exc.value.total == 209
     assert exc.value.problems == report.problems
     assert report.problems == check_conjugacy_scan(g, flipped).problems
+
+
+def test_a_pair_ordered_both_ways_is_refused_before_any_comparison(pop, monkeypatch):
+    # two adjacent out-legs of one vertex that also share their head's
+    # in-legs, swapped: refusing them after 690 900 comparisons, a ranking
+    # and a re-extraction took 0.9 s (Python 3.11); the lists alone do it
+    g = pop.graph
+    pa = pg.extract_pa(pop)
+    v, a, b = next((v, a, b) for v, vo in sorted(pa.vertex_orders.items())
+                   for a, b in zip(vo.outgoing, vo.outgoing[1:])
+                   if g.edge(a).dst == g.edge(b).dst)
+    vo = pa.vertex_orders[v]
+    legs = list(vo.outgoing)
+    i = legs.index(a)
+    legs[i:i + 2] = b, a
+    bad = pg.PAGraph(g, {**pa.vertex_orders, v: pg.VertexOrder(vo.incoming, tuple(legs))},
+                     pa.anchor)
+    calls = []
+    compare = pg.synthesis.compare_edges
+    monkeypatch.setattr(pg.synthesis, "compare_edges", lambda *c: calls.append(1) or compare(*c))
+    t0 = time.perf_counter()
+    with pytest.raises(pg.NoConsistentOrder) as exc:
+        pg.synthesize_order(bad)
+    assert time.perf_counter() - t0 < 1.0
+    assert not calls and "_rows" not in vars(bad)
+    assert exc.value.total == 1
+    assert exc.value.witnesses == (
+        f"pair ({b}, {a}) is ordered ({b}, {a}) by the out-legs of {v} "
+        f"and ({a}, {b}) by the in-legs of {g.edge(a).dst}",)
+
+
+def test_bare_edges_anchored_in_reverse_are_refused_in_bounded_time():
+    # every pair of 2 000 bare edges is ordered one way by the inputs and
+    # the other by the outputs; building a witness for each took 0.7 s at
+    # 1 000 edges (Python 3.11), where the count needs no string at all
+    g = pg.bare_edges(2000).graph
+    ids = g.edge_ids
+    t0 = time.perf_counter()
+    with pytest.raises(pg.NoConsistentOrder) as exc:
+        pg.synthesize_order(pg.PAGraph(g, {}, (ids, ids[::-1])))
+    assert time.perf_counter() - t0 < 3.0
+    assert exc.value.total == 1_999_000
+    assert len(exc.value.witnesses) == SHOWN
+    assert exc.value.witnesses[-1] == ("pair (w1, w21) is ordered (w1, w21) by the inputs "
+                                       "and (w21, w1) by the outputs")
+    assert str(exc.value).endswith(f"... and {1_999_000 - SHOWN} more (1999000 in all)")

@@ -496,13 +496,31 @@ class TestBoundedMessages:
         self.assert_capped(str(exc.value), 56)
 
     def test_no_consistent_order(self):
-        # bare edges whose outputs are anchored in reverse: every pair conflicts
+        # bare edges whose outputs are anchored in reverse: the two anchors
+        # order every pair both ways
         g = pg.bare_edges(12).graph
         ids = g.edge_ids
         with pytest.raises(pg.NoConsistentOrder) as exc:
             pg.synthesize_order(pg.PAGraph(g, {}, (ids, ids[::-1])))
-        assert len(exc.value.witnesses) == 66
+        assert len(exc.value.witnesses) == SHOWN
+        assert exc.value.total == 66
+        assert exc.value.witnesses[0] == ("pair (w1, w2) is ordered (w1, w2) by the inputs "
+                                          "and (w2, w1) by the outputs")
         self.assert_capped(str(exc.value), 66)
+        # six paths of two edges, their outputs anchored in reverse: no two
+        # edges share two lists, and the comparator finds no consistent
+        # position for the 4 * 15 pairs of edges on distinct paths
+        g = pg.validate_progressive(pg.DirectedMultigraph(
+            e for k in range(6)
+            for e in ((f"i{k}", f"s{k}", f"v{k}"), (f"o{k}", f"v{k}", f"t{k}"))))
+        outs = tuple(f"o{k}" for k in reversed(range(6)))
+        orders = {f"v{k}": ((f"i{k}",), (f"o{k}",)) for k in range(6)}
+        with pytest.raises(pg.NoConsistentOrder) as exc:
+            pg.synthesize_order(pg.PAGraph(g, orders, (tuple(f"i{k}" for k in range(6)), outs)))
+        assert len(exc.value.witnesses) == SHOWN
+        assert exc.value.total == 60
+        assert exc.value.witnesses[0] == "no consistent position for pair (i0, i1)"
+        self.assert_capped(str(exc.value), 60)
 
     def test_not_a_permutation(self, capsys, tmp_path):
         # one edge of 5000 listed: 4999 missing ids, of which the message shows 20

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popgraph as pg
-from conftest import (FIXTURES, brute_orders, compare_edges_scan, linear_extension_orders,
-                      run_optimized)
+from conftest import (FIXTURES, both_ways_scan, brute_orders, compare_edges_scan,
+                      linear_extension_orders, run_optimized)
 
 
 def graph(*triples):
@@ -116,9 +116,11 @@ def tampered_pas(pop: pg.POPGraph, rng: random.Random):
 
 
 def synthesize_by_scan(pa: pg.PAGraph) -> pg.PlanarOrder:
-    """``synthesize_order`` with every pair decided by ``compare_edges_scan``:
-    the same witnesses, the same ranking by the number of later edges, and
-    the same checks of the ranking."""
+    """``synthesize_order`` with the local lists checked by
+    ``both_ways_scan`` and every pair decided by ``compare_edges_scan``: the
+    same witnesses, the same ranking by the number of later edges, and the
+    same checks of the ranking."""
+    both_ways_scan(pa)
     g = pa.graph
     ids = g.edge_ids
     witnesses, later = [], dict.fromkeys(ids, 0)
@@ -143,12 +145,12 @@ def synthesize_by_scan(pa: pg.PAGraph) -> pg.PlanarOrder:
 
 
 def synthesis_outcome(synthesize, pa: pg.PAGraph):
-    """The order ``synthesize(pa)`` returns, or the type, message and
-    witnesses of the NoConsistentOrder it raises."""
+    """The order ``synthesize(pa)`` returns, or the type, message,
+    witnesses and total of the NoConsistentOrder it raises."""
     try:
         return synthesize(pa)
     except pg.NoConsistentOrder as exc:
-        return type(exc), str(exc), exc.witnesses
+        return type(exc), str(exc), exc.witnesses, exc.total
 
 
 class TestCompareEdges:
