@@ -8,16 +8,13 @@ reconstructs orders from vertex-local data, enumerates all orders of small
 graphs, and emits layered drawings as SVG or TikZ.
 """
 
-from __future__ import annotations
-
 from .build import (bare_edges, generator_suite, random_elementary_layer,
-                    random_pop, random_single_spider_layer, side_by_side,
-                    spider, theta, two_level_tree)
+                    random_pop, side_by_side, spider, theta, two_level_tree)
 from .composition import (ElementaryDecomposition, compose, decompose_step,
-                          elementary_decomposition, glue_table, is_elementary,
-                          pop_isomorphic, recompose)
+                          elementary_decomposition, glue_table, pop_isomorphic,
+                          recompose)
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, StGraph, circ,
-                   hat, isomorphic_by_edges, validate_progressive)
+                   hat, validate_progressive)
 from .errors import (ArityMismatch, BadBoundaryDegree, CycleDetected,
                      DuplicateId, InvalidPlanarOrder, NoConsistentOrder,
                      NoInternalVertex, NotAPermutation, NotConjugate,
@@ -35,4 +32,26 @@ from .synthesis import (Anchor, Comparison, EnumerationResult, PAGraph,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, module by module as imported above
+__all__ = [
+    "bare_edges", "generator_suite", "random_elementary_layer", "random_pop",
+    "side_by_side", "spider", "theta", "two_level_tree",
+    "ElementaryDecomposition", "compose", "decompose_step",
+    "elementary_decomposition", "glue_table", "pop_isomorphic", "recompose",
+    "DirectedMultigraph", "Edge", "ProgressiveGraph", "StGraph", "circ", "hat",
+    "validate_progressive",
+    "ArityMismatch", "BadBoundaryDegree", "CycleDetected", "DuplicateId",
+    "InvalidPlanarOrder", "NoConsistentOrder", "NoInternalVertex",
+    "NotAPermutation", "NotConjugate", "ParseError", "PpgError",
+    "ReservedVertexName", "TooLarge", "UnknownEdge", "UnknownVertex",
+    "UsageError",
+    "Drawing", "DrawingReport", "check_drawing", "layout", "layout_st",
+    "read_back", "render_svg", "render_tikz",
+    "ConjugacyReport", "PlanarOrder", "POPGraph", "check_conjugacy",
+    "conjugate_order", "interval_partition", "order_from_conjugate",
+    "order_violations", "validate_planar_order",
+    "PpgDocument", "emit_ppg", "emit_stg", "parse_ppg", "parse_stg",
+    "Anchor", "Comparison", "EnumerationResult", "PAGraph", "VertexOrder",
+    "compare_edges", "count_planar_orders", "enumerate_planar_orders",
+    "extract_pa", "synthesize_order",
+]

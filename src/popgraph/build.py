@@ -18,6 +18,7 @@ import random
 
 from .composition import compose
 from .core import DirectedMultigraph, Edge, ProgressiveGraph
+from .errors import _expect_type
 from .order import POPGraph, validate_planar_order
 
 
@@ -64,6 +65,8 @@ def side_by_side(left: POPGraph, right: POPGraph) -> POPGraph:
     Edge and vertex names are prefixed (``L.``/``R.``) so the two halves can
     never collide.
     """
+    _expect_type(left, "side_by_side", POPGraph)
+    _expect_type(right, "side_by_side", POPGraph)
     edges = [Edge(f"L.{e.id}", f"L.{e.src}", f"L.{e.dst}") for e in left.graph.edges]
     edges += [Edge(f"R.{e.id}", f"R.{e.src}", f"R.{e.dst}") for e in right.graph.edges]
     g = ProgressiveGraph(DirectedMultigraph(edges))
@@ -90,37 +93,28 @@ def generator_suite() -> list[tuple[str, POPGraph]]:
 
 
 def random_elementary_layer(rng: random.Random, tag: str,
-                            n_inputs: int | None = None,
-                            spider_slots: int | None = None) -> POPGraph:
+                            n_inputs: int | None = None) -> POPGraph:
     """A random row of blocks (bare edges and spiders), left to right.
 
-    With ``n_inputs`` the row consumes exactly that many inputs; with
-    ``spider_slots`` at most that many blocks are spiders (None means no
-    cap, 0 forces an all-bare row).  Names carry ``tag`` so layers compose
-    without accidental collisions.
+    With ``n_inputs`` the row consumes exactly that many inputs.  Names
+    carry ``tag`` so layers compose without accidental collisions.
     """
     remaining = n_inputs if n_inputs is not None else rng.randint(1, 6)
-    blocks: list[tuple[int, int]] = []  # (p, q); p == 0 marks a bare edge
-    spiders_left = spider_slots
+    blocks: list[tuple[int, int]] = []
     while remaining > 0:
-        can_spider = spiders_left is None or spiders_left > 0
-        if can_spider and rng.random() < 0.6:
+        if rng.random() < 0.6:
             p = rng.randint(1, min(3, remaining))
-            q = rng.randint(1, 3)
-            blocks.append((p, q))
+            blocks.append((p, rng.randint(1, 3)))
             remaining -= p
-            if spiders_left is not None:
-                spiders_left -= 1
         else:
             blocks.append((0, 0))
             remaining -= 1
-    if spider_slots and not any(p for p, _ in blocks):
-        # force one spider in: it consumes p inputs, so drop p-1 bare blocks
-        p = rng.randint(1, min(3, len(blocks)))
-        blocks[rng.randrange(len(blocks))] = (p, rng.randint(1, 3))
-        for _ in range(p - 1):
-            del blocks[next(i for i, (pp, _) in enumerate(blocks) if pp == 0)]
+    return _row(blocks, tag)
 
+
+def _row(blocks: list[tuple[int, int]], tag: str) -> POPGraph:
+    """The layer of ``blocks`` (p, q), left to right: a spider with p inputs
+    and q outputs, or a bare edge where p is 0; its order is the row's."""
     edges: list[Edge] = []
     n = 0
     for b, (p, q) in enumerate(blocks):
@@ -158,10 +152,3 @@ def random_pop(rng: random.Random, min_layers: int = 1, max_layers: int = 4,
         if pop.graph.internal_vertices:
             return pop
 
-
-def random_single_spider_layer(rng: random.Random, tag: str,
-                               n_inputs: int | None = None) -> POPGraph:
-    """A random layer with exactly one internal vertex (rest bare edges)."""
-    if n_inputs is None:
-        n_inputs = rng.randint(1, 6)
-    return random_elementary_layer(rng, tag, n_inputs=n_inputs, spider_slots=1)

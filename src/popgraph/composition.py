@@ -29,37 +29,10 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
-from .core import (DirectedMultigraph, Edge, ProgressiveGraph, _fresh,
-                   _induces_vertex_bijection, validate_progressive)
+from .core import (DirectedMultigraph, Edge, _fresh, _induces_vertex_bijection,
+                   validate_progressive)
 from .errors import ArityMismatch, NoInternalVertex, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, interval_partition, validate_planar_order
-
-
-def is_elementary(g: ProgressiveGraph) -> bool:
-    """True when every connected component has at most one internal vertex.
-
-    Components of a progressive graph are spiders (one internal vertex and
-    its legs) or bare edges exactly under this condition.
-    """
-    parent: dict[str, str] = {v: v for v in g.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in g.edges:
-        a, b = find(e.src), find(e.dst)
-        if a != b:
-            parent[a] = b
-    count: dict[str, int] = {}
-    for v in g.internal_vertices:
-        r = find(v)
-        count[r] = count.get(r, 0) + 1
-        if count[r] > 1:
-            return False
-    return True
 
 
 def compose(*factors: POPGraph) -> POPGraph:
@@ -116,8 +89,8 @@ def compose(*factors: POPGraph) -> POPGraph:
 
 def glue_table(first: POPGraph, second: POPGraph) -> tuple[tuple[str, str], ...]:
     """The (output id, input id) pairs :func:`compose` would fuse, in order."""
-    outs = first.outputs_ordered
-    ins = second.inputs_ordered
+    outs = _expect_type(first, "glue_table", POPGraph).outputs_ordered
+    ins = _expect_type(second, "glue_table", POPGraph).inputs_ordered
     if len(outs) != len(ins):
         raise ArityMismatch(len(outs), len(ins))
     return tuple(zip(outs, ins))
@@ -127,6 +100,8 @@ def pop_isomorphic(a: POPGraph, b: POPGraph) -> bool:
     """Isomorphism of ordered graphs: the k-th edge of one must map to the
     k-th edge of the other, and that forced edge map must extend to a
     src/dst-preserving vertex bijection."""
+    _expect_type(a, "pop_isomorphic", POPGraph)
+    _expect_type(b, "pop_isomorphic", POPGraph)
     if len(a.order) != len(b.order):
         return False
     if len(a.graph.vertices) != len(b.graph.vertices):
@@ -230,7 +205,10 @@ class ElementaryDecomposition:
     """
 
     def __init__(self, factors):
-        self.factors: tuple[POPGraph, ...] = tuple(factors)
+        self.factors: tuple[POPGraph, ...] = tuple(
+            _expect_type(factors, "ElementaryDecomposition", Iterable))
+        for f in self.factors:
+            _expect_type(f, "ElementaryDecomposition", POPGraph)
         self.interfaces: tuple[tuple[tuple[str, str], ...], ...] = tuple(
             glue_table(a, b) for a, b in zip(self.factors, self.factors[1:]))
 

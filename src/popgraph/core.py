@@ -19,6 +19,7 @@ as immutable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -30,6 +31,7 @@ from .errors import (
     ReservedVertexName,
     UnknownEdge,
     UnknownVertex,
+    _expect_type,
 )
 
 
@@ -174,7 +176,7 @@ class ProgressiveGraph:
     """
 
     def __init__(self, graph: DirectedMultigraph):
-        self._topo = _toposort(graph)
+        self._topo = _toposort(_expect_type(graph, "ProgressiveGraph", DirectedMultigraph))
         ins, outs = graph._in, graph._out
         for v in graph.vertices:
             if not ins[v] and len(outs[v]) != 1:
@@ -291,6 +293,8 @@ class StGraph:
 
     def __init__(self, graph: DirectedMultigraph, source: str, sink: str,
                  rotation: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None = None):
+        _expect_type(graph, "StGraph", DirectedMultigraph)
+        _expect_type(rotation, "StGraph", Mapping, type(None))
         if source not in graph.vertices:
             raise UnknownVertex(source)
         if sink not in graph.vertices:
@@ -329,7 +333,7 @@ def hat(p: ProgressiveGraph) -> StGraph:
     """Merge all boundary sources into a fresh vertex ``s`` and all boundary
     sinks into a fresh ``t``.  Edge ids are preserved; the names ``s`` and
     ``t`` must not already be in use."""
-    s, t = _apexes(p)
+    s, t = _apexes(_expect_type(p, "hat", ProgressiveGraph))
     edges = []
     for e in p.edges:
         src = s if e.id in p.inputs else e.src
@@ -358,29 +362,13 @@ def circ(st: StGraph) -> ProgressiveGraph:
     """Split ``s`` and ``t`` back off: every edge leaving the source gets its
     own fresh degree-one tail, every edge entering the sink its own fresh
     head.  Inverse of :func:`hat` up to isomorphism."""
-    taken = set(st.graph.vertices)
+    taken = set(_expect_type(st, "circ", StGraph).graph.vertices)
     edges = []
     for e in st.graph.edges:
         src = _fresh(f"s@{e.id}", taken) if e.src == st.source else e.src
         dst = _fresh(f"t@{e.id}", taken) if e.dst == st.sink else e.dst
         edges.append(Edge(e.id, src, dst))
     return validate_progressive(DirectedMultigraph(edges))
-
-
-def isomorphic_by_edges(a, b) -> bool:
-    """Isomorphism check for graphs that share their edge ids.
-
-    The edge map is the identity on ids; the check is whether the induced
-    vertex correspondence is a well-defined bijection.  Accepts any mix of
-    DirectedMultigraph, ProgressiveGraph and StGraph.
-    """
-    ga = a.graph if hasattr(a, "graph") else a
-    gb = b.graph if hasattr(b, "graph") else b
-    if sorted(ga.edge_ids) != sorted(gb.edge_ids):
-        return False
-    if len(ga.vertices) != len(gb.vertices):
-        return False
-    return _induces_vertex_bijection((ea, gb.edge(ea.id)) for ea in ga.edges)
 
 
 def _induces_vertex_bijection(pairs: Iterable[tuple[Edge, Edge]]) -> bool:

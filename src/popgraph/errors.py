@@ -94,7 +94,7 @@ def _expect_type(value, where: str, *types: type):
     """``value``, when it is an instance of one of ``types``; otherwise a
     PpgError saying what ``where`` expects and naming the type given."""
     if not isinstance(value, types):
-        expected = " or ".join(t.__name__ for t in types)
+        expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
         raise PpgError(f"{where} expects {expected}, not {type(value).__name__}")
     return value
 

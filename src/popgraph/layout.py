@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm, log10
-from typing import Iterable
 
 from .composition import _peel_order
 from .core import ProgressiveGraph, _apexes
@@ -177,7 +176,7 @@ def check_drawing(d: Drawing) -> DrawingReport:
     the order of a pair scan, route by route, then segment by segment.  Two
     routes may meet only at a drawn vertex where each of them starts or ends.
     """
-    _require_coordinates(d)
+    _require_coordinates(_expect_type(d, "check_drawing", Drawing))
     problems: list[str] = []
     down, y_in, y_out = _boundary_ys(d)
     short = {e for e, pts in d.routes.items() if len(pts) < 2}
@@ -463,7 +462,7 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     route with fewer than two points, or a boundary edge with no route or one
     that does not meet its boundary, raises PpgError.
     """
-    _require_routes(d)
+    _require_routes(_expect_type(d, "read_back", Drawing))
     _require_coordinates(d)
     _, y_in, y_out = _boundary_ys(d)
 
@@ -507,7 +506,7 @@ def _fmt(x: Fraction | int | float) -> str:
 def render_svg(d: Drawing) -> str:
     """Self-contained SVG: one path per edge, arrowheads at route midpoints,
     filled circles for vertices, a dashed frame around the banded region."""
-    _require_routes(d)
+    _require_routes(_expect_type(d, "render_svg", Drawing))
     _require_coordinates(d, render=True)
     s = 48.0
     pad = 30.0
@@ -557,7 +556,7 @@ def _svg_arrow(pts: tuple[Point, ...], px) -> str:
 
 def render_tikz(d: Drawing) -> str:
     """TikZ picture with the same content; y is mirrored for TikZ's up axis."""
-    _require_routes(d)
+    _require_routes(_expect_type(d, "render_tikz", Drawing))
     _require_coordinates(d, render=True)
     out = [r"\begin{tikzpicture}[x=1.1cm,y=1.1cm,yscale=-1]"]
     out.append(rf"\draw[densely dashed, gray] ({_fmt(d.box[0])},{_fmt(d.box[1])}) "

@@ -20,16 +20,15 @@ adjacent swap, costs O(m * depth) row operations, and no refusal costs
 more than O(m^2), however many violations there are.
 The conjugate together with strict reachability relates every unordered
 edge pair exactly once, which the conjugacy check reads off four rows per
-edge.  Such a relation is transitive exactly when its union with
-reachability is a transitive tournament whose ranking passes the chain
-check; it is then the conjugate of that planar order, so the two
-presentations are interchangeable.  One helper counts the intransitive
-triples of a set of rows and one lists them, and both run only on what
-these checks refuse: the betweenness violations of an order and the
-transitivity witnesses of a relation, of which a refusal again builds the
-first SHOWN and counts the rest.  ``order_violations`` still lists every
-violation.  The test suite checks all of this against definitional pair and
-triple scans.
+edge.  A relation that does so and is transitive is the conjugate of the
+planar order its union with reachability makes, so the two presentations
+are interchangeable; the chain check serves only orders.  One helper
+counts the intransitive triples of a set of rows and one lists them: the
+count decides a relation and counts the betweenness violations of an order
+the chain check refuses, and a refusal of either again builds the first
+SHOWN witnesses and counts the rest.  ``order_violations`` still lists
+every violation.  The test suite checks all of this against definitional
+pair and triple scans.
 
 The interval partition that composition shuffles by locates each edge
 relative to the ordered boundary: after the last input that reaches it, and
@@ -44,7 +43,7 @@ from typing import Iterable
 
 from .core import ProgressiveGraph
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
-                     UnknownEdge, _first)
+                     UnknownEdge, _expect_type, _first)
 
 
 class PlanarOrder:
@@ -97,8 +96,8 @@ class POPGraph:
     """
 
     def __init__(self, graph: ProgressiveGraph, order: PlanarOrder):
-        self.graph = graph
-        self.order = order
+        self.graph = _expect_type(graph, "POPGraph", ProgressiveGraph)
+        self.order = _expect_type(order, "POPGraph", PlanarOrder)
 
     def rank(self, e: str) -> int:
         return self.order.rank(e)
@@ -279,6 +278,7 @@ def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
     the rank rows rank by rank, so they come out in sequence order.  These
     are the lists of which :class:`InvalidPlanarOrder` keeps the first SHOWN.
     """
+    _expect_type(g, "order_violations", ProgressiveGraph)
     seq = _as_sequence(sequence, g.edge_ids)
     pairs, triples, _, _ = _witnesses(seq, *_ranked(g, seq))
     return list(pairs), list(triples)
@@ -288,6 +288,7 @@ def validate_planar_order(g: ProgressiveGraph, sequence) -> POPGraph:
     """Check both axioms by the chain check on the rank rows; when it fails,
     raise InvalidPlanarOrder with the first SHOWN violations of each kind
     and their totals, read off the same rows."""
+    _expect_type(g, "validate_planar_order", ProgressiveGraph)
     seq = _as_sequence(sequence, g.edge_ids)
     reach, conj = _ranked(g, seq)
     if not _chains_hold(reach, conj):
@@ -301,7 +302,7 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
     Transitive by the betweenness axiom; together with strict reachability it
     covers each unordered pair exactly once.
     """
-    seq = pop.order.sequence
+    seq = _expect_type(pop, "conjugate_order", POPGraph).order.sequence
     _, conj = _ranked(pop.graph, seq)
     return frozenset((seq[i], seq[j]) for i, row in enumerate(conj) for j in _members(row))
 
@@ -332,15 +333,20 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[ConjugacyReport, tupl
 
     The rows of ``rel`` are built straight from its pairs (a set is read as
     it is; anything else is copied); only a relation with a member that is
-    not a tuple of two distinct known edges is listed sorted.  Once every
-    pair is related exactly once, the union of ``rel`` with reachability is
-    a tournament.  ``rel`` is transitive exactly when that tournament is
-    transitive, no two edges preceding equally many, and its ranking passes
-    the chain check; ``rel`` is then the conjugate of that ranking.  Only a
-    relation these refuse has its problems counted, by popcounts of the
-    rows, and the first SHOWN of them built: the pairs not related exactly
-    once by index, then the intransitive triples by the ids of their first
-    two edges.
+    not a tuple of two distinct known edges is listed sorted.  The problems
+    are the pairs that ``rel`` and reachability together do not relate
+    exactly once and the intransitive triples of ``rel``, both counted by
+    popcounts of the rows.  A relation with neither is accepted, which is
+    enough: irreflexive, transitive and relating each pair exactly once
+    together with reachability, its union with reachability is a linear
+    order.  (If a <* b and b reaches c, then c <* a would give c <* b, and
+    c reaching a would give b reaching a, each relating a pair twice; so a
+    comes before c, and likewise when a reaches b and b <* c.)  That order
+    extends reachability and its conjugate is ``rel``, which is transitive,
+    so it is planar; each edge takes its place by how many edges it
+    precedes.  A refusal builds the first SHOWN problems: the pairs not
+    related exactly once by index, then the intransitive triples by the ids
+    of their first two edges.
     """
     ids = g.edge_ids
     ix = g._eix
@@ -370,17 +376,16 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[ConjugacyReport, tupl
     # bit j > i: reach, reached-by, rel-out and rel-in must hold exactly once
     bad = [(~((r | c) ^ (rt | ct)) | r & c | rt & ct) & ((1 << len(ids)) - (2 << i))
            for i, (r, rt, c, ct) in enumerate(rows)]
-    if not any(bad):
+    n_triples, escaping = _intransitive(out)
+    if not n_triples and not any(bad):
         # place each edge by how many edges it precedes, most first
-        seq = [None] * len(ids)
-        for e, row in zip(ids, out):
-            seq[~(g.reach_bits(e) | row).bit_count()] = e
-        if None not in seq and _chains_hold(*_ranked(g, seq)):
-            return ConjugacyReport(()), tuple(seq)
+        seq = [""] * len(ids)
+        for e, (r, _, c, _) in zip(ids, rows):
+            seq[~(r | c).bit_count()] = e
+        return ConjugacyReport(()), tuple(seq)
     pairs = (f"pair ({ids[i]}, {ids[j]}) is related "
              f"{sum(x >> j & 1 for x in rows[i])} times, expected exactly once"
              for i, row in enumerate(bad) for j in _members(row))
-    n_triples, escaping = _intransitive(out)
     triples = (f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
                for i, j, k in _triples(out, escaping, ids.__getitem__))
     return ConjugacyReport(chain(pairs, triples), sum(map(int.bit_count, bad)) + n_triples), ()
@@ -414,7 +419,7 @@ def check_conjugacy(g: ProgressiveGraph, rel) -> ConjugacyReport:
     every witness rather than stopping at the first, and reports the first
     SHOWN of them; a value that is not iterable is one problem.
     """
-    return _conjugacy_problems(g, rel)[0]
+    return _conjugacy_problems(_expect_type(g, "check_conjugacy", ProgressiveGraph), rel)[0]
 
 
 def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
@@ -422,14 +427,14 @@ def order_from_conjugate(g: ProgressiveGraph, rel) -> PlanarOrder:
 
     A relation that passes :func:`check_conjugacy` has as its union with
     strict reachability a planar order (betweenness is its transitivity), in
-    which the edge with the most successors comes first.  The check itself
-    places the edges that way and accepts only when no two share a place
-    and the ranking passes the chain check, so the order is what the check
-    accepted; a member that is not a hashable tuple of two edge ids, or a
-    value that is not iterable, is a problem like any other, raised as
-    NotConjugate with the report's problems and total.
+    which the edge with the most successors comes first; the check places
+    the edges that way as it accepts.  A member that is not a hashable
+    tuple of two edge ids, or a value that is not iterable, is a problem
+    like any other, raised as NotConjugate with the report's problems and
+    total.
     """
-    report, seq = _conjugacy_problems(g, rel)
+    report, seq = _conjugacy_problems(
+        _expect_type(g, "order_from_conjugate", ProgressiveGraph), rel)
     if not report:
         raise NotConjugate(report.problems, report.total)
     return PlanarOrder(seq)
@@ -449,7 +454,7 @@ def interval_partition(pop: POPGraph):
     reaches it, and an edge in ``before_output[o]`` has o as the first output
     it reaches (the test suite checks this against a scan of its windows).
     """
-    g = pop.graph
+    g = _expect_type(pop, "interval_partition", POPGraph).graph
     seq = pop.order.sequence
     after_input: dict[str, list[str]] = {i: [] for i in pop.inputs_ordered}
     current = None

@@ -38,6 +38,8 @@ parsed document reproduces it value for value.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .core import DirectedMultigraph, Edge, ProgressiveGraph, StGraph, validate_progressive
 from .errors import ParseError, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, validate_planar_order
@@ -53,15 +55,18 @@ class PpgDocument:
                  vertex_orders: dict[str, VertexOrder] | None = None,
                  anchor: Anchor | None = None,
                  order: PlanarOrder | None = None):
-        self.graph = graph
+        self.graph = _expect_type(graph, "PpgDocument", ProgressiveGraph)
+        _expect_type(order, "PpgDocument", PlanarOrder, type(None))
         # empty and absent vertex orders mean the same thing; normalize so
-        # round-tripping through text compares equal
-        self.vertex_orders = dict(vertex_orders) if vertex_orders else None
+        # round-tripping through text compares equal (what is no mapping is
+        # refused with the local data below)
+        self.vertex_orders = (dict(vertex_orders) if isinstance(vertex_orders, Mapping)
+                              and vertex_orders else None)
         self.anchor = anchor
         self.order = order
         self._pop = validate_planar_order(graph, order.sequence) if order is not None else None
         self._pa: PAGraph | None = None
-        if anchor is not None and set(vertex_orders or ()) == set(graph.internal_vertices):
+        if anchor is not None and set(self.vertex_orders or ()) == set(graph.internal_vertices):
             self._pa = PAGraph(graph, vertex_orders or {}, anchor)
         else:
             _check_local_data(graph, vertex_orders or {}, anchor)
@@ -174,11 +179,11 @@ def _one_vertex(no: int, tokens: list[str], ids: set[str]) -> str:
 
 
 def parse_ppg(text: str) -> PpgDocument:
-    edges, found, legs = _parse_common(text, "ppg", dict.fromkeys(
+    edges, found, legs = _parse_common(_expect_type(text, "parse_ppg", str), "ppg", dict.fromkeys(
         ("inputs", "outputs", "order"), lambda no, tokens, ids: _edge_list(no, tokens[1:], ids)))
     graph = validate_progressive(DirectedMultigraph(edges))
     for v, (_, _, no, key) in legs.items():
-        if v not in graph.vertices:
+        if v not in graph.graph._in:
             raise ParseError(no, f"unknown vertex {v!r}")
         if v not in graph.internal_vertices:
             raise ParseError(no, f"vertex {v!r} is on the boundary and takes no {key} line")
@@ -227,19 +232,21 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
 
 
 def parse_stg(text: str) -> StGraph:
-    edges, found, legs = _parse_common(text, "stg", dict.fromkeys(("source", "sink"), _one_vertex))
+    edges, found, legs = _parse_common(_expect_type(text, "parse_stg", str), "stg",
+                                       dict.fromkeys(("source", "sink"), _one_vertex))
     if "source" not in found or "sink" not in found:
         raise ParseError(len(text.splitlines()) or 1,
                          "stg files need source and sink lines")
     graph = DirectedMultigraph(edges)
     for v, (_, _, no, _) in legs.items():
-        if v not in graph.vertices:
+        if v not in graph._in:
             raise ParseError(no, f"unknown vertex {v!r}")
     rotation = {v: (i or (), o or ()) for v, (i, o, _, _) in legs.items()}
     return StGraph(graph, found["source"][1], found["sink"][1], rotation or None)
 
 
 def emit_stg(st: StGraph) -> str:
+    _expect_type(st, "emit_stg", StGraph)
     out = ["stg 1"]
     for e in st.graph.edges:
         out.append(f"edge {e.id} {e.src} {e.dst}")

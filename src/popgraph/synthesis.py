@@ -82,7 +82,7 @@ from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph
 from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
-                     UnknownVertex)
+                     UnknownVertex, _expect_type)
 from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
                     validate_planar_order)
 
@@ -153,7 +153,7 @@ class PAGraph:
     def __init__(self, graph: ProgressiveGraph,
                  vertex_orders: Mapping[str, VertexOrder | tuple],
                  anchor: Anchor | tuple):
-        self.graph = graph
+        self.graph = _expect_type(graph, "PAGraph", ProgressiveGraph)
         # an anchor is required here: a missing one has no sides
         self.vertex_orders, self.anchor = _check_local_data(
             graph, vertex_orders, () if anchor is None else anchor)
@@ -250,12 +250,16 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
     """
     if e1 == e2:
         raise PpgError("compare_edges requires two distinct edges")
-    ix = pa.graph._eix
+    try:
+        ix, rows = pa.graph._eix, pa._rows
+    except AttributeError:  # checked only here, off the path of m^2/2 calls
+        _expect_type(pa, "compare_edges", PAGraph)
+        raise
     try:
         i, j = ix[e1], ix[e2]
     except (KeyError, TypeError):  # an unknown id, or one that cannot be hashed
         raise UnknownEdge(e2 if e1 in pa.graph.edge_ids else e1) from None
-    reach, reached, windows, anc, below, names, legs = pa._rows
+    reach, reached, windows, anc, below, names, legs = rows
     r1, r2 = reach[i], reach[j]
     if r1 >> j & 1:
         return _LESS
@@ -380,7 +384,7 @@ def synthesize_order(pa: PAGraph) -> PlanarOrder:
     any failure, cyclic comparisons included, raises NoConsistentOrder
     naming witnesses: the first SHOWN, and the total.
     """
-    _refuse_both_ways(pa)
+    _refuse_both_ways(_expect_type(pa, "synthesize_order", PAGraph))
     g = pa.graph
     ids = g.edge_ids
     witnesses: list[str] = []
@@ -429,7 +433,7 @@ def _local_data(pop: POPGraph) -> tuple[dict[str, VertexOrder], Anchor]:
 
 def extract_pa(pop: POPGraph) -> PAGraph:
     """Read the vertex orders and anchors off a planar order, checked."""
-    return PAGraph(pop.graph, *_local_data(pop))
+    return PAGraph(_expect_type(pop, "extract_pa", POPGraph).graph, *_local_data(pop))
 
 
 class EnumerationResult(NamedTuple):
@@ -545,7 +549,8 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
     truncated; a negative ``limit`` raises PpgError.
     """
     orders: list[PlanarOrder] = []
-    truncated = _list_orders(g, limit, force, orders.append)
+    truncated = _list_orders(_expect_type(g, "enumerate_planar_orders", ProgressiveGraph),
+                             limit, force, orders.append)
     return EnumerationResult(tuple(orders), truncated)
 
 
@@ -564,7 +569,7 @@ def count_planar_orders(g: ProgressiveGraph, *, force: bool = False) -> int:
     branches that reach it stop there.  Unless forced, remembering more than
     ``_STATES`` placed sets raises TooLarge.
     """
-    moves, ready, bound = _start(g, force)
+    moves, ready, bound = _start(_expect_type(g, "count_planar_orders", ProgressiveGraph), force)
     memo: dict[int, int] = {}
     # placed, ready, ready edges still to try, completions, the forced
     # placed sets that led to it

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import popgraph as pg
+from popgraph.build import _row
 from popgraph.core import _fresh
 from popgraph.layout import Point
 from popgraph.order import _expect_permutation, _members
@@ -566,3 +567,68 @@ def spider_layer_with_outputs(rng: random.Random, tag: str, m: int) -> pg.POPGra
         bare()
     g = pg.ProgressiveGraph(pg.DirectedMultigraph(edges))
     return pg.validate_planar_order(g, [e.id for e in edges])
+
+
+def random_single_spider_layer(rng: random.Random, tag: str,
+                               n_inputs: int | None = None) -> pg.POPGraph:
+    """A random layer with exactly one internal vertex (rest bare edges),
+    named like ``pg.random_elementary_layer``: its row stops drawing
+    spiders after the first, and one is put in when none was drawn."""
+    remaining = n_inputs if n_inputs is not None else rng.randint(1, 6)
+    blocks: list[tuple[int, int]] = []  # (p, q); p == 0 marks a bare edge
+    while remaining > 0:
+        if not any(p for p, _ in blocks) and rng.random() < 0.6:
+            p = rng.randint(1, min(3, remaining))
+            blocks.append((p, rng.randint(1, 3)))
+            remaining -= p
+        else:
+            blocks.append((0, 0))
+            remaining -= 1
+    if not any(p for p, _ in blocks):
+        # the spider consumes p inputs, so p - 1 bare blocks go
+        p = rng.randint(1, min(3, len(blocks)))
+        blocks[rng.randrange(len(blocks))] = (p, rng.randint(1, 3))
+        for _ in range(p - 1):
+            blocks.remove((0, 0))
+    return _row(blocks, tag)
+
+
+def is_elementary(g: pg.ProgressiveGraph) -> bool:
+    """True when every connected component has at most one internal vertex:
+    the components are then spiders (one internal vertex and its legs) and
+    bare edges.  Components are found by a plain search over vertices."""
+    nbrs: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for e in g.edges:
+        nbrs[e.src].add(e.dst)
+        nbrs[e.dst].add(e.src)
+    seen: set[str] = set()
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, internal = [start], 0
+        while stack:
+            v = stack.pop()
+            internal += v in g.internal_vertices
+            for w in nbrs[v] - seen:
+                seen.add(w)
+                stack.append(w)
+        if internal > 1:
+            return False
+    return True
+
+
+def isomorphic_by_edges(a, b) -> bool:
+    """Whether two graphs with the same edge ids are isomorphic under the
+    identity on ids: the pairs (vertex of a, vertex of b) that the edges'
+    tails and heads match up are a bijection.  Takes any mix of
+    DirectedMultigraph, ProgressiveGraph and StGraph; every vertex of
+    either is an endpoint, so the pairs cover both vertex sets."""
+    ga, gb = getattr(a, "graph", a), getattr(b, "graph", b)
+    if sorted(ga.edge_ids) != sorted(gb.edge_ids):
+        return False
+    pairs = set()
+    for ea in ga.edges:
+        eb = gb.edge(ea.id)
+        pairs.update(((ea.src, eb.src), (ea.dst, eb.dst)))
+    return len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})

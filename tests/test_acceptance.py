@@ -21,7 +21,8 @@ from contextlib import contextmanager
 import pytest
 
 import popgraph as pg
-from conftest import FIXTURES, perturbed, spider_layer_with_outputs
+from conftest import (FIXTURES, is_elementary, isomorphic_by_edges, perturbed,
+                      random_single_spider_layer, spider_layer_with_outputs)
 
 
 @pytest.fixture
@@ -115,7 +116,7 @@ def test_criterion_04_associativity_and_cancellation(announce):
             if y is None:
                 continue
             same = pg.pop_isomorphic(x, y)
-            down = pg.random_single_spider_layer(
+            down = random_single_spider_layer(
                 rng, f"d{tries}.", n_inputs=len(x.graph.outputs))
             assert pg.pop_isomorphic(pg.compose(x, down),
                                      pg.compose(y, down)) == same, tries
@@ -134,7 +135,7 @@ def test_criterion_05_decomposition_recomposes(announce, canonical):
             d = pg.elementary_decomposition(pop)
             assert len(d.factors) == len(pop.graph.internal_vertices), i
             for f in d.factors:
-                assert pg.is_elementary(f.graph), i
+                assert is_elementary(f.graph), i
                 # the walk orders factors by restriction and never checks the order
                 pg.validate_planar_order(f.graph, f.order.sequence)
                 # each factor is validated like any graph: it has the rows of a fresh one
@@ -196,7 +197,7 @@ def test_criterion_09_apex_round_trip(announce, suite, canonical):
         for name, pop in suite + [("canonical", canonical)]:
             st = pg.hat(pop.graph)
             back = pg.circ(st)
-            assert pg.isomorphic_by_edges(back, pop.graph), name
+            assert isomorphic_by_edges(back, pop.graph), name
         st = pg.hat(canonical.graph)
         assert len(st.graph.vertices) == 8
         assert len(st.graph.edges) == 19

@@ -1,0 +1,145 @@
+"""The public surface: what ``popgraph`` exports, and the type gate at it.
+
+``__all__`` is an explicit list, so a name joins or leaves the package only
+with an edit here too.  Every public callable refuses an int in place of
+its graph, ordered graph, local data, drawing or text with a PpgError,
+never an AttributeError or TypeError from inside.  The callables are
+walked from ``__all__``: one that takes none of these must be named in
+``NOT_GATED``, and a parameter the walk cannot fill fails the test, so a
+new public name cannot pass the gate unseen.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+import types
+
+import pytest
+
+import popgraph as pg
+
+PUBLIC = {
+    "bare_edges", "generator_suite", "random_elementary_layer", "random_pop",
+    "side_by_side", "spider", "theta", "two_level_tree",
+    "ElementaryDecomposition", "compose", "decompose_step",
+    "elementary_decomposition", "glue_table", "pop_isomorphic", "recompose",
+    "DirectedMultigraph", "Edge", "ProgressiveGraph", "StGraph", "circ", "hat",
+    "validate_progressive",
+    "ArityMismatch", "BadBoundaryDegree", "CycleDetected", "DuplicateId",
+    "InvalidPlanarOrder", "NoConsistentOrder", "NoInternalVertex",
+    "NotAPermutation", "NotConjugate", "ParseError", "PpgError",
+    "ReservedVertexName", "TooLarge", "UnknownEdge", "UnknownVertex", "UsageError",
+    "Drawing", "DrawingReport", "check_drawing", "layout", "layout_st",
+    "read_back", "render_svg", "render_tikz",
+    "ConjugacyReport", "PlanarOrder", "POPGraph", "check_conjugacy",
+    "conjugate_order", "interval_partition", "order_from_conjugate",
+    "order_violations", "validate_planar_order",
+    "PpgDocument", "emit_ppg", "emit_stg", "parse_ppg", "parse_stg",
+    "Anchor", "Comparison", "EnumerationResult", "PAGraph", "VertexOrder",
+    "compare_edges", "count_planar_orders", "enumerate_planar_orders",
+    "extract_pa", "synthesize_order",
+}
+
+# helpers of the test suite, in tests/conftest.py
+MOVED = ("is_elementary", "isomorphic_by_edges", "random_single_spider_layer")
+
+# plain values (the exceptions are found by type), and builders that take
+# counts, names or a random generator but no graph
+NOT_GATED = {
+    "Anchor", "Comparison", "ConjugacyReport", "Drawing", "DrawingReport", "Edge",
+    "EnumerationResult", "VertexOrder",
+    "bare_edges", "generator_suite", "random_elementary_layer", "random_pop",
+    "spider", "theta", "two_level_tree",
+}
+
+# parameters that are no graph, local data, drawing or text; a relation
+# that is not iterable is a problem check_conjugacy reports, not raises
+NOT_DATA = {"force", "limit", "rel", "up"}
+
+
+def _is_exception(obj) -> bool:
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+GATED = sorted(name for name in pg.__all__ if name not in NOT_GATED
+               and callable(getattr(pg, name)) and not _is_exception(getattr(pg, name)))
+
+CASES = [(name, param) for name in GATED
+         for param in inspect.signature(getattr(pg, name)).parameters
+         if param not in NOT_DATA]
+
+
+@pytest.fixture(scope="module")
+def samples() -> dict[str, dict]:
+    """Valid arguments by parameter name, and per callable the names that
+    mean another type there."""
+    pop = pg.two_level_tree()
+    g = pop.graph
+    pa = pg.extract_pa(pop)
+    st = pg.hat(g)
+    common = {
+        "graph": g, "g": g, "p": g, "pop": pop, "a": pop, "b": pop, "first": pop,
+        "second": pop, "left": pop, "right": pop, "doc": pop, "factors": [pop],
+        "decomposition": pg.elementary_decomposition(pop), "pa": pa,
+        "vertex_orders": pa.vertex_orders, "anchor": pa.anchor, "order": pop.order,
+        "sequence": pop.order.sequence, "edges": g.edges, "d": pg.layout(pop),
+        "st": st, "text": pg.emit_ppg(pop), "rotation": None, "source": "s",
+        "sink": "t", "e1": "1", "e2": "2", "rel": pg.conjugate_order(pop),
+    }
+    return {
+        "": common,
+        "ProgressiveGraph": {"graph": g.graph},
+        "validate_progressive": {"graph": g.graph},
+        "StGraph": {"graph": st.graph},
+        "parse_stg": {"text": pg.emit_stg(st)},
+        "glue_table": {"second": pg.bare_edges(len(g.outputs))},
+    }
+
+
+def call(samples: dict[str, dict], name: str, given: str | None = None):
+    """``pg.<name>`` on valid arguments, except an int for parameter ``given``."""
+    fn = getattr(pg, name)
+    values = {**samples[""], **samples.get(name, {})}
+    args, kwargs = [], {}
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.VAR_POSITIONAL:
+            args += [5] if p.name == given else values[p.name]
+        elif p.name == given:
+            kwargs[p.name] = 5
+        elif p.default is p.empty:
+            kwargs[p.name] = values[p.name]
+    return fn(*args, **kwargs)
+
+
+def test_all_is_the_public_surface():
+    assert len(pg.__all__) == len(set(pg.__all__)) == len(PUBLIC) == 70
+    assert set(pg.__all__) == PUBLIC
+    for name in pg.__all__:
+        obj = getattr(pg, name)
+        assert not isinstance(obj, (types.ModuleType, __future__._Feature)), name
+
+
+def test_test_helpers_left_the_package():
+    for name in MOVED:
+        assert not hasattr(pg, name), name
+    assert "spider_slots" not in inspect.signature(pg.random_elementary_layer).parameters
+
+
+def test_every_public_callable_is_gated_or_named():
+    assert NOT_GATED <= set(pg.__all__)
+    for name in pg.__all__:
+        assert callable(getattr(pg, name)), name
+    for name in GATED:
+        assert any(n == name for n, _ in CASES), f"{name} takes no graph, data or text"
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_valid_arguments_are_accepted(samples, name):
+    call(samples, name)
+
+
+@pytest.mark.parametrize("name, param", CASES, ids=[f"{n}-{p}" for n, p in CASES])
+def test_an_int_is_refused_with_a_ppg_error(samples, name, param):
+    with pytest.raises(pg.PpgError):
+        call(samples, name, param)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import popgraph as pg
-from conftest import FIXTURES, compose_fold, perturbed, recipe_graph, spider_layer_with_outputs
+from conftest import (FIXTURES, compose_fold, is_elementary, perturbed,
+                      random_single_spider_layer, recipe_graph, spider_layer_with_outputs)
 
 
 class TestCompose:
@@ -122,22 +123,34 @@ class TestComposeMany:
 
 
 class TestIsElementary:
+    # is_elementary and random_single_spider_layer are helpers of the
+    # suite (tests/conftest.py); these keep them honest
+
+    def test_single_spider_layers(self):
+        rng = random.Random(4)
+        for k in range(200):
+            n = rng.choice((None, rng.randint(1, 9)))
+            layer = random_single_spider_layer(rng, f"t{k}.", n_inputs=n)
+            assert len(layer.graph.internal_vertices) == 1, k
+            assert n is None or len(layer.graph.inputs) == n, k
+            assert is_elementary(layer.graph), k
+
     def test_layers_are_elementary(self, layers):
         for f in layers:
-            assert pg.is_elementary(f.graph)
+            assert is_elementary(f.graph)
 
     def test_canonical_is_not(self, canonical):
-        assert not pg.is_elementary(canonical.graph)
+        assert not is_elementary(canonical.graph)
 
     def test_two_spiders_one_component(self):
-        assert not pg.is_elementary(pg.two_level_tree().graph)
+        assert not is_elementary(pg.two_level_tree().graph)
 
     def test_two_spiders_two_components(self):
         g = pg.side_by_side(pg.spider(2, 1), pg.spider(1, 2))
-        assert pg.is_elementary(g.graph)
+        assert is_elementary(g.graph)
 
     def test_bares_are_elementary(self):
-        assert pg.is_elementary(pg.bare_edges(4).graph)
+        assert is_elementary(pg.bare_edges(4).graph)
 
 
 class TestDecompose:
@@ -180,7 +193,7 @@ class TestDecompose:
         d = pg.elementary_decomposition(canonical)
         assert len(d.factors) == len(canonical.graph.internal_vertices) == 6
         for f in d.factors:
-            assert pg.is_elementary(f.graph)
+            assert is_elementary(f.graph)
             assert len(f.graph.internal_vertices) == 1
             pg.validate_planar_order(f.graph, f.order.sequence)
 
@@ -240,7 +253,7 @@ class TestDecompose:
         d = pg.elementary_decomposition(pop)
         assert len(d.factors) == 1199
         for f in d.factors:
-            assert pg.is_elementary(f.graph)
+            assert is_elementary(f.graph)
             assert len(f.graph.internal_vertices) == 1
             pg.validate_planar_order(f.graph, f.order.sequence)
         for pairs in d.interfaces:
@@ -261,8 +274,8 @@ class TestCancellation:
             h = spider_layer_with_outputs(rng, f"h{tries}.", len(x.graph.inputs))
             hx, hy = pg.compose(h, x), pg.compose(h, y)
             assert pg.pop_isomorphic(hx, hy) == pg.pop_isomorphic(x, y), tries
-            g = pg.random_single_spider_layer(rng, f"g{tries}.",
-                                              n_inputs=len(x.graph.outputs))
+            g = random_single_spider_layer(rng, f"g{tries}.",
+                                           n_inputs=len(x.graph.outputs))
             xg, yg = pg.compose(x, g), pg.compose(y, g)
             assert pg.pop_isomorphic(xg, yg) == pg.pop_isomorphic(x, y), tries
             done += 1
@@ -271,5 +284,5 @@ class TestCancellation:
     def test_identical_factors_compose_identically(self):
         rng = random.Random(7)
         x = pg.random_pop(rng, tag="a.")
-        h = pg.random_single_spider_layer(rng, "h.", n_inputs=len(x.graph.outputs))
+        h = random_single_spider_layer(rng, "h.", n_inputs=len(x.graph.outputs))
         assert pg.pop_isomorphic(pg.compose(x, h), pg.compose(x, h))
