@@ -21,7 +21,7 @@ from .composition import elementary_decomposition, recompose
 from .core import circ, hat
 from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
-from .order import conjugate_order
+from .order import _pairs, _ranked
 from .ppgfile import emit_ppg, emit_stg, parse_ppg, parse_stg
 from .synthesis import _list_orders, count_planar_orders, synthesize_order
 
@@ -170,9 +170,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_conjugate(args) -> int:
     pop = parse_ppg(_read(args.file)).pop()
-    rank = pop.order.rank
-    for a, b in sorted(conjugate_order(pop), key=lambda p: (rank(p[0]), rank(p[1]))):
-        print(f"{a} {b}")
+    seq = pop.order.sequence
+    # the conjugate rows by rank yield the pairs sorted by the ranks of both ends
+    sys.stdout.writelines(f"{a} {b}\n" for a, b in _pairs(seq, _ranked(pop.graph, seq)[1]))
     return 0
 
 

@@ -409,16 +409,38 @@ def _boundary_ys(d: Drawing) -> tuple[bool, Fraction, Fraction]:
     return down, y_in, y_out
 
 
+# the fields the checks and renderers read, with the types they take
+_FIELDS = (("flow", (str,)), ("box", (tuple,)), ("vertices", (dict,)), ("routes", (dict,)),
+           ("inputs", (tuple,)), ("outputs", (tuple,)), ("st", (bool,)),
+           ("source", (str, type(None))), ("sink", (str, type(None))))
+
 # below this magnitude a renderer's floats (coordinates scaled, offset and
 # squared in an arrow) stay finite
 _RENDER_BOUND = 10 ** 100
 
 
-def _require_coordinates(d: Drawing, render: bool = False) -> None:
-    """Raise PpgError naming the first route, vertex or box with a point
-    that is not an (x, y) tuple, a coordinate that is not an int or a
-    ``Fraction`` (every check here is exact), or, for a renderer, a
-    coordinate of magnitude ``_RENDER_BOUND`` or more."""
+def _require_coordinates(d: Drawing, render: bool = False, routes: bool = False) -> None:
+    """Raise PpgError, in this order, naming the first field of another type
+    than its annotation (an O(1) check each; ``flow`` is "down" or "up"),
+    the first route that is not a tuple or, with ``routes``, has fewer than
+    two points, then the first route, vertex or box with a point that is
+    not an (x, y) tuple, a coordinate that is not an int or a ``Fraction``
+    (every check here is exact), or, for a renderer, a coordinate of
+    magnitude ``_RENDER_BOUND`` or more."""
+    for field, want in _FIELDS:
+        value = getattr(d, field)
+        if not isinstance(value, want):
+            raise PpgError(f"drawing {field} is of type {type(value).__name__}, not "
+                           + " or ".join(t.__name__ for t in want))
+    if d.flow not in ("down", "up"):
+        raise PpgError("drawing flow is neither 'down' nor 'up'")
+    if len(d.box) != 4:
+        raise PpgError(f"drawing box has {len(d.box)} coordinates, not 4")
+    for e, pts in d.routes.items():
+        if type(pts) is not tuple:
+            raise PpgError(f"route of edge {e} is not a tuple of points")
+        if routes and len(pts) < 2:
+            raise PpgError(f"route of edge {e} has fewer than two points")
     where = [("route of edge", e, pts) for e, pts in d.routes.items()]
     where += [("vertex", v, (p,)) for v, p in d.vertices.items()]
     where.append(("drawing", "box", (d.box[:2], d.box[2:])))
@@ -435,12 +457,6 @@ def _require_coordinates(d: Drawing, render: bool = False) -> None:
                                    else abs(c.numerator) < _RENDER_BOUND * c.denominator):
                     raise PpgError(f"{kind} {name} has a coordinate too large "
                                    f"to render (magnitude 1e100 or more)")
-
-
-def _require_routes(d: Drawing) -> None:
-    for e, pts in d.routes.items():
-        if len(pts) < 2:
-            raise PpgError(f"route of edge {e} has fewer than two points")
 
 
 def _attachment(d: Drawing, e: str, start: bool) -> Point:
@@ -462,8 +478,7 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     route with fewer than two points, or a boundary edge with no route or one
     that does not meet its boundary, raises PpgError.
     """
-    _require_routes(_expect_type(d, "read_back", Drawing))
-    _require_coordinates(d)
+    _require_coordinates(_expect_type(d, "read_back", Drawing), routes=True)
     _, y_in, y_out = _boundary_ys(d)
 
     def boundary_x(e: str, start: bool, y: Fraction) -> Fraction:
@@ -506,8 +521,7 @@ def _fmt(x: Fraction | int | float) -> str:
 def render_svg(d: Drawing) -> str:
     """Self-contained SVG: one path per edge, arrowheads at route midpoints,
     filled circles for vertices, a dashed frame around the banded region."""
-    _require_routes(_expect_type(d, "render_svg", Drawing))
-    _require_coordinates(d, render=True)
+    _require_coordinates(_expect_type(d, "render_svg", Drawing), render=True, routes=True)
     s = 48.0
     pad = 30.0
     ys = {p[1] for pts in d.routes.values() for p in pts}
@@ -556,8 +570,7 @@ def _svg_arrow(pts: tuple[Point, ...], px) -> str:
 
 def render_tikz(d: Drawing) -> str:
     """TikZ picture with the same content; y is mirrored for TikZ's up axis."""
-    _require_routes(_expect_type(d, "render_tikz", Drawing))
-    _require_coordinates(d, render=True)
+    _require_coordinates(_expect_type(d, "render_tikz", Drawing), render=True, routes=True)
     out = [r"\begin{tikzpicture}[x=1.1cm,y=1.1cm,yscale=-1]"]
     out.append(rf"\draw[densely dashed, gray] ({_fmt(d.box[0])},{_fmt(d.box[1])}) "
                rf"rectangle ({_fmt(d.box[2])},{_fmt(d.box[3])});")

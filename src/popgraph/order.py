@@ -22,7 +22,13 @@ The conjugate together with strict reachability relates every unordered
 edge pair exactly once, which the conjugacy check reads off four rows per
 edge.  A relation that does so and is transitive is the conjugate of the
 planar order its union with reachability makes, so the two presentations
-are interchangeable; the chain check serves only orders.  One helper
+are interchangeable.  Both directions run in C-level passes over the
+pairs: the conjugate is written by selecting each row's members with
+``itertools.compress`` (``_pairs``), and a set that is a conjugate is
+accepted by placing each edge by its reach and its out-degree in the set,
+then checking the placement by the chain check and the set by membership
+of the placement's own pairs; only a relation that is no conjugate has
+rows of its own built, to report its problems.  One helper
 counts the intransitive triples of a set of rows and one lists them: the
 count decides a relation and counts the betweenness violations of an order
 the chain check refuses, and a refusal of either again builds the first
@@ -38,8 +44,9 @@ before the first output it reaches.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
-from typing import Iterable
+from itertools import chain, compress, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .core import ProgressiveGraph
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
@@ -172,6 +179,19 @@ def _members(bits: int):
         bits ^= low
 
 
+# the binary digits of bin() as bytes 0 and 1, which compress reads as flags
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pairs(seq: tuple[str, ...], rows: list[int]) -> Iterator[tuple[str, str]]:
+    """The pairs (seq[i], seq[j]) for each j in rows[i], row by row and j
+    ascending.  Each row's binary digits, low bit first, select its members
+    from ``seq`` in one ``compress`` pass, so no bytecode runs per pair."""
+    return chain.from_iterable(
+        zip(repeat(a), compress(seq, bin(row).encode()[:1:-1].translate(_DIGITS)))
+        for a, row in zip(seq, rows) if row)
+
+
 def _ranked(g: ProgressiveGraph, seq: tuple[str, ...]) -> tuple[list[int], list[int]]:
     """Rows over ranks in ``seq``, which must list each edge of g once: per
     rank r, the ranks that edge r reaches (earlier ones break extension), and
@@ -262,10 +282,9 @@ def _witnesses(seq: tuple[str, ...], reach: list[int], conj: list[int]):
     counted by popcounts: the arguments of :class:`InvalidPlanarOrder`, which
     draws only the first SHOWN of each."""
     below = [row & ((1 << r) - 1) for r, row in enumerate(reach)]
-    pairs = ((seq[r], seq[j]) for r, row in enumerate(below) for j in _members(row))
     n_triples, escaping = _intransitive(conj)
     triples = ((seq[i], seq[j], seq[k]) for i, j, k in _triples(conj, escaping))
-    return pairs, triples, sum(map(int.bit_count, below)), n_triples
+    return _pairs(seq, below), triples, sum(map(int.bit_count, below)), n_triples
 
 
 def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
@@ -303,8 +322,7 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
     covers each unordered pair exactly once.
     """
     seq = _expect_type(pop, "conjugate_order", POPGraph).order.sequence
-    _, conj = _ranked(pop.graph, seq)
-    return frozenset((seq[i], seq[j]) for i, row in enumerate(conj) for j in _members(row))
+    return frozenset(_pairs(seq, _ranked(pop.graph, seq)[1]))
 
 
 class ConjugacyReport:
@@ -331,22 +349,23 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[ConjugacyReport, tupl
     """:func:`check_conjugacy`'s report, and when it has no problem the
     planar order whose conjugate ``rel`` is.
 
-    The rows of ``rel`` are built straight from its pairs (a set is read as
-    it is; anything else is copied); only a relation with a member that is
-    not a tuple of two distinct known edges is listed sorted.  The problems
-    are the pairs that ``rel`` and reachability together do not relate
-    exactly once and the intransitive triples of ``rel``, both counted by
-    popcounts of the rows.  A relation with neither is accepted, which is
-    enough: irreflexive, transitive and relating each pair exactly once
-    together with reachability, its union with reachability is a linear
-    order.  (If a <* b and b reaches c, then c <* a would give c <* b, and
-    c reaching a would give b reaching a, each relating a pair twice; so a
-    comes before c, and likewise when a reaches b and b <* c.)  That order
-    extends reachability and its conjugate is ``rel``, which is transitive,
-    so it is planar; each edge takes its place by how many edges it
-    precedes.  A refusal builds the first SHOWN problems: the pairs not
-    related exactly once by index, then the intransitive triples by the ids
-    of their first two edges.
+    A set is read as it is, anything else is copied into one.
+    :func:`_conjugate_of` accepts every conjugate, with no row of ``rel``
+    built.  Any other relation is refused: the rows of ``rel`` are built
+    straight from its pairs, and only a relation with a member that is not
+    a tuple of two distinct known edges is listed sorted.  The problems are
+    the pairs that ``rel`` and reachability together do not relate exactly
+    once and the intransitive triples of ``rel``, both counted by popcounts
+    of the rows.  A relation refused here has at least one: irreflexive,
+    transitive and relating each pair exactly once together with
+    reachability, its union with reachability would be a linear order.  (If
+    a <* b and b reaches c, then c <* a would give c <* b, and c reaching a
+    would give b reaching a, each relating a pair twice; so a comes before
+    c, and likewise when a reaches b and b <* c.)  That order extends
+    reachability and its conjugate is ``rel``, which is transitive, so it
+    would be planar and ``rel`` its conjugate.  The report builds the first
+    SHOWN problems: the pairs not related exactly once by index, then the
+    intransitive triples by the ids of their first two edges.
     """
     ids = g.edge_ids
     ix = g._eix
@@ -360,6 +379,9 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[ConjugacyReport, tupl
             rel = set(rel)
         except TypeError:  # an unhashable member
             return _unknown_or_reflexive(rel, ix), ()
+    seq = _conjugate_of(g, rel)
+    if seq is not None:
+        return ConjugacyReport(()), seq
     if not all(map(isinstance, rel, repeat(tuple))):  # only a tuple is a pair
         return _unknown_or_reflexive(rel, ix), ()
     out, into = [0] * len(ids), [0] * len(ids)
@@ -377,18 +399,44 @@ def _conjugacy_problems(g: ProgressiveGraph, rel) -> tuple[ConjugacyReport, tupl
     bad = [(~((r | c) ^ (rt | ct)) | r & c | rt & ct) & ((1 << len(ids)) - (2 << i))
            for i, (r, rt, c, ct) in enumerate(rows)]
     n_triples, escaping = _intransitive(out)
-    if not n_triples and not any(bad):
-        # place each edge by how many edges it precedes, most first
-        seq = [""] * len(ids)
-        for e, (r, _, c, _) in zip(ids, rows):
-            seq[~(r | c).bit_count()] = e
-        return ConjugacyReport(()), tuple(seq)
     pairs = (f"pair ({ids[i]}, {ids[j]}) is related "
              f"{sum(x >> j & 1 for x in rows[i])} times, expected exactly once"
              for i, row in enumerate(bad) for j in _members(row))
     triples = (f"({ids[i]}, {ids[j]}) and ({ids[j]}, {ids[k]}) without ({ids[i]}, {ids[k]})"
                for i, j, k in _triples(out, escaping, ids.__getitem__))
     return ConjugacyReport(chain(pairs, triples), sum(map(int.bit_count, bad)) + n_triples), ()
+
+
+def _conjugate_of(g: ProgressiveGraph, rel: set | frozenset) -> tuple[str, ...] | None:
+    """The planar order whose conjugate the set ``rel`` is, read off in
+    C-level passes over its pairs; None when ``rel`` is no conjugate.
+
+    The edges after e in such an order are those e reaches and those it
+    precedes in ``rel``, so e takes its place by how many there are: the
+    out-degrees in ``rel`` are counted by their first members.  The
+    placement must be a permutation that passes the chain check, and
+    ``rel`` must hold exactly its conjugate pairs, as many of them and each
+    one found by membership; then ``rel`` is the conjugate of a planar
+    order, which it determines.  Every conjugate passes, since it places
+    each edge where its order does.
+    """
+    m = len(g.edge_ids)
+    if len(rel) != m * (m - 1) // 2 - sum(map(int.bit_count, g._ereach)):
+        return None
+    try:
+        outdeg = Counter(map(itemgetter(0), rel))
+    except (TypeError, IndexError):  # a member that is no pair
+        return None
+    seq = [None] * m
+    for e, row in zip(g.edge_ids, g._ereach):
+        k = row.bit_count() + outdeg[e]
+        if k >= m or seq[~k] is not None:
+            return None
+        seq[~k] = e
+    reach, conj = _ranked(g, seq)
+    if _chains_hold(reach, conj) and rel.issuperset(_pairs(seq, conj)):
+        return tuple(seq)
+    return None
 
 
 def _unknown_or_reflexive(rel, ix: dict[str, int]) -> ConjugacyReport:

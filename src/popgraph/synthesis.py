@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from itertools import count, islice
+from itertools import islice
 from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph
@@ -112,14 +112,18 @@ def _sides(value, vertex: str | None = None) -> tuple[tuple, tuple]:
 
 def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, VertexOrder | tuple],
                       anchor: Anchor | tuple | None
-                      ) -> tuple[dict[str, VertexOrder], Anchor | None]:
+                      ) -> tuple[dict[str, VertexOrder], Anchor | None, list[dict[str, int]]]:
     """Check whatever local data is given (no anchor, partial vertex orders):
     each has two sides, and each side is a permutation of its boundary or of
-    an internal vertex's legs.  Returns the data as tuples."""
+    an internal vertex's legs.  Returns the data as tuples, and the position
+    of each edge in the head-side lists, which :func:`_refuse_both_ways`
+    reads: the outputs first when there is an anchor, then the in-legs of
+    each vertex in the order of the returned vertex orders."""
+    heads = []
     if anchor is not None:
         anchor = Anchor(*_sides(anchor))
         _expect_permutation(anchor.inputs, graph.inputs)
-        _expect_permutation(anchor.outputs, graph.outputs)
+        heads.append(_expect_permutation(anchor.outputs, graph.outputs))
     if not isinstance(vertex_orders, Mapping):
         raise PpgError("vertex orders must be a mapping from internal vertex to its "
                        f"order, not {type(vertex_orders).__name__}")
@@ -128,9 +132,9 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
         if v not in graph.internal_vertices:
             raise UnknownVertex(v)
         orders[v] = vo = VertexOrder(*_sides(vo, v))
-        _expect_permutation(vo.incoming, (e.id for e in graph.in_edges(v)))
+        heads.append(_expect_permutation(vo.incoming, (e.id for e in graph.in_edges(v))))
         _expect_permutation(vo.outgoing, (e.id for e in graph.out_edges(v)))
-    return orders, anchor
+    return orders, anchor, heads
 
 
 class _Rows(NamedTuple):
@@ -155,7 +159,7 @@ class PAGraph:
                  anchor: Anchor | tuple):
         self.graph = _expect_type(graph, "PAGraph", ProgressiveGraph)
         # an anchor is required here: a missing one has no sides
-        self.vertex_orders, self.anchor = _check_local_data(
+        self.vertex_orders, self.anchor, self._head_positions = _check_local_data(
             graph, vertex_orders, () if anchor is None else anchor)
         missing = graph.internal_vertices.difference(self.vertex_orders)
         if missing:
@@ -334,14 +338,14 @@ def _refuse_both_ways(pa: PAGraph) -> None:
     of its left edge, then of its right one; only the first SHOWN are built.
     """
     ix = pa.graph._eix
-    orders, (inputs, outputs) = pa.vertex_orders, pa.anchor
+    orders, inputs = pa.vertex_orders, pa.anchor.inputs
     names = (None, *orders)
     # per edge, its head-side list (0 for the outputs, j for the in-legs of
-    # names[j]) and its position there
-    side, at = dict.fromkeys(outputs, 0), dict(zip(outputs, count()))
-    for j, vo in enumerate(orders.values(), 1):
-        side.update(dict.fromkeys(vo.incoming, j))
-        at.update(zip(vo.incoming, count()))
+    # names[j]) and its position there, as the local data check found it
+    side, at = {}, {}
+    for j, position in enumerate(pa._head_positions):
+        side.update(dict.fromkeys(position, j))
+        at.update(position)
     total, bad = 0, []  # bad: the left edges of reversed pairs, with their group
     for j, legs in enumerate((inputs, *(vo.outgoing for vo in orders.values()))):
         heads = [side[e] for e in legs]

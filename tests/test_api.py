@@ -3,7 +3,9 @@
 ``__all__`` is an explicit list, so a name joins or leaves the package only
 with an edit here too.  Every public callable refuses an int in place of
 its graph, ordered graph, local data, drawing or text with a PpgError,
-never an AttributeError or TypeError from inside.  The callables are
+never an AttributeError or TypeError from inside; so do the drawing
+checker, ``read_back`` and the renderers for a drawing with an int in any
+one field they read, or a flow that is neither down nor up.  The callables are
 walked from ``__all__``: one that takes none of these must be named in
 ``NOT_GATED``, and a parameter the walk cannot fill fails the test, so a
 new public name cannot pass the gate unseen.
@@ -12,6 +14,7 @@ new public name cannot pass the gate unseen.
 from __future__ import annotations
 
 import __future__
+import dataclasses
 import inspect
 import types
 
@@ -143,3 +146,20 @@ def test_valid_arguments_are_accepted(samples, name):
 def test_an_int_is_refused_with_a_ppg_error(samples, name, param):
     with pytest.raises(pg.PpgError):
         call(samples, name, param)
+
+
+# the fields of a Drawing that the checker, read_back or a renderer reads
+DRAWING_FIELDS = ("flow", "box", "vertices", "routes", "inputs", "outputs", "st",
+                  "source", "sink")
+
+
+@pytest.mark.parametrize("field, value", [(f, 5) for f in DRAWING_FIELDS]
+                         + [("flow", "sideways"), ("box", (0, 0, 1))],
+                         ids=[*DRAWING_FIELDS, "flow-sideways", "box-three"])
+def test_a_drawing_field_of_another_kind_is_refused(samples, field, value):
+    d = dataclasses.replace(samples[""]["d"], **{field: value})
+    g = samples[""]["g"]
+    for check in (pg.check_drawing, pg.render_svg, pg.render_tikz,
+                  lambda d: pg.read_back(d, g)):
+        with pytest.raises(pg.PpgError, match=f"drawing {field} "):
+            check(d)

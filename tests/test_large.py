@@ -11,7 +11,9 @@ Two more refuse a shuffled order of the 40x28 graph and a scrambled
 relation on the 24x20 graph (379 edges), each with millions of witnesses,
 in bounded time: only the first SHOWN witnesses are built, the rest counted.
 Two refuse near misses, one adjacent swap and one flipped pair, with a
-count that follows chains and reads few rows member by member.  Two
+count that follows chains and reads few rows member by member.  The
+conjugate of the 40x28 graph (504 230 pairs) is accepted by membership,
+with no triple counted.  Two
 refuse local data that orders an edge pair both ways before any edge
 comparison: one swapped pair of the 40x28 graph, and 2 000 bare edges
 whose outputs are anchored in reverse (1 999 000 such pairs).  The last
@@ -161,6 +163,22 @@ def test_one_adjacent_swap_is_refused_without_walking_the_rows(pop, monkeypatch)
     assert (err.extension_total, err.betweenness_total) == (1, 0)
     assert err.extension_violations == ((seq[i], seq[i + 1]),)
     assert len(walked) < len(seq)
+
+
+def test_the_conjugate_is_accepted_by_membership(pop, monkeypatch):
+    # each edge is placed by its reach and its out-degree in the relation,
+    # and the relation holds exactly the conjugate pairs of that placement;
+    # the triple count of a refusal never runs
+    rel = pg.conjugate_order(pop)
+    assert len(rel) == 504230
+    calls = []
+    intransitive = popgraph.order._intransitive
+    monkeypatch.setattr(popgraph.order, "_intransitive",
+                        lambda rows: calls.append(1) or intransitive(rows))
+    t0 = time.perf_counter()
+    assert pg.order_from_conjugate(pop.graph, rel) == pop.order
+    assert time.perf_counter() - t0 < 10.0
+    assert not calls
 
 
 def test_one_flipped_pair_keeps_its_total():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgraph as pg
+import popgraph.order
 from popgraph.cli import main
 from popgraph.errors import SHOWN
 from popgraph.order import _chains_hold, _intransitive, _ranked
@@ -377,6 +378,37 @@ class TestConjugate:
             else:
                 refused += 1
         assert accepted > 50 and refused > 50, (accepted, refused)
+
+    def test_a_flipped_adjacent_pair_is_the_swapped_orders_conjugate(self, monkeypatch):
+        # two adjacent edges that neither reaches, swapped: when the swapped
+        # order is planar, the conjugate with their pair flipped is its
+        # conjugate, accepted by membership with no triple counted;
+        # otherwise it is refused; either way as the pair-counting rebuild
+        calls = []
+        intransitive = popgraph.order._intransitive
+        monkeypatch.setattr(popgraph.order, "_intransitive",
+                            lambda rows: calls.append(1) or intransitive(rows))
+        accepted = refused = 0
+        for k in range(60):
+            pop = pg.random_pop(random.Random(3000 + k))
+            g, seq = pop.graph, list(pop.order.sequence)
+            rel = pg.conjugate_order(pop)
+            for i in range(len(seq) - 1):
+                a, b = seq[i], seq[i + 1]
+                if (a, b) not in rel:  # a reaches b
+                    continue
+                flipped = rel - {(a, b)} | {(b, a)}
+                swapped = seq[:i] + [b, a] + seq[i + 2:]
+                del calls[:]
+                got = outcome(pg.order_from_conjugate, g, flipped)
+                if slow_planar(g, swapped):
+                    assert got == pg.PlanarOrder(swapped) and not calls, (k, i)
+                    accepted += 1
+                else:
+                    assert not isinstance(got, pg.PlanarOrder), (k, i)
+                    refused += 1
+                assert got == outcome(order_from_conjugate_scan, g, flipped), (k, i)
+        assert accepted > 200 and refused > 100, (accepted, refused)
 
     @pytest.mark.parametrize("value", [5, None], ids=["int", "none"])
     def test_a_value_that_is_not_iterable_is_one_problem(self, value):
