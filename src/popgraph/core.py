@@ -45,12 +45,13 @@ class DirectedMultigraph:
     """Edge-labelled directed multigraph.
 
     Vertices are inferred from edge endpoints, so none is isolated.  Edge ids
-    must be unique, and an edge that is not an (id, src, dst) triple of
-    hashable names raises PpgError naming it.  Declaration order of edges is
-    preserved for presentation (``edges``, ``in_edges``, ``out_edges``) but
-    is not part of the value: two graphs are equal when they have the same
-    vertex set and the same set of edges.  The incoming and outgoing edges of
-    every vertex are indexed once, at construction.
+    must be unique strings, and an edge that is not an (id, src, dst) triple
+    of hashable names, or whose id is no string, raises PpgError naming it.
+    Declaration order of edges is preserved for presentation (``edges``,
+    ``in_edges``, ``out_edges``) but is not part of the value: two graphs
+    are equal when they have the same vertex set and the same set of edges.
+    The incoming and outgoing edges of every vertex are indexed once, at
+    construction.
     """
 
     def __init__(self, edges: Iterable[Edge | tuple[str, str, str]]):
@@ -63,6 +64,11 @@ class DirectedMultigraph:
                 v for e in self.edges for v in (e.src, e.dst)))
         except TypeError:
             raise _malformed(edges) from None
+        try:
+            "".join(self._by_id)  # in one C pass: every id is a string
+        except TypeError:
+            bad = next(e for e in self._by_id if not isinstance(e, str))
+            raise PpgError(f"edge id {bad!r} is not a string") from None
         if len(self._by_id) != len(self.edges):
             seen: set[str] = set()
             for e in self.edges:

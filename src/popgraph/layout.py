@@ -11,10 +11,7 @@ legs form a contiguous block of its order, routing the legs to a vertex
 centroid and everything else straight across keeps the drawing planar.
 All coordinates are exact: points on the crossing lines are plain ints, and
 only the vertices (x at the centroid of their legs, y halfway between two
-lines) and the st apexes carry a ``Fraction``.  The crossing checker reads
-each point once as ints over a common denominator and decides on ints; it
-builds a ``Fraction`` only where a segment crosses a line at an x that is
-not an int.
+lines) and the st apexes carry a ``Fraction``.
 
 Each variant, either flow with or without the st apexes, is placed in one
 pass: flowing up puts line k at y = K - k in place of k, and the apexes are
@@ -23,25 +20,35 @@ from another.
 
 ``check_drawing`` verifies monotonicity, boundary attachment, and that no
 two routes meet except at a vertex where both of them start or end.  It
-sweeps the horizontal strips between the y values of the route points, so
-only the segment pairs that may meet there (their left-to-right order
-changes or ties within a strip, they share an endpoint, or one is
-horizontal) reach the exact intersection test, scaled to the denominators
-of that pair alone; no pair is decided with floats or a tolerance.  The
-checker, ``read_back`` and the renderers refuse a coordinate that is not
-an int or a ``Fraction`` with ``PpgError``, and the renderers one too large
-for their floats.  ``read_back`` recovers the vertex orders and anchors
-from coordinates alone, which ties the picture back to the combinatorics it
-came from.
+reads each point once, as the ints (X, Y, W) with x = X/W and y = Y/W (a
+point of two ints as itself, any other once per call, memoized by the
+point object), and every test after that is on ints: the route points'
+lines, the monotone and boundary tests, and a sweep of the horizontal
+strips between the lines, where every x on a line is an int over that
+line's own denominator.  Only the segment pairs that may meet in a strip
+(their left-to-right order changes or ties there, but for two legs
+leaving a vertex apart; they share a point that is no vertex or lies
+inside a route; or one is horizontal) reach the exact intersection test,
+scaled to the denominators of that pair alone.  No pair is decided with
+floats or a tolerance, and no ``Fraction`` is built, compared or hashed
+per segment.  The checker, ``read_back`` and the renderers refuse a
+coordinate that is not an int or a ``Fraction`` with ``PpgError``, and the
+renderers one too large for their floats; a drawing of plain tuples, ints
+and ``Fraction`` objects passes that gate in C-level passes.
+``read_back`` recovers the vertex orders and anchors from coordinates
+alone, keying route ends and vertices by the same ints, which ties the
+picture back to the combinatorics it came from.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
+from itertools import chain, combinations, compress, count, islice, product, repeat
 from math import gcd, lcm, log10
+from operator import and_, attrgetter, eq, ge, gt, itemgetter, le, lt, ne, not_, sub
 
 from .composition import _peel_order
 from .core import ProgressiveGraph, _apexes
@@ -52,6 +59,9 @@ from .synthesis import Anchor, PAGraph, VertexOrder
 # a coordinate is an int on the crossing lines, a Fraction where a
 # denominator can arise (vertex centroids and half-integer y, st apexes)
 Point = tuple[Fraction | int, Fraction | int]
+
+_FIRST, _THIRD = itemgetter(0), itemgetter(2)
+_NUM = attrgetter("numerator")
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,8 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
     return Drawing(
         flow="up" if up else "down",
         box=(line_ys[0], line_ys[0], width, line_ys[-1]),
-        bands=tuple(zip(line_ys[:-1], line_ys[1:])),
+        # a tuple of a list, not of an iterator: see POPGraph.inputs_ordered
+        bands=tuple(list(zip(line_ys[:-1], line_ys[1:]))),
         vertices=vertices,
         routes=routes,
         inputs=pop.inputs_ordered,
@@ -170,150 +181,241 @@ class DrawingReport:
 def check_drawing(d: Drawing) -> DrawingReport:
     """Exact verification: monotone routes, boundary attachment, no crossings.
 
-    Crossings are found by a sweep over horizontal strips, not by testing
-    every pair of segments: see ``_crossings``.  Each candidate pair is
-    decided exactly, on ints, and the problems are listed in
-    the order of a pair scan, route by route, then segment by segment.  Two
-    routes may meet only at a drawn vertex where each of them starts or ends.
+    Every point is read once, as ints (``_read``), and every test is decided
+    on those ints.  Crossings are found by a sweep over horizontal strips,
+    not by testing every pair of segments: see ``_crossings``.  The problems
+    are listed in the order of a pair scan, route by route, then segment by
+    segment.  Two routes may meet only at a drawn vertex where each of them
+    starts or ends.
     """
     _require_coordinates(_expect_type(d, "check_drawing", Drawing))
     problems: list[str] = []
     down, y_in, y_out = _boundary_ys(d)
-    short = {e for e, pts in d.routes.items() if len(pts) < 2}
+    names = list(d.routes)
+    sizes = list(map(len, d.routes.values()))
+    # the points of the routes of two points or more, route by route
+    pts = list(chain.from_iterable(compress(d.routes.values(), map(ge, sizes, repeat(2)))))
+    memo: dict[int, tuple] = {}
+    qs, ys = zip(*_read(pts, memo)) if pts else ((), ())
+    # the lines: the distinct y, in increasing order, as (n, m) with y = n/m
+    lines = [(y, 1) if type(y) is int else y for y in set(ys)]
+    w = lcm(*[m for _, m in lines])
+    lines.sort(key=lambda y: y[0] * (w // y[1]))
+    line = {(n if m == 1 else (n, m)): k for k, (n, m) in enumerate(lines)}
+    ks = list(map(line.__getitem__, ys))
 
-    for e, pts in d.routes.items():
-        if e in short:
+    step = lt if down else gt
+    o = 0
+    for e, n in zip(names, sizes):
+        if n < 2:
             problems.append(f"route {e}: fewer than two points")
             continue
-        for a, b in zip(pts, pts[1:]):
-            if (b[1] > a[1]) != down or b[1] == a[1]:
-                problems.append(f"route {e}: not monotone in the flow direction")
-                break
+        k = ks[o:o + n]
+        if not all(map(step, k, k[1:])):
+            problems.append(f"route {e}: not monotone in the flow direction")
+        o += n
 
+    vertex = dict(zip(d.vertices, map(_FIRST, _read(d.vertices.values(), memo))))
     if d.st:
         problems += [f"apex {v}: not among the vertices"
                      for v in (d.source, d.sink) if v not in d.vertices]
     for start, side, edges, y in ((True, "input", d.inputs, y_in),
                                   (False, "output", d.outputs, y_out)):
         verb, kind, apex = ("start", "source", d.source) if start else ("end", "sink", d.sink)
+        y = _y_of(y)
         for e in edges:
             if e not in d.routes:
                 problems.append(f"{side} {e}: has no route")
-            elif e in short:
+            elif len(d.routes[e]) < 2:
                 continue
-            elif d.st and d.routes[e][0 if start else -1] != d.vertices.get(apex):
+            elif d.st and (_read([d.routes[e][0 if start else -1]], memo)[0][0]
+                           != vertex.get(apex)):
                 problems.append(f"{side} {e}: does not {verb} at the {kind} apex")
-            elif _attachment(d, e, start)[1] != y:
+            elif _read([_attachment(d, e, start)], memo)[0][1] != y:
                 problems.append(f"{side} {e}: does not "
                                 f"{'meet' if d.st else verb + ' on'} the {side} boundary")
 
-    problems += _crossings(d)
+    allowed = set(vertex.values())
+    problems += _crossings(names, sizes, qs, ks, lines, allowed)
     return DrawingReport(not problems, tuple(problems))
 
 
-def _crossings(d: Drawing) -> list[str]:
+def _read(points, memo: dict[int, tuple]) -> list[tuple[tuple[int, int, int], int | tuple]]:
+    """Each point as its ``_ints`` triple and its y as ``_y_of`` gives it,
+    so that equal points read alike whatever the types of their
+    coordinates.  A point of two ints is its own reading; any other is read
+    once per ``memo``, keyed by the point object, which the caller keeps
+    alive.  No coordinate is hashed or compared."""
+    out = []
+    for p in points:
+        x, y = p
+        if type(x) is int and type(y) is int:
+            out.append(((x, y, 1), y))
+            continue
+        r = memo.get(id(p))
+        if r is None:
+            r = memo[id(p)] = _ints(p), _y_of(y)
+        out.append(r)
+    return out
+
+
+def _y_of(y: Fraction | int) -> int | tuple[int, int]:
+    """y as an int, or as (n, m) with y = n/m in lowest terms and m > 1."""
+    n, m = y.numerator, y.denominator
+    return n if m == 1 else (n, m)
+
+
+def _crossings(names: list[str], sizes: list[int], qs: tuple[tuple[int, int, int], ...],
+               ks: list[int], lines: list[tuple[int, int]],
+               allowed: set[tuple[int, int, int]]) -> list[str]:
     """One problem per pair of segments on distinct routes that meet, other
     than at a drawn vertex where both routes start or end.
 
-    The plane is cut into strips between consecutive distinct y values of
-    the segment endpoints; inside a strip every segment that is not
-    horizontal runs straight from the top line to the bottom line.  Two
-    segments can meet only if (a) in some strip their order by x changes
-    between the top and the bottom line, or ties at either line, (b) they
-    share an endpoint, which covers two segments meeting at one point from
-    opposite sides of a line, or (c) one is horizontal (a single point
-    included) and the other's closed y-range holds its y.  Only those
-    candidates reach the exact test ``_meet``.  Sorting a strip by (top x,
-    bottom x descending) and inserting each segment by bottom x past every
-    earlier one at or right of it lists every pair of (a), at a cost of the
-    pairs listed.
+    ``qs`` and ``ks`` give, per point of the routes whose ``sizes`` are two
+    or more, route by route, its ``_ints`` triple and its line: the index of
+    its y in ``lines``, the distinct y as (n, m) with y = n/m, increasing.
+    ``allowed`` holds the triples of the vertices.
 
-    Exactness is kept on ints: every point is read once as ``(X, Y, W)``
-    with ``x = X/W`` and ``y = Y/W`` (``_ints``), the lines, the shared-end
-    index and the allowed vertices are keyed by ints, an x on a line is an
-    int unless the division leaves a remainder (only then a ``Fraction``),
-    and each candidate pair is scaled to the lcm of its own four ``W``, so
-    the cost of a pair never depends on the rest of the drawing.
+    The plane is cut into strips between consecutive lines; inside a strip
+    every segment that is not horizontal runs straight from the top line to
+    the bottom line.  Two segments can meet only if (a) in some strip their
+    order by x changes between the top and the bottom line, or ties at
+    either line, (b) they share an endpoint, which covers two segments
+    meeting at one point from opposite sides of a line, or (c) one is
+    horizontal (a single point included) and the other's closed y-range
+    holds its y.  Only those candidates reach the exact test ``_meet``.
+    Sorting a strip by (top x, bottom x descending) and inserting each
+    segment by bottom x past every earlier one at or right of it lists every
+    pair of (a), at a cost of the pairs listed.
+
+    Two legs of a vertex, on routes that start or end there, meet only
+    there, which is allowed, unless they run along one ray.  So (b) lists
+    only the segments at a point that is no vertex or lies inside a route:
+    legs on one side of a vertex tie in (a), and legs on opposite sides meet
+    only at it.  And at a free point, a vertex where every segment meeting
+    its spot is such a leg, a leg's x counts as (x, its x at the strip's
+    other line): the tie breaks the way the legs leave the vertex, and (a)
+    lists two legs only when they share a ray.  A strip whose order at the
+    bottom line is its order at the top is not swept at all; in a clean
+    layout no strip is swept and no pair is listed.
+
+    Exactness is kept on ints.  On line k every x is an int over
+    ``scale[k]``, the lcm of the denominators of the x on that line alone,
+    so strips sort on ints, and each candidate pair is scaled to the lcm of
+    its own four ``W``: the cost of a pair never depends on the rest of the
+    drawing.
     """
-    names = list(d.routes)
-    allowed = {_ints(p) for p in d.vertices.values()}
-    segs = []  # route index, both ends, both ends as ints
-    ends = []  # per route, its first and last point as ints
-    for i, pts in enumerate(d.routes.values()):
-        qs = [_ints(p) for p in pts]
-        segs += [(i, a, b, qa, qb) for a, b, qa, qb in zip(pts, pts[1:], qs, qs[1:])]
-        ends.append(qs[:1] + qs[-1:])
-    # the distinct y as (numerator, denominator), in the order of n/m
-    ys = sorted({(p[1].numerator, p[1].denominator) for _, a, b, _, _ in segs for p in (a, b)},
-                key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
-    line = {y: k for k, y in enumerate(ys)}
-    strips: list[list[int]] = [[] for _ in ys]  # strip k lies between ys[k] and ys[k + 1]
-    flat: dict[int, list[int]] = {}
-    at: dict[tuple[int, int, int], list[int]] = {}
-    spans = []  # per segment: line lo, x key and ints of its end there, same at hi >= lo
-    for g, (_, a, b, qa, qb) in enumerate(segs):
-        at.setdefault(qa, []).append(g)
-        if qb != qa:
-            at.setdefault(qb, []).append(g)
-        ka = line[a[1].numerator, a[1].denominator]
-        kb = line[b[1].numerator, b[1].denominator]
-        ea, eb = (ka, _key(a[0]), qa), (kb, _key(b[0]), qb)
-        spans.append(ea + eb if ka <= kb else eb + ea)
-        lo, hi = spans[g][0], spans[g][3]
-        if lo == hi:
-            flat.setdefault(lo, []).append(g)
-        for k in range(lo, hi):
+    # segment g runs from point a to point a + 1 of one route
+    first, edge = [True] * len(qs), [False] * len(qs)
+    route, ends = [], {}
+    o = 0
+    for i, n in enumerate(sizes):
+        if n >= 2:
+            first[o + n - 1] = False
+            edge[o] = edge[o + n - 1] = True
+            route += [i] * (n - 1)
+            ends[i] = qs[o], qs[o + n - 1]
+            o += n
+    qa, qb = list(compress(qs, first)), list(compress(qs[1:], first))
+    ka, kb = list(compress(ks, first)), list(compress(ks[1:], first))
+
+    # the x of a segment on each line it crosses between its ends, and each
+    # line's scale
+    scale = [1] * len(lines)
+    for k, w in set(zip(ks, map(_THIRD, qs))):
+        scale[k] = lcm(scale[k], w)
+    inner = []  # (segment, line, numerator, denominator)
+    for g, p, q, lo, hi in compress(zip(count(), qa, qb, ka, kb),
+                                    map(gt, map(abs, map(sub, kb, ka)), repeat(1))):
+        if lo > hi:
+            p, q, lo, hi = q, p, hi, lo
+        (xp, yp, wp), (xq, yq, wq) = p, q
+        for k in range(lo + 1, hi):
+            # x = (xp (yq - y) + xq (y - yp)) / (yq - yp) at y = n/m, on ints
+            n, m = lines[k]
+            den = m * (yq * wp - yp * wq)
+            inner.append((g, k, xp * (yq * m - n * wq) + xq * (n * wp - yp * m), den))
+            scale[k] = lcm(scale[k], den)
+    keys = [x * (scale[k] // w) for (x, _, w), k in zip(qs, ks)]
+    inner = [(g, k, num * (scale[k] // den), False) for g, k, num, den in inner]
+
+    # the free points: ends of routes at a vertex, with no other point or
+    # crossing on their spot
+    ok = list(map(and_, edge, map(allowed.__contains__, qs)))
+    taken = set(compress(zip(ks, keys), ok)).intersection(
+        chain(compress(zip(ks, keys), map(not_, ok)), ((k, x) for _, k, x, _ in inner)))
+    free = (list(map(and_, ok, map(not_, map(taken.__contains__, zip(ks, keys)))))
+            if taken else ok)
+
+    # every point where a segment meets a line, as (segment, line, x, free),
+    # and per strip its segments as (strip, top x, tie, -bottom x, tie,
+    # segment): a tie is 0 but at a free point, where it is the x at the
+    # other line, negated at the bottom
+    steep = list(map(ne, ka, kb))
+    meets = inner + list(compress(zip(count(), ka, compress(keys, first),
+                                      compress(free, first)), steep))
+    meets += compress(zip(count(), kb, compress(keys[1:], first), compress(free[1:], first)),
+                      steep)
+    meets.sort()
+    entries = [(k, x, y * f, -y, -x * e, g)
+               for (g, k, x, f), (h, _, y, e) in zip(meets, islice(meets, 1, None)) if g == h]
+    del meets, inner  # the largest lists but the entries: freed before their sort
+    entries.sort()
+
+    found = []  # pairs of segments, either way round
+    strip = list(map(_FIRST, entries))
+    below = list(zip(map(itemgetter(3), entries), map(itemgetter(4), entries)))
+    # only a strip where some segment ends at or right of the next is swept
+    for k in set(compress(strip[1:], map(and_, map(eq, strip, strip[1:]),
+                                         map(le, below, below[1:])))):
+        bottoms, placed = [], []
+        for i in range(bisect_left(strip, k), bisect_right(strip, k)):
+            # the placed segments ending at or right of this one
+            j = bisect_right(bottoms, below[i])
+            if j:
+                found += zip(placed[:j], repeat(entries[i][5]))
+            bottoms.insert(j, below[i])
+            placed.insert(j, entries[i][5])
+    flat = list(compress(count(), map(eq, ka, kb)))
+    if flat:
+        strips: list[list[int]] = [[] for _ in lines]
+        for k, g in zip(strip, map(itemgetter(5), entries)):
             strips[k].append(g)
-
-    def x_at(g: int, k: int) -> tuple[int, Fraction | int]:
-        """The ``_key`` of segment g's x on line k."""
-        lo, x_lo, (xp, yp, wp), hi, x_hi, (xq, yq, wq) = spans[g]
-        if k == lo:
-            return x_lo
-        if k == hi:
-            return x_hi
-        # x = (xp (yq - y) + xq (y - yp)) / (yq - yp) at y = n/m, on ints
-        n, m = ys[k]
-        num = xp * (yq * m - n * wq) + xq * (n * wp - yp * m)
-        den = m * (yq * wp - yp * wq)
-        x, r = divmod(num, den)
-        return (x, Fraction(num, den) if r else x)
-
-    pairs: set[tuple[int, int]] = set()
-    for group in at.values():
-        pairs.update(combinations(group, 2))
-    for k, group in flat.items():
-        near = group + (strips[k - 1] if k else []) + strips[k]
-        pairs.update((min(g, h), max(g, h)) for g in group for h in near if g != h)
-    for k, group in enumerate(strips):
-        if len(group) < 2:
-            continue
-        top = {g: x_at(g, k) for g in group}
-        bottom = {g: x_at(g, k + 1) for g in group}
-        placed: list[tuple[tuple[int, Fraction | int], int]] = []  # sorted by bottom x
-        # by top x, ties by bottom x descending (two stable sorts)
-        for g in sorted(sorted(group, key=bottom.__getitem__, reverse=True),
-                        key=top.__getitem__):
-            j = len(placed)
-            while j and placed[j - 1][0] >= bottom[g]:
-                j -= 1
-                pairs.add((min(g, placed[j][1]), max(g, placed[j][1])))
-            placed.insert(j, (bottom[g], g))
+        level: dict[int, list[int]] = {}
+        for g in flat:
+            level.setdefault(ka[g], []).append(g)
+        for k, group in level.items():
+            found += product(group, group + (strips[k - 1] if k else []) + strips[k])
+    pairs = {(g, h) if g < h else (h, g) for g, h in found if g != h}
+    # (b): the segments at a point listed twice or more that is no vertex or
+    # lies inside a route
+    seen = Counter(qs)
+    shared = set(compress(qs, map(gt, map(seen.__getitem__, qs), repeat(1))))
+    shared = shared - allowed | shared.intersection(compress(qs, map(not_, edge)))
+    if shared:
+        at: dict[tuple[int, int, int], list[int]] = {}
+        for g, (p, q) in enumerate(zip(qa, qb)):
+            if p in shared:
+                at.setdefault(p, []).append(g)
+            if q != p and q in shared:
+                at.setdefault(q, []).append(g)
+        for group in at.values():
+            pairs.update(combinations(group, 2))
 
     problems = []
-    for g, h in sorted(pairs, key=lambda gh: (segs[gh[0]][0], segs[gh[1]][0]) + gh):
-        (i, _, _, a1, b1), (j, _, _, a2, b2) = segs[g], segs[h]
+    for g, h in pairs:
+        i, j = route[g], route[h]
         if i == j:
             continue
-        hit = _meet(a1, b1, a2, b2)
+        hit = _meet(qa[g], qb[g], qa[h], qb[h])
         if hit is None:
             continue
         kind, p = hit
         if kind == "point" and p in allowed and p in ends[i] and p in ends[j]:
             continue
-        problems.append(f"routes {names[i]} and {names[j]} cross near "
-                        f"({_decimal(p[0], p[2])}, {_decimal(p[1], p[2])})")
-    return problems
+        problems.append(((i, j, g, h), f"routes {names[i]} and {names[j]} cross near "
+                                       f"({_decimal(p[0], p[2])}, {_decimal(p[1], p[2])})"))
+    return [message for _, message in sorted(problems)]
 
 
 def _decimal(n: int, w: int) -> str:
@@ -325,12 +427,6 @@ def _decimal(n: int, w: int) -> str:
         e = int(log10(abs(n)) - log10(w))
         mantissa, exponent = f"{n / (w * 10 ** e):.3e}".split("e")
         return f"{mantissa}e+{e + int(exponent)}"
-
-
-def _key(x: Fraction | int) -> tuple[int, Fraction | int]:
-    """x as (floor x, x), which sorts as x does: most comparisons are then
-    decided by the int, and a tie by x itself, exactly."""
-    return x.numerator // x.denominator, x
 
 
 def _ints(p: Point) -> tuple[int, int, int]:
@@ -426,7 +522,10 @@ def _require_coordinates(d: Drawing, render: bool = False, routes: bool = False)
     two points, then the first route, vertex or box with a point that is
     not an (x, y) tuple, a coordinate that is not an int or a ``Fraction``
     (every check here is exact), or, for a renderer, a coordinate of
-    magnitude ``_RENDER_BOUND`` or more."""
+    magnitude ``_RENDER_BOUND`` or more.  A drawing of plain tuples, ints
+    and ``Fraction`` objects is accepted by C-level passes over its points
+    and coordinates; only another is walked point by point, to name the
+    first one at fault (a subclass of int or ``Fraction`` passes there)."""
     for field, want in _FIELDS:
         value = getattr(d, field)
         if not isinstance(value, want):
@@ -436,6 +535,16 @@ def _require_coordinates(d: Drawing, render: bool = False, routes: bool = False)
         raise PpgError("drawing flow is neither 'down' nor 'up'")
     if len(d.box) != 4:
         raise PpgError(f"drawing box has {len(d.box)} coordinates, not 4")
+    if set(map(type, d.routes.values())) <= {tuple} and (
+            not routes or min(map(len, d.routes.values()), default=2) >= 2):
+        pts = [*chain.from_iterable(d.routes.values()), *d.vertices.values(),
+               d.box[:2], d.box[2:]]
+        if set(map(type, pts)) == {tuple} and set(map(len, pts)) == {2}:
+            coords = list(chain.from_iterable(pts))
+            # a numerator under the bound bounds the value, as denominators are positive
+            if set(map(type, coords)) <= {int, Fraction} and (
+                    not render or max(map(abs, map(_NUM, coords))) < _RENDER_BOUND):
+                return
     for e, pts in d.routes.items():
         if type(pts) is not tuple:
             raise PpgError(f"route of edge {e} is not a tuple of points")
@@ -449,8 +558,7 @@ def _require_coordinates(d: Drawing, render: bool = False, routes: bool = False)
             if type(p) is not tuple or len(p) != 2:
                 raise PpgError(f"{kind} {name} has a point that is not an (x, y) tuple")
             for c in p:
-                # most coordinates are ints (the points on the lines)
-                if type(c) is not int and not isinstance(c, (int, Fraction)):
+                if not isinstance(c, (int, Fraction)):
                     raise PpgError(f"{kind} {name} has a coordinate of type "
                                    f"{type(c).__name__}, not an int or a Fraction")
                 if render and not (-_RENDER_BOUND < c < _RENDER_BOUND if type(c) is int
@@ -481,28 +589,35 @@ def read_back(d: Drawing, g: ProgressiveGraph) -> PAGraph:
     _require_coordinates(_expect_type(d, "read_back", Drawing), routes=True)
     _, y_in, y_out = _boundary_ys(d)
 
-    def boundary_x(e: str, start: bool, y: Fraction) -> Fraction:
+    def boundary_x(e: str, start: bool, y: int | tuple[int, int]) -> Fraction | int:
         p = _attachment(d, e, start)
-        if p[1] != y:
+        if _y_of(p[1]) != y:
             raise PpgError(f"edge {e} is not attached to the boundary")
         return p[0]
 
+    y_in, y_out = _y_of(y_in), _y_of(y_out)
     anchor = Anchor(
         tuple(sorted(d.inputs, key=lambda e: boundary_x(e, True, y_in))),
         tuple(sorted(d.outputs, key=lambda e: boundary_x(e, False, y_out))))
 
-    ends, starts = {}, {}  # (x next to the point, edge) per route endpoint
-    for e, pts in d.routes.items():
-        ends.setdefault(pts[-1], []).append((pts[-2][0], e))
-        starts.setdefault(pts[0], []).append((pts[1][0], e))
+    # (x next to the point, edge) per route endpoint, keyed by its triple
+    ends: dict[tuple[int, int, int], list] = {}
+    starts: dict[tuple[int, int, int], list] = {}
+    memo: dict[int, tuple] = {}
+    routes = d.routes.values()
+    for e, pts, (last, _), (first, _) in zip(d.routes, routes,
+                                            _read(map(itemgetter(-1), routes), memo),
+                                            _read(map(_FIRST, routes), memo)):
+        ends.setdefault(last, []).append((pts[-2][0], e))
+        starts.setdefault(first, []).append((pts[1][0], e))
     vertex_orders: dict[str, VertexOrder] = {}
     apexes = {d.source, d.sink}
-    for v, p in d.vertices.items():
+    for v, (q, _) in zip(d.vertices, _read(d.vertices.values(), memo)):
         if v in apexes:
             continue
         vertex_orders[v] = VertexOrder(
-            tuple(e for _, e in sorted(ends.get(p, ()))),
-            tuple(e for _, e in sorted(starts.get(p, ()))))
+            tuple(e for _, e in sorted(ends.get(q, ()))),
+            tuple(e for _, e in sorted(starts.get(q, ()))))
     return PAGraph(g, vertex_orders, anchor)
 
 
@@ -512,6 +627,13 @@ def _minus(x: Fraction | int, off: Fraction | int) -> float:
     exact quotient once, as ``float`` of a Fraction does."""
     return ((x.numerator * off.denominator - off.numerator * x.denominator)
             / (x.denominator * off.denominator))
+
+
+def _between(a: Fraction | int, b: Fraction | int, k: int) -> float:
+    """``float((k a + b) / (k + 1))`` as one int division, which rounds the
+    exact value once, as ``float`` of a Fraction does."""
+    return ((k * a.numerator * b.denominator + b.numerator * a.denominator)
+            / ((k + 1) * a.denominator * b.denominator))
 
 
 def _fmt(x: Fraction | int | float) -> str:
@@ -579,12 +701,10 @@ def render_tikz(d: Drawing) -> str:
         out.append(rf"\draw {path};")
         i = (len(pts) - 1) // 2
         a, b = pts[i], pts[i + 1]
-        # halfway along the segment and a quarter of the way, each rounded
-        # once from its exact value (int / int does that, or stays a Fraction)
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        near = ((3 * a[0] + b[0]) / 4, (3 * a[1] + b[1]) / 4)
-        out.append(rf"\draw[->] ({_fmt(near[0])},{_fmt(near[1])}) -- "
-                   rf"({_fmt(mid[0])},{_fmt(mid[1])});")
+        # a quarter of the way along the segment and halfway
+        out.append(rf"\draw[->] ({_fmt(_between(a[0], b[0], 3))},"
+                   rf"{_fmt(_between(a[1], b[1], 3))}) -- "
+                   rf"({_fmt(_between(a[0], b[0], 1))},{_fmt(_between(a[1], b[1], 1))});")
     for v, p in d.vertices.items():
         out.append(rf"\filldraw ({_fmt(p[0])},{_fmt(p[1])}) circle (2.2pt);")
     out.append(r"\end{tikzpicture}")

@@ -109,13 +109,16 @@ class POPGraph:
     def rank(self, e: str) -> int:
         return self.order.rank(e)
 
+    # built from lists: a tuple of a generator is resized as it grows, and
+    # the resized tuples pile up on the interpreter's free lists
+
     @property
     def inputs_ordered(self) -> tuple[str, ...]:
-        return tuple(e for e in self.order if e in self.graph.inputs)
+        return tuple([e for e in self.order if e in self.graph.inputs])
 
     @property
     def outputs_ordered(self) -> tuple[str, ...]:
-        return tuple(e for e in self.order if e in self.graph.outputs)
+        return tuple([e for e in self.order if e in self.graph.outputs])
 
     def __eq__(self, other):
         if isinstance(other, POPGraph):

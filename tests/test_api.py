@@ -8,7 +8,8 @@ checker, ``read_back`` and the renderers for a drawing with an int in any
 one field they read, or a flow that is neither down nor up.  The callables are
 walked from ``__all__``: one that takes none of these must be named in
 ``NOT_GATED``, and a parameter the walk cannot fill fails the test, so a
-new public name cannot pass the gate unseen.
+new public name cannot pass the gate unseen.  A graph refuses an edge id
+that is no string, as a planar order refuses such a member.
 """
 
 from __future__ import annotations
@@ -163,3 +164,15 @@ def test_a_drawing_field_of_another_kind_is_refused(samples, field, value):
                   lambda d: pg.read_back(d, g)):
         with pytest.raises(pg.PpgError, match=f"drawing {field} "):
             check(d)
+
+
+@pytest.mark.parametrize("edges, bad", [([pg.Edge(1, "a", "b")], "1"),
+                                        ([("e", "a", "b"), (2.5, "b", "c")], "2.5"),
+                                        ([("e", "a", "b"), ((1, 2), "b", "c")], r"\(1, 2\)")],
+                         ids=["int", "float", "tuple"])
+def test_an_edge_id_that_is_no_string_is_refused(edges, bad):
+    # a planar order refuses such a member, so the graph refuses the id
+    with pytest.raises(pg.PpgError, match=f"^edge id {bad} is not a string$"):
+        pg.DirectedMultigraph(edges)
+    with pytest.raises(pg.NotAPermutation):
+        pg.PlanarOrder([e[0] for e in edges])

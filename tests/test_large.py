@@ -5,7 +5,8 @@ goes through the text format, decomposition, layout and the drawing checker
 in one test, under a generous wall-time bound that a stage going back to
 cubic work would break (the drawing checker's old pair scan had 5.5e8
 segment pairs to test here).  A second test checks its drawing with a
-denominator of its own on nearly every route.  A third recomposes the
+denominator of its own on nearly every route.  A third checks and reads
+back the 16x16 layout with no Fraction hashed.  A fourth recomposes the
 1 560 factors of the 60x40 graph (3 161 edges) in one pass, validated once.
 Two more refuse a shuffled order of the 40x28 graph and a scrambled
 relation on the 24x20 graph (379 edges), each with millions of witnesses,
@@ -69,6 +70,24 @@ def test_points_moved_by_distinct_primes_check_quickly(pop):
     report = pg.check_drawing(bad)
     assert time.perf_counter() - t0 < 10.0
     assert not report.ok
+
+
+def test_the_drawing_path_hashes_no_fraction(monkeypatch):
+    # each point is read once as ints, and read_back keys route ends and
+    # vertices by those ints: the 16x16 layout of 2 788 segments is checked
+    # and read back with no Fraction hashed
+    pop = recipe_graph(16, 16)
+    d = pg.layout(pop)
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda self: calls.append(1) or fraction_hash(self))
+    report = pg.check_drawing(d)
+    back = pg.read_back(d, pop.graph)
+    assert not calls
+    monkeypatch.undo()
+    assert report.ok, report.problems[:3]
+    assert back == pg.extract_pa(pop)
 
 
 def test_recompose_sixty_layers_validates_once(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import textwrap
 import time
 from fractions import Fraction
@@ -334,6 +335,18 @@ class TestCheckDrawing:
         assert pg.check_drawing(dataclasses.replace(d, routes=routes)).problems == (
             "routes i1 and i2 cross near (6.667e+399, 0.167)",)
 
+    def test_a_clean_layout_sends_no_pair_to_the_segment_test(self, suite, monkeypatch):
+        # legs leaving a vertex apart do not tie in the sweep, and legs on
+        # opposite sides of it are no candidates: nothing reaches _meet
+        calls = []
+        # the module, which the function pg.layout shadows as an attribute
+        module = sys.modules["popgraph.layout"]
+        monkeypatch.setattr(module, "_meet", lambda *q: calls.append(q) or _meet(*q))
+        for name, pop in suite:
+            for d in all_variants(pop):
+                assert pg.check_drawing(d).ok, name
+        assert not calls
+
     def test_a_large_layout_checks_quickly(self):
         # the 16x16 composition of random layers: 249 edges, 2 788 segments;
         # a pair scan takes minutes here
@@ -431,6 +444,65 @@ class TestCheckerAgreesWithScan:
             assert problems == check_drawing_scan(bad)
             flagged.append(bool(problems))
         assert True in flagged and False in flagged
+
+
+def as_fraction(c):
+    """An equal Fraction that is another object."""
+    return F(c) if type(c) is int else F(c.numerator, c.denominator)
+
+
+def as_int(c):
+    """An int if c is a whole number, else an equal Fraction that is another
+    object."""
+    return c if type(c) is int else c.numerator if c.denominator == 1 else as_fraction(c)
+
+
+def rebuilt(d: pg.Drawing, route=as_fraction, vertex=as_fraction) -> pg.Drawing:
+    """``d`` with every point built anew from equal values, by ``route`` for
+    the coordinates of route points and by ``vertex`` for those of vertices
+    and the box.  No point is then shared between a vertex and a route."""
+    return dataclasses.replace(
+        d, box=tuple(map(vertex, d.box)),
+        vertices={v: tuple(map(vertex, p)) for v, p in d.vertices.items()},
+        routes={e: tuple(tuple(map(route, p)) for p in pts) for e, pts in d.routes.items()})
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the message of the PpgError it raises."""
+    try:
+        return f(*args)
+    except pg.PpgError as exc:
+        return f"PpgError: {exc}"
+
+
+class TestPointsReadByValue:
+    """The checker and ``read_back`` go by the values of the coordinates,
+    not by their types or by which objects hold them."""
+
+    def test_suite_rebuilt(self, suite):
+        # every coordinate a Fraction; then the route points as ints where
+        # they can be, against vertices of Fractions: (2, 1) is (F(2), F(1))
+        for name, pop in suite:
+            for d in all_variants(pop):
+                for again in (rebuilt(d), rebuilt(d, route=as_int)):
+                    assert again.routes == d.routes and again.vertices == d.vertices
+                    problems = pg.check_drawing(again).problems
+                    assert problems == pg.check_drawing(d).problems == check_drawing_scan(again)
+                    assert pg.read_back(again, pop.graph) == pg.read_back(d, pop.graph), name
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    def test_corrupted_drawings_rebuilt(self, canonical, corrupt):
+        rng = random.Random(6)
+        pops = [canonical] + [pg.random_pop(rng, min_layers=2, max_layers=3, tag=f"k{i}.")
+                              for i in range(3)]
+        for pop in pops:
+            for d in all_variants(pop):
+                bad = corrupt(d)
+                for again in (rebuilt(bad), rebuilt(bad, route=as_int)):
+                    problems = pg.check_drawing(again).problems
+                    assert problems == pg.check_drawing(bad).problems == check_drawing_scan(again)
+                    assert (outcome(pg.read_back, again, pop.graph)
+                            == outcome(pg.read_back, bad, pop.graph))
 
 
 def random_coordinate(rng: random.Random):
