@@ -93,13 +93,13 @@ class DirectedMultigraph:
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._in[v]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownVertex(v) from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._out[v]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownVertex(v) from None
 
     def __eq__(self, other) -> bool:
@@ -289,12 +289,25 @@ def validate_progressive(graph: DirectedMultigraph) -> ProgressiveGraph:
     return ProgressiveGraph(graph)
 
 
+def _sides(value, what: str) -> tuple[tuple, tuple]:
+    """The two sides of ``what`` (a vertex order, a rotation or the anchor)
+    as tuples; PpgError naming it unless there are exactly two."""
+    try:
+        first, second = value
+        return tuple(first), tuple(second)
+    except (TypeError, ValueError):
+        raise PpgError(f"{what} must have exactly two sides of edge ids") from None
+
+
 class StGraph:
     """A planar-st-style graph: one source ``s``, one sink ``t``, acyclic.
 
     ``rotation`` optionally records, per vertex, the circular order of
     incident edges as (incoming tuple, outgoing tuple); it is carried through
-    parsing and emission untouched.
+    parsing and emission untouched.  Each key must be a vertex
+    (UnknownVertex), each value two sides (PpgError) of declared edge ids
+    (UnknownEdge), so that emitting and parsing give the rotation back;
+    incidence is not checked, and a vertex with both sides empty is dropped.
     """
 
     def __init__(self, graph: DirectedMultigraph, source: str, sink: str,
@@ -319,7 +332,15 @@ class StGraph:
         self.graph = graph
         self.source = source
         self.sink = sink
-        self.rotation = dict(rotation or {})
+        self.rotation = {}
+        for v, value in (rotation or {}).items():
+            if v not in graph._in:
+                raise UnknownVertex(v)
+            incoming, outgoing = sides = _sides(value, f"the rotation at {v!r}")
+            for e in incoming + outgoing:
+                graph.edge(e)  # UnknownEdge unless declared
+            if incoming or outgoing:
+                self.rotation[v] = sides
 
     @property
     def edges(self) -> tuple[Edge, ...]:

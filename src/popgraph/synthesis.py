@@ -29,25 +29,25 @@ disjoint cases:
    when there are several) sees the two edges through distinct outgoing
    legs, and its vertex order decides.
 
-The comparator reads rows that its first call builds once per graph: per
-edge, the bit rows of the edges it reaches and of the edges reaching it
-(itself included), its input and output windows as anchor positions, and
-the ancestors of its tail; per vertex, its ancestors and, if internal, its
-out-legs in vertex order.  Ancestor rows are bits over the vertices numbered
-in reverse topological order, so a vertex reaches only lower numbers, and
-one upstream pass builds them.  A window is the span of the anchor positions
-of the boundary edges an edge sees, carried in one pass each way: an edge
-leaving a vertex takes the span of the input windows of the edges entering
-it, and an edge entering one that of the output windows leaving it.  Case 1
-reads two edge rows and case 2 compares windows.  In case 3 the common
-ancestors of the two tails are one AND of ancestor rows, and the lowest of
-them is a maximal one.  The reachability poset of a planar st graph is a
-lattice (Kelly and Rival 1975, Platt 1976), so when the graph has any
-planar order that vertex is the only maximal one, which one more row
-confirms.  Only when several are maximal (a graph with no planar order)
-does the comparator walk the common ancestors to find them all, and the
-least by name decides.  A comparison builds no sets or lists; what stays
-quadratic is the number of pairs.
+The comparator reads the graph's own strict reach rows, and rows that its
+first call builds once per graph: per edge, its input and output windows as
+anchor positions and the ancestors of its tail; per vertex, its ancestors
+and, if internal, its out-legs in vertex order.  Ancestor rows are bits over
+the vertices numbered in reverse topological order, so a vertex reaches only
+lower numbers, and one upstream pass builds them.  A window is the span of
+the anchor positions of the boundary edges an edge sees, carried in one pass
+each way: an edge leaving a vertex takes the span of the input windows of
+the edges entering it, and an edge entering one that of the output windows
+leaving it.  Case 1 reads two edge rows and case 2 compares windows.  In
+case 3 the common ancestors of the two tails are one AND of ancestor rows,
+and the lowest of them is a maximal one.  The reachability poset of a planar
+st graph is a lattice (Kelly and Rival 1975, Platt 1976), so when the graph
+has any planar order that vertex is the only maximal one, which one more row
+confirms.  Only when several are maximal (a graph with no planar order) does
+the comparator walk the common ancestors to find them all, and the least by
+name decides, through its first out-leg that is either edge or reaches it.
+A comparison builds no sets or lists; what stays quadratic is the number of
+pairs.
 
 Every pair is compared once (never sorting with a comparator), and each edge
 keeps a bit row of the edges it precedes.  Ranking by popcount gives the
@@ -80,7 +80,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Mapping, NamedTuple
 
-from .core import ProgressiveGraph
+from .core import ProgressiveGraph, _sides
 from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
                      UnknownVertex, _expect_type)
 from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
@@ -99,17 +99,6 @@ class Anchor(NamedTuple):
     outputs: tuple[str, ...]
 
 
-def _sides(value, vertex: str | None = None) -> tuple[tuple, tuple]:
-    """The two sides of the vertex order at ``vertex``, or of the anchor, as
-    tuples; PpgError naming it unless there are exactly two."""
-    try:
-        first, second = value
-        return tuple(first), tuple(second)
-    except (TypeError, ValueError):
-        what = "the anchor" if vertex is None else f"the vertex order at {vertex!r}"
-        raise PpgError(f"{what} must have exactly two sides of edge ids") from None
-
-
 def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, VertexOrder | tuple],
                       anchor: Anchor | tuple | None
                       ) -> tuple[dict[str, VertexOrder], Anchor | None, list[dict[str, int]]]:
@@ -121,7 +110,7 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
     each vertex in the order of the returned vertex orders."""
     heads = []
     if anchor is not None:
-        anchor = Anchor(*_sides(anchor))
+        anchor = Anchor(*_sides(anchor, "the anchor"))
         _expect_permutation(anchor.inputs, graph.inputs)
         heads.append(_expect_permutation(anchor.outputs, graph.outputs))
     if not isinstance(vertex_orders, Mapping):
@@ -131,7 +120,7 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
     for v, vo in vertex_orders.items():
         if v not in graph.internal_vertices:
             raise UnknownVertex(v)
-        orders[v] = vo = VertexOrder(*_sides(vo, v))
+        orders[v] = vo = VertexOrder(*_sides(vo, f"the vertex order at {v!r}"))
         heads.append(_expect_permutation(vo.incoming, (e.id for e in graph.in_edges(v))))
         _expect_permutation(vo.outgoing, (e.id for e in graph.out_edges(v)))
     return orders, anchor, heads
@@ -141,8 +130,7 @@ class _Rows(NamedTuple):
     """The comparator's view of a :class:`PAGraph`, by edge index and by
     vertex number (reverse topological order); bit rows are over edge
     indexes or vertex numbers, windows are anchor positions."""
-    reach: tuple[int, ...]  # the edges it reaches, itself included
-    reached: tuple[int, ...]  # the edges reaching it, itself included
+    reach: tuple[int, ...]  # the edges it strictly reaches: the graph's own rows
     windows: tuple[tuple[int, int, int, int], ...]  # input lo, hi, output lo, hi
     anc: tuple[int, ...]  # the vertices reaching its tail, the tail included
     below: tuple[int, ...]  # by vertex: the vertices reaching it, itself included
@@ -167,16 +155,14 @@ class PAGraph:
 
     @cached_property
     def _rows(self) -> _Rows:
-        """What :func:`compare_edges` reads: per edge its reflexive reach and
-        reacher rows, its input and output windows and its tail's ancestors,
-        and per vertex its ancestors, its name and its out-legs in vertex
-        order.  Built once, from the reach rows and the local data, by the
-        first comparison, so that extracting or emitting local data never
-        pays for it."""
+        """What :func:`compare_edges` reads: per edge the graph's strict reach
+        row (not a copy), its input and output windows and its tail's
+        ancestors, and per vertex its ancestors, its name and its out-legs in
+        vertex order.  Built once, from the local data, by the first
+        comparison, so that extracting or emitting local data never pays for
+        it; no reacher row is built."""
         g = self.graph
         ids, ix = g.edge_ids, g._eix
-        reach = tuple(g.reach_bits(e) | 1 << i for i, e in enumerate(ids))
-        reached = tuple(g.reacher_bits(e) | 1 << i for i, e in enumerate(ids))
 
         def sweep(vertices, into, out_of, boundary: tuple[str, ...]) -> list[tuple[int, int]]:
             """Per edge index, the least and greatest position in ``boundary``
@@ -213,7 +199,7 @@ class PAGraph:
         orders = self.vertex_orders
         legs = tuple(tuple(map(g.edge_index, orders[v].outgoing)) if v in orders else ()
                      for v in names)
-        return _Rows(reach, reached, windows, tuple(below[number[e.src]] for e in g.edges),
+        return _Rows(g._ereach, windows, tuple(below[number[e.src]] for e in g.edges),
                      tuple(below), names, legs)
 
     def __eq__(self, other):
@@ -241,16 +227,17 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
 
     Antisymmetric by construction; INCONSISTENT means the vertex orders and
     anchors admit no planar order that relates this pair.  Reads only the
-    rows :class:`PAGraph` builds once: two reach rows for case 1, the
-    precomputed windows for case 2, and for case 3 the AND of the two tails'
-    ancestor rows.  Its lowest vertex w is a maximal common ancestor, as w
-    reaches only lower numbers.  Since reachability in a planar st graph is
-    a lattice, w is the only maximal one whenever the graph has a planar
-    order; it is exactly when every common ancestor reaches w, and w then
-    decides through its first out-leg towards either edge, in its vertex
-    order.  Otherwise (the graph has no planar order) the maximal common
-    ancestors are found by a walk from the low bits that drops the
-    ancestors of each one it meets, and the least by name decides.
+    graph's strict reach rows and the rows :class:`PAGraph` builds once: two
+    reach rows for case 1, the precomputed windows for case 2, and for case
+    3 the AND of the two tails' ancestor rows.  Its lowest vertex w is a
+    maximal common ancestor, as w reaches only lower numbers.  Since
+    reachability in a planar st graph is a lattice, w is the only maximal
+    one whenever the graph has a planar order; it is exactly when every
+    common ancestor reaches w, and w then decides through its first out-leg,
+    in its vertex order, that is either edge or reaches it.  Otherwise (the
+    graph has no planar order) the maximal common ancestors are found by a
+    walk from the low bits that drops the ancestors of each one it meets,
+    and the least by name decides.
     """
     if e1 == e2:
         raise PpgError("compare_edges requires two distinct edges")
@@ -263,7 +250,7 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
         i, j = ix[e1], ix[e2]
     except (KeyError, TypeError):  # an unknown id, or one that cannot be hashed
         raise UnknownEdge(e2 if e1 in pa.graph.edge_ids else e1) from None
-    reach, reached, windows, anc, below, names, legs = rows
+    reach, windows, anc, below, names, legs = rows
     r1, r2 = reach[i], reach[j]
     if r1 >> j & 1:
         return _LESS
@@ -292,12 +279,11 @@ def compare_edges(pa: PAGraph, e1: str, e2: str) -> Comparison:
             if names[k] < names[w]:
                 w = k
     # no leg of w reaches both edges (its head would be a lower common
-    # ancestor), so its first leg into either row decides
-    t1, t2 = reached[i], reached[j]
+    # ancestor), so its first leg that is or reaches either edge decides
     for k in legs[w]:
-        if t1 >> k & 1:
+        if k == i or reach[k] >> i & 1:
             return _LESS
-        if t2 >> k & 1:
+        if k == j or reach[k] >> j & 1:
             return _GREATER
 
 
@@ -536,8 +522,11 @@ def _search(g: ProgressiveGraph, force: bool):
 def _list_orders(g: ProgressiveGraph, limit: int | None, force: bool, emit) -> bool:
     """Pass the planar orders of g to ``emit`` as the search finds them, at
     most ``limit`` of them; True when the limit cut the listing short."""
-    if limit is not None and limit < 0:
-        raise PpgError(f"limit must be 0 or more, not {limit}")
+    if limit is not None:
+        if not isinstance(limit, int):
+            raise PpgError(f"limit must be None or an int, not {type(limit).__name__}")
+        if limit < 0:
+            raise PpgError(f"limit must be 0 or more, not {limit}")
     orders = _search(g, force)
     for order in islice(orders, limit):
         emit(order)
@@ -550,7 +539,7 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
 
     Raises TooLarge once the search pushes more than ``_STATES`` prefixes,
     unless forced; with ``limit`` the result is cut off there and flagged as
-    truncated; a negative ``limit`` raises PpgError.
+    truncated; a ``limit`` that is negative or no int raises PpgError.
     """
     orders: list[PlanarOrder] = []
     truncated = _list_orders(_expect_type(g, "enumerate_planar_orders", ProgressiveGraph),

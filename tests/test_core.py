@@ -177,6 +177,17 @@ class TestReachability:
             lookup(pg.spider(2, 2))
         assert exc.value.name == ["x"]
 
+    @pytest.mark.parametrize("lookup", [
+        lambda pop: pop.graph.graph.in_edges(["v"]),
+        lambda pop: pop.graph.graph.out_edges(["v"]),
+        lambda pop: pop.graph.in_edges(["v"]),
+        lambda pop: pop.graph.out_edges(["v"]),
+    ], ids=["multigraph_in_edges", "multigraph_out_edges", "in_edges", "out_edges"])
+    def test_an_unhashable_vertex_is_unknown(self, lookup):
+        with pytest.raises(pg.UnknownVertex) as exc:
+            lookup(pg.spider(2, 2))
+        assert exc.value.name == ["v"]
+
 
 class TestHatCirc:
     def test_hat_counts(self, canonical):

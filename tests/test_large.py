@@ -14,12 +14,13 @@ in bounded time: only the first SHOWN witnesses are built, the rest counted.
 Two refuse near misses, one adjacent swap and one flipped pair, with a
 count that follows chains and reads few rows member by member.  The
 conjugate of the 40x28 graph (504 230 pairs) is accepted by membership,
-with no triple counted.  Two
-refuse local data that orders an edge pair both ways before any edge
-comparison: one swapped pair of the 40x28 graph, and 2 000 bare edges
-whose outputs are anchored in reverse (1 999 000 such pairs).  The last
-parses a path through 20 000 vertices with their in and out lines in a
-time bounded by that of building and validating its graph.
+with no triple counted.  Two refuse local data that orders an edge pair
+both ways before any edge comparison: one swapped pair of the 40x28 graph,
+and 2 000 bare edges whose outputs are anchored in reverse (1 999 000 such
+pairs).  One checks that synthesis reads the graph's own strict reach rows
+and builds no reacher rows.  The last parses a path through 20 000
+vertices with their in and out lines in a time bounded by that of building
+and validating its graph.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import popgraph as pg
 import popgraph.composition
 import popgraph.order
 from popgraph.errors import SHOWN
-from conftest import check_conjugacy_scan, moved_by_primes, recipe_graph
+from conftest import check_conjugacy_scan, load, moved_by_primes, recipe_graph
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,17 @@ def test_a_pair_ordered_both_ways_is_refused_before_any_comparison(pop, monkeypa
     assert exc.value.witnesses == (
         f"pair ({b}, {a}) is ordered ({b}, {a}) by the out-legs of {v} "
         f"and ({a}, {b}) by the in-legs of {g.edge(a).dst}",)
+
+
+def test_synthesis_reads_the_graphs_own_reach_rows():
+    # one synthesis holds one m^2-bit row set, the graph's strict reach
+    # rows, which the comparator reads uncopied; no reacher row is built
+    for pop in (load("canonical19.ppg").pop(), recipe_graph(16, 16)):
+        pa = pg.extract_pa(pop)
+        g = pa.graph
+        assert pg.synthesize_order(pa) == pop.order
+        assert "_ereachers" not in vars(g)
+        assert pa._rows.reach is g._ereach
 
 
 def test_bare_edges_anchored_in_reverse_are_refused_in_bounded_time():

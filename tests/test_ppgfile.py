@@ -262,6 +262,30 @@ class TestStg:
         with pytest.raises(pg.ParseError, match="unknown vertex 'w'"):
             pg.parse_stg("stg 1\nedge a s t\nsource s\nsink t\nin w a\n")
 
+    @pytest.mark.parametrize("rotation, error, match", [
+        ({"zz": (("a",), ())}, pg.UnknownVertex, "unknown vertex id 'zz'"),
+        ({5: (("a",), ())}, pg.UnknownVertex, "unknown vertex id 5"),
+        ({"t": (("zz",), ())}, pg.UnknownEdge, "unknown edge id 'zz'"),
+        ({"t": ((5,), ())}, pg.UnknownEdge, "unknown edge id 5"),
+        ({"t": (([],), ())}, pg.UnknownEdge, r"unknown edge id \[\]"),
+        ({"t": 5}, pg.PpgError, "^the rotation at 't' must have exactly two sides of edge ids$"),
+        ({"t": (("a",),)}, pg.PpgError, "^the rotation at 't' must have exactly two sides"),
+    ], ids=["vertex", "int_vertex", "edge", "int_edge", "unhashable_edge", "no_sides",
+            "one_side"])
+    def test_a_rotation_that_cannot_round_trip_is_refused(self, rotation, error, match):
+        graph = pg.DirectedMultigraph([("a", "s", "t")])
+        with pytest.raises(error, match=match):
+            pg.StGraph(graph, "s", "t", rotation)
+
+    def test_every_rotation_round_trips(self):
+        # incidence stays unchecked, and a vertex with no edges is dropped
+        graph = pg.DirectedMultigraph([("a", "s", "v"), ("b", "s", "v"), ("c", "v", "t")])
+        st = pg.StGraph(graph, "s", "t", {"v": [["b", "a"], ["c", "c"]], "s": ((), ("a",)),
+                                          "t": ((), ())})
+        assert st.rotation == {"v": (("b", "a"), ("c", "c")), "s": ((), ("a",))}
+        back = pg.parse_stg(pg.emit_stg(st))
+        assert back == st and back.rotation == st.rotation
+
     def test_no_rotation(self):
         st = pg.parse_stg("stg 1\nedge a s t\nsource s\nsink t\n")
         assert st.rotation == {}

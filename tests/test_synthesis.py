@@ -390,6 +390,12 @@ class TestEnumerate:
                 pg.enumerate_planar_orders(g, limit)
         assert pg.enumerate_planar_orders(g, 0) == ((), True)
 
+    @pytest.mark.parametrize("limit", ["3", 1.5, [1]])
+    def test_a_limit_that_is_no_int_is_refused(self, limit):
+        with pytest.raises(pg.PpgError, match=f"^limit must be None or an int, not "
+                                              f"{type(limit).__name__}$"):
+            pg.enumerate_planar_orders(pg.bare_edges(2).graph, limit)
+
     def test_the_count_bounds_the_placed_sets_it_remembers(self, monkeypatch):
         # 2^5 - 1 placed sets of 5 bare edges are remembered, the last two
         # as the search returns, after the final bound check
