@@ -5,6 +5,12 @@ named on the command line, writes results to stdout or to -o, and reports
 problems on stderr.  No network, no environment variables, deterministic
 output.
 
+An ``-o`` file (and each file ``decompose`` writes) is overwritten in
+place: it is opened without truncation, written in full, and then cut at
+the end of the new text, so no excess of a longer old file is left.  A
+target that is not a regular file, such as ``/dev/null`` or a pipe, is
+written and not truncated.  Nothing is synced to disk, before or after.
+
 Exit codes: 0 success; 1 validation failure (bad graph, bad order, no
 consistent order); 2 unreadable or unparsable input; 3 usage errors,
 arity mismatches, and enumerations past their bound on search states.
@@ -14,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -94,11 +102,20 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(text: str, output: str | Path | None) -> None:
+    """Write ``text`` to stdout, or over the file ``output`` in place.
+
+    Opening without ``O_TRUNC`` and cutting the excess after the write costs
+    less than emptying the old file first, which frees its blocks and makes
+    the file system flush the new ones at close."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+        return
+    fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
 
 
 def _cmd_validate(args) -> int:
@@ -146,12 +163,12 @@ def _cmd_decompose(args) -> int:
     manifest = ["ppg-manifest 1", f"factors {len(decomp.factors)}"]
     for k, factor in enumerate(decomp.factors, 1):
         name = f"factor_{k:02d}.ppg"
-        (outdir / name).write_text(emit_ppg(factor), encoding="utf-8")
+        _write(emit_ppg(factor), outdir / name)
         manifest.append(f"factor {k} {name}")
         print(name)
     for k, pairs in enumerate(decomp.interfaces, 1):
         manifest.append(f"interface {k} " + " ".join(f"{o}={i}" for o, i in pairs))
-    (outdir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    _write("\n".join(manifest) + "\n", outdir / "manifest.txt")
     print("manifest.txt")
     return 0
 

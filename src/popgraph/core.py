@@ -291,12 +291,15 @@ def validate_progressive(graph: DirectedMultigraph) -> ProgressiveGraph:
 
 def _sides(value, what: str) -> tuple[tuple, tuple]:
     """The two sides of ``what`` (a vertex order, a rotation or the anchor)
-    as tuples; PpgError naming it unless there are exactly two."""
+    as tuples; PpgError naming it unless there are exactly two, each a
+    collection of ids (a string is refused, not split into characters)."""
     try:
-        first, second = value
-        return tuple(first), tuple(second)
+        first, second = value  # a string of two characters gives two strings
+        if not isinstance(first, str) and not isinstance(second, str):
+            return tuple(first), tuple(second)
     except (TypeError, ValueError):
-        raise PpgError(f"{what} must have exactly two sides of edge ids") from None
+        pass
+    raise PpgError(f"{what} must have exactly two sides of edge ids")
 
 
 class StGraph:

@@ -9,9 +9,9 @@ the edges crossing it sit at integer x positions given by their rank in
 the planar order restricted to that boundary; because each layer's spider
 legs form a contiguous block of its order, routing the legs to a vertex
 centroid and everything else straight across keeps the drawing planar.
-All coordinates are exact: points on the crossing lines are plain ints, and
-only the vertices (x at the centroid of their legs, y halfway between two
-lines) and the st apexes carry a ``Fraction``.
+All coordinates are exact: points on the crossing lines, the box and the
+bands are plain ints, and only the vertices (x at the centroid of their
+legs, y halfway between two lines) and the st apexes carry a ``Fraction``.
 
 Each variant, either flow with or without the st apexes, is placed in one
 pass: flowing up puts line k at y = K - k in place of k, and the apexes are
@@ -60,7 +60,7 @@ from .synthesis import Anchor, PAGraph, VertexOrder
 # denominator can arise (vertex centroids and half-integer y, st apexes)
 Point = tuple[Fraction | int, Fraction | int]
 
-_FIRST, _THIRD = itemgetter(0), itemgetter(2)
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 _NUM = attrgetter("numerator")
 
 
@@ -73,8 +73,8 @@ class Drawing:
     an st drawing sit outside it.  Route points run tail to head.
     """
     flow: str
-    box: tuple[Fraction, Fraction, Fraction, Fraction]
-    bands: tuple[tuple[Fraction, Fraction], ...]
+    box: tuple[Fraction | int, Fraction | int, Fraction | int, Fraction | int]
+    bands: tuple[tuple[Fraction | int, Fraction | int], ...]
     vertices: dict[str, Point]
     routes: dict[str, tuple[Point, ...]]
     inputs: tuple[str, ...]
@@ -84,11 +84,11 @@ class Drawing:
     sink: str | None = None
 
     @property
-    def width(self) -> Fraction:
+    def width(self) -> Fraction | int:
         return self.box[2] - self.box[0]
 
     @property
-    def height(self) -> Fraction:
+    def height(self) -> Fraction | int:
         return self.box[3] - self.box[1]
 
 
@@ -128,7 +128,7 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
         for k in crossed[eid]:
             lines[k].append(eid)
     pos = [{e: i + 1 for i, e in enumerate(line)} for line in lines]
-    width = Fraction(max(len(line) for line in lines) + 1)
+    width = max(len(line) for line in lines) + 1
     ys = list(range(k_bands, -1, -1) if up else range(k_bands + 1))  # a list indexes faster
 
     vertices: dict[str, Point] = {}
@@ -141,8 +141,8 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
     if st:
         # centred, one unit beyond the input and the output line
         step = ys[1] - ys[0]
-        vertices[source] = (width / 2, Fraction(ys[0] - step))
-        vertices[sink] = (width / 2, Fraction(ys[-1] + step))
+        vertices[source] = (Fraction(width, 2), Fraction(ys[0] - step))
+        vertices[sink] = (Fraction(width, 2), Fraction(ys[-1] + step))
         first, last = [vertices[source]], [vertices[sink]]
 
     routes: dict[str, tuple[Point, ...]] = {}
@@ -152,13 +152,12 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
         end = [vertices[edge.dst]] if edge.dst in band_of else last
         routes[eid] = tuple(start + [(pos[k][eid], ys[k]) for k in crossed[eid]] + end)
 
-    # the box and the bands are the same in both flows
-    line_ys = [Fraction(k) for k in range(k_bands + 1)]
+    # the box and the bands, all whole numbers, are the same in both flows
     return Drawing(
         flow="up" if up else "down",
-        box=(line_ys[0], line_ys[0], width, line_ys[-1]),
+        box=(0, 0, width, k_bands),
         # a tuple of a list, not of an iterator: see POPGraph.inputs_ordered
-        bands=tuple(list(zip(line_ys[:-1], line_ys[1:]))),
+        bands=tuple(list(zip(range(k_bands), range(1, k_bands + 1)))),
         vertices=vertices,
         routes=routes,
         inputs=pop.inputs_ordered,
@@ -646,7 +645,8 @@ def render_svg(d: Drawing) -> str:
     _require_coordinates(_expect_type(d, "render_svg", Drawing), render=True, routes=True)
     s = 48.0
     pad = 30.0
-    ys = {p[1] for pts in d.routes.values() for p in pts}
+    points = list(chain.from_iterable(d.routes.values()))
+    ys = set(map(_SECOND, points))
     ys.update((d.box[1], d.box[3]))
     x0, y0 = d.box[0], min(ys)
     w = float(d.box[2] - d.box[0]) * s + 2 * pad
@@ -655,6 +655,11 @@ def render_svg(d: Drawing) -> str:
     def px(p: Point) -> tuple[float, float]:
         return (_minus(p[0], x0) * s + pad, _minus(p[1], y0) * s + pad)
 
+    # each distinct coordinate of the routes is formatted once; equal values
+    # of either type share a key and format alike
+    fx = {x: f"{_minus(x, x0) * s + pad:.2f}" for x in set(map(_FIRST, points))}
+    fy = {y: f"{_minus(y, y0) * s + pad:.2f}" for y in ys}
+
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
            f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">']
     bx, by = px((d.box[0], d.box[1]))
@@ -662,7 +667,7 @@ def render_svg(d: Drawing) -> str:
                f'width="{float(d.width) * s:.2f}" height="{float(d.height) * s:.2f}" '
                f'fill="none" stroke="#999" stroke-dasharray="7 5"/>')
     for e, pts in d.routes.items():
-        coords = " L ".join(f"{x:.2f} {y:.2f}" for x, y in map(px, pts))
+        coords = " L ".join([f"{fx[x]} {fy[y]}" for x, y in pts])
         out.append(f'<path d="M {coords}" fill="none" stroke="#000" '
                    f'stroke-width="1.6"/>')
         out.append(_svg_arrow(pts, px))

@@ -479,11 +479,11 @@ def mirror(d: pg.Drawing) -> pg.Drawing:
 def with_apexes(d: pg.Drawing) -> pg.Drawing:
     """The downward plain drawing ``d`` with its inputs starting at a source
     apex s and its outputs ending at a sink apex t, each one unit beyond its
-    boundary line at mid-width.  The definition of ``layout_st(pop)`` from
-    ``layout(pop)``."""
+    boundary line at mid-width, both coordinates a ``Fraction``.  The
+    definition of ``layout_st(pop)`` from ``layout(pop)``."""
     assert d.flow == "down" and not d.st
     x0, y0, x1, y1 = d.box
-    s, t = ((x0 + x1) / 2, y0 - 1), ((x0 + x1) / 2, y1 + 1)
+    s, t = (Fraction(x0 + x1, 2), Fraction(y0 - 1)), (Fraction(x0 + x1, 2), Fraction(y1 + 1))
     routes = dict(d.routes)
     for e in d.inputs:
         routes[e] = (s,) + routes[e]

@@ -185,6 +185,67 @@ class TestHappyPaths:
         assert code == 0 and out.startswith("<svg")
 
 
+class TestOutputFiles:
+    """Every file the tool writes is overwritten in place: opened without
+    O_TRUNC, written in full, then cut to the new text if it is a regular
+    file."""
+
+    def test_decompose_over_longer_files(self, capsys, tmp_path):
+        fresh, outdir = tmp_path / "fresh", tmp_path / "factors"
+        assert run(capsys, "decompose", CANON, "-o", str(fresh))[0] == 0
+        want = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        outdir.mkdir()
+        for name in ("factor_01.ppg", "manifest.txt"):
+            (outdir / name).write_text("junk " * 20_000 + "\n")
+        for _ in range(2):
+            assert run(capsys, "decompose", CANON, "-o", str(outdir))[0] == 0
+            assert {p.name: p.read_bytes() for p in outdir.iterdir()} == want
+
+    def test_render_over_a_longer_file(self, capsys, tmp_path):
+        _, svg, _ = run(capsys, "render", CANON)
+        target = tmp_path / "d.svg"
+        target.write_text("<junk/>\n" * 20_000)
+        assert run(capsys, "render", CANON, "-o", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == svg
+
+    def test_a_new_file_gets_the_usual_mode(self, capsys, tmp_path):
+        made, written = tmp_path / "made.svg", tmp_path / "written.svg"
+        made.write_text("")
+        assert run(capsys, "render", CANON, "-o", str(written))[0] == 0
+        assert written.stat().st_mode == made.stat().st_mode
+
+    def test_render_to_devnull(self, capsys):
+        # not a regular file, so not truncated: ftruncate would fail there
+        assert run(capsys, "render", CANON, "-o", os.devnull) == (0, "", "")
+
+    def test_every_output_file_is_opened_without_truncation(self, capsys, tmp_path,
+                                                            monkeypatch):
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *rest):
+            opened.append((Path(path), flags))
+            return real_open(path, flags, *rest)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        out, stg = tmp_path / "out", tmp_path / "c.stg"
+        out.mkdir()
+        runs = [("compose", *LAYERS, "-o", str(out / "c.ppg")),
+                ("hat", CANON, "-o", str(stg)),
+                ("circ", str(stg), "-o", str(out / "back.ppg")),
+                ("render", CANON, "-o", str(out / "d.svg")),
+                ("render", CANON, "--format", "tikz", "-o", str(out / "d.tex")),
+                ("decompose", CANON, "-o", str(out / "factors"))]
+        for argv in runs:
+            assert run(capsys, *argv)[0] == 0
+        written = {stg, *out.glob("*.*"), *(out / "factors").iterdir()}
+        assert len(written) == 5 + 7  # six factors and the manifest
+        assert {path for path, _ in opened} == written and len(opened) == len(written)
+        for path, flags in opened:
+            assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT, path
+            assert not flags & os.O_TRUNC, path
+
+
 class TestExitCodes:
     def test_validation_failure_is_1(self, capsys, tmp_path):
         bad = tmp_path / "cycle.ppg"

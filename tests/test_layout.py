@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -157,6 +158,8 @@ class TestLayout:
                         assert type(p[0]) is int and type(p[1]) is int, p
             for p in d.vertices.values():
                 assert type(p[0]) is type(p[1]) is Fraction, p
+            # the box and the bands are whole numbers too
+            assert {type(c) for c in (*d.box, *chain.from_iterable(d.bands))} == {int}
 
     def test_vertices_sit_between_their_legs(self, canonical):
         d = pg.layout(canonical)
@@ -407,7 +410,7 @@ def ghost_route(d: pg.Drawing) -> pg.Drawing:
     # a zigzag listed first: its segments meet later routes in an order
     # other than route by route
     x0, y0, x1, y1 = d.box
-    ghost = ((x0 + 1, y0), (x1 - 1, (y0 + y1) / 2), (x0 + 1, y1))
+    ghost = ((x0 + 1, y0), (x1 - 1, F(y0 + y1, 2)), (x0 + 1, y1))
     return dataclasses.replace(d, routes={"ghost": ghost, **d.routes})
 
 

@@ -270,8 +270,11 @@ class TestStg:
         ({"t": (([],), ())}, pg.UnknownEdge, r"unknown edge id \[\]"),
         ({"t": 5}, pg.PpgError, "^the rotation at 't' must have exactly two sides of edge ids$"),
         ({"t": (("a",),)}, pg.PpgError, "^the rotation at 't' must have exactly two sides"),
+        # a string is not split into one-character sides
+        ({"t": "aa"}, pg.PpgError, "^the rotation at 't' must have exactly two sides of edge ids$"),
+        ({"t": ("a", ("a",))}, pg.PpgError, "^the rotation at 't' must have exactly two sides"),
     ], ids=["vertex", "int_vertex", "edge", "int_edge", "unhashable_edge", "no_sides",
-            "one_side"])
+            "one_side", "string", "string_side"])
     def test_a_rotation_that_cannot_round_trip_is_refused(self, rotation, error, match):
         graph = pg.DirectedMultigraph([("a", "s", "t")])
         with pytest.raises(error, match=match):

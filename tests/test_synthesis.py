@@ -99,6 +99,21 @@ class TestPAGraph:
             pg.PpgDocument(pg.spider(2, 2).graph, orders, anchor)
         assert str(exc.value) == f"{what} must have exactly two sides of edge ids"
 
+    @pytest.mark.parametrize("orders, anchor, what", [
+        ({"v": ("ab", "c")}, ("ab", "c"), "the anchor"),
+        ({"v": ("ab", "c")}, (("a", "b"), ("c",)), "the vertex order at 'v'"),
+        ({"v": "ab"}, (("a", "b"), ("c",)), "the vertex order at 'v'"),
+        ({"v": (("a", "b"), ("c",))}, "ac", "the anchor"),
+    ], ids=["string-sides", "string-vertex-sides", "string-vertex-order", "string-anchor"])
+    def test_a_string_is_not_split_into_sides(self, orders, anchor, what):
+        # with one-letter ids a string would read as a side of its characters
+        g = graph(("a", "in:0", "v"), ("b", "in:1", "v"), ("c", "v", "out:0"))
+        with pytest.raises(pg.PpgError) as exc:
+            pg.PAGraph(g, orders, anchor)
+        assert str(exc.value) == f"{what} must have exactly two sides of edge ids"
+        sides = (("a", "b"), ("c",))
+        assert pg.PAGraph(g, {"v": sides}, sides).anchor == sides
+
 
 def tampered_pas(pop: pg.POPGraph, rng: random.Random):
     """The local data of ``pop``, intact, with every vertex's outgoing legs
