@@ -18,12 +18,13 @@ import random
 
 from .composition import compose
 from .core import DirectedMultigraph, Edge, ProgressiveGraph
-from .errors import _expect_type
+from .errors import _expect_count, _expect_type
 from .order import POPGraph, validate_planar_order
 
 
 def bare_edges(k: int, prefix: str = "w") -> POPGraph:
     """k disjoint bare edges, ordered left to right."""
+    _expect_count(k, "k")
     edges = [Edge(f"{prefix}{i}", f"{prefix}{i}s", f"{prefix}{i}t")
              for i in range(1, k + 1)]
     g = ProgressiveGraph(DirectedMultigraph(edges))
@@ -32,6 +33,8 @@ def bare_edges(k: int, prefix: str = "w") -> POPGraph:
 
 def spider(p: int, q: int, name: str = "v") -> POPGraph:
     """One internal vertex with p inputs and q outputs, legs left to right."""
+    _expect_count(p, "p")
+    _expect_count(q, "q")
     ins = [Edge(f"i{k}", f"a{k}", name) for k in range(1, p + 1)]
     outs = [Edge(f"o{k}", name, f"b{k}") for k in range(1, q + 1)]
     g = ProgressiveGraph(DirectedMultigraph(ins + outs))

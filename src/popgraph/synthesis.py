@@ -65,12 +65,12 @@ betweenness, the edges that may no longer follow it, and a step that bans an
 unplaced edge is cut.  It keeps one frame per depth on an explicit stack.
 A prefix that survives bans only placed edges, so the orders completing it
 depend on its set of placed edges alone, not on their order.  The counter
-counts the completions of each placed set once and remembers them, stepping
-in place through placed sets with a single ready edge.  Unless forced, both
-stop past a bound on search states (prefixes pushed, sets remembered).  The
-test suite checks both against two oracles that share none of this: a
-filter over all permutations (``brute_orders``) and one over all linear
-extensions (``linear_extension_orders``).
+counts, layer by layer from the empty set, the prefixes reaching each placed
+set.  Unless forced, both stop past a bound on search states (prefixes
+pushed, placed sets in layers of two or more).  The test suite checks both
+against two oracles that share none of this: a filter over all permutations
+(``brute_orders``) and one over all linear extensions
+(``linear_extension_orders``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph, _sides
 from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
-                     UnknownVertex, _expect_type)
+                     UnknownVertex, _expect_count, _expect_flag, _expect_type)
 from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
                     validate_planar_order)
 
@@ -436,18 +436,20 @@ _STATES = 1 << 16  # search states an unforced count or listing may reach
 
 class _Moves(NamedTuple):
     """What a search step reads, by edge index: bit rows over edge indexes."""
-    reach: list[int]  # the edges it strictly reaches
-    reachers: list[int]  # the edges strictly reaching it
+    reach: tuple[int, ...]  # the edges it strictly reaches: the graph's own rows
+    reachers: tuple[int, ...]  # the edges strictly reaching it: the graph's own rows
     succ: list[int]  # the out-edges of its head
     reaching: int  # the edges that reach some edge
 
 
 def _start(g: ProgressiveGraph, force: bool) -> tuple[_Moves, int, float]:
     """The search rows of g, its first ready edges and its bound on states."""
-    reach = [g.reach_bits(e) for e in g.edge_ids]
-    reachers = [g.reacher_bits(e) for e in g.edge_ids]
-    moves = _Moves(reach, reachers,
-                   [sum(1 << g.edge_index(c.id) for c in g.out_edges(e.dst)) for e in g.edges],
+    _expect_flag(force, "force")
+    reach, reachers = g._ereach, g._ereachers
+    leaving = dict.fromkeys(g.vertices, 0)  # per vertex, its out-edges
+    for i, e in enumerate(g.edges):
+        leaving[e.src] |= 1 << i
+    moves = _Moves(reach, reachers, [leaving[e.dst] for e in g.edges],
                    sum(1 << i for i, row in enumerate(reach) if row))
     ready = sum(1 << i for i, row in enumerate(reachers) if not row)
     return moves, ready, float("inf") if force else _STATES
@@ -523,10 +525,7 @@ def _list_orders(g: ProgressiveGraph, limit: int | None, force: bool, emit) -> b
     """Pass the planar orders of g to ``emit`` as the search finds them, at
     most ``limit`` of them; True when the limit cut the listing short."""
     if limit is not None:
-        if not isinstance(limit, int):
-            raise PpgError(f"limit must be None or an int, not {type(limit).__name__}")
-        if limit < 0:
-            raise PpgError(f"limit must be 0 or more, not {limit}")
+        _expect_count(limit, "limit", "None or an int")
     orders = _search(g, force)
     for order in islice(orders, limit):
         emit(order)
@@ -550,52 +549,28 @@ def enumerate_planar_orders(g: ProgressiveGraph, limit: int | None = None, *,
 def count_planar_orders(g: ProgressiveGraph, *, force: bool = False) -> int:
     """Number of planar orders of g, without materializing them.
 
-    A prefix that bans no unplaced edge bans only placed edges, and
-    :func:`_step` derives each step's bans from the placed set, so the
-    orders completing such a prefix depend on its placed set alone, not on
-    its order.  Each placed set is counted once, on an explicit stack, and
-    remembered: time and memory grow with the number of placed sets the
-    search meets (at most 2^m for m edges), not with the number of orders.
-    A placed set with one ready edge steps on in place.  Above the first
-    branch it is not remembered, so a path costs no memory; below one it is
-    remembered with the count its forced steps lead to, so the other
-    branches that reach it stop there.  Unless forced, remembering more than
-    ``_STATES`` placed sets raises TooLarge.
+    :func:`_step` derives each step's cut and ready edges from the placed
+    set, so the prefixes that place one set of edges share their
+    completions.  One forward pass counts the prefixes reaching each placed
+    set: layer k + 1 steps every ready edge of every set of layer k, and the
+    one set of the last layer holds the count (none: no order).  Time follows
+    the placed sets met (at most 2^m for m edges), not the orders; memory,
+    two layers.  Unless forced, more than ``_STATES`` sets in the layers of
+    two or more raise TooLarge, so a path remembers none.
     """
     moves, ready, bound = _start(_expect_type(g, "count_planar_orders", ProgressiveGraph), force)
-    memo: dict[int, int] = {}
-    # placed, ready, ready edges still to try, completions, the forced
-    # placed sets that led to it
-    frames: list[list] = []
-    placed, cut = 0, False
-    while True:
-        chain = []
-        while ready and not ready & (ready - 1) and not cut:  # a forced step
-            if frames:
-                if placed in memo:
-                    break
-                chain.append(placed)
-            placed, ready, cut = _step(moves, placed, ready, ready.bit_length() - 1)
-        n = 0 if cut else 1 if not ready else memo.get(placed)
-        if n is None:
-            frames.append([placed, ready, ready, 0, chain])
-        else:  # add n to the frame above; finish the frames with nothing left to try
-            for key in chain:
-                memo[key] = n
-            while True:
-                if not frames:
-                    return n
-                frame = frames[-1]
-                frame[3] += n
-                if frame[2]:
-                    break
-                frames.pop()
-                n = memo[frame[0]] = frame[3]
-                for key in frame[4]:
-                    memo[key] = n
-            if len(memo) > bound:
+    layer = {0: [ready, 1]}  # placed set: its ready edges, the prefixes reaching it
+    remembered = 0
+    for _ in g.edges:
+        reached: dict[int, list[int]] = {}
+        for placed, (ready, n) in layer.items():
+            for b in _members(ready):
+                nxt, nxt_ready, cut = _step(moves, placed, ready, b)
+                if not cut:
+                    reached.setdefault(nxt, [nxt_ready, 0])[1] += n
+        layer = reached
+        if len(layer) > 1:
+            remembered += len(layer)
+            if remembered > bound:
                 raise TooLarge("placed sets remembered", bound)
-        frame = frames[-1]
-        todo = frame[2]
-        frame[2] = todo & (todo - 1)
-        placed, ready, cut = _step(moves, frame[0], frame[1], (todo & -todo).bit_length() - 1)
+    return sum(n for _, n in layer.values())

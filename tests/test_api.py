@@ -9,7 +9,8 @@ one field they read, or a flow that is neither down nor up.  The callables are
 walked from ``__all__``: one that takes none of these must be named in
 ``NOT_GATED``, and a parameter the walk cannot fill fails the test, so a
 new public name cannot pass the gate unseen.  A graph refuses an edge id
-that is no string, as a planar order refuses such a member.
+that is no string, as a planar order refuses such a member.  A flag must be
+a bool and a builder's count an int of 0 or more.
 """
 
 from __future__ import annotations
@@ -176,3 +177,38 @@ def test_an_edge_id_that_is_no_string_is_refused(edges, bad):
         pg.DirectedMultigraph(edges)
     with pytest.raises(pg.NotAPermutation):
         pg.PlanarOrder([e[0] for e in edges])
+
+
+def _bare(k):
+    return pg.bare_edges(k).graph
+
+
+# a flag read by truthiness would take "no" for True: 17! orders counted
+# past the bound, a listing forced, a drawing turned upward
+@pytest.mark.parametrize("call, name, value", [
+    (lambda v: pg.count_planar_orders(_bare(17), force=v), "force", "no"),
+    (lambda v: pg.count_planar_orders(_bare(2), force=v), "force", 0),
+    (lambda v: pg.enumerate_planar_orders(_bare(2), force=v), "force", 1),
+    (lambda v: pg.enumerate_planar_orders(_bare(2), 0, force=v), "force", None),
+    (lambda v: pg.layout(pg.spider(1, 1), up=v), "up", "yes"),
+    (lambda v: pg.layout_st(pg.spider(1, 1), up=v), "up", 1),
+], ids=["count-str", "count-int", "enumerate-int", "enumerate-limit0-None",
+        "layout-str", "layout_st-int"])
+def test_a_flag_that_is_no_bool_is_refused(call, name, value):
+    with pytest.raises(pg.PpgError, match=f"^{name} must be a bool, not {type(value).__name__}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, value, message", [
+    (pg.bare_edges, "k", 2.5, "an int, not float"),
+    (pg.bare_edges, "k", True, "an int, not bool"),
+    (pg.bare_edges, "k", -1, "0 or more, not -1"),
+    (lambda v: pg.spider(v, 2), "p", "a", "an int, not str"),
+    (lambda v: pg.spider(2, v), "q", -3, "0 or more, not -3"),
+    (lambda v: pg.spider(2, v), "q", False, "an int, not bool"),
+], ids=["bare-float", "bare-bool", "bare-negative", "spider-str", "spider-negative",
+        "spider-bool"])
+def test_a_count_that_is_no_int_of_0_or_more_is_refused(call, name, value, message):
+    with pytest.raises(pg.PpgError, match=f"^{name} must be {message}$"):
+        call(value)
+

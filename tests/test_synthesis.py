@@ -405,21 +405,21 @@ class TestEnumerate:
                 pg.enumerate_planar_orders(g, limit)
         assert pg.enumerate_planar_orders(g, 0) == ((), True)
 
-    @pytest.mark.parametrize("limit", ["3", 1.5, [1]])
+    @pytest.mark.parametrize("limit", ["3", 1.5, [1], True])
     def test_a_limit_that_is_no_int_is_refused(self, limit):
         with pytest.raises(pg.PpgError, match=f"^limit must be None or an int, not "
                                               f"{type(limit).__name__}$"):
             pg.enumerate_planar_orders(pg.bare_edges(2).graph, limit)
 
     def test_the_count_bounds_the_placed_sets_it_remembers(self, monkeypatch):
-        # 2^5 - 1 placed sets of 5 bare edges are remembered, the last two
-        # as the search returns, after the final bound check
+        # 2^5 - 2 placed sets of 5 bare edges are remembered: every set but
+        # the empty and the full one, each alone in its layer
         g = pg.bare_edges(5).graph
-        monkeypatch.setattr(pg.synthesis, "_STATES", 28)
-        with pytest.raises(pg.TooLarge, match="more than 28 placed sets remembered") as exc:
-            pg.count_planar_orders(g)
-        assert exc.value.bound == 28
         monkeypatch.setattr(pg.synthesis, "_STATES", 29)
+        with pytest.raises(pg.TooLarge, match="more than 29 placed sets remembered") as exc:
+            pg.count_planar_orders(g)
+        assert exc.value.bound == 29
+        monkeypatch.setattr(pg.synthesis, "_STATES", 30)
         assert pg.count_planar_orders(g) == 120
         monkeypatch.setattr(pg.synthesis, "_STATES", 0)
         assert pg.count_planar_orders(g, force=True) == 120
@@ -439,14 +439,16 @@ class TestEnumerate:
         assert len(res.orders) == 24 and not res.truncated
 
     def test_a_path_counts_without_remembering(self, monkeypatch):
-        # no placed set above the first branch is remembered, and a path has none
+        # a set alone in its layer is not remembered, and every layer of a
+        # path holds one set
         g = pg.validate_progressive(pg.DirectedMultigraph(
             pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1200)))
         monkeypatch.setattr(pg.synthesis, "_STATES", 0)
         assert pg.count_planar_orders(g) == 1
 
     def test_the_default_bound(self):
-        # 2^16 - 1 placed sets for 16 bare edges, 2^17 - 1 for 17
+        # 2^16 - 2 placed sets for 16 bare edges, 2^17 - 2 for 17: all but
+        # the empty and the full one, each alone in its layer
         assert pg.count_planar_orders(pg.bare_edges(16).graph) == math.factorial(16)
         with pytest.raises(pg.TooLarge, match=f"more than {1 << 16} placed sets"):
             pg.count_planar_orders(pg.bare_edges(17).graph)
@@ -464,7 +466,8 @@ class TestEnumerate:
         assert pg.count_planar_orders(pg.spider(2, 2).graph) == 4
 
     def test_long_path_counts_without_recursion(self):
-        # deeper than the default recursion limit: the search keeps its own stack
+        # deeper than the default recursion limit: neither the count nor the
+        # listing recurses
         g = pg.validate_progressive(pg.DirectedMultigraph(
             pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(2000)))
         t0 = time.perf_counter()
@@ -481,7 +484,14 @@ class TestEnumerate:
             if len(g.edges) <= 8:
                 graphs.append(g)
         for g in graphs:
-            assert pg.count_planar_orders(g) == len(linear_extension_orders(g)), g.edge_ids
+            n = len(linear_extension_orders(g))
+            assert pg.count_planar_orders(g) == n, g.edge_ids
+            # the placed sets are masks over declaration indexes: the same
+            # graph with its edges declared in another order counts the same
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            shuffled = pg.validate_progressive(pg.DirectedMultigraph(edges))
+            assert pg.count_planar_orders(shuffled) == n, shuffled.edge_ids
 
     def test_count_matches_the_enumeration(self):
         rng = random.Random(12)
