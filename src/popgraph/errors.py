@@ -99,16 +99,10 @@ def _expect_type(value, where: str, *types: type):
     return value
 
 
-def _expect_flag(value, what: str) -> None:
-    """PpgError unless ``value`` is a bool: no flag is read by truthiness."""
-    if not isinstance(value, bool):
-        raise PpgError(f"{what} must be a bool, not {type(value).__name__}")
-
-
-def _expect_count(value, what: str, expected: str = "an int") -> None:
+def _expect_count(value, what: str) -> None:
     """PpgError unless ``value`` is an int of 0 or more (a bool is no count)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise PpgError(f"{what} must be {expected}, not {type(value).__name__}")
+        raise PpgError(f"{what} must be an int, not {type(value).__name__}")
     if value < 0:
         raise PpgError(f"{what} must be 0 or more, not {value}")
 

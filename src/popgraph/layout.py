@@ -52,7 +52,7 @@ from operator import and_, attrgetter, eq, ge, gt, itemgetter, le, lt, ne, not_,
 
 from .composition import _peel_order
 from .core import ProgressiveGraph, _apexes
-from .errors import PpgError, _expect_flag, _expect_type
+from .errors import PpgError, _expect_type
 from .order import POPGraph
 from .synthesis import Anchor, PAGraph, VertexOrder
 
@@ -112,7 +112,7 @@ def layout_st(pop: POPGraph, up: bool = False) -> Drawing:
 def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
     """``layout`` or, with ``st``, ``layout_st``: every point is placed once,
     at its final coordinates."""
-    _expect_flag(up, "up")
+    _expect_type(up, "up", bool)
     g = pop.graph
     source, sink = _apexes(g) if st else (None, None)
     peeled = list(_peel_order(pop))

@@ -82,7 +82,7 @@ from typing import Mapping, NamedTuple
 
 from .core import ProgressiveGraph, _sides
 from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
-                     UnknownVertex, _expect_count, _expect_flag, _expect_type)
+                     UnknownVertex, _expect_type)
 from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
                     validate_planar_order)
 
@@ -444,7 +444,7 @@ class _Moves(NamedTuple):
 
 def _start(g: ProgressiveGraph, force: bool) -> tuple[_Moves, int, float]:
     """The search rows of g, its first ready edges and its bound on states."""
-    _expect_flag(force, "force")
+    _expect_type(force, "force", bool)
     reach, reachers = g._ereach, g._ereachers
     leaving = dict.fromkeys(g.vertices, 0)  # per vertex, its out-edges
     for i, e in enumerate(g.edges):
@@ -525,7 +525,10 @@ def _list_orders(g: ProgressiveGraph, limit: int | None, force: bool, emit) -> b
     """Pass the planar orders of g to ``emit`` as the search finds them, at
     most ``limit`` of them; True when the limit cut the listing short."""
     if limit is not None:
-        _expect_count(limit, "limit", "None or an int")
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise PpgError(f"limit must be None or an int, not {type(limit).__name__}")
+        if limit < 0:
+            raise PpgError(f"limit must be 0 or more, not {limit}")
     orders = _search(g, force)
     for order in islice(orders, limit):
         emit(order)
@@ -556,21 +559,27 @@ def count_planar_orders(g: ProgressiveGraph, *, force: bool = False) -> int:
     one set of the last layer holds the count (none: no order).  Time follows
     the placed sets met (at most 2^m for m edges), not the orders; memory,
     two layers.  Unless forced, more than ``_STATES`` sets in the layers of
-    two or more raise TooLarge, so a path remembers none.
+    two or more raise TooLarge, so a path remembers none; the first set past
+    the bound raises, not the end of its layer.
     """
     moves, ready, bound = _start(_expect_type(g, "count_planar_orders", ProgressiveGraph), force)
     layer = {0: [ready, 1]}  # placed set: its ready edges, the prefixes reaching it
     remembered = 0
     for _ in g.edges:
         reached: dict[int, list[int]] = {}
+        room = max(bound - remembered, 1)  # a set alone in its layer is not remembered
         for placed, (ready, n) in layer.items():
             for b in _members(ready):
                 nxt, nxt_ready, cut = _step(moves, placed, ready, b)
-                if not cut:
-                    reached.setdefault(nxt, [nxt_ready, 0])[1] += n
+                if cut:
+                    continue
+                if nxt in reached:
+                    reached[nxt][1] += n
+                elif len(reached) < room:
+                    reached[nxt] = [nxt_ready, n]
+                else:
+                    raise TooLarge("placed sets remembered", bound)
         layer = reached
         if len(layer) > 1:
             remembered += len(layer)
-            if remembered > bound:
-                raise TooLarge("placed sets remembered", bound)
     return sum(n for _, n in layer.values())

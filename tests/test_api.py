@@ -195,7 +195,7 @@ def _bare(k):
 ], ids=["count-str", "count-int", "enumerate-int", "enumerate-limit0-None",
         "layout-str", "layout_st-int"])
 def test_a_flag_that_is_no_bool_is_refused(call, name, value):
-    with pytest.raises(pg.PpgError, match=f"^{name} must be a bool, not {type(value).__name__}$"):
+    with pytest.raises(pg.PpgError, match=f"^{name} expects bool, not {type(value).__name__}$"):
         call(value)
 
 

@@ -453,6 +453,34 @@ class TestEnumerate:
         with pytest.raises(pg.TooLarge, match=f"more than {1 << 16} placed sets"):
             pg.count_planar_orders(pg.bare_edges(17).graph)
 
+    @pytest.mark.parametrize("make, bound", [
+        (lambda: pg.bare_edges(60), 100),
+        (lambda: pg.bare_edges(300), None),
+        (lambda: pg.spider(1, 300), None),
+    ], ids=["bare60-bound100", "bare300", "spider1_300"])
+    def test_the_count_stops_inside_a_wide_layer(self, monkeypatch, make, bound):
+        # the bound is checked as each placed set is met, not once its layer
+        # is whole: layer 3 of 300 bare edges alone holds C(300, 3) sets
+        g = make().graph
+        if bound is not None:
+            monkeypatch.setattr(pg.synthesis, "_STATES", bound)
+        bound = pg.synthesis._STATES
+        met = set()
+        step = pg.synthesis._step
+
+        def counting_step(moves, placed, ready, b):
+            nxt, nxt_ready, cut = step(moves, placed, ready, b)
+            if not cut:
+                met.add(nxt)
+            return nxt, nxt_ready, cut
+
+        monkeypatch.setattr(pg.synthesis, "_step", counting_step)
+        with pytest.raises(pg.TooLarge, match=f"more than {bound} placed sets remembered"):
+            pg.count_planar_orders(g)
+        # the remembered sets, the one past the bound, and the sets alone in
+        # their layers
+        assert len(met) <= bound + 1 + len(g.edges)
+
     def test_limits_cut_the_full_enumeration(self, suite):
         for name, pop in suite:
             full = pg.enumerate_planar_orders(pop.graph)
