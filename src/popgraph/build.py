@@ -99,9 +99,13 @@ def random_elementary_layer(rng: random.Random, tag: str,
                             n_inputs: int | None = None) -> POPGraph:
     """A random row of blocks (bare edges and spiders), left to right.
 
-    With ``n_inputs`` the row consumes exactly that many inputs.  Names
-    carry ``tag`` so layers compose without accidental collisions.
+    With ``n_inputs`` (None or an int of 0 or more) the row consumes exactly
+    that many inputs.  Names carry ``tag`` so layers compose without
+    accidental collisions.  PpgError for an ``rng`` that is no Random.
     """
+    _expect_type(rng, "random_elementary_layer", random.Random)
+    if n_inputs is not None:
+        _expect_count(n_inputs, "n_inputs")
     remaining = n_inputs if n_inputs is not None else rng.randint(1, 6)
     blocks: list[tuple[int, int]] = []
     while remaining > 0:
@@ -141,8 +145,15 @@ def random_pop(rng: random.Random, min_layers: int = 1, max_layers: int = 4,
     """A random planarly ordered graph built by composing 1..4 random layers.
 
     Always contains at least one internal vertex, so it decomposes into at
-    least one elementary factor; ``n_inputs`` pins the input arity.
+    least one elementary factor; ``n_inputs`` pins the input arity.  PpgError
+    unless ``rng`` is a Random, 1 <= min_layers <= max_layers are ints and
+    ``n_inputs`` is None or 1 or more (a row of no inputs has no internal vertex).
     """
+    _expect_type(rng, "random_pop", random.Random)
+    _expect_count(min_layers, "min_layers", 1)
+    _expect_count(max_layers, "max_layers", min_layers)
+    if n_inputs is not None:
+        _expect_count(n_inputs, "n_inputs", 1)
     while True:
         depth = rng.randint(min_layers, max_layers)
         pop = random_elementary_layer(rng, f"{tag}L1.", n_inputs=n_inputs)

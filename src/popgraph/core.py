@@ -5,6 +5,8 @@ source and every sink has degree exactly one.  Degree-one vertices are the
 boundary; everything else is internal.  Edges whose tail is a boundary vertex
 are the graph's inputs, edges whose head is a boundary vertex are its outputs;
 a bare edge (boundary at both ends) is both.  Connectivity is not required.
+``ProgressiveGraph`` is a ``DirectedMultigraph`` sharing the adjacency and the
+id index (id to declaration index) of the graph it validates: one per graph.
 
 Reachability here is between *edges*: edge a strictly reaches edge b when a
 directed path starts with a and ends with b, a != b; this is the precedence
@@ -50,7 +52,8 @@ class DirectedMultigraph:
     Declaration order of edges is preserved for presentation (``edges``,
     ``in_edges``, ``out_edges``) but is not part of the value: two graphs
     are equal when they have the same vertex set and the same set of edges.
-    The incoming and outgoing edges of every vertex are indexed once, at
+    The incoming and outgoing edges of every vertex, and the declaration
+    index of every edge id (the one id index), are built once, at
     construction.
     """
 
@@ -58,24 +61,24 @@ class DirectedMultigraph:
         try:
             edges = tuple(edges)
             self.edges: tuple[Edge, ...] = tuple(map(_edge, edges))
-            self._by_id = {e.id: e for e in self.edges}
+            self._eix = {e.id: i for i, e in enumerate(self.edges)}
             # an insertion-ordered set: tails and heads in declaration order
             self.vertices: tuple[str, ...] = tuple(dict.fromkeys(
                 v for e in self.edges for v in (e.src, e.dst)))
         except TypeError:
             raise _malformed(edges) from None
         try:
-            "".join(self._by_id)  # in one C pass: every id is a string
+            "".join(self._eix)  # in one C pass: every id is a string
         except TypeError:
-            bad = next(e for e in self._by_id if not isinstance(e, str))
+            bad = next(e for e in self._eix if not isinstance(e, str))
             raise PpgError(f"edge id {bad!r} is not a string") from None
-        if len(self._by_id) != len(self.edges):
+        if len(self._eix) != len(self.edges):
             seen: set[str] = set()
             for e in self.edges:
                 if e.id in seen:
                     raise DuplicateId("edge", e.id)
                 seen.add(e.id)
-        self.edge_ids: tuple[str, ...] = tuple(self._by_id)
+        self.edge_ids: tuple[str, ...] = tuple(self._eix)
         ins: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         outs: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -86,7 +89,14 @@ class DirectedMultigraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._by_id[edge_id]
+            return self.edges[self._eix[edge_id]]
+        except (KeyError, TypeError):  # unknown, or unhashable so no id
+            raise UnknownEdge(edge_id) from None
+
+    def edge_index(self, edge_id: str) -> int:
+        """The place of edge ``edge_id`` in declaration order."""
+        try:
+            return self._eix[edge_id]
         except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownEdge(edge_id) from None
 
@@ -173,9 +183,10 @@ def _toposort(g: DirectedMultigraph) -> list[str]:
     raise CycleDetected(tuple(cycle) + (cycle[0],))
 
 
-class ProgressiveGraph:
-    """A validated progressive graph; its edge reachability rows are built
-    on first use.
+class ProgressiveGraph(DirectedMultigraph):
+    """A validated progressive graph, equal to the multigraph it was validated
+    from, whose edges, vertices, adjacency and id index it shares rather than
+    builds; its edge reachability rows are built on first use.
 
     Build via :func:`validate_progressive`; the constructor itself performs
     the checks, so every instance is valid.  Treat instances as immutable.
@@ -190,14 +201,19 @@ class ProgressiveGraph:
             if not outs[v] and len(ins[v]) != 1:
                 raise BadBoundaryDegree(v, "sink", len(ins[v]))
 
-        self.graph = graph
+        self.edges, self.vertices, self.edge_ids = graph.edges, graph.vertices, graph.edge_ids
+        self._in, self._out, self._eix = ins, outs, graph._eix
         self.internal_vertices: frozenset[str] = frozenset(
             v for v in graph.vertices if ins[v] and outs[v])
         self.inputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.src not in self.internal_vertices)
         self.outputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.dst not in self.internal_vertices)
-        self._eix = {e: i for i, e in enumerate(graph.edge_ids)}
+
+    @property
+    def graph(self) -> ProgressiveGraph:
+        """The graph itself, which is its own multigraph."""
+        return self
 
     @cached_property
     def _ereach(self) -> tuple[int, ...]:
@@ -207,7 +223,7 @@ class ProgressiveGraph:
     def _downstream(self, index: dict[str, int]) -> list[int]:
         """Per edge, at its place in ``index``, the edges it strictly reaches,
         as bits over ``index``; ``down[v]`` gathers the edges whose tail v reaches."""
-        out, down = self.graph._out, {}
+        out, down = self._out, {}
         rows = [0] * len(index)
         for v in reversed(self._topo):
             acc = 0
@@ -225,27 +241,12 @@ class ProgressiveGraph:
         head_union: dict[str, int] = {}  # edges whose head reaches v, reflexively
         for v in self._topo:
             acc = 0
-            for e in self.graph._in[v]:
+            for e in self._in[v]:
                 acc |= 1 << self._eix[e.id] | head_union[e.src]
             head_union[v] = acc
         return tuple(head_union[e.src] for e in self.edges)
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.graph.edges
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return self.graph.edge_ids
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.graph.vertices
-
-    def edge(self, edge_id: str) -> Edge:
-        return self.graph.edge(edge_id)
 
     def strictly_reaches(self, e1: str, e2: str) -> bool:
         return bool(self.reach_bits(e1) >> self.edge_index(e2) & 1)
@@ -258,26 +259,6 @@ class ProgressiveGraph:
         """The edges that strictly reach e2, as a bitset over edge declaration
         indexes: the transpose of :meth:`reach_bits`."""
         return self._ereachers[self.edge_index(e2)]
-
-    def edge_index(self, e: str) -> int:
-        try:
-            return self._eix[e]
-        except (KeyError, TypeError):  # unknown, or unhashable so no id
-            raise UnknownEdge(e) from None
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return self.graph.in_edges(v)
-
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return self.graph.out_edges(v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProgressiveGraph):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self):
-        return hash(self.graph)
 
     def __repr__(self):
         return (f"ProgressiveGraph({len(self.vertices)} vertices, "

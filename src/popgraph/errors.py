@@ -99,12 +99,12 @@ def _expect_type(value, where: str, *types: type):
     return value
 
 
-def _expect_count(value, what: str) -> None:
-    """PpgError unless ``value`` is an int of 0 or more (a bool is no count)."""
+def _expect_count(value, what: str, least: int = 0) -> None:
+    """PpgError unless ``value`` is an int of ``least`` or more; a bool is none."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise PpgError(f"{what} must be an int, not {type(value).__name__}")
-    if value < 0:
-        raise PpgError(f"{what} must be 0 or more, not {value}")
+    if value < least:
+        raise PpgError(f"{what} must be {least} or more, not {value}")
 
 
 class NotAPermutation(PpgError):

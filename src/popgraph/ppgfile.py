@@ -183,7 +183,7 @@ def parse_ppg(text: str) -> PpgDocument:
         ("inputs", "outputs", "order"), lambda no, tokens, ids: _edge_list(no, tokens[1:], ids)))
     graph = validate_progressive(DirectedMultigraph(edges))
     for v, (_, _, no, key) in legs.items():
-        if v not in graph.graph._in:
+        if v not in graph._in:
             raise ParseError(no, f"unknown vertex {v!r}")
         if v not in graph.internal_vertices:
             raise ParseError(no, f"vertex {v!r} is on the boundary and takes no {key} line")

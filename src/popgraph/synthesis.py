@@ -76,6 +76,7 @@ against two oracles that share none of this: a filter over all permutations
 from __future__ import annotations
 
 import enum
+import sys
 from functools import cached_property
 from itertools import islice
 from typing import Mapping, NamedTuple
@@ -529,6 +530,7 @@ def _list_orders(g: ProgressiveGraph, limit: int | None, force: bool, emit) -> b
             raise PpgError(f"limit must be None or an int, not {type(limit).__name__}")
         if limit < 0:
             raise PpgError(f"limit must be 0 or more, not {limit}")
+        limit = min(limit, sys.maxsize)  # islice's bound; no listing gets that far
     orders = _search(g, force)
     for order in islice(orders, limit):
         emit(order)

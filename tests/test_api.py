@@ -10,7 +10,8 @@ walked from ``__all__``: one that takes none of these must be named in
 ``NOT_GATED``, and a parameter the walk cannot fill fails the test, so a
 new public name cannot pass the gate unseen.  A graph refuses an edge id
 that is no string, as a planar order refuses such a member.  A flag must be
-a bool and a builder's count an int of 0 or more.
+a bool and a builder's count an int of 0 or more; the random builders take a
+``random.Random``, and layer bounds and input counts they can build from.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import __future__
 import dataclasses
 import inspect
+import random
 import types
 
 import pytest
@@ -211,4 +213,40 @@ def test_a_flag_that_is_no_bool_is_refused(call, name, value):
 def test_a_count_that_is_no_int_of_0_or_more_is_refused(call, name, value, message):
     with pytest.raises(pg.PpgError, match=f"^{name} must be {message}$"):
         call(value)
+
+
+def _layer(**kwargs):
+    return pg.random_elementary_layer(kwargs.pop("rng", random.Random(0)), "t", **kwargs)
+
+
+def _pop(**kwargs):
+    return pg.random_pop(kwargs.pop("rng", random.Random(0)), **kwargs)
+
+
+# a row of no inputs has no internal vertex, so random_pop(n_inputs=0) would
+# draw rows forever; a bound or count of the wrong type would escape from
+# inside the draw as a TypeError, ValueError or AttributeError
+@pytest.mark.parametrize("call, kwargs, message", [
+    (_pop, dict(n_inputs=0), "n_inputs must be 1 or more, not 0"),
+    (_pop, dict(n_inputs=-1), "n_inputs must be 1 or more, not -1"),
+    (_pop, dict(n_inputs="3"), "n_inputs must be an int, not str"),
+    (_pop, dict(min_layers=3, max_layers=1), "max_layers must be 3 or more, not 1"),
+    (_pop, dict(max_layers=0), "max_layers must be 1 or more, not 0"),
+    (_pop, dict(min_layers=0), "min_layers must be 1 or more, not 0"),
+    (_pop, dict(min_layers=None), "min_layers must be an int, not NoneType"),
+    (_pop, dict(max_layers=2.0), "max_layers must be an int, not float"),
+    (_pop, dict(rng=None), "random_pop expects Random, not NoneType"),
+    (_pop, dict(rng=5), "random_pop expects Random, not int"),
+    (_layer, dict(n_inputs="3"), "n_inputs must be an int, not str"),
+    (_layer, dict(n_inputs=2.5), "n_inputs must be an int, not float"),
+    (_layer, dict(n_inputs=-1), "n_inputs must be 0 or more, not -1"),
+    (_layer, dict(rng=None), "random_elementary_layer expects Random, not NoneType"),
+    (_layer, dict(rng=5), "random_elementary_layer expects Random, not int"),
+], ids=["pop-inputs0", "pop-inputs-negative", "pop-inputs-str", "pop-bounds-crossed",
+        "pop-max0", "pop-min0", "pop-min-None", "pop-max-float", "pop-rng-None",
+        "pop-rng-int", "layer-inputs-str", "layer-inputs-float", "layer-inputs-negative",
+        "layer-rng-None", "layer-rng-int"])
+def test_a_random_builder_refuses_what_it_cannot_draw(call, kwargs, message):
+    with pytest.raises(pg.PpgError, match=f"^{message}$"):
+        call(**kwargs)
 

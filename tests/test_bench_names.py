@@ -4,7 +4,9 @@
 methods named in its ``SPANS``, ``COUNTS`` and ``METHOD_COUNTS`` tables.  A
 refactor that renames or removes one of them breaks ``bench/run.py --trace 1``
 without failing any library test; this module reads the tables as they are
-and fails instead.
+and fails instead.  A progressive graph must answer with the very methods
+the tracer wraps on ``DirectedMultigraph``, or its adjacency scans go
+uncounted.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import popgraph as pg
 
 BENCH = Path(__file__).parents[1] / "bench"
 
@@ -35,4 +39,8 @@ def test_wrapped_methods_exist(spans):
     assert spans.METHOD_COUNTS
     for cls, attr, name in spans.METHOD_COUNTS:
         assert callable(cls.__dict__.get(attr)), f"{name}: {cls.__name__}.{attr} is gone"
+        # a progressive graph answers with the wrapped method itself, so an
+        # override in the subclass cannot stop the counter unseen
+        assert getattr(pg.ProgressiveGraph, attr) is cls.__dict__[attr], (
+            f"{name}: ProgressiveGraph.{attr} is not {cls.__name__}.{attr}")
 

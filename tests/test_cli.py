@@ -138,6 +138,11 @@ class TestHappyPaths:
         assert main(["enumerate", SPIDER]) == 0
         assert written[0] == 1 and len(found) == 4
 
+    def test_enumerate_takes_a_limit_past_sys_maxsize(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--limit", str(2**63), CANON)
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 576
+
     def test_enumerate_refuses_a_negative_limit(self, capsys):
         assert run(capsys, "enumerate", SPIDER, "--limit", "-2") == (
             3, "", "error: --limit must be 0 or more, not -2\n")

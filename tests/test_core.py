@@ -112,6 +112,30 @@ class TestAdjacency:
                 lookup("nowhere")
 
 
+class TestAProgressiveGraphIsAMultigraph:
+    def test_it_equals_and_hashes_like_its_multigraph(self):
+        m = graph(("1", "p", "v"), ("2", "v", "q"), ("3", "v", "r"))
+        g = pg.validate_progressive(m)
+        assert isinstance(g, pg.DirectedMultigraph)
+        assert g == m and m == g and hash(g) == hash(m)
+        assert g != graph(("1", "p", "v"), ("2", "v", "q"))
+        # the indexes are shared, not rebuilt: one id index per graph
+        assert g._eix is m._eix and g._in is m._in and g._out is m._out
+
+    def test_validating_it_again_gives_an_equal_graph(self, canonical):
+        g = pg.validate_progressive(canonical.graph)
+        assert g == canonical.graph and g is not canonical.graph
+        assert g.inputs == canonical.graph.inputs and g.outputs == canonical.graph.outputs
+
+    def test_a_multigraph_indexes_its_edges_in_declaration_order(self):
+        m = graph(("b", "x", "y"), ("a", "y", "z"), ("c", "x", "z"))
+        assert [m.edge_index(e) for e in ("b", "a", "c")] == [0, 1, 2]
+        for e in ("nope", ["b"]):
+            with pytest.raises(pg.UnknownEdge) as exc:
+                m.edge_index(e)
+            assert exc.value.name == e
+
+
 class TestReachability:
     def test_reflexive_convention(self, canonical):
         # rows are strict: no edge is in its own row

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import random
+import sys
 import textwrap
 import time
 
@@ -397,6 +398,13 @@ class TestEnumerate:
         assert len(res.orders) == 5 and res.truncated
         res = pg.enumerate_planar_orders(g, limit=24)
         assert len(res.orders) == 24 and not res.truncated
+
+    def test_a_limit_past_sys_maxsize_lists_every_order(self, canonical):
+        # islice takes no bound past sys.maxsize; no listing gets that far
+        full = pg.enumerate_planar_orders(canonical.graph)
+        for limit in (sys.maxsize, sys.maxsize + 1, 2**100):
+            assert pg.enumerate_planar_orders(canonical.graph, limit) == full
+        assert len(full.orders) == 576 and not full.truncated
 
     def test_negative_limit_refused(self):
         g = pg.bare_edges(2).graph
