@@ -5,8 +5,9 @@ source and every sink has degree exactly one.  Degree-one vertices are the
 boundary; everything else is internal.  Edges whose tail is a boundary vertex
 are the graph's inputs, edges whose head is a boundary vertex are its outputs;
 a bare edge (boundary at both ends) is both.  Connectivity is not required.
-``ProgressiveGraph`` is a ``DirectedMultigraph`` sharing the adjacency and the
-id index (id to declaration index) of the graph it validates: one per graph.
+``ProgressiveGraph`` and ``StGraph`` are each a ``DirectedMultigraph`` sharing
+the adjacency and the id index (id to declaration index) of the graph it
+validates: one per graph.
 
 Reachability here is between *edges*: edge a strictly reaches edge b when a
 directed path starts with a and ends with b, a != b; this is the precedence
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -47,11 +49,12 @@ class DirectedMultigraph:
     """Edge-labelled directed multigraph.
 
     Vertices are inferred from edge endpoints, so none is isolated.  Edge ids
-    must be unique strings, and an edge that is not an (id, src, dst) triple
-    of hashable names, or whose id is no string, raises PpgError naming it.
+    must be unique strings and vertex names strings; an edge that is not an
+    (id, src, dst) triple of hashable names, an id or a vertex name that is
+    no string, raises PpgError naming it.
     Declaration order of edges is preserved for presentation (``edges``,
     ``in_edges``, ``out_edges``) but is not part of the value: two graphs
-    are equal when they have the same vertex set and the same set of edges.
+    are equal when they have the same set of edges, which gives the vertices.
     The incoming and outgoing edges of every vertex, and the declaration
     index of every edge id (the one id index), are built once, at
     construction.
@@ -68,10 +71,11 @@ class DirectedMultigraph:
         except TypeError:
             raise _malformed(edges) from None
         try:
-            "".join(self._eix)  # in one C pass: every id is a string
+            "".join(chain(self._eix, self.vertices))  # in one C pass: every name is a string
         except TypeError:
-            bad = next(e for e in self._eix if not isinstance(e, str))
-            raise PpgError(f"edge id {bad!r} is not a string") from None
+            bad = next(n for n in chain(self._eix, self.vertices) if not isinstance(n, str))
+            kind = "edge id" if bad in self._eix else "vertex"  # chain yields the ids first
+            raise PpgError(f"{kind} {bad!r} is not a string") from None
         if len(self._eix) != len(self.edges):
             seen: set[str] = set()
             for e in self.edges:
@@ -113,14 +117,14 @@ class DirectedMultigraph:
             raise UnknownVertex(v) from None
 
     def __eq__(self, other) -> bool:
-        # declaration order is presentation, not identity
-        if not isinstance(other, DirectedMultigraph):
+        # declaration order is presentation, not identity; an st graph equals
+        # only an st graph, as it also compares its source and sink
+        if not isinstance(other, DirectedMultigraph) or isinstance(other, StGraph):
             return NotImplemented
-        return (frozenset(self.edges) == frozenset(other.edges)
-                and set(self.vertices) == set(other.vertices))
+        return frozenset(self.edges) == frozenset(other.edges)
 
     def __hash__(self):
-        return hash((frozenset(self.edges), frozenset(self.vertices)))
+        return hash(frozenset(self.edges))
 
     def __repr__(self):
         return f"DirectedMultigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -210,11 +214,6 @@ class ProgressiveGraph(DirectedMultigraph):
         self.outputs: frozenset[str] = frozenset(
             e.id for e in graph.edges if e.dst not in self.internal_vertices)
 
-    @property
-    def graph(self) -> ProgressiveGraph:
-        """The graph itself, which is its own multigraph."""
-        return self
-
     @cached_property
     def _ereach(self) -> tuple[int, ...]:
         """The reach rows, in one downstream pass over the stored order."""
@@ -283,8 +282,11 @@ def _sides(value, what: str) -> tuple[tuple, tuple]:
     raise PpgError(f"{what} must have exactly two sides of edge ids")
 
 
-class StGraph:
+class StGraph(DirectedMultigraph):
     """A planar-st-style graph: one source ``s``, one sink ``t``, acyclic.
+    It shares the edges, vertices, adjacency and id index of the multigraph
+    it validates, and equals only an st graph with the same edges, source
+    and sink.
 
     ``rotation`` optionally records, per vertex, the circular order of
     incident edges as (incoming tuple, outgoing tuple); it is carried through
@@ -303,41 +305,37 @@ class StGraph:
         if sink not in graph.vertices:
             raise UnknownVertex(sink)
         _toposort(graph)
+        # an acyclic graph has a vertex with no in-edge and one with no
+        # out-edge, so the loop also refuses a source with an in-edge and a
+        # sink with an out-edge
         ins, outs = graph._in, graph._out
         for v in graph.vertices:
             if not ins[v] and v != source:
-                raise BadBoundaryDegree(v, "source", len(outs[v]))
+                raise BadBoundaryDegree(v, "source", len(outs[v]), declared=source)
             if not outs[v] and v != sink:
-                raise BadBoundaryDegree(v, "sink", len(ins[v]))
-        if ins[source]:
-            raise BadBoundaryDegree(source, "source", len(ins[source]))
-        if outs[sink]:
-            raise BadBoundaryDegree(sink, "sink", len(outs[sink]))
-        self.graph = graph
+                raise BadBoundaryDegree(v, "sink", len(ins[v]), declared=sink)
+        self.edges, self.vertices, self.edge_ids = graph.edges, graph.vertices, graph.edge_ids
+        self._in, self._out, self._eix = ins, outs, graph._eix
         self.source = source
         self.sink = sink
         self.rotation = {}
         for v, value in (rotation or {}).items():
-            if v not in graph._in:
+            if v not in ins:
                 raise UnknownVertex(v)
             incoming, outgoing = sides = _sides(value, f"the rotation at {v!r}")
             for e in incoming + outgoing:
-                graph.edge(e)  # UnknownEdge unless declared
+                self.edge(e)  # UnknownEdge unless declared
             if incoming or outgoing:
                 self.rotation[v] = sides
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.graph.edges
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StGraph):
             return NotImplemented
-        return (self.graph, self.source, self.sink) == (other.graph, other.source, other.sink)
+        return ((frozenset(self.edges), self.source, self.sink)
+                == (frozenset(other.edges), other.source, other.sink))
 
     def __repr__(self):
-        return (f"StGraph({len(self.graph.vertices)} vertices, "
-                f"{len(self.graph.edges)} edges)")
+        return f"StGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
 def hat(p: ProgressiveGraph) -> StGraph:
@@ -373,9 +371,9 @@ def circ(st: StGraph) -> ProgressiveGraph:
     """Split ``s`` and ``t`` back off: every edge leaving the source gets its
     own fresh degree-one tail, every edge entering the sink its own fresh
     head.  Inverse of :func:`hat` up to isomorphism."""
-    taken = set(_expect_type(st, "circ", StGraph).graph.vertices)
+    taken = set(_expect_type(st, "circ", StGraph).vertices)
     edges = []
-    for e in st.graph.edges:
+    for e in st.edges:
         src = _fresh(f"s@{e.id}", taken) if e.src == st.source else e.src
         dst = _fresh(f"t@{e.id}", taken) if e.dst == st.sink else e.dst
         edges.append(Edge(e.id, src, dst))

@@ -59,10 +59,16 @@ class CycleDetected(PpgError):
 
 
 class BadBoundaryDegree(PpgError):
-    """A source or sink vertex has degree other than one."""
+    """A source or sink vertex has degree other than one, or, with
+    ``declared``, is a source or sink other than the declared one."""
 
-    def __init__(self, vertex: str, kind: str, degree: int):
-        super().__init__(f"{kind} vertex {vertex!r} has degree {degree}, expected 1")
+    def __init__(self, vertex: str, kind: str, degree: int, declared: str | None = None):
+        if declared is None:
+            super().__init__(f"{kind} vertex {vertex!r} has degree {degree}, expected 1")
+        else:
+            side = "in" if kind == "source" else "out"
+            super().__init__(f"vertex {vertex!r} has no {side}-edge and is not "
+                             f"the declared {kind} {declared!r}")
         self.vertex = vertex
         self.kind = kind
         self.degree = degree

@@ -518,10 +518,11 @@ _RENDER_BOUND = 10 ** 100
 def _require_coordinates(d: Drawing, render: bool = False, routes: bool = False) -> None:
     """Raise PpgError, in this order, naming the first field of another type
     than its annotation (an O(1) check each; ``flow`` is "down" or "up"),
-    the first route that is not a tuple or, with ``routes``, has fewer than
-    two points, then the first route, vertex or box with a point that is
-    not an (x, y) tuple, a coordinate that is not an int or a ``Fraction``
-    (every check here is exact), or, for a renderer, a coordinate of
+    the first member of ``inputs`` or ``outputs`` that is no string (one C
+    pass), the first route that is not a tuple or, with ``routes``, has
+    fewer than two points, then the first route, vertex or box with a
+    point that is not an (x, y) tuple, a coordinate that is not an int or a
+    ``Fraction`` (every check here is exact), or, for a renderer, a coordinate of
     magnitude ``_RENDER_BOUND`` or more.  A drawing of plain tuples, ints
     and ``Fraction`` objects is accepted by C-level passes over its points
     and coordinates; only another is walked point by point, to name the
@@ -535,6 +536,13 @@ def _require_coordinates(d: Drawing, render: bool = False, routes: bool = False)
         raise PpgError("drawing flow is neither 'down' nor 'up'")
     if len(d.box) != 4:
         raise PpgError(f"drawing box has {len(d.box)} coordinates, not 4")
+    try:
+        "".join(d.inputs + d.outputs)  # in one C pass: every member is a string
+    except TypeError:
+        field, bad = next((f, e) for f in ("inputs", "outputs") for e in getattr(d, f)
+                          if not isinstance(e, str))
+        raise PpgError(f"drawing {field} has a member of type {type(bad).__name__}, "
+                       "not str") from None
     if set(map(type, d.routes.values())) <= {tuple} and (
             not routes or min(map(len, d.routes.values()), default=2) >= 2):
         pts = [*chain.from_iterable(d.routes.values()), *d.vertices.values(),

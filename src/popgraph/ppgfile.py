@@ -33,12 +33,15 @@ has, or a PpgError names the first anchor side or vertex that differs.
 
 Emission is canonical and deterministic: header, edges in declaration
 order, anchors, vertex orders sorted by vertex id, order line; emitting a
-parsed document reproduces it value for value.
+parsed document reproduces it value for value.  An edge id or vertex name
+that is empty or holds whitespace or ``#`` would not parse back as one
+token, so both emitters refuse it with a PpgError naming it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import chain
 
 from .core import DirectedMultigraph, Edge, ProgressiveGraph, StGraph, validate_progressive
 from .errors import ParseError, PpgError, _expect_type
@@ -178,6 +181,21 @@ def _one_vertex(no: int, tokens: list[str], ids: set[str]) -> str:
     return tokens[1]
 
 
+def _writable(graph: DirectedMultigraph, kind: str) -> None:
+    """PpgError naming the first edge id or vertex name, in the order the
+    edge lines write them, that a line cannot hold as one token: one that is
+    empty or holds whitespace or ``#``.  A graph with no such name passes
+    in C-level passes."""
+    names = graph.edge_ids + graph.vertices
+    joined = "#".join(names)  # a "#" inside a name shows in the count
+    if joined.count("#") == len(names) - 1 and joined.split() == [joined] and "" not in names:
+        return
+    for bad in chain.from_iterable(graph.edges):
+        if "#" in bad or bad.split() != [bad]:
+            raise PpgError(f"name {bad!r} is empty or holds whitespace or '#', "
+                           f"which a .{kind} line cannot hold")
+
+
 def parse_ppg(text: str) -> PpgDocument:
     edges, found, legs = _parse_common(_expect_type(text, "parse_ppg", str), "ppg", dict.fromkeys(
         ("inputs", "outputs", "order"), lambda no, tokens, ids: _edge_list(no, tokens[1:], ids)))
@@ -217,6 +235,7 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
     else:
         graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, doc.order
 
+    _writable(graph, "ppg")
     out = ["ppg 1"]
     for e in graph.edges:
         out.append(f"edge {e.id} {e.src} {e.dst}")
@@ -246,9 +265,9 @@ def parse_stg(text: str) -> StGraph:
 
 
 def emit_stg(st: StGraph) -> str:
-    _expect_type(st, "emit_stg", StGraph)
+    _writable(_expect_type(st, "emit_stg", StGraph), "stg")
     out = ["stg 1"]
-    for e in st.graph.edges:
+    for e in st.edges:
         out.append(f"edge {e.id} {e.src} {e.dst}")
     out.append(f"source {st.source}")
     out.append(f"sink {st.sink}")

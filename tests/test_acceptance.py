@@ -139,7 +139,7 @@ def test_criterion_05_decomposition_recomposes(announce, canonical):
                 # the walk orders factors by restriction and never checks the order
                 pg.validate_planar_order(f.graph, f.order.sequence)
                 # each factor is validated like any graph: it has the rows of a fresh one
-                g, ref = f.graph, pg.validate_progressive(f.graph.graph)
+                g, ref = f.graph, pg.validate_progressive(f.graph)
                 assert ([g.reach_bits(e) for e in g.edge_ids]
                         == [ref.reach_bits(e) for e in ref.edge_ids]), i
                 assert ([g.reacher_bits(e) for e in g.edge_ids]
@@ -199,10 +199,10 @@ def test_criterion_09_apex_round_trip(announce, suite, canonical):
             back = pg.circ(st)
             assert isomorphic_by_edges(back, pop.graph), name
         st = pg.hat(canonical.graph)
-        assert len(st.graph.vertices) == 8
-        assert len(st.graph.edges) == 19
-        assert len(st.graph.out_edges("s")) == 8
-        assert len(st.graph.in_edges("t")) == 6
+        assert len(st.vertices) == 8
+        assert len(st.edges) == 19
+        assert len(st.out_edges("s")) == 8
+        assert len(st.in_edges("t")) == 6
 
 
 def test_criterion_10_drawings_verify_and_read_back(announce, suite, canonical):

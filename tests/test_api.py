@@ -96,9 +96,7 @@ def samples() -> dict[str, dict]:
     }
     return {
         "": common,
-        "ProgressiveGraph": {"graph": g.graph},
-        "validate_progressive": {"graph": g.graph},
-        "StGraph": {"graph": st.graph},
+        "StGraph": {"graph": st},
         "parse_stg": {"text": pg.emit_stg(st)},
         "glue_table": {"second": pg.bare_edges(len(g.outputs))},
     }

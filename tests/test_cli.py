@@ -161,7 +161,7 @@ class TestHappyPaths:
         code, _, _ = run(capsys, "hat", CANON, "-o", str(stg))
         assert code == 0
         st = pg.parse_stg(stg.read_text())
-        assert len(st.graph.vertices) == 8 and len(st.graph.edges) == 19
+        assert len(st.vertices) == 8 and len(st.edges) == 19
         code, out, _ = run(capsys, "circ", str(stg))
         assert code == 0
         back = pg.parse_ppg(out)

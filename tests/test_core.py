@@ -61,10 +61,17 @@ class TestValidation:
         (iter([("e", "a", "b"), 5]), "edge 5" + NO_TRIPLE),
         (5, "5 is not a collection of edges"),
         (["abc", "dbe"], "edge 'abc'" + NO_TRIPLE),
+        # from a vertex 1, compose could make no fresh name, and "edge a 1 2"
+        # parses back to a graph whose vertex is "1"
+        ([("a", 1, 2)], "vertex 1 is not a string"),
+        ([("b", "x", None)], "vertex None is not a string"),
+        ([("a", "x", "y"), ("b", ("y",), "z")], "vertex ('y',) is not a string"),
+        ([(1, 2, "y")], "edge id 1 is not a string"),
     ], ids=["two fields", "unhashable id", "unhashable vertex", "not a triple", "not iterable",
-            "a string"])
+            "a string", "int vertex", "none vertex", "tuple vertex", "id before vertex"])
     def test_a_malformed_edge_is_named(self, edges, message):
-        # the first edge that is no (id, src, dst) triple of hashable names;
+        # the first edge that is no (id, src, dst) triple of hashable names,
+        # then the first id and the first vertex name that is no string;
         # before, TypeError escaped from Edge.__new__ or from hashing the id
         with pytest.raises(pg.PpgError) as exc:
             pg.DirectedMultigraph(edges)
@@ -170,7 +177,7 @@ class TestReachability:
         calls = []
         toposort = pg.core._toposort
         monkeypatch.setattr(pg.core, "_toposort", lambda g: calls.append(g) or toposort(g))
-        g = pg.validate_progressive(canonical.graph.graph)
+        g = pg.validate_progressive(canonical.graph)
         assert [g.reacher_bits(e) for e in g.edge_ids] == [
             canonical.graph.reacher_bits(e) for e in g.edge_ids]
         assert len(calls) == 1
@@ -186,7 +193,7 @@ class TestReachability:
 
     @pytest.mark.parametrize("lookup", [
         lambda pop: pop.graph.edge_index(["x"]),
-        lambda pop: pop.graph.graph.edge(["x"]),
+        lambda pop: pg.DirectedMultigraph(pop.graph.edges).edge(["x"]),
         lambda pop: pop.graph.edge(["x"]),
         lambda pop: pop.graph.reach_bits(["x"]),
         lambda pop: pop.graph.reacher_bits(["x"]),
@@ -202,8 +209,8 @@ class TestReachability:
         assert exc.value.name == ["x"]
 
     @pytest.mark.parametrize("lookup", [
-        lambda pop: pop.graph.graph.in_edges(["v"]),
-        lambda pop: pop.graph.graph.out_edges(["v"]),
+        lambda pop: pg.DirectedMultigraph(pop.graph.edges).in_edges(["v"]),
+        lambda pop: pg.DirectedMultigraph(pop.graph.edges).out_edges(["v"]),
         lambda pop: pop.graph.in_edges(["v"]),
         lambda pop: pop.graph.out_edges(["v"]),
     ], ids=["multigraph_in_edges", "multigraph_out_edges", "in_edges", "out_edges"])
@@ -216,10 +223,10 @@ class TestReachability:
 class TestHatCirc:
     def test_hat_counts(self, canonical):
         h = pg.hat(canonical.graph)
-        assert len(h.graph.vertices) == 8
-        assert len(h.graph.edges) == 19
-        assert sum(1 for e in h.graph.edges if e.src == "s") == 8
-        assert sum(1 for e in h.graph.edges if e.dst == "t") == 6
+        assert len(h.vertices) == 8
+        assert len(h.edges) == 19
+        assert sum(1 for e in h.edges if e.src == "s") == 8
+        assert sum(1 for e in h.edges if e.dst == "t") == 6
 
     def test_hat_reserved_name(self):
         g = pg.validate_progressive(graph(("1", "a", "s"), ("2", "s", "b")))
@@ -245,6 +252,46 @@ class TestHatCirc:
             pg.StGraph(graph(("1", "s", "t")), "t", "s")
         with pytest.raises(pg.UnknownVertex):
             pg.StGraph(graph(("1", "s", "t")), "s", "missing")
+
+    @pytest.mark.parametrize("edges, source, sink, message", [
+        ([("1", "s", "t")], "t", "s",
+         "vertex 's' has no in-edge and is not the declared source 't'"),
+        ([("1", "s", "t"), ("2", "a", "t")], "s", "t",
+         "vertex 'a' has no in-edge and is not the declared source 's'"),
+        ([("1", "s", "t"), ("2", "s", "b")], "s", "t",
+         "vertex 'b' has no out-edge and is not the declared sink 't'"),
+    ], ids=["swapped", "second source", "second sink"])
+    def test_a_second_source_or_sink_is_named_as_such(self, edges, source, sink, message):
+        with pytest.raises(pg.BadBoundaryDegree) as exc:
+            pg.StGraph(graph(*edges), source, sink)
+        assert str(exc.value) == message
+
+    def test_an_st_graph_is_a_multigraph_sharing_its_indexes(self, canonical, monkeypatch):
+        validated = []  # the multigraph each StGraph is built from
+        init = pg.StGraph.__init__
+        monkeypatch.setattr(pg.StGraph, "__init__", lambda self, graph, *rest:
+                            validated.append(graph) or init(self, graph, *rest))
+        st = pg.StGraph(graph(("1", "s", "v"), ("2", "v", "t"), ("3", "s", "t")), "s", "t")
+        for got in (st, pg.hat(canonical.graph), pg.parse_stg(pg.emit_stg(st))):
+            m = validated.pop(0)
+            assert isinstance(got, pg.DirectedMultigraph) and type(got) is pg.StGraph
+            assert got._eix is m._eix and got._in is m._in and got._out is m._out
+            assert got.edges is m.edges and got.vertices is m.vertices
+        assert not hasattr(st, "graph") and not hasattr(canonical.graph, "graph")
+
+    def test_an_st_graph_equals_only_an_st_graph(self):
+        m = graph(("1", "s", "v"), ("2", "v", "t"), ("3", "s", "t"))
+        st = pg.StGraph(m, "s", "t")
+        assert st != m and m != st and not st == m and not m == st
+        assert st == pg.StGraph(graph(("3", "s", "t"), ("2", "v", "t"), ("1", "s", "v")),
+                                "s", "t")
+        assert st != pg.StGraph(graph(("1", "s", "v"), ("2", "v", "t")), "s", "t")
+        # a single edge is both an st graph and a progressive graph
+        one = graph(("1", "s", "t"))
+        assert pg.StGraph(one, "s", "t") != pg.validate_progressive(one)
+        assert pg.validate_progressive(one) != pg.StGraph(one, "s", "t")
+        with pytest.raises(TypeError):
+            hash(st)
 
 
 class TestIsomorphism:

@@ -31,7 +31,7 @@ def _seed_texts() -> list[tuple[str, str]]:
         texts.append(("ppg", pg.emit_ppg(pop)))
         texts.append(("ppg", pg.emit_ppg(pa)))
         rotation = dict(pa.vertex_orders, s=((), pa.anchor.inputs), t=(pa.anchor.outputs, ()))
-        texts.append(("stg", pg.emit_stg(pg.StGraph(pg.hat(pop.graph).graph, "s", "t",
+        texts.append(("stg", pg.emit_stg(pg.StGraph(pg.hat(pop.graph), "s", "t",
                                                     rotation))))
     return texts
 

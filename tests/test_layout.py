@@ -673,6 +673,19 @@ class TestMalformedDrawings:
                 render(bad)
             render(self.with_x(pg.layout(pop), "route", 10 ** 99))
 
+    @pytest.mark.parametrize("member", [["i1"], 1, None], ids=repr)
+    @pytest.mark.parametrize("field", ["inputs", "outputs"])
+    @pytest.mark.parametrize("use", ["check_drawing", "read_back", "render_svg", "render_tikz"])
+    def test_boundary_member_that_is_not_a_string_refused(self, use, field, member):
+        # a list is unhashable, and the checker and read_back hash the members
+        pop = pg.spider(2, 2)
+        d = pg.layout(pop)
+        bad = dataclasses.replace(d, **{field: getattr(d, field)[:1] + (member,)})
+        fn = getattr(pg, use)
+        with pytest.raises(pg.PpgError, match=f"^drawing {field} has a member of type "
+                                              f"{type(member).__name__}, not str$"):
+            fn(bad, pop.graph) if use == "read_back" else fn(bad)
+
     @pytest.mark.parametrize("use", ["check_drawing", "read_back", "render_svg", "render_tikz"])
     def test_point_that_is_not_a_pair_refused(self, use):
         pop = pg.spider(2, 2)

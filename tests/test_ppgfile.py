@@ -235,6 +235,38 @@ class TestEmitPpg:
         assert doc == pg.PpgDocument(pop.graph, {}, pg.Anchor(("w1", "w2"), ("w1", "w2")),
                                      pop.order)
 
+    @pytest.mark.parametrize("edge, bad", [
+        (("a s t\nedge b", "s2", "t2"), "a s t\nedge b"),
+        (("a", "", "t"), ""),
+        (("a", "s", "x#y"), "x#y"),
+        (("a\tb", "s", "t"), "a\tb"),
+        (("a", "s", "\u2028"), "\u2028"),
+    ], ids=["newline", "empty", "hash", "tab", "line separator"])
+    def test_a_name_no_line_can_hold_is_refused(self, edge, bad):
+        # written out, the newline case would parse as two edges, a and b
+        g = pg.validate_progressive(pg.DirectedMultigraph([edge, ("ok", "u", "w")]))
+        with pytest.raises(pg.PpgError) as exc:
+            pg.emit_ppg(g)
+        assert str(exc.value) == (f"name {bad!r} is empty or holds whitespace or '#', "
+                                  "which a .ppg line cannot hold")
+        st = pg.StGraph(pg.DirectedMultigraph([edge]), edge[1], edge[2])
+        with pytest.raises(pg.PpgError, match="which a .stg line cannot hold$"):
+            pg.emit_stg(st)
+
+    def test_library_names_round_trip(self, canonical):
+        # fresh apex tails and heads, glue ids, primes and the L./R. of side_by_side
+        circ = pg.circ(pg.hat(canonical.graph))
+        glued = pg.compose(pg.spider(1, 2), pg.spider(2, 1))
+        twice = pg.compose(glued, pg.compose(pg.spider(1, 1), pg.spider(1, 1)))
+        side = pg.side_by_side(twice, pg.spider(2, 2))
+        names = set()
+        for g in (circ, glued.graph, twice.graph, side.graph):
+            assert pg.parse_ppg(pg.emit_ppg(g)).graph == g
+            names.update(g.edge_ids + g.vertices)
+        assert {"s@1", "t@19"} <= names
+        assert any("~" in n for n in names) and any("'" in n for n in names)
+        assert any(n.startswith("L.") for n in names) and any(n.startswith("R.") for n in names)
+
 
 class TestStg:
     def test_parse(self):
@@ -246,7 +278,7 @@ class TestStg:
     def test_round_trip(self):
         st = pg.parse_stg(STG)
         back = pg.parse_stg(pg.emit_stg(st))
-        assert back.graph == st.graph
+        assert back == st
         assert (back.source, back.sink) == (st.source, st.sink)
         assert back.rotation == st.rotation
 
@@ -297,7 +329,7 @@ class TestStg:
     def test_hat_then_emit_then_parse(self, canonical):
         st = pg.hat(canonical.graph)
         back = pg.parse_stg(pg.emit_stg(st))
-        assert back.graph == st.graph
+        assert back == st
 
     def test_wrong_header_kind(self):
         with pytest.raises(pg.ParseError, match="expected header 'stg 1'"):
