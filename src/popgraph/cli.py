@@ -6,10 +6,13 @@ problems on stderr.  No network, no environment variables, deterministic
 output.
 
 An ``-o`` file (and each file ``decompose`` writes) is overwritten in
-place: it is opened without truncation, written in full, and then cut at
-the end of the new text, so no excess of a longer old file is left.  A
+place: it is opened without truncation and its text written in one write
+call, resumed where a write takes only part of it; only a longer old file
+is then cut at the end of the new text, so no excess of it is left.  A
 target that is not a regular file, such as ``/dev/null`` or a pipe, is
 written and not truncated.  Nothing is synced to disk, before or after.
+``decompose`` builds the text of every factor from the peel steps before
+it writes the first file.
 
 Exit codes: 0 success; 1 validation failure (bad graph, bad order, no
 consistent order); 2 unreadable or unparsable input; 3 usage errors,
@@ -25,12 +28,12 @@ import stat
 import sys
 from pathlib import Path
 
-from .composition import elementary_decomposition, recompose
-from .core import circ, hat
+from .composition import _steps, recompose
+from .core import DirectedMultigraph, circ, hat, validate_progressive
 from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
 from .order import _pairs, _ranked
-from .ppgfile import emit_ppg, emit_stg, parse_ppg, parse_stg
+from .ppgfile import _ppg_text, _writable, emit_ppg, emit_stg, parse_ppg, parse_stg
 from .synthesis import _list_orders, count_planar_orders, synthesize_order
 
 
@@ -105,17 +108,23 @@ def _read(path: str) -> str:
 def _write(text: str, output: str | Path | None) -> None:
     """Write ``text`` to stdout, or over the file ``output`` in place.
 
-    Opening without ``O_TRUNC`` and cutting the excess after the write costs
-    less than emptying the old file first, which frees its blocks and makes
-    the file system flush the new ones at close."""
+    Opening without ``O_TRUNC`` and cutting only an excess after the write
+    costs less than emptying the old file first, which frees its blocks and
+    makes the file system flush the new ones at close."""
     if output is None:
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
     fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            f.truncate()
+    try:
+        rest = memoryview(data)
+        while rest:  # a write may take only part of what it is given
+            rest = rest[os.write(fd, rest):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _cmd_validate(args) -> int:
@@ -157,17 +166,29 @@ def _cmd_compose(args) -> int:
 
 def _cmd_decompose(args) -> int:
     pop = parse_ppg(_read(args.file)).pop()
-    decomp = elementary_decomposition(pop)
+    texts, lines = [], []
+    for step in _steps(pop):
+        # downstream first, each factor checked as emit_ppg would check it
+        # and its text read off the step: the vertex and its legs, the line
+        # after the step as its inputs, the line before it as its outputs
+        graph = validate_progressive(DirectedMultigraph(step.edges))
+        _writable(graph, "ppg")
+        texts.append(_ppg_text(graph.edges, (step.after, step.before),
+                               {step.vertex: (step.ins, step.outs)}, step.order))
+        lines.append(step.before)
+    texts = texts[::-1] or [emit_ppg(pop)]  # no internal vertex: its own factor
+    lines.reverse()
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = ["ppg-manifest 1", f"factors {len(decomp.factors)}"]
-    for k, factor in enumerate(decomp.factors, 1):
+    manifest = ["ppg-manifest 1", f"factors {len(texts)}"]
+    for k, text in enumerate(texts, 1):
         name = f"factor_{k:02d}.ppg"
-        _write(emit_ppg(factor), outdir / name)
+        _write(text, outdir / name)
         manifest.append(f"factor {k} {name}")
         print(name)
-    for k, pairs in enumerate(decomp.interfaces, 1):
-        manifest.append(f"interface {k} " + " ".join(f"{o}={i}" for o, i in pairs))
+    # the outputs of each factor but the most downstream one
+    for k, line in enumerate(lines[:-1], 1):
+        manifest.append(f"interface {k} " + " ".join(f"{e}={e}" for e in line))
     _write("\n".join(manifest) + "\n", outdir / "manifest.txt")
     print("manifest.txt")
     return 0

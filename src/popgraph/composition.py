@@ -17,22 +17,30 @@ Decomposition is the inverse: splitting off an order-maximal internal vertex
 leaves a remainder and an elementary factor (one internal vertex plus
 pass-through bare edges) whose composition restores the original, and
 repeating until no internal vertex is left writes the graph as a chain of
-single-vertex layers.  That is one walk over the order which builds only the
-factors: each is validated as a progressive graph like any other, and
-ordered by restricting the planar order, which the theory makes planar, so
-no order is checked again and no remainder is built.  The layout reads the
-same peel order for its bands and builds no factor.
+single-vertex layers, each one spider between identity wires.  That is one
+walk of steps over the peel order which builds no remainder.  It keeps the
+line of current outputs as a list in order: the out-legs of the vertex
+peeled are a contiguous block of it, the in-legs take their place, and the
+factor's order is the line with the in-legs spliced in before the
+out-legs.  That splice is the planar order restricted to the factor, which
+the theory makes planar, got without sorting by rank.  Each factor is
+validated as a progressive graph like any other; no order is checked
+again.  ``ppg decompose`` writes the factors' texts straight from the
+steps.  The layout reads the same peel order for its bands and builds no
+factor.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .core import (DirectedMultigraph, Edge, _fresh, _induces_vertex_bijection,
                    validate_progressive)
 from .errors import ArityMismatch, NoInternalVertex, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, interval_partition, validate_planar_order
+from .synthesis import _local_data
 
 
 def compose(*factors: POPGraph) -> POPGraph:
@@ -134,46 +142,71 @@ def _peel_order(pop: POPGraph):
                     heapq.heappush(ready, (first_out[e.src], e.src))
 
 
-def _peel(pop: POPGraph):
+class _Step(NamedTuple):
+    """One peel step.  The line before it lists the factor's outputs in
+    order, the line after it the factor's inputs: the ``outs`` of ``vertex``
+    are the block ``before[k:k + len(outs)]``, which ``ins`` replace in
+    ``after``.  ``edges`` are the factor's edges in declaration order;
+    ``head`` maps each edge to its current head, the walk's own dict, which
+    the next step updates in place."""
+    vertex: str
+    k: int
+    ins: tuple[str, ...]
+    outs: tuple[str, ...]
+    before: list[str]
+    after: list[str]
+    edges: list[Edge]
+    head: dict[str, str]
+
+    @property
+    def order(self) -> list[str]:
+        """The factor's planar order: the in-legs spliced in before the out-legs."""
+        return [*self.before[:self.k], *self.ins, *self.before[self.k:]]
+
+
+def _steps(pop: POPGraph):
     """Split off one maximal internal vertex per step, building no remainder.
 
-    The vertices come from :func:`_peel_order`.  The walk keeps the current
-    head of every edge, the current outputs (the line), the dropped edges
-    and the vertex names the remainder would have, and yields
-    ``(factor, head, dropped)`` per step; the next step updates ``head`` and
-    ``dropped`` in place.
+    The vertices come from :func:`_peel_order`, their legs in order from
+    the local data of the planar order.  The walk keeps the line (the
+    current outputs) as a list in order: the out-legs of the vertex peeled
+    are a contiguous block of it, and the in-legs take their place.  Fresh
+    tails ``s@e`` avoid the names of the factor; fresh heads ``t@e`` avoid
+    every name of the graph the step started from, the vertex and its
+    output heads included.
     """
     g = pop.graph
-    head = {e.id: e.dst for e in g.edges}
-    line = set(g.outputs)
-    dropped: set[str] = set()
+    edges, ix, inputs = g.edges, g._eix, g.inputs
+    legs, anchor = _local_data(pop)
+    head = {e.id: e.dst for e in edges}
+    line = list(anchor.outputs)
     names = set(g.vertices)
     for v in _peel_order(pop):
-        spider_in = [e.id for e in g.in_edges(v)]
-        spider_out = [e.id for e in g.out_edges(v)]
-
-        ids = line.union(spider_in)
-        taken = {v} | {head[e] for e in line} | {g.edge(e).src for e in ids & g.inputs}
-        edges = []
-        for e in sorted(ids, key=g.edge_index):
+        ins, outs = legs[v]
+        k = line.index(outs[0])
+        ids = [*line, *ins]
+        taken = {v, *map(head.__getitem__, line)}
+        taken.update(edges[ix[e]].src for e in ids if e in inputs)
+        factor = []
+        for e in sorted(ids, key=ix.__getitem__):
             # input tails are degree-one sources already; keeping them lets
             # recomposition restore the original graph vertex for vertex
-            src = g.edge(e).src
-            if src != v and e not in g.inputs:
+            src = edges[ix[e]].src
+            if src != v and e not in inputs:
                 src = _fresh(f"s@{e}", taken)
-            edges.append(Edge(e, src, head[e]))
-        factor = POPGraph(validate_progressive(DirectedMultigraph(edges)),
-                          PlanarOrder(sorted(ids, key=pop.rank)))
+            factor.append(Edge(e, src, head[e]))
 
-        # fresh heads avoid every name of the graph the step started from,
-        # the vertex and its output heads included
-        for e in spider_in:
-            head[e] = _fresh(f"t@{e}", names)
-        names.difference_update([v, *(head[e] for e in spider_out)])
-        line.difference_update(spider_out)
-        line.update(spider_in)
-        dropped.update(spider_out)
-        yield factor, head, dropped
+        for e in g.in_edges(v):
+            head[e.id] = _fresh(f"t@{e.id}", names)
+        names.difference_update([v, *map(head.__getitem__, outs)])
+        after = [*line[:k], *ins, *line[k + len(outs):]]
+        yield _Step(v, k, ins, outs, line, after, factor, head)
+        line = after
+
+
+def _factor(step: _Step) -> POPGraph:
+    """The step's factor as an ordered graph, validated as a progressive graph."""
+    return POPGraph(validate_progressive(DirectedMultigraph(step.edges)), PlanarOrder(step.order))
 
 
 def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
@@ -188,12 +221,13 @@ def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
     """
     if not _expect_type(pop, "decompose_step", POPGraph).graph.internal_vertices:
         raise NoInternalVertex()
-    factor, head, dropped = next(_peel(pop))
+    step = next(_steps(pop))
+    dropped = set(step.outs)
     remainder_graph = validate_progressive(DirectedMultigraph(
-        Edge(e.id, e.src, head[e.id]) for e in pop.graph.edges if e.id not in dropped))
+        Edge(e.id, e.src, step.head[e.id]) for e in pop.graph.edges if e.id not in dropped))
     remainder = validate_planar_order(
         remainder_graph, [e for e in pop.order if e not in dropped])
-    return remainder, factor
+    return remainder, _factor(step)
 
 
 class ElementaryDecomposition:
@@ -231,7 +265,7 @@ def elementary_decomposition(pop: POPGraph) -> ElementaryDecomposition:
     """
     if not _expect_type(pop, "elementary_decomposition", POPGraph).graph.internal_vertices:
         return ElementaryDecomposition([pop])
-    factors = [factor for factor, _, _ in _peel(pop)]
+    factors = [_factor(step) for step in _steps(pop)]
     factors.reverse()
     return ElementaryDecomposition(factors)
 

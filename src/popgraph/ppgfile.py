@@ -236,17 +236,26 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
         graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, doc.order
 
     _writable(graph, "ppg")
+    return _ppg_text(graph.edges, anchor, vertex_orders,
+                     order.sequence if order is not None else None)
+
+
+def _ppg_text(edges, anchor, vertex_orders, order) -> str:
+    """The text of :func:`emit_ppg` from its parts, unchecked: the edges in
+    declaration order, the anchor and each vertex order as two sides of
+    ids, and the order as a sequence of ids; any part but the edges may be
+    None."""
     out = ["ppg 1"]
-    for e in graph.edges:
-        out.append(f"edge {e.id} {e.src} {e.dst}")
+    out += ["edge " + " ".join(e) for e in edges]
     if anchor is not None:
-        out.append("inputs " + " ".join(anchor.inputs))
-        out.append("outputs " + " ".join(anchor.outputs))
+        out.append("inputs " + " ".join(anchor[0]))
+        out.append("outputs " + " ".join(anchor[1]))
     for v in sorted(vertex_orders or {}):
-        out.append(f"in {v} " + " ".join(vertex_orders[v].incoming))
-        out.append(f"out {v} " + " ".join(vertex_orders[v].outgoing))
+        incoming, outgoing = vertex_orders[v]
+        out.append(f"in {v} " + " ".join(incoming))
+        out.append(f"out {v} " + " ".join(outgoing))
     if order is not None:
-        out.append("order " + " ".join(order.sequence))
+        out.append("order " + " ".join(order))
     return "\n".join(out) + "\n"
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import popgraph as pg
 from popgraph.build import _row
+from popgraph.composition import _peel_order
 from popgraph.core import _fresh
 from popgraph.layout import Point
 from popgraph.order import _expect_permutation, _members
@@ -178,6 +179,82 @@ def compose_fold(*factors: pg.POPGraph) -> pg.POPGraph:
         graph = pg.validate_progressive(pg.DirectedMultigraph(edges))
         result = pg.POPGraph(graph, pg.PlanarOrder(order))
     return result
+
+
+def peel_oracle(pop: pg.POPGraph):
+    """The elementary factors, downstream first, each ordered by sorting its
+    edges by rank: the library's first peel walk.  It keeps the current head
+    of every edge and the line of current outputs as a set, builds each
+    factor's edges by sorting the line and the in-legs by declaration
+    index, and freshens names as the library does."""
+    g = pop.graph
+    head = {e.id: e.dst for e in g.edges}
+    line = set(g.outputs)
+    names = set(g.vertices)
+    for v in _peel_order(pop):
+        spider_in = [e.id for e in g.in_edges(v)]
+        spider_out = [e.id for e in g.out_edges(v)]
+        ids = line.union(spider_in)
+        taken = {v} | {head[e] for e in line} | {g.edge(e).src for e in ids & g.inputs}
+        edges = []
+        for e in sorted(ids, key=g.edge_index):
+            src = g.edge(e).src
+            if src != v and e not in g.inputs:
+                src = _fresh(f"s@{e}", taken)
+            edges.append(pg.Edge(e, src, head[e]))
+        yield pg.POPGraph(pg.validate_progressive(pg.DirectedMultigraph(edges)),
+                          pg.PlanarOrder(sorted(ids, key=pop.rank)))
+        for e in spider_in:
+            head[e] = _fresh(f"t@{e}", names)
+        names.difference_update([v, *(head[e] for e in spider_out)])
+        line.difference_update(spider_out)
+        line.update(spider_in)
+
+
+def decomposition_oracle(pop: pg.POPGraph):
+    """(factors upstream first, interfaces) of the oracle's decomposition."""
+    factors = list(peel_oracle(pop))[::-1] or [pop]
+    return factors, tuple(pg.glue_table(a, b) for a, b in zip(factors, factors[1:]))
+
+
+def decompose_files_oracle(pop: pg.POPGraph) -> dict[str, str]:
+    """The files ``ppg decompose`` writes for ``pop``, by name, in the order
+    it prints their names: each factor's emit_ppg text, then the manifest."""
+    factors, interfaces = decomposition_oracle(pop)
+    files = {f"factor_{k:02d}.ppg": pg.emit_ppg(f) for k, f in enumerate(factors, 1)}
+    manifest = ["ppg-manifest 1", f"factors {len(factors)}"]
+    manifest += [f"factor {k} {name}" for k, name in enumerate(files, 1)]
+    manifest += [f"interface {k} " + " ".join(f"{o}={i}" for o, i in pairs)
+                 for k, pairs in enumerate(interfaces, 1)]
+    files["manifest.txt"] = "\n".join(manifest) + "\n"
+    return files
+
+
+def chain_pop(m: int) -> pg.POPGraph:
+    """A path of ``m`` edges e0 .. e(m-1) through the vertices v0 .. vm."""
+    edges = [pg.Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(m)]
+    return pg.validate_planar_order(
+        pg.validate_progressive(pg.DirectedMultigraph(edges)), [e.id for e in edges])
+
+
+def decomposition_corpus() -> list[tuple[str, pg.POPGraph]]:
+    """The five fixtures (spider22 with its synthesized order), 300 seeded
+    ``random_pop`` graphs, every other one with its edges declared in
+    shuffled order, a 250-edge chain and the 40x28 recipe graph."""
+    corpus = [(p.stem, pg.parse_ppg(p.read_text(encoding="utf-8")).pop_or_synthesized())
+              for p in sorted(FIXTURES.glob("*.ppg"))]
+    rng = random.Random(34)
+    for i in range(300):
+        pop = pg.random_pop(rng, tag=f"r{i}.")
+        if i % 2:
+            edges = list(pop.graph.edges)
+            rng.shuffle(edges)
+            pop = pg.validate_planar_order(
+                pg.validate_progressive(pg.DirectedMultigraph(edges)), pop.order.sequence)
+        corpus.append((f"random{i}", pop))
+    corpus.append(("chain250", chain_pop(250)))
+    corpus.append(("recipe40x28", recipe_graph(40, 28)))
+    return corpus
 
 
 def conjugate_pairs_scan(pop: pg.POPGraph) -> frozenset[tuple[str, str]]:

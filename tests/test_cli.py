@@ -13,7 +13,7 @@ import pytest
 
 import popgraph as pg
 from popgraph.cli import main
-from conftest import FIXTURES, isomorphic_by_edges
+from conftest import FIXTURES, decompose_files_oracle, decomposition_corpus, isomorphic_by_edges
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -193,7 +193,7 @@ class TestHappyPaths:
 class TestOutputFiles:
     """Every file the tool writes is overwritten in place: opened without
     O_TRUNC, written in full, then cut to the new text if it is a regular
-    file."""
+    file longer than the text."""
 
     def test_decompose_over_longer_files(self, capsys, tmp_path):
         fresh, outdir = tmp_path / "fresh", tmp_path / "factors"
@@ -249,6 +249,57 @@ class TestOutputFiles:
         for path, flags in opened:
             assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT, path
             assert not flags & os.O_TRUNC, path
+
+    def test_a_short_write_is_resumed(self, capsys, tmp_path, monkeypatch):
+        _, svg, _ = run(capsys, "render", CANON)
+        real_write = os.write
+        sizes = []
+
+        def short_write(fd, data):
+            sizes.append(real_write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        target = tmp_path / "d.svg"
+        assert run(capsys, "render", CANON, "-o", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == svg
+        assert len(sizes) == -(-len(svg.encode()) // 7)
+
+    def test_only_a_longer_old_file_is_cut(self, capsys, tmp_path, monkeypatch):
+        cuts = []
+        real_ftruncate = os.ftruncate
+
+        def counted(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", counted)
+        outdir = tmp_path / "factors"
+        for _ in range(2):  # a fresh directory, then an identical rerun
+            assert run(capsys, "decompose", CANON, "-o", str(outdir))[0] == 0
+            assert cuts == []
+        want = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        (outdir / "factor_01.ppg").write_text("junk " * 20_000 + "\n")
+        (outdir / "factor_02.ppg").write_text("x\n")  # shorter: written over
+        (outdir / "manifest.txt").write_bytes(want["manifest.txt"] + b"\n")
+        assert run(capsys, "decompose", CANON, "-o", str(outdir))[0] == 0
+        assert sorted(cuts) == sorted([len(want["factor_01.ppg"]), len(want["manifest.txt"])])
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == want
+
+
+class TestDecomposeOutput:
+    def test_files_manifest_and_stdout_equal_the_oracle(self, capsys, tmp_path):
+        # the factor texts are read off the peel steps; the oracle emits each
+        # factor it built by sorting, and its manifest from glue_table
+        for name, pop in decomposition_corpus():
+            src = tmp_path / (name + ".ppg")
+            src.write_text(pg.emit_ppg(pop), encoding="utf-8")
+            outdir = tmp_path / name
+            want = decompose_files_oracle(pop)
+            assert run(capsys, "decompose", str(src), "-o", str(outdir)) == (
+                0, "".join(n + "\n" for n in want), ""), name
+            got = {p.name: p.read_text(encoding="utf-8") for p in outdir.iterdir()}
+            assert got == want, name
 
 
 class TestExitCodes:

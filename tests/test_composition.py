@@ -5,8 +5,10 @@ import random
 import pytest
 
 import popgraph as pg
-from conftest import (FIXTURES, compose_fold, is_elementary, perturbed,
-                      random_single_spider_layer, recipe_graph, spider_layer_with_outputs)
+from popgraph.composition import _steps
+from conftest import (FIXTURES, compose_fold, decomposition_corpus, decomposition_oracle,
+                      is_elementary, perturbed, random_single_spider_layer, recipe_graph,
+                      spider_layer_with_outputs)
 
 
 class TestCompose:
@@ -258,6 +260,37 @@ class TestDecompose:
             pg.validate_planar_order(f.graph, f.order.sequence)
         for pairs in d.interfaces:
             assert [o for o, _ in pairs] == [i for _, i in pairs]
+
+
+class TestStepWalk:
+    """The factors come from one walk over the peel order that keeps the line
+    in order and splices each factor's order from it; the oracle sorts the
+    line and the in-legs by rank and by declaration index instead."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return decomposition_corpus()
+
+    def test_factors_and_interfaces_equal_the_oracle(self, corpus):
+        for name, pop in corpus:
+            factors, interfaces = decomposition_oracle(pop)
+            d = pg.elementary_decomposition(pop)
+            assert ([(f.graph.edges, f.order) for f in d.factors]
+                    == [(f.graph.edges, f.order) for f in factors]), name
+            assert d.interfaces == interfaces, name
+
+    def test_out_legs_are_one_block_of_the_line(self, corpus):
+        for name, pop in corpus:
+            g = pop.graph
+            line = list(pop.outputs_ordered)
+            for step in _steps(pop):
+                assert step.before == line, name
+                legs = [e.id for e in g.out_edges(step.vertex)]
+                assert sorted(step.outs) == sorted(legs), name
+                assert tuple(step.before[step.k:step.k + len(legs)]) == step.outs, name
+                assert sorted(step.ins) == sorted(e.id for e in g.in_edges(step.vertex)), name
+                line = step.after
+            assert line == list(pop.inputs_ordered), name
 
 
 class TestCancellation:
