@@ -28,7 +28,7 @@ import stat
 import sys
 from pathlib import Path
 
-from .composition import _steps, recompose
+from .composition import _named_steps, recompose
 from .core import DirectedMultigraph, circ, hat, validate_progressive
 from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
@@ -167,11 +167,11 @@ def _cmd_compose(args) -> int:
 def _cmd_decompose(args) -> int:
     pop = parse_ppg(_read(args.file)).pop()
     texts, lines = [], []
-    for step in _steps(pop):
+    for step, edges, _ in _named_steps(pop):
         # downstream first, each factor checked as emit_ppg would check it
         # and its text read off the step: the vertex and its legs, the line
         # after the step as its inputs, the line before it as its outputs
-        graph = validate_progressive(DirectedMultigraph(step.edges))
+        graph = validate_progressive(DirectedMultigraph(edges))
         _writable(graph, "ppg")
         texts.append(_ppg_text(graph.edges, (step.after, step.before),
                                {step.vertex: (step.ins, step.outs)}, step.order))
@@ -208,9 +208,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_conjugate(args) -> int:
     pop = parse_ppg(_read(args.file)).pop()
-    seq = pop.order.sequence
+    seq, index = pop.order.sequence, pop.order._index
     # the conjugate rows by rank yield the pairs sorted by the ranks of both ends
-    sys.stdout.writelines(f"{a} {b}\n" for a, b in _pairs(seq, _ranked(pop.graph, seq)[1]))
+    sys.stdout.writelines(f"{a} {b}\n" for a, b in _pairs(seq, _ranked(pop.graph, index)[1]))
     return 0
 
 

@@ -18,16 +18,17 @@ leaves a remainder and an elementary factor (one internal vertex plus
 pass-through bare edges) whose composition restores the original, and
 repeating until no internal vertex is left writes the graph as a chain of
 single-vertex layers, each one spider between identity wires.  That is one
-walk of steps over the peel order which builds no remainder.  It keeps the
-line of current outputs as a list in order: the out-legs of the vertex
-peeled are a contiguous block of it, the in-legs take their place, and the
-factor's order is the line with the in-legs spliced in before the
-out-legs.  That splice is the planar order restricted to the factor, which
-the theory makes planar, got without sorting by rank.  Each factor is
-validated as a progressive graph like any other; no order is checked
+walk of steps over the peel order which builds no remainder and no name.
+It keeps the line of current outputs as a list in order: the out-legs of
+the vertex peeled are a contiguous block of it, the in-legs take their
+place, and the factor's order is the line with the in-legs spliced in
+before the out-legs.  That splice is the planar order restricted to the
+factor, which the theory makes planar, got without sorting by rank.  The
+decomposition names each factor's edges on top of the walk; each factor is
+validated as a progressive graph like any other, and no order is checked
 again.  ``ppg decompose`` writes the factors' texts straight from the
-steps.  The layout reads the same peel order for its bands and builds no
-factor.
+named steps.  The layout draws the walk's lines as the lines between its
+bands, and names nothing.
 """
 
 from __future__ import annotations
@@ -118,45 +119,17 @@ def pop_isomorphic(a: POPGraph, b: POPGraph) -> bool:
         (a.graph.edge(x), b.graph.edge(y)) for x, y in zip(a.order, b.order))
 
 
-def _peel_order(pop: POPGraph):
-    """Internal vertices in peel order, downstream first.
-
-    Each step takes the maximal internal vertex (every out-edge on the line
-    of current outputs) whose first out-edge comes earliest in the order.  A
-    vertex becomes maximal once its last internal successor has been peeled.
-    """
-    g = pop.graph
-    internal = g.internal_vertices
-    # out-edges of each internal vertex whose head is not yet peeled
-    pending = {v: sum(e.dst in internal for e in g.out_edges(v)) for v in internal}
-    first_out = {v: min(pop.rank(e.id) for e in g.out_edges(v)) for v in internal}
-    ready = [(first_out[v], v) for v in internal if not pending[v]]
-    heapq.heapify(ready)
-    while ready:
-        _, v = heapq.heappop(ready)
-        yield v
-        for e in g.in_edges(v):
-            if e.src in internal:
-                pending[e.src] -= 1
-                if not pending[e.src]:
-                    heapq.heappush(ready, (first_out[e.src], e.src))
-
-
 class _Step(NamedTuple):
     """One peel step.  The line before it lists the factor's outputs in
     order, the line after it the factor's inputs: the ``outs`` of ``vertex``
     are the block ``before[k:k + len(outs)]``, which ``ins`` replace in
-    ``after``.  ``edges`` are the factor's edges in declaration order;
-    ``head`` maps each edge to its current head, the walk's own dict, which
-    the next step updates in place."""
+    ``after``."""
     vertex: str
     k: int
     ins: tuple[str, ...]
     outs: tuple[str, ...]
     before: list[str]
     after: list[str]
-    edges: list[Edge]
-    head: dict[str, str]
 
     @property
     def order(self) -> list[str]:
@@ -164,27 +137,54 @@ class _Step(NamedTuple):
         return [*self.before[:self.k], *self.ins, *self.before[self.k:]]
 
 
-def _steps(pop: POPGraph):
-    """Split off one maximal internal vertex per step, building no remainder.
+def _walk(pop: POPGraph):
+    """Split off one maximal internal vertex per step, downstream first,
+    building no remainder and no name.
 
-    The vertices come from :func:`_peel_order`, their legs in order from
-    the local data of the planar order.  The walk keeps the line (the
-    current outputs) as a list in order: the out-legs of the vertex peeled
-    are a contiguous block of it, and the in-legs take their place.  Fresh
-    tails ``s@e`` avoid the names of the factor; fresh heads ``t@e`` avoid
-    every name of the graph the step started from, the vertex and its
-    output heads included.
+    A vertex is maximal (every out-leg on the line) once its last internal
+    successor has been peeled; each step takes the maximal vertex whose
+    first out-leg comes earliest in the order.  The legs in order come from
+    the local data of the planar order.  The line (the current outputs) is
+    kept as a list in order: the out-legs of the vertex peeled are a
+    contiguous block of it, and the in-legs take their place.
+    """
+    edges, ix, rank = pop.graph.edges, pop.graph._eix, pop.order._index
+    legs, anchor = _local_data(pop)
+    # out-legs of each internal vertex whose head is not yet peeled
+    pending = {v: sum(edges[ix[e]].dst in legs for e in outs) for v, (_, outs) in legs.items()}
+    ready = [(rank[outs[0]], v) for v, (_, outs) in legs.items() if not pending[v]]
+    heapq.heapify(ready)
+    line = list(anchor.outputs)
+    while ready:
+        v = heapq.heappop(ready)[1]
+        ins, outs = legs[v]
+        k = line.index(outs[0])
+        after = [*line[:k], *ins, *line[k + len(outs):]]
+        yield _Step(v, k, ins, outs, line, after)
+        line = after
+        for e in ins:
+            u = edges[ix[e]].src
+            if u in pending:
+                pending[u] -= 1
+                if not pending[u]:
+                    heapq.heappush(ready, (rank[legs[u][1][0]], u))
+
+
+def _named_steps(pop: POPGraph):
+    """The steps of :func:`_walk`, each with its factor's edges in
+    declaration order and ``head``, which maps each edge to its current head
+    once the step is taken: the walk's own dict, which the next step updates
+    in place.  Fresh tails ``s@e`` avoid the names of the factor; fresh heads
+    ``t@e`` avoid every name of the graph the step started from, the vertex
+    and its output heads included.
     """
     g = pop.graph
     edges, ix, inputs = g.edges, g._eix, g.inputs
-    legs, anchor = _local_data(pop)
     head = {e.id: e.dst for e in edges}
-    line = list(anchor.outputs)
     names = set(g.vertices)
-    for v in _peel_order(pop):
-        ins, outs = legs[v]
-        k = line.index(outs[0])
-        ids = [*line, *ins]
+    for step in _walk(pop):
+        v, line = step.vertex, step.before
+        ids = [*line, *step.ins]
         taken = {v, *map(head.__getitem__, line)}
         taken.update(edges[ix[e]].src for e in ids if e in inputs)
         factor = []
@@ -198,15 +198,13 @@ def _steps(pop: POPGraph):
 
         for e in g.in_edges(v):
             head[e.id] = _fresh(f"t@{e.id}", names)
-        names.difference_update([v, *map(head.__getitem__, outs)])
-        after = [*line[:k], *ins, *line[k + len(outs):]]
-        yield _Step(v, k, ins, outs, line, after, factor, head)
-        line = after
+        names.difference_update([v, *map(head.__getitem__, step.outs)])
+        yield step, factor, head
 
 
-def _factor(step: _Step) -> POPGraph:
+def _factor(step: _Step, edges: list[Edge]) -> POPGraph:
     """The step's factor as an ordered graph, validated as a progressive graph."""
-    return POPGraph(validate_progressive(DirectedMultigraph(step.edges)), PlanarOrder(step.order))
+    return POPGraph(validate_progressive(DirectedMultigraph(edges)), PlanarOrder(step.order))
 
 
 def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
@@ -221,13 +219,13 @@ def decompose_step(pop: POPGraph) -> tuple[POPGraph, POPGraph]:
     """
     if not _expect_type(pop, "decompose_step", POPGraph).graph.internal_vertices:
         raise NoInternalVertex()
-    step = next(_steps(pop))
+    step, edges, head = next(_named_steps(pop))
     dropped = set(step.outs)
     remainder_graph = validate_progressive(DirectedMultigraph(
-        Edge(e.id, e.src, step.head[e.id]) for e in pop.graph.edges if e.id not in dropped))
+        Edge(e.id, e.src, head[e.id]) for e in pop.graph.edges if e.id not in dropped))
     remainder = validate_planar_order(
         remainder_graph, [e for e in pop.order if e not in dropped])
-    return remainder, _factor(step)
+    return remainder, _factor(step, edges)
 
 
 class ElementaryDecomposition:
@@ -265,7 +263,7 @@ def elementary_decomposition(pop: POPGraph) -> ElementaryDecomposition:
     """
     if not _expect_type(pop, "elementary_decomposition", POPGraph).graph.internal_vertices:
         return ElementaryDecomposition([pop])
-    factors = [_factor(step) for step in _steps(pop)]
+    factors = [_factor(step, edges) for step, edges, _ in _named_steps(pop)]
     factors.reverse()
     return ElementaryDecomposition(factors)
 

@@ -269,14 +269,21 @@ def validate_progressive(graph: DirectedMultigraph) -> ProgressiveGraph:
     return ProgressiveGraph(graph)
 
 
+# what iterates but lists no ids in order: a string splits into characters,
+# and a set iterates in an order that depends on the hash seed
+_NOT_IDS = (str, set, frozenset)
+
+
 def _sides(value, what: str) -> tuple[tuple, tuple]:
     """The two sides of ``what`` (a vertex order, a rotation or the anchor)
     as tuples; PpgError naming it unless there are exactly two, each a
-    collection of ids (a string is refused, not split into characters)."""
+    sequence of ids (a string or a set is refused, not split into its
+    members)."""
     try:
-        first, second = value  # a string of two characters gives two strings
-        if not isinstance(first, str) and not isinstance(second, str):
-            return tuple(first), tuple(second)
+        if not isinstance(value, _NOT_IDS):
+            first, second = value
+            if not isinstance(first, _NOT_IDS) and not isinstance(second, _NOT_IDS):
+                return tuple(first), tuple(second)
     except (TypeError, ValueError):
         pass
     raise PpgError(f"{what} must have exactly two sides of edge ids")

@@ -1,14 +1,15 @@
 """Layered upward drawings of planarly ordered graphs.
 
 The layout stacks the elementary layers of a graph as horizontal bands,
-flow running down the page or up it.  The bands are read from
-the peel order of the elementary decomposition, one band per internal
-vertex, without building the factors: an edge crosses every band boundary
-from the band of its tail to the band before its head's.  At each boundary
-the edges crossing it sit at integer x positions given by their rank in
-the planar order restricted to that boundary; because each layer's spider
-legs form a contiguous block of its order, routing the legs to a vertex
-centroid and everything else straight across keeps the drawing planar.
+flow running down the page or up it.  The lines between the bands are the
+lines of the peel walk of the elementary decomposition, one band per
+internal vertex, with no factor built and no name made: line 0 lists the
+inputs in order, and line j the outputs of the j-th layer from the top,
+which are the interface the decomposition glues there.  Each edge sits on
+each line it lies on at its place, 1-based, in that line.  Each vertex's
+legs are one block of the line above it and one block of the line below
+it; routing them to the mean of their places and everything else
+straight across keeps the drawing planar.
 All coordinates are exact: points on the crossing lines, the box and the
 bands are plain ints, and only the vertices (x at the centroid of their
 legs, y halfway between two lines) and the st apexes carry a ``Fraction``.
@@ -50,7 +51,7 @@ from itertools import chain, combinations, compress, count, islice, product, rep
 from math import gcd, lcm, log10
 from operator import and_, attrgetter, eq, ge, gt, itemgetter, le, lt, ne, not_, sub
 
-from .composition import _peel_order
+from .composition import _walk
 from .core import ProgressiveGraph, _apexes
 from .errors import PpgError, _expect_type
 from .order import POPGraph
@@ -96,10 +97,12 @@ def layout(pop: POPGraph, up: bool = False) -> Drawing:
     """Layered drawing of a planarly ordered graph, one band per internal
     vertex (one band in all when there is none).
 
-    Bands follow the peel order of the elementary decomposition: the j-th
-    vertex peeled (0-based, most downstream first) sits in band K - j.  Line
-    k lies at y = k, or with ``up`` at y = K - k, so that the flow runs up
-    the page without a flipped copy of the drawing.
+    The lines between the bands are those of the peel walk of the
+    elementary decomposition: the j-th vertex peeled (0-based, most
+    downstream first) sits in band K - j, between the walk's line after it
+    (line K - j - 1) and its line before it (line K - j).  Line k lies at
+    y = k, or with ``up`` at y = K - k, so that the flow runs up the page
+    without a flipped copy of the drawing.
     """
     return _layout(_expect_type(pop, "layout", POPGraph), up, st=False)
 
@@ -113,45 +116,44 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
     """``layout`` or, with ``st``, ``layout_st``: every point is placed once,
     at its final coordinates."""
     _expect_type(up, "up", bool)
-    g = pop.graph
-    source, sink = _apexes(g) if st else (None, None)
-    peeled = list(_peel_order(pop))
-    k_bands = max(len(peeled), 1)
-    band_of = {v: k_bands - j for j, v in enumerate(peeled)}
-
-    # Crossing lines k=0..K: line k carries the outputs of layer k (equally
-    # the inputs of layer k+1), positioned by rank within that line, at y=ys[k].
-    crossed: dict[str, range] = {}
-    lines: list[list[str]] = [[] for _ in range(k_bands + 1)]
-    for eid in pop.order.sequence:
-        edge = g.edge(eid)
-        crossed[eid] = range(band_of.get(edge.src, 0), band_of.get(edge.dst, k_bands + 1))
-        for k in crossed[eid]:
-            lines[k].append(eid)
-    pos = [{e: i + 1 for i, e in enumerate(line)} for line in lines]
-    width = max(len(line) for line in lines) + 1
+    source, sink = _apexes(pop.graph) if st else (None, None)
+    steps = list(_walk(pop))
+    steps.reverse()  # upstream first: steps[j] lies between lines j and j + 1
+    k_bands = max(len(steps), 1)
+    inputs, outputs = pop.inputs_ordered, pop.outputs_ordered
+    lines = [inputs, *[step.before for step in steps]] if steps else [inputs, outputs]
+    width = max(map(len, lines)) + 1
     ys = list(range(k_bands, -1, -1) if up else range(k_bands + 1))  # a list indexes faster
 
+    # each route is its tail's point, its places on the lines it lies on,
+    # top to bottom, and its head's point
+    routes: dict[str, list[Point]] = {e: [] for e in pop.order.sequence}
     vertices: dict[str, Point] = {}
-    for v in reversed(peeled):
-        k = band_of[v]
-        xs = [pos[k - 1][e.id] for e in g.in_edges(v)]
-        xs += [pos[k][e.id] for e in g.out_edges(v)]
-        vertices[v] = (Fraction(sum(xs), len(xs)), Fraction(ys[k - 1] + ys[k], 2))
-    first, last = [], []  # the apexes the boundary routes start or end at
     if st:
         # centred, one unit beyond the input and the output line
-        step = ys[1] - ys[0]
-        vertices[source] = (Fraction(width, 2), Fraction(ys[0] - step))
-        vertices[sink] = (Fraction(width, 2), Fraction(ys[-1] + step))
-        first, last = [vertices[source]], [vertices[sink]]
-
-    routes: dict[str, tuple[Point, ...]] = {}
-    for eid in pop.order.sequence:
-        edge = g.edge(eid)
-        start = [vertices[edge.src]] if edge.src in band_of else first
-        end = [vertices[edge.dst]] if edge.dst in band_of else last
-        routes[eid] = tuple(start + [(pos[k][eid], ys[k]) for k in crossed[eid]] + end)
+        unit = ys[1] - ys[0]
+        top = (Fraction(width, 2), Fraction(ys[0] - unit))
+        bottom = (Fraction(width, 2), Fraction(ys[-1] + unit))
+        for e in inputs:
+            routes[e].append(top)
+    for j, line in enumerate(lines):
+        if j and steps:
+            # the mean of the places of the legs, which are the block
+            # k + 1 .. k + i of line j - 1 and k + 1 .. k + o of line j
+            v, k, ins, outs, _, _ = steps[j - 1]
+            i, o = len(ins), len(outs)
+            n = i + o
+            p = vertices[v] = (Fraction(n * k + (i * i + i + o * o + o) // 2, n),
+                               Fraction(ys[j - 1] + ys[j], 2))
+            for e in chain(ins, outs):
+                routes[e].append(p)
+        y = ys[j]
+        for x, e in enumerate(line, 1):
+            routes[e].append((x, y))
+    if st:
+        vertices[source], vertices[sink] = top, bottom
+        for e in outputs:
+            routes[e].append(bottom)
 
     # the box and the bands, all whole numbers, are the same in both flows
     return Drawing(
@@ -160,9 +162,9 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
         # a tuple of a list, not of an iterator: see POPGraph.inputs_ordered
         bands=tuple(list(zip(range(k_bands), range(1, k_bands + 1)))),
         vertices=vertices,
-        routes=routes,
-        inputs=pop.inputs_ordered,
-        outputs=pop.outputs_ordered,
+        routes={e: tuple(route) for e, route in routes.items()},
+        inputs=inputs,
+        outputs=outputs,
         st=st,
         source=source,
         sink=sink,

@@ -48,33 +48,23 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .core import ProgressiveGraph
+from .core import _NOT_IDS, ProgressiveGraph
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
                      UnknownEdge, _expect_type, _first)
 
 
 class PlanarOrder:
     """A total order on edge ids, with 1-based ranks.  Ids are strings: a
-    value that is not iterable, a sequence with a repeat, or else one with
-    a member that is not a string, raises NotAPermutation."""
+    value that is not iterable, a string or a set, a sequence with a repeat,
+    or else one with a member that is not a string, raises NotAPermutation."""
 
     def __init__(self, sequence):
-        self.sequence: tuple[str, ...] = _as_sequence(sequence, ())
-        try:
-            self.ranks: dict[str, int] = {e: i + 1 for i, e in enumerate(self.sequence)}
-        except TypeError:  # an unhashable member
-            self.ranks = {}
-        if len(self.ranks) != len(self.sequence):
-            raise _not_a_permutation(self.sequence)
-        try:
-            "".join(self.sequence)  # in one C pass, as repr shows the ids
-        except TypeError:  # a member that is not a string, so no id
-            ids = {e for e in self.ranks if isinstance(e, str)}
-            raise _not_a_permutation(self.sequence, ids) from None
+        # the ids, and the 0-based place of each
+        self.sequence, self._index = _permutation(sequence)
 
     def rank(self, e: str) -> int:
         try:
-            return self.ranks[e]
+            return self._index[e] + 1
         except (KeyError, TypeError):  # unknown, or unhashable so no id
             raise UnknownEdge(e) from None
 
@@ -151,27 +141,35 @@ def _not_a_permutation(seq: tuple, want=None) -> NotAPermutation:
                            tuple(sorted((e for e, n in count.items() if n > 1), key=_id_key)))
 
 
-def _as_sequence(seq, universe: Iterable[str]) -> tuple:
-    """``seq`` as a tuple.  A value that is not iterable lists no id of
-    ``universe``: NotAPermutation, with the value as its one extra member."""
-    try:
-        return tuple(seq)
-    except TypeError:
-        raise _not_a_permutation((seq,), set(universe)) from None
-
-
-def _expect_permutation(seq: Iterable[str], universe: Iterable[str]) -> dict[str, int]:
-    """The 0-based rank of each id in ``seq``, which must list each id of
-    ``universe`` once; NotAPermutation otherwise."""
-    seq = tuple(seq)
-    want = set(universe)
-    try:
-        rank = {e: r for r, e in enumerate(seq)}
-    except TypeError:  # an unhashable member
-        rank = {}
-    if len(rank) != len(seq) or rank.keys() != want:
+def _permutation(seq, universe: Iterable[str] | None = None
+                 ) -> tuple[tuple[str, ...], dict[str, int]]:
+    """``seq`` as a tuple, and the 0-based place of each of its members,
+    which must list each id of ``universe`` once, or with no universe be
+    distinct strings; NotAPermutation otherwise.  A PlanarOrder gives its
+    own, built once.  A value that is not iterable, a string or a set lists
+    no id: it is the one extra member."""
+    want = None if universe is None else set(universe)
+    if isinstance(seq, PlanarOrder):
+        seq, index = seq.sequence, seq._index
+    else:
+        try:
+            if isinstance(seq, _NOT_IDS):
+                raise TypeError
+            seq = tuple(seq)
+        except TypeError:
+            raise NotAPermutation(tuple(sorted(want or (), key=_id_key)), (seq,), ()) from None
+        try:
+            index = {e: i for i, e in enumerate(seq)}
+        except TypeError:  # an unhashable member
+            index = {}
+    if len(index) != len(seq) or want is not None and index.keys() != want:
         raise _not_a_permutation(seq, want)
-    return rank
+    if want is None:
+        try:
+            "".join(seq)  # in one C pass, as repr shows the ids
+        except TypeError:  # a member that is not a string, so no id
+            raise _not_a_permutation(seq, {e for e in index if isinstance(e, str)}) from None
+    return seq, index
 
 
 def _members(bits: int):
@@ -195,12 +193,12 @@ def _pairs(seq: tuple[str, ...], rows: list[int]) -> Iterator[tuple[str, str]]:
         for a, row in zip(seq, rows) if row)
 
 
-def _ranked(g: ProgressiveGraph, seq: tuple[str, ...]) -> tuple[list[int], list[int]]:
-    """Rows over ranks in ``seq``, which must list each edge of g once: per
-    rank r, the ranks that edge r reaches (earlier ones break extension), and
-    its conjugate row, the later ranks it does not reach."""
-    reach = g._downstream(_expect_permutation(seq, g.edge_ids))
-    full = (1 << len(seq)) - 1
+def _ranked(g: ProgressiveGraph, index: dict[str, int]) -> tuple[list[int], list[int]]:
+    """Rows over the 0-based ranks of ``index``, which must place each edge
+    of g once: per rank r, the ranks that edge r reaches (earlier ones break
+    extension), and its conjugate row, the later ranks it does not reach."""
+    reach = g._downstream(index)
+    full = (1 << len(index)) - 1
     return reach, [full & ~((2 << r) - 1 | row) for r, row in enumerate(reach)]
 
 
@@ -301,21 +299,25 @@ def order_violations(g: ProgressiveGraph, sequence) -> tuple[list, list]:
     are the lists of which :class:`InvalidPlanarOrder` keeps the first SHOWN.
     """
     _expect_type(g, "order_violations", ProgressiveGraph)
-    seq = _as_sequence(sequence, g.edge_ids)
-    pairs, triples, _, _ = _witnesses(seq, *_ranked(g, seq))
+    seq, index = _permutation(sequence, g.edge_ids)
+    pairs, triples, _, _ = _witnesses(seq, *_ranked(g, index))
     return list(pairs), list(triples)
 
 
 def validate_planar_order(g: ProgressiveGraph, sequence) -> POPGraph:
     """Check both axioms by the chain check on the rank rows; when it fails,
     raise InvalidPlanarOrder with the first SHOWN violations of each kind
-    and their totals, read off the same rows."""
+    and their totals, read off the same rows.  A PlanarOrder is checked on
+    its own index and kept."""
     _expect_type(g, "validate_planar_order", ProgressiveGraph)
-    seq = _as_sequence(sequence, g.edge_ids)
-    reach, conj = _ranked(g, seq)
+    seq, index = _permutation(sequence, g.edge_ids)
+    reach, conj = _ranked(g, index)
     if not _chains_hold(reach, conj):
         raise InvalidPlanarOrder(*_witnesses(seq, reach, conj))
-    return POPGraph(g, PlanarOrder(seq))
+    if not isinstance(sequence, PlanarOrder):
+        sequence = PlanarOrder.__new__(PlanarOrder)
+        sequence.sequence, sequence._index = seq, index
+    return POPGraph(g, sequence)
 
 
 def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
@@ -324,8 +326,8 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
     Transitive by the betweenness axiom; together with strict reachability it
     covers each unordered pair exactly once.
     """
-    seq = _expect_type(pop, "conjugate_order", POPGraph).order.sequence
-    return frozenset(_pairs(seq, _ranked(pop.graph, seq)[1]))
+    order = _expect_type(pop, "conjugate_order", POPGraph).order
+    return frozenset(_pairs(order.sequence, _ranked(pop.graph, order._index)[1]))
 
 
 class ConjugacyReport:
@@ -436,7 +438,7 @@ def _conjugate_of(g: ProgressiveGraph, rel: set | frozenset) -> tuple[str, ...] 
         if k >= m or seq[~k] is not None:
             return None
         seq[~k] = e
-    reach, conj = _ranked(g, seq)
+    reach, conj = _ranked(g, dict(zip(seq, range(m))))
     if _chains_hold(reach, conj) and rel.issuperset(_pairs(seq, conj)):
         return tuple(seq)
     return None

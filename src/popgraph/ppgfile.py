@@ -67,7 +67,7 @@ class PpgDocument:
                               and vertex_orders else None)
         self.anchor = anchor
         self.order = order
-        self._pop = validate_planar_order(graph, order.sequence) if order is not None else None
+        self._pop = validate_planar_order(graph, order) if order is not None else None
         self._pa: PAGraph | None = None
         if anchor is not None and set(self.vertex_orders or ()) == set(graph.internal_vertices):
             self._pa = PAGraph(graph, vertex_orders or {}, anchor)

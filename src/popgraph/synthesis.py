@@ -84,7 +84,7 @@ from typing import Mapping, NamedTuple
 from .core import ProgressiveGraph, _sides
 from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
                      UnknownVertex, _expect_type)
-from .order import (PlanarOrder, POPGraph, _expect_permutation, _members,
+from .order import (PlanarOrder, POPGraph, _members, _permutation,
                     validate_planar_order)
 
 
@@ -112,8 +112,8 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
     heads = []
     if anchor is not None:
         anchor = Anchor(*_sides(anchor, "the anchor"))
-        _expect_permutation(anchor.inputs, graph.inputs)
-        heads.append(_expect_permutation(anchor.outputs, graph.outputs))
+        _permutation(anchor.inputs, graph.inputs)
+        heads.append(_permutation(anchor.outputs, graph.outputs)[1])
     if not isinstance(vertex_orders, Mapping):
         raise PpgError("vertex orders must be a mapping from internal vertex to its "
                        f"order, not {type(vertex_orders).__name__}")
@@ -122,8 +122,8 @@ def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, Verte
         if v not in graph.internal_vertices:
             raise UnknownVertex(v)
         orders[v] = vo = VertexOrder(*_sides(vo, f"the vertex order at {v!r}"))
-        heads.append(_expect_permutation(vo.incoming, (e.id for e in graph.in_edges(v))))
-        _expect_permutation(vo.outgoing, (e.id for e in graph.out_edges(v)))
+        heads.append(_permutation(vo.incoming, (e.id for e in graph.in_edges(v)))[1])
+        _permutation(vo.outgoing, (e.id for e in graph.out_edges(v)))
     return orders, anchor, heads
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import os
 import random
 import subprocess
@@ -15,10 +16,9 @@ import pytest
 
 import popgraph as pg
 from popgraph.build import _row
-from popgraph.composition import _peel_order
 from popgraph.core import _fresh
 from popgraph.layout import Point
-from popgraph.order import _expect_permutation, _members
+from popgraph.order import _members, _permutation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -112,7 +112,7 @@ def order_violations_scan(g: pg.ProgressiveGraph, sequence) -> tuple[list, list]
     the O(m^3) definitional scan, the oracle for ``order.order_violations``.
     """
     seq = tuple(sequence)
-    _expect_permutation(seq, g.edge_ids)
+    _permutation(seq, g.edge_ids)
     m = len(seq)
     pos = {e: i for i, e in enumerate(seq)}
     pairs = []
@@ -181,6 +181,28 @@ def compose_fold(*factors: pg.POPGraph) -> pg.POPGraph:
     return result
 
 
+def peel_order_oracle(pop: pg.POPGraph):
+    """Internal vertices in peel order, downstream first, by definition:
+    each step takes the maximal internal vertex (every out-edge on the line
+    of current outputs) whose first out-edge, the least by rank, comes
+    earliest in the order.  A vertex becomes maximal once its last internal
+    successor has been peeled."""
+    g = pop.graph
+    internal = g.internal_vertices
+    pending = {v: sum(e.dst in internal for e in g.out_edges(v)) for v in internal}
+    first_out = {v: min(pop.rank(e.id) for e in g.out_edges(v)) for v in internal}
+    ready = [(first_out[v], v) for v in internal if not pending[v]]
+    heapq.heapify(ready)
+    while ready:
+        _, v = heapq.heappop(ready)
+        yield v
+        for e in g.in_edges(v):
+            if e.src in internal:
+                pending[e.src] -= 1
+                if not pending[e.src]:
+                    heapq.heappush(ready, (first_out[e.src], e.src))
+
+
 def peel_oracle(pop: pg.POPGraph):
     """The elementary factors, downstream first, each ordered by sorting its
     edges by rank: the library's first peel walk.  It keeps the current head
@@ -191,7 +213,7 @@ def peel_oracle(pop: pg.POPGraph):
     head = {e.id: e.dst for e in g.edges}
     line = set(g.outputs)
     names = set(g.vertices)
-    for v in _peel_order(pop):
+    for v in peel_order_oracle(pop):
         spider_in = [e.id for e in g.in_edges(v)]
         spider_out = [e.id for e in g.out_edges(v)]
         ids = line.union(spider_in)
@@ -237,6 +259,14 @@ def chain_pop(m: int) -> pg.POPGraph:
         pg.validate_progressive(pg.DirectedMultigraph(edges)), [e.id for e in edges])
 
 
+def redeclared(pop: pg.POPGraph, rng: random.Random) -> pg.POPGraph:
+    """``pop`` with its edges declared in an order shuffled by ``rng``."""
+    edges = list(pop.graph.edges)
+    rng.shuffle(edges)
+    return pg.validate_planar_order(
+        pg.validate_progressive(pg.DirectedMultigraph(edges)), pop.order.sequence)
+
+
 def decomposition_corpus() -> list[tuple[str, pg.POPGraph]]:
     """The five fixtures (spider22 with its synthesized order), 300 seeded
     ``random_pop`` graphs, every other one with its edges declared in
@@ -246,12 +276,7 @@ def decomposition_corpus() -> list[tuple[str, pg.POPGraph]]:
     rng = random.Random(34)
     for i in range(300):
         pop = pg.random_pop(rng, tag=f"r{i}.")
-        if i % 2:
-            edges = list(pop.graph.edges)
-            rng.shuffle(edges)
-            pop = pg.validate_planar_order(
-                pg.validate_progressive(pg.DirectedMultigraph(edges)), pop.order.sequence)
-        corpus.append((f"random{i}", pop))
+        corpus.append((f"random{i}", redeclared(pop, rng) if i % 2 else pop))
     corpus.append(("chain250", chain_pop(250)))
     corpus.append(("recipe40x28", recipe_graph(40, 28)))
     return corpus

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import popgraph as pg
-from popgraph.composition import _steps
+from popgraph.composition import _walk
 from conftest import (FIXTURES, compose_fold, decomposition_corpus, decomposition_oracle,
                       is_elementary, perturbed, random_single_spider_layer, recipe_graph,
                       spider_layer_with_outputs)
@@ -283,7 +283,7 @@ class TestStepWalk:
         for name, pop in corpus:
             g = pop.graph
             line = list(pop.outputs_ordered)
-            for step in _steps(pop):
+            for step in _walk(pop):
                 assert step.before == line, name
                 legs = [e.id for e in g.out_edges(step.vertex)]
                 assert sorted(step.outs) == sorted(legs), name

@@ -12,8 +12,8 @@ import pytest
 
 import popgraph as pg
 from popgraph.layout import _ints, _meet
-from conftest import (check_drawing_scan, mirror, moved_by_primes, recipe_graph,
-                      run_optimized, segment_meet_scan, with_apexes)
+from conftest import (check_drawing_scan, decomposition_oracle, mirror, moved_by_primes,
+                      recipe_graph, redeclared, run_optimized, segment_meet_scan, with_apexes)
 
 
 F = Fraction
@@ -58,21 +58,44 @@ class TestLayout:
                 assert pg.read_back(d, pop.graph) == want, name
 
     def test_lines_and_bands_match_the_decomposition(self, canonical, suite):
+        # the oracle sorts each line by rank and shares no splice with the
+        # walk the layout reads; every other graph is declared shuffled
         rng = random.Random(7)
         pops = [canonical, pg.bare_edges(3)] + [pop for _, pop in suite]
         pops += [pg.random_pop(rng, tag=f"o{i}.") for i in range(40)]
         for i, pop in enumerate(pops):
-            factors = pg.elementary_decomposition(pop).factors
+            if i % 2:
+                pop = redeclared(pop, rng)
+            factors, _ = decomposition_oracle(pop)
             d = pg.layout(pop)
             assert len(d.bands) == len(factors)
+            places = []
             for k in range(len(factors) + 1):
                 at_k = sorted((x, e) for e, pts in d.routes.items()
                               for x, y in pts if y == k)
                 want = factors[k - 1].outputs_ordered if k else factors[0].inputs_ordered
-                assert tuple(e for _, e in at_k) == want, (i, k)
+                assert at_k == list(zip(range(1, len(want) + 1), want)), (i, k)
+                places.append(dict(map(reversed, at_k)))
             for k, f in enumerate(factors, 1):
                 in_band = {v for v, (_, y) in d.vertices.items() if k - 1 < y < k}
                 assert in_band == set(f.graph.internal_vertices), (i, k)
+                for v in in_band:
+                    # the mean of its legs' places, halfway between its lines
+                    xs = [places[k - 1][e.id] for e in f.graph.in_edges(v)]
+                    xs += [places[k][e.id] for e in f.graph.out_edges(v)]
+                    assert d.vertices[v] == (F(sum(xs), len(xs)), F(2 * k - 1, 2)), (i, v)
+
+    def test_drawing_builds_no_factor_and_no_name(self, monkeypatch):
+        # the layout reads the peel walk alone: the decomposition's fresh
+        # names and its factors' validation never run
+        def refuse(*args):
+            raise AssertionError("the drawing path named or validated a factor")
+
+        pop = recipe_graph(16, 16)
+        monkeypatch.setattr("popgraph.composition._fresh", refuse)
+        monkeypatch.setattr("popgraph.composition.validate_progressive", refuse)
+        for d in all_variants(pop):
+            assert len(d.bands) == len(pop.graph.internal_vertices)
 
     def test_read_back_refuses_a_detached_boundary(self, canonical):
         d = pg.layout(canonical)

@@ -12,7 +12,7 @@ import popgraph as pg
 import popgraph.order
 from popgraph.cli import main
 from popgraph.errors import SHOWN
-from popgraph.order import _chains_hold, _intransitive, _ranked
+from popgraph.order import _chains_hold, _intransitive, _permutation, _ranked
 from conftest import (_scan_window, check_conjugacy_scan, conjugate_pairs_scan,
                       conjugate_pop, intransitive_scan, order_from_conjugate_scan,
                       order_violations_scan, run_optimized, slow_planar, vertex_reach_dfs)
@@ -149,7 +149,7 @@ class TestValidate:
                 cands.append(seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:])
             for cand in cands:
                 ext, bet = order_violations_scan(g, cand)
-                holds = _chains_hold(*_ranked(g, tuple(cand)))
+                holds = _chains_hold(*_ranked(g, _permutation(cand, g.edge_ids)[1]))
                 assert holds == (not ext and not bet), (k, cand)
                 assert_refusal_matches(g, cand, ext, bet)
                 verdicts[holds, bool(ext)] += 1
@@ -168,11 +168,30 @@ class TestValidate:
                     f"not a permutation of the edge set: missing i1 i2 o1 o2; extra {value}")
                 assert exc.value.extra == (value,)
 
+    @pytest.mark.parametrize("value", ["abc", "cab", {"a", "b", "c"}, frozenset("abc")],
+                             ids=["string", "another-string", "set", "frozenset"])
+    def test_a_string_or_a_set_is_not_a_sequence_of_ids(self, value):
+        # a string would split into its characters, and a set iterate in an
+        # order that depends on the hash seed: each is one extra member
+        g = pg.validate_progressive(pg.DirectedMultigraph(
+            [pg.Edge(e, f"u{e}", f"v{e}") for e in "abc"]))
+        for check in (pg.validate_planar_order, pg.order_violations):
+            with pytest.raises(pg.NotAPermutation) as exc:
+                check(g, value)
+            assert (exc.value.missing, exc.value.extra) == (("a", "b", "c"), (value,))
+            if isinstance(value, str):
+                assert str(exc.value) == (
+                    f"not a permutation of the edge set: missing a b c; extra {value}")
+        with pytest.raises(pg.NotAPermutation) as exc:
+            pg.PlanarOrder(value)
+        assert (exc.value.missing, exc.value.extra) == ((), (value,))
+
     def test_chain_refuses_what_is_not_a_permutation(self, canonical):
         g, seq = canonical.graph, canonical.order.sequence
         for bad in (seq[:-1], seq + seq[-1:], seq[:-1] + ("ghost",), ()):
-            with pytest.raises(pg.NotAPermutation):
-                _ranked(g, bad)
+            for check in (pg.validate_planar_order, pg.order_violations):
+                with pytest.raises(pg.NotAPermutation):
+                    check(g, bad)
 
     @pytest.mark.parametrize("seq, message", [
         ([1, 2, 3, 4], "missing i1 i2 o1 o2; extra 1 2 3 4"),
@@ -442,7 +461,7 @@ class TestIntransitive:
             for i in rng.sample(range(len(seq) - 1), min(3, len(seq) - 1)):
                 cands.append(seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:])
             for cand in cands:
-                _, conj = _ranked(g, tuple(cand))
+                _, conj = _ranked(g, _permutation(cand, g.edge_ids)[1])
                 got = _intransitive(conj)
                 assert got == intransitive_scan(conj), (k, cand)
                 escaping += bool(got[1])

@@ -305,8 +305,11 @@ class TestStg:
         # a string is not split into one-character sides
         ({"t": "aa"}, pg.PpgError, "^the rotation at 't' must have exactly two sides of edge ids$"),
         ({"t": ("a", ("a",))}, pg.PpgError, "^the rotation at 't' must have exactly two sides"),
+        # nor is a set, which iterates in an order that depends on the hash seed
+        ({"t": ({"a"}, ())}, pg.PpgError, "^the rotation at 't' must have exactly two sides"),
+        ({"t": {("a",), ()}}, pg.PpgError, "^the rotation at 't' must have exactly two sides"),
     ], ids=["vertex", "int_vertex", "edge", "int_edge", "unhashable_edge", "no_sides",
-            "one_side", "string", "string_side"])
+            "one_side", "string", "string_side", "set_side", "set_of_sides"])
     def test_a_rotation_that_cannot_round_trip_is_refused(self, rotation, error, match):
         graph = pg.DirectedMultigraph([("a", "s", "t")])
         with pytest.raises(error, match=match):

@@ -105,9 +105,15 @@ class TestPAGraph:
         ({"v": ("ab", "c")}, (("a", "b"), ("c",)), "the vertex order at 'v'"),
         ({"v": "ab"}, (("a", "b"), ("c",)), "the vertex order at 'v'"),
         ({"v": (("a", "b"), ("c",))}, "ac", "the anchor"),
-    ], ids=["string-sides", "string-vertex-sides", "string-vertex-order", "string-anchor"])
-    def test_a_string_is_not_split_into_sides(self, orders, anchor, what):
-        # with one-letter ids a string would read as a side of its characters
+        ({"v": ({"a", "b"}, ("c",))}, (("a", "b"), ("c",)), "the vertex order at 'v'"),
+        ({"v": (("a", "b"), frozenset("c"))}, (("a", "b"), ("c",)), "the vertex order at 'v'"),
+        ({"v": (("a", "b"), ("c",))}, ({"a", "b"}, ("c",)), "the anchor"),
+        ({"v": (("a", "b"), ("c",))}, {("a", "b"), ("c",)}, "the anchor"),
+    ], ids=["string-sides", "string-vertex-sides", "string-vertex-order", "string-anchor",
+            "set-in-legs", "frozenset-out-legs", "set-inputs", "set-of-sides"])
+    def test_a_string_or_a_set_is_not_a_side(self, orders, anchor, what):
+        # with one-letter ids a string would read as a side of its characters,
+        # and a set iterates in an order that depends on the hash seed
         g = graph(("a", "in:0", "v"), ("b", "in:1", "v"), ("c", "v", "out:0"))
         with pytest.raises(pg.PpgError) as exc:
             pg.PAGraph(g, orders, anchor)
