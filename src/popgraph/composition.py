@@ -24,10 +24,13 @@ the vertex peeled are a contiguous block of it, the in-legs take their
 place, and the factor's order is the line with the in-legs spliced in
 before the out-legs.  That splice is the planar order restricted to the
 factor, which the theory makes planar, got without sorting by rank.  The
-decomposition names each factor's edges on top of the walk; each factor is
-validated as a progressive graph like any other, and no order is checked
-again.  ``ppg decompose`` writes the factors' texts straight from the
-named steps.  The layout draws the walk's lines as the lines between its
+decomposition names each factor's edges on top of the walk.  Peeling
+leaves one spider between identity wires, so every factor is progressive
+by construction: :func:`elementary_decomposition` still builds and
+validates each factor graph, but checks no order again, and ``ppg
+decompose`` writes the factors' texts straight from the named steps and
+checks nothing again (the test suite validates every factor of its
+oracle).  The layout draws the walk's lines as the lines between its
 bands, and names nothing.
 """
 

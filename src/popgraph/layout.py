@@ -657,19 +657,24 @@ def render_svg(d: Drawing) -> str:
     s = 48.0
     pad = 30.0
     points = list(chain.from_iterable(d.routes.values()))
-    ys = set(map(_SECOND, points))
-    ys.update((d.box[1], d.box[3]))
-    x0, y0 = d.box[0], min(ys)
+    ys = [*map(_SECOND, points), d.box[1], d.box[3]]
+    # no Fraction is hashed, as its hash is costly: the ints are a set of
+    # their own (a mixed set could keep Fraction(3) and drop the int 3), and
+    # every other value counts once per object
+    int_ys = {y for y in ys if type(y) is int}
+    span = [*int_ys, *{id(y): y for y in ys if type(y) is not int}.values()]
+    x0, y0 = d.box[0], min(span)
     w = float(d.box[2] - d.box[0]) * s + 2 * pad
-    h = float(max(ys) - y0) * s + 2 * pad
+    h = float(max(span) - y0) * s + 2 * pad
 
     def px(p: Point) -> tuple[float, float]:
         return (_minus(p[0], x0) * s + pad, _minus(p[1], y0) * s + pad)
 
-    # each distinct coordinate of the routes is formatted once; equal values
-    # of either type share a key and format alike
-    fx = {x: f"{_minus(x, x0) * s + pad:.2f}" for x in set(map(_FIRST, points))}
-    fy = {y: f"{_minus(y, y0) * s + pad:.2f}" for y in ys}
+    # each distinct int coordinate of the routes is formatted once, any
+    # other where it stands
+    fx = {x: f"{_minus(x, x0) * s + pad:.2f}"
+          for x in {x for x in map(_FIRST, points) if type(x) is int}}
+    fy = {y: f"{_minus(y, y0) * s + pad:.2f}" for y in int_ys}
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
            f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">']
@@ -678,7 +683,9 @@ def render_svg(d: Drawing) -> str:
                f'width="{float(d.width) * s:.2f}" height="{float(d.height) * s:.2f}" '
                f'fill="none" stroke="#999" stroke-dasharray="7 5"/>')
     for e, pts in d.routes.items():
-        coords = " L ".join([f"{fx[x]} {fy[y]}" for x, y in pts])
+        coords = " L ".join([
+            f"{fx[x] if type(x) is int else f'{_minus(x, x0) * s + pad:.2f}'} "
+            f"{fy[y] if type(y) is int else f'{_minus(y, y0) * s + pad:.2f}'}" for x, y in pts])
         out.append(f'<path d="M {coords}" fill="none" stroke="#000" '
                    f'stroke-width="1.6"/>')
         out.append(_svg_arrow(pts, px))

@@ -95,6 +95,7 @@ class POPGraph:
     def __init__(self, graph: ProgressiveGraph, order: PlanarOrder):
         self.graph = _expect_type(graph, "POPGraph", ProgressiveGraph)
         self.order = _expect_type(order, "POPGraph", PlanarOrder)
+        self._local = None  # its local data, read once by synthesis._local_data
 
     def rank(self, e: str) -> int:
         return self.order.rank(e)

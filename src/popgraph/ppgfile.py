@@ -23,13 +23,17 @@ vertex orders by ``parse_ppg`` and as rotations by ``parse_stg``.
 Grammar violations (bad header, malformed lines, references to undeclared
 ids, duplicated sections, vertex-order lines at boundary vertices) raise
 ParseError with the line number.  Everything the grammar cannot see is
-checked semantically after parsing: the graph must be progressive, anchors
-and vertex orders must be permutations of the actual boundary and incident
-edges (the one check :class:`PAGraph` runs, applied to partial data too),
-and an ``order`` line must be a valid planar order; those failures raise the
-corresponding validation errors, which carry no line numbers.  Last, an
-``order`` line must give back whatever anchors and vertex orders the file
-has, or a PpgError names the first anchor side or vertex that differs.
+checked semantically after parsing: the graph must be progressive, an
+``order`` line must be a valid planar order, anchors and vertex orders must
+be permutations of the actual boundary and incident edges (the one check
+:class:`PAGraph` runs, applied to partial data too), and last, an ``order``
+line must give back whatever anchors and vertex orders the file has, or a
+PpgError names the first anchor side or vertex that differs.  Those
+failures raise the corresponding validation errors, which carry no line
+numbers.  A full-form file (an order line, the anchors and every vertex
+order) is compared first, in one walk, with the local data its order
+reads: equal data are permutations already, so the permutation checks run
+only when the two differ, and then in the order above.
 
 Emission is canonical and deterministic: header, edges in declaration
 order, anchors, vertex orders sorted by vertex id, order line; emitting a
@@ -43,7 +47,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import chain
 
-from .core import DirectedMultigraph, Edge, ProgressiveGraph, StGraph, validate_progressive
+from .core import (DirectedMultigraph, Edge, ProgressiveGraph, StGraph, _sides,
+                   validate_progressive)
 from .errors import ParseError, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, validate_planar_order
 from .synthesis import (Anchor, PAGraph, VertexOrder, _check_local_data, _local_data,
@@ -69,10 +74,20 @@ class PpgDocument:
         self.order = order
         self._pop = validate_planar_order(graph, order) if order is not None else None
         self._pa: PAGraph | None = None
-        if anchor is not None and set(self.vertex_orders or ()) == set(graph.internal_vertices):
-            self._pa = PAGraph(graph, vertex_orders or {}, anchor)
+        self._read = None  # the order's local data, equal to those given: pa() reads them
+        orders = vertex_orders or {}
+        full = anchor is not None and set(self.vertex_orders or ()) == set(graph.internal_vertices)
+        if full and self._pop is not None and isinstance(orders, Mapping):
+            # equal to what the order reads, the given data are permutations
+            # of the right edges; only what differs needs the checks below
+            read = _local_data(self._pop)
+            if _equal_local_data(orders, anchor, read):
+                self._read = read
+                return
+        if full:
+            self._pa = PAGraph(graph, orders, anchor)
         else:
-            _check_local_data(graph, vertex_orders or {}, anchor)
+            _check_local_data(graph, orders, anchor)
         if self._pop is not None:  # last, so the checks above keep their precedence
             read_orders, read_anchor = _local_data(self._pop)
             for side, given, read in zip(("inputs", "outputs"), anchor or (), read_anchor):
@@ -83,11 +98,13 @@ class PpgDocument:
                     raise PpgError(f"the order line disagrees with the vertex order at {v!r}")
 
     def has_pa(self) -> bool:
-        return self._pa is not None
+        return self._pa is not None or self._read is not None
 
     def pa(self) -> PAGraph:
         if self._pa is None:
-            raise PpgError("document carries no complete vertex-order/anchor data")
+            if self._read is None:
+                raise PpgError("document carries no complete vertex-order/anchor data")
+            self._pa = PAGraph(self.graph, *self._read)
         return self._pa
 
     def pop(self) -> POPGraph:
@@ -110,6 +127,18 @@ class PpgDocument:
 
     def __repr__(self):
         return f"PpgDocument({len(self.graph.edges)} edges)"
+
+
+def _equal_local_data(vertex_orders: Mapping, anchor, read) -> bool:
+    """Whether the anchor and a vertex order at every vertex of ``read``,
+    each taken as two sides, equal the local data ``read`` off an order.  A
+    value that has no two sides of ids (a string or a set included) differs."""
+    read_orders, read_anchor = read
+    try:
+        return _sides(anchor, "the anchor") == read_anchor and all(
+            _sides(vertex_orders[v], "a vertex order") == vo for v, vo in read_orders.items())
+    except PpgError:
+        return False
 
 
 def _lines(text: str):

@@ -410,7 +410,12 @@ def synthesize_order(pa: PAGraph) -> PlanarOrder:
 
 def _local_data(pop: POPGraph) -> tuple[dict[str, VertexOrder], Anchor]:
     """The vertex orders and anchors of a planar order, unchecked, in one walk
-    that appends each edge to the legs of its tail and of its head."""
+    that appends each edge to the legs of its tail and of its head.  The walk
+    runs once per ordered graph, which keeps its result: every call returns
+    the same objects, and every caller treats them as read-only
+    (:class:`PAGraph` copies what it is given)."""
+    if pop._local is not None:
+        return pop._local
     g = pop.graph
     legs = {v: ([], []) for v in sorted(g.internal_vertices)}
     boundary = ([], [])  # one vertex for the rest: outputs come in, inputs go out
@@ -419,7 +424,8 @@ def _local_data(pop: POPGraph) -> tuple[dict[str, VertexOrder], Anchor]:
         legs.get(e.src, boundary)[1].append(eid)
         legs.get(e.dst, boundary)[0].append(eid)
     vertex_orders = {v: VertexOrder(tuple(a), tuple(b)) for v, (a, b) in legs.items()}
-    return vertex_orders, Anchor(tuple(boundary[1]), tuple(boundary[0]))
+    pop._local = vertex_orders, Anchor(tuple(boundary[1]), tuple(boundary[0]))
+    return pop._local
 
 
 def extract_pa(pop: POPGraph) -> PAGraph:

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import popgraph as pg
+from popgraph import composition, ppgfile, synthesis
 from popgraph.cli import main
-from conftest import FIXTURES, decompose_files_oracle, decomposition_corpus, isomorphic_by_edges
+from conftest import (FIXTURES, decompose_files_oracle, decomposition_corpus, isomorphic_by_edges,
+                      load, recipe_graph)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -300,6 +302,52 @@ class TestDecomposeOutput:
                 0, "".join(n + "\n" for n in want), ""), name
             got = {p.name: p.read_text(encoding="utf-8") for p in outdir.iterdir()}
             assert got == want, name
+
+
+class TestWorkOnTheDrawPath:
+    """``ppg render`` and ``ppg decompose`` read the local data of the parsed
+    order in one walk, shared by the parse, the peel walk and the layout,
+    and build no graph but the parse's: no factor graph is validated."""
+
+    @pytest.mark.parametrize("argv", [["render", "-o", "out.svg"],
+                                      ["render", "--st", "--up", "-o", "out.tex"],
+                                      ["decompose", "-o", "factors"]],
+                             ids=["render", "render-st-up", "decompose"])
+    def test_one_walk_and_one_graph(self, argv, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "recipe.ppg"
+        src.write_text(pg.emit_ppg(recipe_graph(16, 16)), encoding="utf-8")
+        walks, graphs = [], []
+        read = synthesis._local_data
+
+        def counted_read(pop):
+            walks.append(pop._local is None)
+            return read(pop)
+
+        for module in (synthesis, composition, ppgfile):
+            monkeypatch.setattr(module, "_local_data", counted_read)
+        build = pg.ProgressiveGraph.__init__
+
+        def counted_build(self, graph):
+            graphs.append(graph)
+            build(self, graph)
+
+        monkeypatch.setattr(pg.ProgressiveGraph, "__init__", counted_build)
+        command, *rest = argv
+        rest[-1] = str(tmp_path / rest[-1])
+        assert main([command, str(src), *rest]) == 0
+        capsys.readouterr()
+        assert sum(walks) == 1 and len(walks) >= 2
+        assert len(graphs) == 1
+
+    def test_the_local_data_of_an_order_is_not_aliased(self):
+        doc = load("canonical19.ppg")
+        pop = doc.pop()
+        text = pg.emit_ppg(pop)
+        pa = pg.extract_pa(pop)
+        pa.vertex_orders.clear()
+        pa.vertex_orders["A"] = pg.VertexOrder((), ())
+        doc.pa().vertex_orders.clear()
+        assert pg.emit_ppg(pop) == text
 
 
 class TestExitCodes:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
 import popgraph as pg
-from conftest import FIXTURES
+from conftest import FIXTURES, load
 
 
 MINI = """\
@@ -194,6 +195,115 @@ class TestSemanticErrors:
         text = text.replace("order 1 2 3 4 5 6 7 8 9", "order 1 2 3 4 5 6 7 9 8")
         with pytest.raises(pg.InvalidPlanarOrder):
             pg.parse_ppg(text.replace("outputs 7 13", "outputs 13 7"))
+
+
+# full-form canonical19 with a valid order line but for the edits, and the
+# error the parse raises: order errors first, then local-data errors, then
+# "the order line disagrees with ..."
+PRECEDENCE = {
+    "anchor-missing": ({"inputs 1 2 3 4 10 11 17 19": "inputs 1 2 3 4 10 11 17"},
+                       pg.NotAPermutation, "not a permutation of the edge set: missing 19"),
+    "anchor-repeat": ({"outputs 7 13 14 16 18 19": "outputs 7 13 14 16 18 18"},
+                      pg.NotAPermutation,
+                      "not a permutation of the edge set: missing 19; duplicated 18"),
+    "foreign-leg": ({"out B 7 8": "out B 7 9"},
+                    pg.NotAPermutation, "not a permutation of the edge set: missing 8; extra 9"),
+    "missing-leg": ({"in A 2 3 4": "in A 2 3"},
+                    pg.NotAPermutation, "not a permutation of the edge set: missing 4"),
+    "swapped-legs": ({"out B 7 8": "out B 8 7"},
+                     pg.PpgError, "the order line disagrees with the vertex order at 'B'"),
+    "reversed-outputs": ({"outputs 7 13 14 16 18 19": "outputs 19 18 16 14 13 7"},
+                         pg.PpgError, "the order line disagrees with the outputs line"),
+    "reversed-inputs": ({"inputs 1 2 3 4 10 11 17 19": "inputs 19 17 11 10 4 3 2 1"},
+                        pg.PpgError, "the order line disagrees with the inputs line"),
+    "foreign-leg-then-reversed": (
+        {"out B 7 8": "out B 7 9", "outputs 7 13 14 16 18 19": "outputs 19 18 16 14 13 7"},
+        pg.NotAPermutation, "not a permutation of the edge set: missing 8; extra 9"),
+    "swapped-then-foreign": (
+        {"out B 7 8": "out B 8 7", "out C 13 14": "out C 13 7"},
+        pg.NotAPermutation, "not a permutation of the edge set: missing 14; extra 7"),
+    "bad-order-then-foreign": (
+        {"order 1 2 3 4 5 6 7 8 9": "order 1 2 3 4 5 6 7 9 8", "out B 7 8": "out B 7 9"},
+        pg.InvalidPlanarOrder,
+        "not a planar order: 9 sits between 1 and 8 but relates to neither; 9 sits between "
+        "5 and 8 but relates to neither; 9 sits between 6 and 8 but relates to neither"),
+}
+
+# the same for a document built directly: each entry edits the parsed
+# (vertex orders, anchor) of canonical19
+DIRECT = {
+    "extra-key": (lambda vo, a: ({**vo, "p1": (("1",), ("1",))}, a),
+                  pg.UnknownVertex, "unknown vertex id 'p1'"),
+    "foreign-key": (lambda vo, a: ({**{v: o for v, o in vo.items() if v != "A"},
+                                    "zz": vo["A"]}, a),
+                    pg.UnknownVertex, "unknown vertex id 'zz'"),
+    "string-side": (lambda vo, a: ({**vo, "E": ("15", ("16",))}, a),
+                    pg.PpgError, "the vertex order at 'E' must have exactly two sides of edge ids"),
+    "set-side": (lambda vo, a: ({**vo, "E": ({"15"}, ("16",))}, a),
+                 pg.PpgError, "the vertex order at 'E' must have exactly two sides of edge ids"),
+    "one-side": (lambda vo, a: ({**vo, "E": (("15",),)}, a),
+                 pg.PpgError, "the vertex order at 'E' must have exactly two sides of edge ids"),
+    "set-anchor": (lambda vo, a: (vo, (set(a[0]), a[1])),
+                   pg.PpgError, "the anchor must have exactly two sides of edge ids"),
+    "string-anchor": (lambda vo, a: (vo, (" ".join(a[0]), a[1])),
+                      pg.PpgError, "the anchor must have exactly two sides of edge ids"),
+    "swapped-then-string": (lambda vo, a: ({**vo, "B": (("1", "5", "6"), ("8", "7")),
+                                            "E": ("15", ("16",))}, a),
+                            pg.PpgError,
+                            "the vertex order at 'E' must have exactly two sides of edge ids"),
+    "not-a-mapping": (lambda vo, a: (list(vo.items()), a), pg.PpgError,
+                      "vertex orders must be a mapping from internal vertex to its order, "
+                      "not list"),
+}
+
+
+class TestParseComparison:
+    """A full-form file is compared with the local data its order line
+    reads; only what differs goes through the permutation checks, which
+    keep their precedence and messages."""
+
+    @pytest.mark.parametrize("name", PRECEDENCE)
+    def test_a_fault_in_a_full_form_file(self, name):
+        edits, kind, message = PRECEDENCE[name]
+        text = (FIXTURES / "canonical19.ppg").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(pg.PpgError) as exc:
+            pg.parse_ppg(text)
+        assert (type(exc.value), str(exc.value)) == (kind, message)
+
+    @pytest.mark.parametrize("name", DIRECT)
+    def test_a_fault_in_a_document_built_directly(self, name):
+        edit, kind, message = DIRECT[name]
+        doc = load("canonical19.ppg")
+        vertex_orders, anchor = edit(doc.vertex_orders, doc.anchor)
+        with pytest.raises(pg.PpgError) as exc:
+            pg.PpgDocument(doc.graph, vertex_orders, anchor, doc.order)
+        assert (type(exc.value), str(exc.value)) == (kind, message)
+
+    def test_sides_given_as_lists_are_accepted(self):
+        doc = load("canonical19.ppg")
+        listed = {v: [list(i), list(o)] for v, (i, o) in doc.vertex_orders.items()}
+        again = pg.PpgDocument(doc.graph, listed, [list(s) for s in doc.anchor], doc.order)
+        assert again.has_pa() and again.pa() == doc.pa()
+
+    def test_vertex_orders_that_are_no_mapping_with_no_internal_vertex(self):
+        doc = pg.parse_ppg("ppg 1\nedge a p q\ninputs a\noutputs a\norder a\n")
+        with pytest.raises(pg.PpgError, match="^vertex orders must be a mapping"):
+            pg.PpgDocument(doc.graph, [("v", ((), ()))], doc.anchor, doc.order)
+
+    def test_the_checked_local_data_of_every_fixture_and_random_graph(self):
+        for path in sorted(FIXTURES.glob("*.ppg")):
+            doc = pg.parse_ppg(path.read_text())
+            assert doc.has_pa(), path.name
+            if doc.order is not None:
+                assert doc.pa() == pg.extract_pa(doc.pop()), path.name
+        rng = random.Random(36)
+        for i in range(300):
+            pop = pg.random_pop(rng, tag=f"r{i}.")
+            doc = pg.parse_ppg(pg.emit_ppg(pop))
+            assert doc.has_pa() and doc.pa() == pg.extract_pa(pop), i
 
 
 class TestEmitPpg:
