@@ -32,7 +32,6 @@ from .composition import _named_steps, recompose
 from .core import circ, hat
 from .errors import ArityMismatch, ParseError, PpgError, TooLarge, UsageError
 from .layout import layout, layout_st, render_svg, render_tikz
-from .order import _pairs, _ranked
 from .ppgfile import _ppg_text, emit_ppg, emit_stg, parse_ppg, parse_stg
 from .synthesis import _list_orders, count_planar_orders, synthesize_order
 
@@ -174,8 +173,8 @@ def _cmd_decompose(args) -> int:
         # leaves a progressive factor, and every name came through the
         # parser's tokens or adds "s@", "t@" or "'" to one, so neither is
         # checked again (the tests check both on every factor)
-        texts.append(_ppg_text(edges, (step.after, step.before),
-                               {step.vertex: (step.ins, step.outs)}, step.order))
+        texts.append(_ppg_text(edges, (("inputs", step.after), ("outputs", step.before)),
+                               {step.vertex: (step.ins, step.outs)}, [("order", step.order)]))
         lines.append(step.before)
     texts = texts[::-1] or [emit_ppg(pop)]  # no internal vertex: its own factor
     lines.reverse()
@@ -209,9 +208,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_conjugate(args) -> int:
     pop = parse_ppg(_read(args.file)).pop()
-    seq, index = pop.order.sequence, pop.order._index
-    # the conjugate rows by rank yield the pairs sorted by the ranks of both ends
-    sys.stdout.writelines(f"{a} {b}\n" for a, b in _pairs(seq, _ranked(pop.graph, index)[1]))
+    sys.stdout.writelines(f"{a} {b}\n" for a, b in pop._conjugate())
     return 0
 
 

@@ -348,8 +348,11 @@ class StGraph(DirectedMultigraph):
 def hat(p: ProgressiveGraph) -> StGraph:
     """Merge all boundary sources into a fresh vertex ``s`` and all boundary
     sinks into a fresh ``t``.  Edge ids are preserved; the names ``s`` and
-    ``t`` must not already be in use."""
+    ``t`` must not already be in use, and a graph with no edge, which has
+    nothing to gather, raises PpgError."""
     s, t = _apexes(_expect_type(p, "hat", ProgressiveGraph))
+    if not p.edges:
+        raise PpgError("the graph has no edge to gather into the apexes s and t")
     edges = []
     for e in p.edges:
         src = s if e.id in p.inputs else e.src

@@ -39,6 +39,16 @@ and ``Fraction`` objects passes that gate in C-level passes.
 ``read_back`` recovers the vertex orders and anchors from coordinates
 alone, keying route ends and vertices by the same ints, which ties the
 picture back to the combinatorics it came from.
+
+Both renderers write the coordinates of routes and vertices, and TikZ its
+frame too, through one writer, ``_Texts``: the text of v is
+``(v - v0) * scale + pad`` to two decimals, with SVG's offset, scale and
+margin or TikZ's (0, 0, 1, -0.0).  Each distinct int is formatted once,
+keyed by value, and any other coordinate once per object, keyed by ``id``,
+so no ``Fraction`` is hashed and a vertex shared by the routes of its legs
+is formatted once.  TikZ adds -0.0, not 0.0: the float of a tiny negative
+``Fraction`` is -0.0, written "-0.00", and only -0.0 leaves every float,
+that one included, as it is.
 """
 
 from __future__ import annotations
@@ -646,8 +656,31 @@ def _between(a: Fraction | int, b: Fraction | int, k: int) -> float:
             / ((k + 1) * a.denominator * b.denominator))
 
 
-def _fmt(x: Fraction | int | float) -> str:
-    return f"{float(x):.2f}"
+class _Texts(dict):
+    """The text of a coordinate v, ``(v - v0) * scale + pad`` to two
+    decimals.  An int is read as ``texts[v]``, formatted at its first
+    reading and keyed by value; any value is read by ``texts.of(v)``, and
+    one that is no int is formatted once per object, keyed by ``id``, so no
+    ``Fraction`` is hashed.  The drawing keeps the values alive while its
+    text is written."""
+
+    def __init__(self, v0: Fraction | int, scale: float, pad: float):
+        self.v0, self.scale, self.pad, self.objects = v0, scale, pad, {}
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = self.text(v)
+        return text
+
+    def text(self, v: Fraction | int) -> str:
+        return f"{_minus(v, self.v0) * self.scale + self.pad:.2f}"
+
+    def of(self, v: Fraction | int) -> str:
+        if type(v) is int:
+            return self[v]
+        text = self.objects.get(id(v))
+        if text is None:
+            text = self.objects[id(v)] = self.text(v)
+        return text
 
 
 def render_svg(d: Drawing) -> str:
@@ -656,13 +689,12 @@ def render_svg(d: Drawing) -> str:
     _require_coordinates(_expect_type(d, "render_svg", Drawing), render=True, routes=True)
     s = 48.0
     pad = 30.0
-    points = list(chain.from_iterable(d.routes.values()))
-    ys = [*map(_SECOND, points), d.box[1], d.box[3]]
-    # no Fraction is hashed, as its hash is costly: the ints are a set of
-    # their own (a mixed set could keep Fraction(3) and drop the int 3), and
-    # every other value counts once per object
-    int_ys = {y for y in ys if type(y) is int}
-    span = [*int_ys, *{id(y): y for y in ys if type(y) is not int}.values()]
+    ys = [*map(_SECOND, chain.from_iterable(d.routes.values())), d.box[1], d.box[3]]
+    # the y extent of the routes and the box: no Fraction is hashed, so the
+    # ints are a set of their own (a mixed set could keep Fraction(3) and
+    # drop the int 3), and every other value counts once per object
+    span = [*{y for y in ys if type(y) is int},
+            *{id(y): y for y in ys if type(y) is not int}.values()]
     x0, y0 = d.box[0], min(span)
     w = float(d.box[2] - d.box[0]) * s + 2 * pad
     h = float(max(span) - y0) * s + 2 * pad
@@ -670,11 +702,7 @@ def render_svg(d: Drawing) -> str:
     def px(p: Point) -> tuple[float, float]:
         return (_minus(p[0], x0) * s + pad, _minus(p[1], y0) * s + pad)
 
-    # each distinct int coordinate of the routes is formatted once, any
-    # other where it stands
-    fx = {x: f"{_minus(x, x0) * s + pad:.2f}"
-          for x in {x for x in map(_FIRST, points) if type(x) is int}}
-    fy = {y: f"{_minus(y, y0) * s + pad:.2f}" for y in int_ys}
+    tx, ty = _Texts(x0, s, pad), _Texts(y0, s, pad)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
            f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">']
@@ -683,15 +711,13 @@ def render_svg(d: Drawing) -> str:
                f'width="{float(d.width) * s:.2f}" height="{float(d.height) * s:.2f}" '
                f'fill="none" stroke="#999" stroke-dasharray="7 5"/>')
     for e, pts in d.routes.items():
-        coords = " L ".join([
-            f"{fx[x] if type(x) is int else f'{_minus(x, x0) * s + pad:.2f}'} "
-            f"{fy[y] if type(y) is int else f'{_minus(y, y0) * s + pad:.2f}'}" for x, y in pts])
+        coords = " L ".join([f"{tx[x] if type(x) is int else tx.of(x)} "
+                             f"{ty[y] if type(y) is int else ty.of(y)}" for x, y in pts])
         out.append(f'<path d="M {coords}" fill="none" stroke="#000" '
                    f'stroke-width="1.6"/>')
         out.append(_svg_arrow(pts, px))
-    for v, p in d.vertices.items():
-        x, y = px(p)
-        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4.5" fill="#000"/>')
+    for x, y in d.vertices.values():
+        out.append(f'<circle cx="{tx.of(x)}" cy="{ty.of(y)}" r="4.5" fill="#000"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -716,19 +742,22 @@ def _svg_arrow(pts: tuple[Point, ...], px) -> str:
 def render_tikz(d: Drawing) -> str:
     """TikZ picture with the same content; y is mirrored for TikZ's up axis."""
     _require_coordinates(_expect_type(d, "render_tikz", Drawing), render=True, routes=True)
+    # the text of v is float(v): adding -0.0, not 0.0, keeps the -0.0 of a
+    # tiny negative Fraction
+    t = _Texts(0, 1.0, -0.0)
+    x0, y0, x1, y1 = map(t.of, d.box)
     out = [r"\begin{tikzpicture}[x=1.1cm,y=1.1cm,yscale=-1]"]
-    out.append(rf"\draw[densely dashed, gray] ({_fmt(d.box[0])},{_fmt(d.box[1])}) "
-               rf"rectangle ({_fmt(d.box[2])},{_fmt(d.box[3])});")
+    out.append(rf"\draw[densely dashed, gray] ({x0},{y0}) rectangle ({x1},{y1});")
     for e, pts in d.routes.items():
-        path = " -- ".join(f"({_fmt(p[0])},{_fmt(p[1])})" for p in pts)
+        path = " -- ".join([f"({t[x] if type(x) is int else t.of(x)},"
+                            f"{t[y] if type(y) is int else t.of(y)})" for x, y in pts])
         out.append(rf"\draw {path};")
         i = (len(pts) - 1) // 2
         a, b = pts[i], pts[i + 1]
         # a quarter of the way along the segment and halfway
-        out.append(rf"\draw[->] ({_fmt(_between(a[0], b[0], 3))},"
-                   rf"{_fmt(_between(a[1], b[1], 3))}) -- "
-                   rf"({_fmt(_between(a[0], b[0], 1))},{_fmt(_between(a[1], b[1], 1))});")
-    for v, p in d.vertices.items():
-        out.append(rf"\filldraw ({_fmt(p[0])},{_fmt(p[1])}) circle (2.2pt);")
+        out.append(rf"\draw[->] ({_between(a[0], b[0], 3):.2f},{_between(a[1], b[1], 3):.2f})"
+                   rf" -- ({_between(a[0], b[0], 1):.2f},{_between(a[1], b[1], 1):.2f});")
+    for x, y in d.vertices.values():
+        out.append(rf"\filldraw ({t.of(x)},{t.of(y)}) circle (2.2pt);")
     out.append(r"\end{tikzpicture}")
     return "\n".join(out) + "\n"

@@ -100,6 +100,13 @@ class POPGraph:
     def rank(self, e: str) -> int:
         return self.order.rank(e)
 
+    def _conjugate(self) -> Iterator[tuple[str, str]]:
+        """The pairs of the conjugate order, sorted by the ranks of both
+        ends: read off the conjugate rows by rank, with no bytecode run per
+        pair.  ``conjugate_order`` holds them as a set and ``ppg conjugate``
+        prints them in this order."""
+        return _pairs(self.order.sequence, _ranked(self.graph, self.order._index)[1])
+
     # built from lists: a tuple of a generator is resized as it grows, and
     # the resized tuples pile up on the interpreter's free lists
 
@@ -327,8 +334,7 @@ def conjugate_order(pop: POPGraph) -> frozenset[tuple[str, str]]:
     Transitive by the betweenness axiom; together with strict reachability it
     covers each unordered pair exactly once.
     """
-    order = _expect_type(pop, "conjugate_order", POPGraph).order
-    return frozenset(_pairs(order.sequence, _ranked(pop.graph, order._index)[1]))
+    return frozenset(_expect_type(pop, "conjugate_order", POPGraph)._conjugate())
 
 
 class ConjugacyReport:

@@ -35,11 +35,16 @@ order) is compared first, in one walk, with the local data its order
 reads: equal data are permutations already, so the permutation checks run
 only when the two differ, and then in the order above.
 
-Emission is canonical and deterministic: header, edges in declaration
-order, anchors, vertex orders sorted by vertex id, order line; emitting a
-parsed document reproduces it value for value.  An edge id or vertex name
-that is empty or holds whitespace or ``#`` would not parse back as one
-token, so both emitters refuse it with a PpgError naming it.
+Emission is canonical and deterministic, and one line writer,
+``_ppg_text``, writes both formats: the header, the edges in declaration
+order, the anchors or the source and sink lines, per vertex sorted by id an
+in line and an out line for each side that is not empty, then a .ppg
+file's order line.  A vertex order has two sides that are not empty, so a
+.ppg file writes both lines at each internal vertex; a .stg rotation may
+leave one side out.  Emitting a parsed document reproduces it value for
+value.  An edge id or vertex name that is empty or holds whitespace or
+``#`` would not parse back as one token, so both emitters refuse it with a
+PpgError naming it.
 """
 
 from __future__ import annotations
@@ -265,26 +270,28 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
         graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, doc.order
 
     _writable(graph, "ppg")
-    return _ppg_text(graph.edges, anchor, vertex_orders,
-                     order.sequence if order is not None else None)
+    return _ppg_text(graph.edges, zip(("inputs", "outputs"), anchor or ()), vertex_orders,
+                     [("order", order.sequence)] if order is not None else ())
 
 
-def _ppg_text(edges, anchor, vertex_orders, order) -> str:
-    """The text of :func:`emit_ppg` from its parts, unchecked: the edges in
-    declaration order, the anchor and each vertex order as two sides of
-    ids, and the order as a sequence of ids; any part but the edges may be
-    None."""
-    out = ["ppg 1"]
+def _ppg_text(edges, head, legs, tail=(), kind="ppg") -> str:
+    """The text of :func:`emit_ppg`, or with ``kind`` "stg" of
+    :func:`emit_stg`, from its parts, unchecked: the header, the edges in
+    declaration order, a line per (directive, ids) pair of ``head`` (the
+    anchor, or the source and the sink), then per vertex of ``legs`` (vertex
+    orders or a rotation, two sides of ids each), sorted by name, an in and
+    an out line for each side that is not empty, then a line per pair of
+    ``tail`` (the order).  ``legs`` may be None."""
+    out = [f"{kind} 1"]
     out += ["edge " + " ".join(e) for e in edges]
-    if anchor is not None:
-        out.append("inputs " + " ".join(anchor[0]))
-        out.append("outputs " + " ".join(anchor[1]))
-    for v in sorted(vertex_orders or {}):
-        incoming, outgoing = vertex_orders[v]
-        out.append(f"in {v} " + " ".join(incoming))
-        out.append(f"out {v} " + " ".join(outgoing))
-    if order is not None:
-        out.append("order " + " ".join(order))
+    out += [f"{key} " + " ".join(ids) for key, ids in head]
+    for v in sorted(legs or ()):
+        incoming, outgoing = legs[v]
+        if incoming:
+            out.append(f"in {v} " + " ".join(incoming))
+        if outgoing:
+            out.append(f"out {v} " + " ".join(outgoing))
+    out += [f"{key} " + " ".join(ids) for key, ids in tail]
     return "\n".join(out) + "\n"
 
 
@@ -304,15 +311,5 @@ def parse_stg(text: str) -> StGraph:
 
 def emit_stg(st: StGraph) -> str:
     _writable(_expect_type(st, "emit_stg", StGraph), "stg")
-    out = ["stg 1"]
-    for e in st.edges:
-        out.append(f"edge {e.id} {e.src} {e.dst}")
-    out.append(f"source {st.source}")
-    out.append(f"sink {st.sink}")
-    for v in sorted(st.rotation):
-        incoming, outgoing = st.rotation[v]
-        if incoming:
-            out.append(f"in {v} " + " ".join(incoming))
-        if outgoing:
-            out.append(f"out {v} " + " ".join(outgoing))
-    return "\n".join(out) + "\n"
+    return _ppg_text(st.edges, (("source", (st.source,)), ("sink", (st.sink,))), st.rotation,
+                     kind="stg")

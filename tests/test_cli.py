@@ -369,6 +369,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "order", str(bad))
         assert code == 1 and "error:" in err
 
+    def test_hat_of_no_edge_is_1(self, capsys, tmp_path):
+        empty = tmp_path / "empty.ppg"
+        empty.write_text("ppg 1\n")
+        assert run(capsys, "hat", str(empty)) == (
+            1, "", "error: the graph has no edge to gather into the apexes s and t\n")
+
     def test_parse_error_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.ppg"
         bad.write_text("ppg 2\n")

@@ -233,6 +233,14 @@ class TestHatCirc:
         with pytest.raises(pg.ReservedVertexName):
             pg.hat(g)
 
+    def test_hat_of_no_edge_is_refused(self):
+        # there is no boundary to gather, and the apexes would be named
+        # though no edge meets them
+        with pytest.raises(pg.PpgError) as exc:
+            pg.hat(pg.bare_edges(0).graph)
+        assert type(exc.value) is pg.PpgError
+        assert str(exc.value) == "the graph has no edge to gather into the apexes s and t"
+
     def test_circ_round_trip(self, suite):
         for name, pop in suite:
             g = pop.graph

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import sys
 import textwrap
 import time
@@ -633,6 +634,75 @@ class TestRender:
     def test_up_flow_renders(self, canonical):
         svg = pg.render_svg(pg.layout(canonical, up=True))
         assert svg.count("<path ") == 19
+
+
+# values whose text a writer could get wrong: an int beside an equal
+# Fraction, the largest a renderer takes, a negative Fraction whose float is
+# -0.0, and a Fraction far below the last decimal
+CORNERS = [3, F(3), 10 ** 99, -10 ** 99, F(-1, 10 ** 400), F(5, 10 ** 30)]
+
+
+def cornered(d: pg.Drawing, k: int, rng: random.Random) -> pg.Drawing:
+    """``d`` with three route points set to corner values (an x and a y
+    beside each other in ``CORNERS``, from the k-th pair on), a vertex
+    below every route and the box, and a ``Fraction`` as the box's left
+    edge."""
+    routes = dict(d.routes)
+    for j in range(k, k + 3):
+        e = rng.choice(list(routes))
+        pts = list(routes[e])
+        pts[rng.randrange(len(pts))] = CORNERS[j % 6], CORNERS[(j + 1) % 6]
+        routes[e] = tuple(pts)
+    low = min([y for pts in routes.values() for _, y in pts] + [d.box[1], d.box[3]])
+    return dataclasses.replace(d, routes=routes, box=(F(d.box[0]) - F(1, 3), *d.box[1:]),
+                               vertices=dict(d.vertices, off=(F(7, 3), low - F(5, 2))))
+
+
+def coordinate_corpus():
+    rng = random.Random(37)
+    for k in range(60):
+        pop = pg.random_pop(rng, tag=f"c{k}.")
+        for d in (pg.layout(pop), pg.layout_st(pop, up=True)):
+            yield d
+            yield cornered(d, k, rng)
+
+
+class TestCoordinateText:
+    """Each coordinate a renderer writes is its definition to two decimals,
+    however the writer shares the text of equal or repeated values."""
+
+    def test_tikz(self):
+        seen = set()
+        for d in coordinate_corpus():
+            text = pg.render_tikz(d)
+            lines = text.splitlines()
+            b = [f"{float(v):.2f}" for v in d.box]
+            assert lines[1] == (rf"\draw[densely dashed, gray] ({b[0]},{b[1]}) "
+                                rf"rectangle ({b[2]},{b[3]});")
+            assert [line[6:-1] for line in lines if line.startswith(r"\draw (")] == [
+                " -- ".join(f"({float(x):.2f},{float(y):.2f})" for x, y in pts)
+                for pts in d.routes.values()]
+            assert [line for line in lines if line.startswith(r"\filldraw")] == [
+                rf"\filldraw ({float(x):.2f},{float(y):.2f}) circle (2.2pt);"
+                for x, y in d.vertices.values()]
+            seen.update(re.findall(r"-0\.00\b|\b3\.00\b", text))
+        assert seen == {"-0.00", "3.00"}
+
+    def test_svg(self):
+        def text(v, v0):
+            return f"{float(v - v0) * 48 + 30:.2f}"
+
+        for d in coordinate_corpus():
+            svg = pg.render_svg(d)
+            # y0 is the least y of the routes and the box: a vertex off
+            # every route may lie above the drawing
+            x0 = d.box[0]
+            y0 = min([y for pts in d.routes.values() for _, y in pts] + [d.box[1], d.box[3]])
+            assert re.findall(r'<path d="M ([^"]*)"', svg) == [
+                " L ".join(f"{text(x, x0)} {text(y, y0)}" for x, y in pts)
+                for pts in d.routes.values()]
+            assert re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg) == [
+                (text(x, x0), text(y, y0)) for x, y in d.vertices.values()]
 
 
 def without(d: pg.Drawing, *, route: str | None = None, vertex: str | None = None):

@@ -434,6 +434,17 @@ class TestStg:
         back = pg.parse_stg(pg.emit_stg(st))
         assert back == st and back.rotation == st.rotation
 
+    def test_rotation_bytes(self):
+        # a side that is empty writes no line: v has only in-legs, w only
+        # out-legs and u both, each listed in its rotation's order
+        graph = pg.DirectedMultigraph([("a", "s", "u"), ("b", "s", "u"), ("c", "u", "v"),
+                                       ("d", "u", "w"), ("e", "w", "v"), ("f", "v", "t")])
+        st = pg.StGraph(graph, "s", "t", {"w": ((), ("e",)), "v": (("e", "c"), ()),
+                                          "u": (("b", "a"), ("d", "c"))})
+        assert pg.emit_stg(st) == ("stg 1\nedge a s u\nedge b s u\nedge c u v\nedge d u w\n"
+                                   "edge e w v\nedge f v t\nsource s\nsink t\n"
+                                   "in u b a\nout u d c\nin v e c\nout w e\n")
+
     def test_no_rotation(self):
         st = pg.parse_stg("stg 1\nedge a s t\nsource s\nsink t\n")
         assert st.rotation == {}
