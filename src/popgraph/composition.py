@@ -44,7 +44,6 @@ from .core import (DirectedMultigraph, Edge, _fresh, _induces_vertex_bijection,
                    validate_progressive)
 from .errors import ArityMismatch, NoInternalVertex, PpgError, _expect_type
 from .order import PlanarOrder, POPGraph, interval_partition, validate_planar_order
-from .synthesis import _local_data
 
 
 def compose(*factors: POPGraph) -> POPGraph:
@@ -147,12 +146,12 @@ def _walk(pop: POPGraph):
     A vertex is maximal (every out-leg on the line) once its last internal
     successor has been peeled; each step takes the maximal vertex whose
     first out-leg comes earliest in the order.  The legs in order come from
-    the local data of the planar order.  The line (the current outputs) is
+    the local data the ordered graph keeps.  The line (the current outputs) is
     kept as a list in order: the out-legs of the vertex peeled are a
     contiguous block of it, and the in-legs take their place.
     """
     edges, ix, rank = pop.graph.edges, pop.graph._eix, pop.order._index
-    legs, anchor = _local_data(pop)
+    legs, anchor = pop._local
     # out-legs of each internal vertex whose head is not yet peeled
     pending = {v: sum(edges[ix[e]].dst in legs for e in outs) for v, (_, outs) in legs.items()}
     ready = [(rank[outs[0]], v) for v, (_, outs) in legs.items() if not pending[v]]

@@ -64,8 +64,8 @@ from operator import and_, attrgetter, eq, ge, gt, itemgetter, le, lt, ne, not_,
 from .composition import _walk
 from .core import ProgressiveGraph, _apexes
 from .errors import PpgError, _expect_type
-from .order import POPGraph
-from .synthesis import Anchor, PAGraph, VertexOrder
+from .order import Anchor, POPGraph, VertexOrder
+from .synthesis import PAGraph
 
 # a coordinate is an int on the crossing lines, a Fraction where a
 # denominator can arise (vertex centroids and half-integer y, st apexes)
@@ -169,7 +169,7 @@ def _layout(pop: POPGraph, up: bool, st: bool) -> Drawing:
     return Drawing(
         flow="up" if up else "down",
         box=(0, 0, width, k_bands),
-        # a tuple of a list, not of an iterator: see POPGraph.inputs_ordered
+        # a tuple of a list: a tuple of an iterator is resized as it grows
         bands=tuple(list(zip(range(k_bands), range(1, k_bands + 1)))),
         vertices=vertices,
         routes={e: tuple(route) for e, route in routes.items()},

@@ -36,17 +36,19 @@ SHOWN witnesses and counts the rest.  ``order_violations`` still lists
 every violation.  The test suite checks all of this against definitional
 pair and triple scans.
 
-The interval partition that composition shuffles by locates each edge
-relative to the ordered boundary: after the last input that reaches it, and
-before the first output it reaches.
+An ordered graph reads its local data (vertex orders and anchor) off its
+order in one walk, once, and its ordered boundary is the anchor.  The
+interval partition that composition shuffles by locates each edge relative
+to it: after the last input that reaches it, and before the first output.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import _NOT_IDS, ProgressiveGraph
 from .errors import (InvalidPlanarOrder, NotAPermutation, NotConjugate, PpgError,
@@ -86,19 +88,49 @@ class PlanarOrder:
         return "PlanarOrder(" + " ".join(self.sequence) + ")"
 
 
+class VertexOrder(NamedTuple):
+    """Ordered incident edges of one internal vertex (left to right)."""
+    incoming: tuple[str, ...]
+    outgoing: tuple[str, ...]
+
+
+class Anchor(NamedTuple):
+    """Ordered boundary edges of the whole graph (left to right)."""
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+
+
 class POPGraph:
     """A progressive graph together with a validated planar order.
 
-    Build via :func:`validate_planar_order`.
+    Build via :func:`validate_planar_order`.  The constructor checks only
+    that the order lists each edge of the graph once (NotAPermutation);
+    planarity is :func:`validate_planar_order`'s.
     """
 
     def __init__(self, graph: ProgressiveGraph, order: PlanarOrder):
         self.graph = _expect_type(graph, "POPGraph", ProgressiveGraph)
         self.order = _expect_type(order, "POPGraph", PlanarOrder)
-        self._local = None  # its local data, read once by synthesis._local_data
+        if order._index.keys() != graph._eix.keys():
+            raise _not_a_permutation(order.sequence, graph._eix.keys())
 
     def rank(self, e: str) -> int:
         return self.order.rank(e)
+
+    @cached_property
+    def _local(self) -> tuple[dict[str, VertexOrder], Anchor]:
+        """The vertex orders and the anchor, unchecked: one walk appends each
+        edge to the legs of its tail and of its head.  Kept, so every reader
+        gets the same objects and treats them as read-only."""
+        g = self.graph
+        legs = {v: ([], []) for v in sorted(g.internal_vertices)}
+        boundary = ([], [])  # one vertex for the rest: outputs come in, inputs go out
+        for eid in self.order.sequence:
+            e = g.edge(eid)
+            legs.get(e.src, boundary)[1].append(eid)
+            legs.get(e.dst, boundary)[0].append(eid)
+        return ({v: VertexOrder(tuple(a), tuple(b)) for v, (a, b) in legs.items()},
+                Anchor(tuple(boundary[1]), tuple(boundary[0])))
 
     def _conjugate(self) -> Iterator[tuple[str, str]]:
         """The pairs of the conjugate order, sorted by the ranks of both
@@ -107,16 +139,13 @@ class POPGraph:
         prints them in this order."""
         return _pairs(self.order.sequence, _ranked(self.graph, self.order._index)[1])
 
-    # built from lists: a tuple of a generator is resized as it grows, and
-    # the resized tuples pile up on the interpreter's free lists
-
     @property
     def inputs_ordered(self) -> tuple[str, ...]:
-        return tuple([e for e in self.order if e in self.graph.inputs])
+        return self._local[1].inputs
 
     @property
     def outputs_ordered(self) -> tuple[str, ...]:
-        return tuple([e for e in self.order if e in self.graph.outputs])
+        return self._local[1].outputs
 
     def __eq__(self, other):
         if isinstance(other, POPGraph):

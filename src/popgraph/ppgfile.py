@@ -30,10 +30,10 @@ be permutations of the actual boundary and incident edges (the one check
 line must give back whatever anchors and vertex orders the file has, or a
 PpgError names the first anchor side or vertex that differs.  Those
 failures raise the corresponding validation errors, which carry no line
-numbers.  A full-form file (an order line, the anchors and every vertex
-order) is compared first, in one walk, with the local data its order
-reads: equal data are permutations already, so the permutation checks run
-only when the two differ, and then in the order above.
+numbers.  With an order line, the anchors and vertex orders the file has
+are compared first with the local data of its ordered graph: equal data are
+permutations already, so the permutation checks run only when the two
+differ, and then in the order above, before the difference is raised.
 
 Emission is canonical and deterministic, and one line writer,
 ``_ppg_text``, writes both formats: the header, the edges in declaration
@@ -55,9 +55,8 @@ from itertools import chain
 from .core import (DirectedMultigraph, Edge, ProgressiveGraph, StGraph, _sides,
                    validate_progressive)
 from .errors import ParseError, PpgError, _expect_type
-from .order import PlanarOrder, POPGraph, validate_planar_order
-from .synthesis import (Anchor, PAGraph, VertexOrder, _check_local_data, _local_data,
-                        synthesize_order)
+from .order import Anchor, PlanarOrder, POPGraph, VertexOrder, validate_planar_order
+from .synthesis import PAGraph, _check_local_data, extract_pa, synthesize_order
 
 
 class PpgDocument:
@@ -79,37 +78,29 @@ class PpgDocument:
         self.order = order
         self._pop = validate_planar_order(graph, order) if order is not None else None
         self._pa: PAGraph | None = None
-        self._read = None  # the order's local data, equal to those given: pa() reads them
         orders = vertex_orders or {}
+        # data equal to what the order reads are permutations of the right
+        # edges already; only what differs (with no order, all) is checked
+        differs = "" if order is None else _disagreement(orders, anchor, self._pop._local)
         full = anchor is not None and set(self.vertex_orders or ()) == set(graph.internal_vertices)
-        if full and self._pop is not None and isinstance(orders, Mapping):
-            # equal to what the order reads, the given data are permutations
-            # of the right edges; only what differs needs the checks below
-            read = _local_data(self._pop)
-            if _equal_local_data(orders, anchor, read):
-                self._read = read
-                return
+        self._agrees = full and differs is None  # pa() is then extract_pa of the order
+        if differs is None:
+            return
         if full:
             self._pa = PAGraph(graph, orders, anchor)
         else:
             _check_local_data(graph, orders, anchor)
-        if self._pop is not None:  # last, so the checks above keep their precedence
-            read_orders, read_anchor = _local_data(self._pop)
-            for side, given, read in zip(("inputs", "outputs"), anchor or (), read_anchor):
-                if tuple(given) != read:
-                    raise PpgError(f"the order line disagrees with the {side} line")
-            for v in sorted(self.vertex_orders or ()):
-                if tuple(map(tuple, self.vertex_orders[v])) != read_orders[v]:
-                    raise PpgError(f"the order line disagrees with the vertex order at {v!r}")
+        if differs:  # last, so the checks above keep their precedence
+            raise PpgError(differs)
 
     def has_pa(self) -> bool:
-        return self._pa is not None or self._read is not None
+        return self._pa is not None or self._agrees
 
     def pa(self) -> PAGraph:
         if self._pa is None:
-            if self._read is None:
+            if not self._agrees:
                 raise PpgError("document carries no complete vertex-order/anchor data")
-            self._pa = PAGraph(self.graph, *self._read)
+            self._pa = extract_pa(self._pop)
         return self._pa
 
     def pop(self) -> POPGraph:
@@ -134,16 +125,32 @@ class PpgDocument:
         return f"PpgDocument({len(self.graph.edges)} edges)"
 
 
-def _equal_local_data(vertex_orders: Mapping, anchor, read) -> bool:
-    """Whether the anchor and a vertex order at every vertex of ``read``,
-    each taken as two sides, equal the local data ``read`` off an order.  A
-    value that has no two sides of ids (a string or a set included) differs."""
+def _disagreement(vertex_orders, anchor, read) -> str | None:
+    """The message naming the first anchor side, then the first vertex by
+    name, at which the given local data differ from those ``read`` off an
+    order; None when they agree.  Each value is taken as two sides: one that
+    has no two sides of ids (a string or a set included) differs, and so do
+    vertex orders that are no mapping or name a vertex that is not internal."""
     read_orders, read_anchor = read
+    if anchor is not None:
+        try:
+            given = _sides(anchor, "the anchor")
+        except PpgError:
+            given = None, None
+        for side, mine, theirs in zip(("inputs", "outputs"), given, read_anchor):
+            if mine != theirs:
+                return f"the order line disagrees with the {side} line"
+    if not isinstance(vertex_orders, Mapping) or not vertex_orders.keys() <= read_orders.keys():
+        return "the order line disagrees with the vertex orders"
     try:
-        return _sides(anchor, "the anchor") == read_anchor and all(
-            _sides(vertex_orders[v], "a vertex order") == vo for v, vo in read_orders.items())
+        for v, vo in read_orders.items():
+            if v in vertex_orders and _sides(vertex_orders[v], "a vertex order") != vo:
+                break
+        else:
+            return None
     except PpgError:
-        return False
+        pass
+    return f"the order line disagrees with the vertex order at {v!r}"
 
 
 def _lines(text: str):
@@ -261,7 +268,7 @@ def emit_ppg(doc: PpgDocument | POPGraph | PAGraph | ProgressiveGraph) -> str:
     """
     _expect_type(doc, "emit_ppg", PpgDocument, POPGraph, PAGraph, ProgressiveGraph)
     if isinstance(doc, POPGraph):
-        (vertex_orders, anchor), graph, order = _local_data(doc), doc.graph, doc.order
+        (vertex_orders, anchor), graph, order = doc._local, doc.graph, doc.order
     elif isinstance(doc, PAGraph):
         graph, vertex_orders, anchor, order = doc.graph, doc.vertex_orders, doc.anchor, None
     elif isinstance(doc, ProgressiveGraph):

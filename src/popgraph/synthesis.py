@@ -57,7 +57,7 @@ cycle included, surfaces as NoConsistentOrder with witnesses.  A refusal
 builds only the first SHOWN witness strings and counts the rest.
 
 Local data has one check, which takes partial data too (:class:`PAGraph`
-adds completeness), and one read, a walk over the order (unchecked).
+adds completeness), and one read, ``POPGraph._local`` (unchecked).
 
 The enumerator extends prefixes of linear extensions in lexicographic order
 of edge declaration, one step at a time: placing an edge bans, by
@@ -84,20 +84,8 @@ from typing import Mapping, NamedTuple
 from .core import ProgressiveGraph, _sides
 from .errors import (SHOWN, NoConsistentOrder, PpgError, TooLarge, UnknownEdge,
                      UnknownVertex, _expect_type)
-from .order import (PlanarOrder, POPGraph, _members, _permutation,
-                    validate_planar_order)
-
-
-class VertexOrder(NamedTuple):
-    """Ordered incident edges of one internal vertex (left to right)."""
-    incoming: tuple[str, ...]
-    outgoing: tuple[str, ...]
-
-
-class Anchor(NamedTuple):
-    """Ordered boundary edges of the whole graph (left to right)."""
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
+from .order import (Anchor, PlanarOrder, POPGraph, VertexOrder, _members,
+                    _permutation, validate_planar_order)
 
 
 def _check_local_data(graph: ProgressiveGraph, vertex_orders: Mapping[str, VertexOrder | tuple],
@@ -402,35 +390,15 @@ def synthesize_order(pa: PAGraph) -> PlanarOrder:
         pop = validate_planar_order(g, seq)
     except PpgError as err:
         raise NoConsistentOrder((f"synthesized order is not planar: {err}",)) from err
-    if _local_data(pop) != (pa.vertex_orders, pa.anchor):
+    if pop._local != (pa.vertex_orders, pa.anchor):
         raise NoConsistentOrder(
             ("synthesized order does not reproduce the given vertex orders/anchors",))
     return pop.order
 
 
-def _local_data(pop: POPGraph) -> tuple[dict[str, VertexOrder], Anchor]:
-    """The vertex orders and anchors of a planar order, unchecked, in one walk
-    that appends each edge to the legs of its tail and of its head.  The walk
-    runs once per ordered graph, which keeps its result: every call returns
-    the same objects, and every caller treats them as read-only
-    (:class:`PAGraph` copies what it is given)."""
-    if pop._local is not None:
-        return pop._local
-    g = pop.graph
-    legs = {v: ([], []) for v in sorted(g.internal_vertices)}
-    boundary = ([], [])  # one vertex for the rest: outputs come in, inputs go out
-    for eid in pop.order.sequence:
-        e = g.edge(eid)
-        legs.get(e.src, boundary)[1].append(eid)
-        legs.get(e.dst, boundary)[0].append(eid)
-    vertex_orders = {v: VertexOrder(tuple(a), tuple(b)) for v, (a, b) in legs.items()}
-    pop._local = vertex_orders, Anchor(tuple(boundary[1]), tuple(boundary[0]))
-    return pop._local
-
-
 def extract_pa(pop: POPGraph) -> PAGraph:
     """Read the vertex orders and anchors off a planar order, checked."""
-    return PAGraph(_expect_type(pop, "extract_pa", POPGraph).graph, *_local_data(pop))
+    return PAGraph(_expect_type(pop, "extract_pa", POPGraph).graph, *pop._local)
 
 
 class EnumerationResult(NamedTuple):

@@ -267,6 +267,17 @@ def redeclared(pop: pg.POPGraph, rng: random.Random) -> pg.POPGraph:
         pg.validate_progressive(pg.DirectedMultigraph(edges)), pop.order.sequence)
 
 
+def local_data_scan(pop: pg.POPGraph) -> tuple[dict[str, pg.VertexOrder], pg.Anchor]:
+    """The vertex orders and the anchor of ``pop`` by definition: each
+    internal vertex's in-edges and out-edges, and the inputs and the outputs,
+    sorted by rank."""
+    g, ranked = pop.graph, lambda edges: tuple(sorted(edges, key=pop.rank))
+    orders = {v: pg.VertexOrder(ranked(e.id for e in g.in_edges(v)),
+                                ranked(e.id for e in g.out_edges(v)))
+              for v in g.internal_vertices}
+    return orders, pg.Anchor(ranked(g.inputs), ranked(g.outputs))
+
+
 def decomposition_corpus() -> list[tuple[str, pg.POPGraph]]:
     """The five fixtures (spider22 with its synthesized order), 300 seeded
     ``random_pop`` graphs, every other one with its edges declared in

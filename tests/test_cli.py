@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import popgraph as pg
-from popgraph import composition, ppgfile, synthesis
+from popgraph import cli
 from popgraph.cli import main
 from conftest import (FIXTURES, decompose_files_oracle, decomposition_corpus, isomorphic_by_edges,
                       load, recipe_graph)
@@ -309,6 +310,22 @@ class TestWorkOnTheDrawPath:
     order in one walk, shared by the parse, the peel walk and the layout,
     and build no graph but the parse's: no factor graph is validated."""
 
+    @staticmethod
+    def counted_walks(monkeypatch) -> list[pg.POPGraph]:
+        """The ordered graphs whose local data are walked from now on, one
+        entry per walk: ``POPGraph._local`` is replaced by a cached property
+        that records each graph it computes for."""
+        walks, walk = [], pg.POPGraph._local.func
+
+        def counted(pop):
+            walks.append(pop)
+            return walk(pop)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(pg.POPGraph, "_local")
+        monkeypatch.setattr(pg.POPGraph, "_local", prop)
+        return walks
+
     @pytest.mark.parametrize("argv", [["render", "-o", "out.svg"],
                                       ["render", "--st", "--up", "-o", "out.tex"],
                                       ["decompose", "-o", "factors"]],
@@ -316,15 +333,7 @@ class TestWorkOnTheDrawPath:
     def test_one_walk_and_one_graph(self, argv, capsys, monkeypatch, tmp_path):
         src = tmp_path / "recipe.ppg"
         src.write_text(pg.emit_ppg(recipe_graph(16, 16)), encoding="utf-8")
-        walks, graphs = [], []
-        read = synthesis._local_data
-
-        def counted_read(pop):
-            walks.append(pop._local is None)
-            return read(pop)
-
-        for module in (synthesis, composition, ppgfile):
-            monkeypatch.setattr(module, "_local_data", counted_read)
+        walks, graphs = self.counted_walks(monkeypatch), []
         build = pg.ProgressiveGraph.__init__
 
         def counted_build(self, graph):
@@ -336,8 +345,32 @@ class TestWorkOnTheDrawPath:
         rest[-1] = str(tmp_path / rest[-1])
         assert main([command, str(src), *rest]) == 0
         capsys.readouterr()
-        assert sum(walks) == 1 and len(walks) >= 2
+        assert len(walks) == 1
         assert len(graphs) == 1
+
+    def test_compose_walks_each_parsed_factor_once(self, capsys, monkeypatch, tmp_path):
+        # the glue tables read the boundaries the parse walked; the one
+        # more walk is the composite's, which emit_ppg writes
+        outdir = tmp_path / "factors"
+        assert main(["decompose", CANON, "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        names = [line.split()[2] for line in (outdir / "manifest.txt").read_text().splitlines()
+                 if line.startswith("factor ")]
+        assert len(names) == 6
+        walks, parsed, parse = self.counted_walks(monkeypatch), [], cli.parse_ppg
+
+        def recorded_parse(text):
+            parsed.append(parse(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_ppg", recorded_parse)
+        assert main(["compose", *(str(outdir / n) for n in names)]) == 0
+        walked = list(walks)
+        composite = pg.parse_ppg(capsys.readouterr().out).pop()
+        assert composite.graph == load("canonical19.ppg").graph
+        assert len(parsed) == len(names) and len(walked) == len(names) + 1
+        assert all(pop is doc.pop() for pop, doc in zip(walked, parsed))
+        assert walked[-1] == composite
 
     def test_the_local_data_of_an_order_is_not_aliased(self):
         doc = load("canonical19.ppg")

@@ -236,6 +236,37 @@ class TestValidate:
         assert slow_planar(pop.graph, pop.order.sequence)
 
 
+class TestPOPGraph:
+    """The constructor refuses an order that does not list each edge of the
+    graph once, with the error validate_planar_order raises for it, so no
+    call on the drawing, decomposition, conjugate or emission paths meets
+    one (they would index past the order, or write text that does not
+    parse)."""
+
+    CALLS = {
+        "layout": pg.layout,
+        "layout_st": pg.layout_st,
+        "render_svg": lambda pop: pg.render_svg(pg.layout(pop)),
+        "elementary_decomposition": pg.elementary_decomposition,
+        "decompose_step": pg.decompose_step,
+        "conjugate_order": pg.conjugate_order,
+        "emit_ppg": pg.emit_ppg,
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("edit", ["short", "foreign"])
+    def test_an_order_of_other_edges_is_refused(self, canonical, name, edit):
+        seq = canonical.order.sequence
+        seq = seq[:-3] if edit == "short" else ("zz", *seq[1:])
+        order = pg.PlanarOrder(seq)
+        with pytest.raises(pg.NotAPermutation) as want:
+            pg.validate_planar_order(canonical.graph, order)
+        with pytest.raises(pg.NotAPermutation) as got:
+            self.CALLS[name](pg.POPGraph(canonical.graph, order))
+        assert ((got.value.missing, got.value.extra, got.value.duplicated, str(got.value))
+                == (want.value.missing, want.value.extra, want.value.duplicated, str(want.value)))
+
+
 class TestConjugate:
     def test_frozen_membership(self, canonical):
         rel = pg.conjugate_order(canonical)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import popgraph as pg
 from conftest import (FIXTURES, both_ways_scan, brute_orders, compare_edges_scan,
-                      linear_extension_orders, run_optimized)
+                      linear_extension_orders, local_data_scan, redeclared, run_optimized)
 
 
 def graph(*triples):
@@ -120,6 +120,28 @@ class TestPAGraph:
         assert str(exc.value) == f"{what} must have exactly two sides of edge ids"
         sides = (("a", "b"), ("c",))
         assert pg.PAGraph(g, {"v": sides}, sides).anchor == sides
+
+
+class TestExtract:
+    """The local data an ordered graph reads off its order in one walk equal
+    their definition, the legs and the boundary sorted by rank."""
+
+    def test_extraction_equals_the_scan(self, suite):
+        corpus = [*suite, *((p.stem, pg.parse_ppg(p.read_text()).pop_or_synthesized())
+                            for p in sorted(FIXTURES.glob("*.ppg")))]
+        rng = random.Random(38)
+        for i in range(300):
+            pop = pg.random_pop(rng, tag=f"r{i}.")
+            corpus.append((f"random{i}", redeclared(pop, rng) if i % 2 else pop))
+        for name, pop in corpus:
+            orders, anchor = local_data_scan(pop)
+            pa = pg.extract_pa(pop)
+            assert (pa.vertex_orders, pa.anchor) == (orders, anchor), name
+            assert (pop.inputs_ordered, pop.outputs_ordered) == anchor, name
+
+    def test_one_vertex_order_and_anchor_type(self):
+        assert pg.VertexOrder is pg.order.VertexOrder is pg.synthesis.VertexOrder
+        assert pg.Anchor is pg.order.Anchor is pg.synthesis.Anchor
 
 
 def tampered_pas(pop: pg.POPGraph, rng: random.Random):
